@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -124,7 +123,6 @@ def _corpus_config(args) -> CorpusConfig:
         window_radius=args.window,
         lowercase=not args.no_lowercase,
         respect_boundaries=Boundaries(args.boundaries),
-        min_token_frequency=args.min_freq,
     )
 
 
@@ -133,7 +131,6 @@ def _corpus_settings(args) -> dict:
         "window": args.window,
         "boundaries": args.boundaries,
         "lowercase": str(not args.no_lowercase).lower(),
-        "min_freq": args.min_freq,
         "docs": args.docs,
     }
 
@@ -167,23 +164,17 @@ def _measure_settings(args) -> dict:
 
 
 def _count_corpus(args, config: CorpusConfig):
-    """Count each input file as a shard (optionally in parallel) and merge."""
-
-    def count_one(path):
+    """Count each input file as a shard and merge."""
+    parts = []
+    for path in args.corpus:
         docs = read_documents(path, one_doc_per_line=args.docs == "line")
-        return count_cooccurrences(tokenize_documents(docs, config), config)
-
-    if args.threads > 1 and len(args.corpus) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(pool.map(count_one, args.corpus))
-    else:
-        parts = [count_one(path) for path in args.corpus]
+        parts.append(count_cooccurrences(tokenize_documents(docs, config), config))
     return parts[0] if len(parts) == 1 else merge_counts(parts)
 
 
 def _cached_counts(args, config: CorpusConfig):
     """Load windowed counts from the cache if the inputs and config match."""
-    if not getattr(args, "cache_dir", None):
+    if not args.cache_dir:
         return _count_corpus(args, config)
     key_parts = [f"{path}:{_hash_file(path)}" for path in args.corpus]
     key_parts.append(
@@ -221,9 +212,6 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
         help="which boundaries windows must not cross",
     )
     parser.add_argument("--no-lowercase", action="store_true", help="keep original case")
-    parser.add_argument("--min-freq", type=int, default=1, help="minimum feature frequency")
-    parser.add_argument("--threads", type=int, default=1, help="max parallel shard counters")
-    parser.add_argument("--cache-dir", default=None, help="cache directory for counts")
 
 
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
@@ -508,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--triples", action="store_true", help="inputs are dependency triples")
     p.add_argument("--relations", default=None, help="comma-separated allowed relations")
+    p.add_argument("--cache-dir", default=None, help="cache directory for counts")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count)
 

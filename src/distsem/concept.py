@@ -4,9 +4,10 @@ Thesaurus categories act as very coarse word senses.  A base matrix counts,
 for every word, its windowed co-occurrence with any word listed under each
 category (an ambiguous neighbor credits all of its categories).  A second,
 disambiguating pass re-attributes every co-occurrence event to the single
-best-supported category, yielding the bootstrapped matrix.  Columns of either
-matrix give distributional profiles of concepts, compared with the ordinary
-word-level measures.
+best-supported category, yielding the bootstrapped matrix.  Either matrix is
+held as :class:`CooccurrenceCounts` with categories as targets and words as
+features, so a concept's distributional profile (its column of the matrix)
+is built by the word-level profile code and compared with the same measures.
 
 The cross-lingual variant replaces category membership with candidate senses
 reached through a bilingual lexicon: source-language words are profiled
@@ -18,12 +19,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
 
-from .assoc import ContingencyTable, SoAKind, strength
-from .corpus import CooccurrenceCounts, CorpusConfig, iter_occurrence_contexts
+from .assoc import ContingencyTable, SoAKind, contingency, strength
+from .corpus import (
+    CooccurrenceCounts,
+    CorpusConfig,
+    config_fields,
+    iter_occurrence_contexts,
+    read_tagged_tsv,
+    write_tagged_tsv,
+)
 from .errors import (
     ConfigurationError,
     EmptyProfileError,
@@ -34,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import MeasureConfig, MeasureId, DEFAULT_CONFIG, required_soa, score
-from .profiles import DistributionalProfile
+from .profiles import DistributionalProfile, build_profile
 
 
 @dataclass(frozen=True)
@@ -129,11 +138,16 @@ def load_lexicon(path, lowercase: bool = True) -> BilingualLexicon:
 
 
 class WCCM:
-    """Sparse word-by-category co-occurrence matrix."""
+    """Sparse word-by-category co-occurrence matrix.
+
+    ``matrix`` holds the cells transposed, category by word.  Cells are event
+    counts; zero cells are not stored.  ``cells`` is a ``{word: {category:
+    count}}`` mapping or an already transposed matrix.
+    """
 
     def __init__(
         self,
-        cells: dict[str, dict[str, float]],
+        cells: Union[Mapping[str, Mapping[str, float]], CooccurrenceCounts],
         kind: str = "base",
         language_mode: str = "monolingual",
         config: Optional[CorpusConfig] = None,
@@ -143,36 +157,63 @@ class WCCM:
             raise ValidationError(f"unknown matrix kind {kind!r}")
         if language_mode not in ("monolingual", "crosslingual"):
             raise ValidationError(f"unknown language mode {language_mode!r}")
-        self.cells = {w: dict(row) for w, row in cells.items() if row}
+        if not isinstance(cells, CooccurrenceCounts):
+            cells = _event_matrix(
+                {(cat, word): n for word, row in cells.items() for cat, n in row.items()}, "WCCM"
+            )
+        self.matrix = cells
         self.kind = kind
         self.language_mode = language_mode
         self.config = config
         self.source_fingerprint = source_fingerprint
-        self.row_totals = {w: sum(row.values()) for w, row in self.cells.items()}
-        col_totals: dict[str, float] = {}
-        columns: dict[str, dict[str, float]] = {}
-        for word, row in self.cells.items():
-            for cat, value in row.items():
-                col_totals[cat] = col_totals.get(cat, 0.0) + value
-                columns.setdefault(cat, {})[word] = value
-        self.col_totals = col_totals
-        self._columns = columns
-        self.grand_total = sum(self.row_totals.values())
+
+    @property
+    def cells(self) -> dict[str, dict[str, float]]:
+        cells: dict[str, dict[str, float]] = {}
+        for cat, word, n in self.matrix.items():
+            cells.setdefault(word, {})[cat] = float(n)
+        return cells
+
+    @property
+    def row_totals(self) -> dict[str, float]:
+        return {w: float(self.matrix.feature_total(w)) for w in self.matrix.features}
+
+    @property
+    def col_totals(self) -> dict[str, float]:
+        return {c: float(self.matrix.target_total(c)) for c in self.matrix.targets}
+
+    @property
+    def grand_total(self) -> float:
+        return float(self.matrix.total_pairs)
 
     def cell(self, word: str, category: str) -> float:
-        return self.cells.get(word, {}).get(category, 0.0)
+        return float(self.matrix.pair_count(category, word))
 
     def has_word(self, word: str) -> bool:
-        return word in self.cells
+        return self.matrix.feature_total(word) > 0
 
     def column(self, category: str) -> dict[str, float]:
-        return dict(self._columns.get(category, {}))
+        if not self.matrix.has_target(category):
+            return {}
+        return {word: float(n) for word, n in self.matrix.row_items(category)}
 
     def words(self) -> list[str]:
-        return sorted(self.cells)
+        return sorted(self.matrix.features)
 
     def categories(self) -> list[str]:
-        return sorted(self._columns)
+        return sorted(self.matrix.targets)
+
+
+def _event_matrix(pairs: dict, source: str) -> CooccurrenceCounts:
+    """Counts from ``{(category, word): count}``; each count must be a non-negative integer."""
+    values = np.fromiter(pairs.values(), dtype=np.float64, count=len(pairs))
+    bad = np.flatnonzero(~((values >= 0) & (values < 2**63) & (values == np.floor(values))))
+    if bad.size:
+        (cat, word), value = list(pairs.items())[bad[0]]
+        raise ValidationError(
+            f"{source}: cell ({word!r}, {cat!r}) = {value!r} is not a non-negative integer count"
+        )
+    return CooccurrenceCounts.from_pairs(pairs)
 
 
 def build_base_wccm(
@@ -181,37 +222,45 @@ def build_base_wccm(
     language_mode: str = "monolingual",
     sense_index: Optional[Mapping[str, frozenset]] = None,
 ) -> WCCM:
-    """First-pass matrix: each neighbor credits every category it is listed under."""
+    """First-pass matrix: each neighbor credits every category it is listed under.
+
+    It is the sparse product of the counts with the word-by-category
+    incidence matrix.
+    """
     if counts.feature_kind != "word":
         raise ConfigurationError("concept matrices need relation-free word counts")
     index = thesaurus.index if sense_index is None else sense_index
     if not index:
         raise ConfigurationError("no word has any candidate category")
-    cells: dict[str, dict[str, float]] = {}
-    for target, feature, n in counts.items():
-        senses = index.get(feature)
-        if not senses:
-            continue
-        row = cells.setdefault(target, {})
-        for cat in senses:
-            row[cat] = row.get(cat, 0.0) + n
-    return WCCM(
-        cells,
-        kind="base",
-        language_mode=language_mode,
-        config=counts.config,
+    categories = sorted(set().union(*index.values()))
+    cat_id = {c: i for i, c in enumerate(categories)}
+    # incidence in compressed sparse row form, one row per counts feature
+    senses = [sorted(cat_id[c] for c in index.get(f, ())) for f in counts.features]
+    n_senses = np.array([len(s) for s in senses], dtype=np.int64)
+    first_sense = np.cumsum(n_senses) - n_senses
+    sense_ids = np.fromiter(chain.from_iterable(senses), dtype=np.int64)
+    # cell (word, feature, n) adds n to (category, word) for every sense of feature
+    rows, cols, data = counts.coo()
+    fan = n_senses[cols]
+    cell_of = np.repeat(np.arange(cols.size), fan)
+    nth = np.arange(cell_of.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    matrix = CooccurrenceCounts.from_ids(
+        categories,
+        counts.targets,
+        sense_ids[first_sense[cols[cell_of]] + nth],
+        rows[cell_of],
+        data[cell_of],
     )
+    return WCCM(matrix, kind="base", language_mode=language_mode, config=counts.config)
 
 
 def wccm_contingency(wccm: WCCM, word: str, category: str) -> ContingencyTable:
     """Collapse the matrix into a 2x2 table for one (word, category) cell."""
     if not wccm.has_word(word):
         raise MissingWordError(f"no matrix row for {word!r}")
-    n_wc = wccm.cell(word, category)
-    n_w_nc = wccm.row_totals[word] - n_wc
-    n_nw_c = wccm.col_totals.get(category, 0.0) - n_wc
-    n_nw_nc = wccm.grand_total - n_wc - n_w_nc - n_nw_c
-    return ContingencyTable(n_wc, n_w_nc, n_nw_c, n_nw_nc)
+    # the matrix is stored category by word: swap the two margins back
+    t = contingency(wccm.matrix, category, word)
+    return ContingencyTable(t.n_wc, t.n_nw_c, t.n_w_nc, t.n_nw_nc)
 
 
 def candidate_senses(
@@ -272,18 +321,8 @@ def bootstrap_wccm(
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
-    if base.config is not None:
-        # only the fields that shape counting matter for staleness
-        ours = (config.window_radius, config.lowercase, config.respect_boundaries)
-        theirs = (
-            base.config.window_radius,
-            base.config.lowercase,
-            base.config.respect_boundaries,
-        )
-        if ours != theirs:
-            raise StalenessError(
-                "base matrix was built with a different corpus configuration"
-            )
+    if base.config is not None and base.config != config:
+        raise StalenessError("base matrix was built with a different corpus configuration")
     index = senses.index if isinstance(senses, Thesaurus) else senses
     if not index:
         raise ConfigurationError("no word has any candidate category")
@@ -299,18 +338,12 @@ def bootstrap_wccm(
             key = (word, category)
             cached = assoc_cache.get(key)
             if cached is None:
-                if not reference.has_word(word):
+                # a word or a category without a row in the reference scores 0
+                try:
+                    table = wccm_contingency(reference, word, category)
+                    cached = max(strength(table, SoAKind.PMI, log_base), 0.0)
+                except (MissingWordError, UndefinedAssociationError):
                     cached = 0.0
-                else:
-                    try:
-                        value = strength(
-                            wccm_contingency(reference, word, category),
-                            SoAKind.PMI,
-                            log_base,
-                        )
-                    except UndefinedAssociationError:
-                        value = 0.0
-                    cached = max(value, 0.0)
                 assoc_cache[key] = cached
             return cached
 
@@ -347,23 +380,9 @@ def concept_profile(
     wccm: WCCM, category: str, kind: SoAKind, log_base: float = 2.0
 ) -> DistributionalProfile:
     """Distributional profile of one concept over its co-occurring words."""
-    kind = SoAKind(kind)
-    column = wccm.column(category)
-    if not column:
+    if not wccm.matrix.has_target(category):
         raise EmptyProfileError(f"category {category!r} has an empty column")
-    entries: dict = {}
-    if kind is SoAKind.CP:
-        total = wccm.col_totals[category]
-        for word in column:
-            entries[word] = column[word] / total
-    else:
-        for word in column:
-            value = strength(wccm_contingency(wccm, word, category), kind, log_base)
-            if value != 0.0:
-                entries[word] = value
-    if not entries:
-        raise EmptyProfileError(f"category {category!r} yields an empty profile")
-    return DistributionalProfile(target=category, soa=kind, entries=entries)
+    return build_profile(wccm.matrix, category, kind, log_base=log_base)
 
 
 def concept_distance(
@@ -397,75 +416,39 @@ def concept_distance_matrix(
 
 
 def save_wccm(wccm: WCCM, path, extra_header: list[str] = ()) -> None:
-    """Write ``word<TAB>category<TAB>count`` lines under a kind header."""
-    fields = [
-        f"kind={wccm.kind}",
-        f"language_mode={wccm.language_mode}",
-    ]
-    if wccm.config is not None:
-        fields += [
-            f"window={wccm.config.window_radius}",
-            f"boundaries={wccm.config.respect_boundaries.value}",
-            f"lowercase={str(wccm.config.lowercase).lower()}",
-        ]
+    """Write ``word<TAB>category<TAB>count`` lines under a kind header.
+
+    Counts are written as floats (``3.0``), sorted by word, then category.
+    """
+    fields = {
+        "kind": wccm.kind,
+        "language_mode": wccm.language_mode,
+        **config_fields(wccm.config),
+    }
     if wccm.source_fingerprint:
-        fields.append(f"source={wccm.source_fingerprint}")
-    with open(path, "w", encoding="utf-8") as out:
-        for line in extra_header:
-            out.write(line + "\n")
-        out.write("#wccm\t" + "\t".join(fields) + "\n")
-        for word in sorted(wccm.cells):
-            row = wccm.cells[word]
-            for cat in sorted(row):
-                out.write(f"{word}\t{cat}\t{repr(row[cat])}\n")
+        fields["source"] = wccm.source_fingerprint
+    cells = sorted((word, cat, n) for cat, word, n in wccm.matrix.items())
+    body = (f"{word}\t{cat}\t{float(n)!r}\n" for word, cat, n in cells)
+    write_tagged_tsv(path, "wccm", fields, body, extra_header)
 
 
 def load_wccm(path) -> WCCM:
-    cells: dict[str, dict[str, float]] = {}
-    kind = "base"
-    language_mode = "monolingual"
-    config = None
-    fingerprint = None
-    header_seen = False
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#manifest"):
-                continue
-            if line.startswith("#wccm"):
-                header_seen = True
-                kv = {}
-                for part in line.split("\t")[1:]:
-                    key, _, value = part.partition("=")
-                    kv[key] = value
-                kind = kv.get("kind", "base")
-                language_mode = kv.get("language_mode", "monolingual")
-                fingerprint = kv.get("source")
-                if "window" in kv:
-                    config = CorpusConfig(
-                        window_radius=int(kv["window"]),
-                        lowercase=kv.get("lowercase", "true") == "true",
-                        respect_boundaries=kv.get("boundaries", "document"),
-                    )
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(str(path), line_number, "expected word<TAB>category<TAB>count")
-            try:
-                value = float(parts[2])
-            except ValueError:
-                raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
-            if value < 0:
-                raise ValidationError(f"{path}:{line_number}: negative cell")
-            cells.setdefault(parts[0], {})[parts[1]] = value
-    if not header_seen:
-        raise ValidationError(f"{path}: missing #wccm header")
+    """Read a matrix written by :func:`save_wccm`; cells must be non-negative integers."""
+    fields, config, body = read_tagged_tsv(path, "wccm")
+    pairs: dict = {}
+    for line_number, parts in body:
+        if parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise ParseError(str(path), line_number, "expected word<TAB>category<TAB>count")
+        try:
+            pairs[(parts[1], parts[0])] = float(parts[2])
+        except ValueError:
+            raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
     return WCCM(
-        cells,
-        kind=kind,
-        language_mode=language_mode,
+        _event_matrix(pairs, str(path)),
+        kind=fields.get("kind", "base"),
+        language_mode=fields.get("language_mode", "monolingual"),
         config=config,
-        source_fingerprint=fingerprint,
+        source_fingerprint=fields.get("source"),
     )

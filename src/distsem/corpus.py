@@ -18,6 +18,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -56,7 +57,6 @@ class CorpusConfig:
     window_radius: int = 5
     lowercase: bool = True
     respect_boundaries: Boundaries = Boundaries.DOCUMENT
-    min_token_frequency: int = 1
 
     def __post_init__(self):
         if isinstance(self.respect_boundaries, str) and not isinstance(
@@ -67,8 +67,6 @@ class CorpusConfig:
             )
         if self.window_radius < 1:
             raise ConfigurationError("window_radius must be >= 1")
-        if self.min_token_frequency < 1:
-            raise ConfigurationError("min_token_frequency must be >= 1")
 
 
 def tokenize(text: str, config: CorpusConfig = CorpusConfig()) -> list:
@@ -164,8 +162,8 @@ class CooccurrenceCounts:
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
-        unigram_counts: dict[str, int],
-        total_tokens: int,
+        unigram_counts: Optional[dict[str, int]] = None,
+        total_tokens: int = 0,
         config: Optional[CorpusConfig] = None,
         feature_kind: str = "word",
     ):
@@ -176,13 +174,11 @@ class CooccurrenceCounts:
         self._indptr = indptr
         self._indices = indices
         self._data = data
-        self.unigram_counts = unigram_counts
+        self.unigram_counts = dict(unigram_counts or {})
         self.total_tokens = total_tokens
         self.config = config
         self.feature_kind = feature_kind
-        self._target_totals = _bincount_int(
-            np.repeat(np.arange(len(targets)), np.diff(indptr)), data, len(targets)
-        )
+        self._target_totals = _bincount_int(self.coo()[0], data, len(targets))
         self._feature_totals = _bincount_int(indices, data, len(features))
         self.total_pairs = int(data.sum()) if data.size else 0
 
@@ -200,23 +196,41 @@ class CooccurrenceCounts:
         features = sorted({f for _, f in pair_counts}, key=render_feature)
         tix = {w: i for i, w in enumerate(targets)}
         fix = {f: i for i, f in enumerate(features)}
-        triples = sorted(
-            ((tix[t], fix[f], int(n)) for (t, f), n in pair_counts.items() if n),
-        )
-        rows = np.array([r for r, _, _ in triples], dtype=np.int64)
-        cols = np.array([c for _, c, _ in triples], dtype=np.int64)
-        data = np.array([n for _, _, n in triples], dtype=np.int64)
-        indptr = _indptr_from_sorted_rows(rows, len(targets))
-        return cls(
+        n = len(pair_counts)
+        return cls.from_ids(
             targets,
             features,
-            indptr,
-            cols,
+            np.fromiter((tix[t] for t, _ in pair_counts), dtype=np.int64, count=n),
+            np.fromiter((fix[f] for _, f in pair_counts), dtype=np.int64, count=n),
+            np.fromiter(pair_counts.values(), dtype=np.int64, count=n),
+            unigram_counts=unigram_counts,
+            total_tokens=total_tokens,
+            config=config,
+            feature_kind=feature_kind,
+        )
+
+    @classmethod
+    def from_ids(
+        cls, targets: list[str], features: list[Feature], rows, cols, data, **meta
+    ) -> "CooccurrenceCounts":
+        """Build counts from parallel (target id, feature id, count) arrays.
+
+        Counts of a repeated cell add up.  Zero cells are not stored, and
+        targets and features left without a cell are dropped; the others keep
+        their relative order.  ``meta`` goes to the constructor.
+        """
+        keys, data = _sum_by_key((rows << _KEY_BITS) | cols, data)
+        stored = data != 0
+        keys, data = keys[stored], data[stored]
+        row_ids, rows = np.unique(keys >> _KEY_BITS, return_inverse=True)
+        col_ids, cols = np.unique(keys & _KEY_MASK, return_inverse=True)
+        return cls(
+            [targets[i] for i in row_ids],
+            [features[i] for i in col_ids],
+            _indptr_from_sorted_rows(rows, row_ids.size),
+            cols.astype(np.int64),
             data,
-            dict(unigram_counts or {}),
-            total_tokens,
-            config,
-            feature_kind,
+            **meta,
         )
 
     def has_target(self, word: str) -> bool:
@@ -259,6 +273,11 @@ class CooccurrenceCounts:
             for c, n in zip(self._indices[lo:hi], self._data[lo:hi]):
                 yield target, self.features[int(c)], int(n)
 
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Target ids, feature ids and counts of the stored cells, in row order."""
+        rows = np.repeat(np.arange(len(self.targets), dtype=np.int64), np.diff(self._indptr))
+        return rows, self._indices, self._data
+
     def unigram_count(self, word: str) -> int:
         return self.unigram_counts.get(word, 0)
 
@@ -276,15 +295,10 @@ def _indptr_from_sorted_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return np.searchsorted(rows, np.arange(n_rows + 1), side="left").astype(np.int64)
 
 
-def _merge_sorted_keyed(
-    keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray, counts_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if keys_a.size == 0:
-        return keys_b, counts_b
-    if keys_b.size == 0:
-        return keys_a, counts_a
-    keys = np.concatenate([keys_a, keys_b])
-    counts = np.concatenate([counts_a, counts_b])
+def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (key, count) pairs by key and add up the counts of equal keys."""
+    if keys.size == 0:
+        return keys, counts
     order = np.argsort(keys, kind="mergesort")
     keys = keys[order]
     counts = counts[order]
@@ -344,8 +358,8 @@ def count_cooccurrences(
         if pieces:
             chunk_keys = np.concatenate(pieces)
             uniq, cnt = np.unique(chunk_keys, return_counts=True)
-            agg_keys, agg_counts = _merge_sorted_keyed(
-                agg_keys, agg_counts, uniq, cnt.astype(np.int64)
+            agg_keys, agg_counts = _sum_by_key(
+                np.concatenate([agg_keys, uniq]), np.concatenate([agg_counts, cnt])
             )
         # carry the last `radius` positions so cross-chunk windows are counted once
         keep = min(radius, pos)
@@ -465,20 +479,14 @@ def merge_counts(parts: list[CooccurrenceCounts]) -> CooccurrenceCounts:
                 fix[f] = len(features)
                 features.append(f)
 
-    agg_keys = np.empty(0, dtype=np.int64)
-    agg_counts = np.empty(0, dtype=np.int64)
+    keys, counts = [], []
     for part in parts:
-        if not part.nnz():
-            continue
         row_map = np.array([tix[w] for w in part.targets], dtype=np.int64)
         col_map = np.array([fix[f] for f in part.features], dtype=np.int64)
-        rows = row_map[np.repeat(np.arange(len(part.targets)), np.diff(part._indptr))]
-        cols = col_map[part._indices]
-        keys = (rows << _KEY_BITS) | cols
-        order = np.argsort(keys, kind="mergesort")
-        agg_keys, agg_counts = _merge_sorted_keyed(
-            agg_keys, agg_counts, keys[order], part._data[order]
-        )
+        rows, cols, data = part.coo()
+        keys.append((row_map[rows] << _KEY_BITS) | col_map[cols])
+        counts.append(data)
+    agg_keys, agg_counts = _sum_by_key(np.concatenate(keys), np.concatenate(counts))
 
     unigram: Counter = Counter()
     for part in parts:
@@ -516,104 +524,138 @@ def counts_equal(a: CooccurrenceCounts, b: CooccurrenceCounts) -> bool:
         }
         row_map = np.array([t_rank[w] for w in c.targets], dtype=np.int64)
         col_map = np.array([f_rank[f] for f in c.features], dtype=np.int64)
-        rows = row_map[np.repeat(np.arange(len(c.targets)), np.diff(c._indptr))]
-        cols = col_map[c._indices]
-        keys = (rows << _KEY_BITS) | cols
+        rows, cols, data = c.coo()
+        keys = (row_map[rows] << _KEY_BITS) | col_map[cols]
         order = np.argsort(keys, kind="mergesort")
-        return keys[order], c._data[order]
+        return keys[order], data[order]
 
     ka, va = canonical(a)
     kb, vb = canonical(b)
     return ka.size == kb.size and bool(np.array_equal(ka, kb) and np.array_equal(va, vb))
 
 
-def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) -> None:
-    """Write counts as a sorted TSV with a totals header and unigram lines."""
-    fields = [
-        f"total_pairs={counts.total_pairs}",
-        f"total_tokens={counts.total_tokens}",
-        f"feature_kind={counts.feature_kind}",
-    ]
-    if counts.config is not None:
-        cfg = counts.config
-        fields += [
-            f"window={cfg.window_radius}",
-            f"boundaries={cfg.respect_boundaries.value}",
-            f"lowercase={str(cfg.lowercase).lower()}",
-            f"min_freq={cfg.min_token_frequency}",
-        ]
+def config_fields(config: Optional[CorpusConfig]) -> dict:
+    """Header fields recording the corpus settings that shape counting."""
+    if config is None:
+        return {}
+    return {
+        "window": config.window_radius,
+        "boundaries": config.respect_boundaries.value,
+        "lowercase": str(config.lowercase).lower(),
+    }
+
+
+def write_tagged_tsv(
+    path, tag: str, fields: dict, body: Iterable[str], extra_header: list[str] = ()
+) -> None:
+    """Write ``extra_header`` lines, one ``#tag<TAB>key=value...`` line, then ``body``.
+
+    Body lines carry their own line ends.
+    """
     with open(path, "w", encoding="utf-8") as out:
         for line in extra_header:
             out.write(line + "\n")
-        out.write("#counts\t" + "\t".join(fields) + "\n")
-        for word in sorted(counts.unigram_counts):
-            out.write(f"#unigram\t{word}\t{counts.unigram_counts[word]}\n")
-        lines = [
-            (target, render_feature(feature), n)
-            for target, feature, n in counts.items()
-        ]
-        lines.sort()
-        for target, feature, n in lines:
-            out.write(f"{target}\t{feature}\t{n}\n")
+        out.write(f"#{tag}\t" + "\t".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+        out.writelines(body)
+
+
+def read_tagged_tsv(
+    path, tag: str
+) -> tuple[dict[str, str], Optional[CorpusConfig], Iterator[tuple[int, list[str]]]]:
+    """Read a file written by :func:`write_tagged_tsv`.
+
+    Returns the header's fields, the corpus settings they record (``None``
+    if they record none) and the lines after the header as (line number,
+    tab-separated fields).  Blank and ``#manifest`` lines are skipped; other
+    ``#`` lines are left to the caller.
+    """
+    fields = None
+    with open(path, encoding="utf-8") as handle:
+        for header_line, line in enumerate(handle, 1):
+            parts = line.rstrip("\n").split("\t")
+            if parts[0] == f"#{tag}":
+                fields = dict(part.partition("=")[::2] for part in parts[1:])
+            if fields is not None or line[0] not in "\n#":
+                break
+    if fields is None:
+        raise ValidationError(f"{path}: missing #{tag} header")
+    config = None
+    if "window" in fields:
+        try:
+            config = CorpusConfig(
+                window_radius=int(fields["window"]),
+                lowercase=fields.get("lowercase", "true") == "true",
+                respect_boundaries=Boundaries(fields.get("boundaries", "document")),
+            )
+        except ValueError:
+            raise ParseError(str(path), header_line, "bad corpus settings") from None
+
+    def body() -> Iterator[tuple[int, list[str]]]:
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(islice(handle, header_line, None), header_line + 1):
+                line = line.rstrip("\n")
+                if line and not line.startswith("#manifest"):
+                    yield number, line.split("\t")
+
+    return fields, config, body()
+
+
+def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) -> None:
+    """Write counts as a sorted TSV with a totals header and unigram lines."""
+    fields = {
+        "total_pairs": counts.total_pairs,
+        "total_tokens": counts.total_tokens,
+        "feature_kind": counts.feature_kind,
+        **config_fields(counts.config),
+    }
+    unigrams = counts.unigram_counts
+    cells = sorted(
+        (target, render_feature(feature), n) for target, feature, n in counts.items()
+    )
+    body = chain(
+        (f"#unigram\t{word}\t{unigrams[word]}\n" for word in sorted(unigrams)),
+        (f"{target}\t{feature}\t{n}\n" for target, feature, n in cells),
+    )
+    write_tagged_tsv(path, "counts", fields, body, extra_header)
 
 
 def load_counts(path) -> CooccurrenceCounts:
-    """Read counts written by :func:`save_counts`."""
+    """Read counts written by :func:`save_counts`.
+
+    The cells must add up to the header's ``total_pairs``, so a file that was
+    cut short is refused.
+    """
+    fields, config, body = read_tagged_tsv(path, "counts")
+    feature_kind = fields.get("feature_kind", "word")
     pair_counts: dict = {}
     unigram: dict[str, int] = {}
-    total_tokens = 0
-    feature_kind = "word"
-    config = None
-    header_seen = False
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#manifest"):
-                continue
-            if line.startswith("#unigram\t"):
-                parts = line.split("\t")
+    for line_number, parts in body:
+        if parts[0].startswith("#"):
+            if parts[0] == "#unigram":
                 if len(parts) != 3:
                     raise ParseError(str(path), line_number, "malformed unigram line")
                 unigram[parts[1]] = int(parts[2])
-                continue
-            if line.startswith("#counts"):
-                header_seen = True
-                kv = {}
-                for field in line.split("\t")[1:]:
-                    key, _, value = field.partition("=")
-                    kv[key] = value
-                total_tokens = int(kv.get("total_tokens", 0))
-                feature_kind = kv.get("feature_kind", "word")
-                if "window" in kv:
-                    config = CorpusConfig(
-                        window_radius=int(kv["window"]),
-                        lowercase=kv.get("lowercase", "true") == "true",
-                        respect_boundaries=Boundaries(kv.get("boundaries", "document")),
-                        min_token_frequency=int(kv.get("min_freq", 1)),
-                    )
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(str(path), line_number, "expected target<TAB>feature<TAB>count")
-            try:
-                n = int(parts[2])
-            except ValueError:
-                raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
-            feature = parse_feature(parts[1]) if feature_kind == "relation" else parts[1]
-            pair_counts[(parts[0], feature)] = n
-    if not header_seen:
-        raise ValidationError(f"{path}: missing #counts header")
+            continue
+        if len(parts) != 3:
+            raise ParseError(str(path), line_number, "expected target<TAB>feature<TAB>count")
+        try:
+            n = int(parts[2])
+        except ValueError:
+            raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
+        feature = parse_feature(parts[1]) if feature_kind == "relation" else parts[1]
+        pair_counts[(parts[0], feature)] = n
     counts = CooccurrenceCounts.from_pairs(
         pair_counts,
         unigram_counts=unigram,
-        total_tokens=total_tokens,
+        total_tokens=int(fields.get("total_tokens", 0)),
         config=config,
         feature_kind=feature_kind,
     )
+    if "total_pairs" in fields and fields["total_pairs"] != str(counts.total_pairs):
+        raise ValidationError(
+            f"{path}: cells add up to {counts.total_pairs} pairs, "
+            f"the header says total_pairs={fields['total_pairs']}"
+        )
     return counts
 
 

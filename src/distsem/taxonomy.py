@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .corpus import read_tagged_tsv, write_tagged_tsv
 from .errors import (
     ConfigurationError,
     MissingICError,
@@ -57,43 +58,34 @@ class Taxonomy:
         self.roots = sorted(
             n for n in self.nodes if not self._hyper_parents[n]
         )
-        self._check_acyclic()
         self._depths = self._compute_depths()
         self.depth = max(self._depths.values()) if self._depths else 0
         if self.nodes and self.depth < 1 and len(self.nodes) > 1:
             raise ValidationError("hypernymy subgraph has no edges")
 
-    def _check_acyclic(self) -> None:
-        state: dict[str, int] = {}
-
-        def visit(node: str) -> None:
-            state[node] = 1
-            for parent in self._hyper_parents[node]:
-                mark = state.get(parent)
-                if mark == 1:
-                    raise ValidationError(f"hypernymy cycle through {parent!r}")
-                if mark is None:
-                    visit(parent)
-            state[node] = 2
-
-        for node in self.nodes:
-            if node not in state:
-                visit(node)
-
     def _compute_depths(self) -> dict[str, int]:
-        # longest hypernym chain from any root
-        depths: dict[str, int] = {}
+        """Longest hypernym chain from any root, by one topological pass (Kahn).
 
-        def depth_of(node: str) -> int:
-            if node in depths:
-                return depths[node]
-            parents = self._hyper_parents[node]
-            value = 0 if not parents else 1 + max(depth_of(p) for p in parents)
-            depths[node] = value
-            return value
-
-        for node in self.nodes:
-            depth_of(node)
+        A concept is reached once all its hypernyms are; concepts never
+        reached lie on or below a cycle.
+        """
+        waiting = {n: len(parents) for n, parents in self._hyper_parents.items()}
+        depths = {n: 0 for n, count in waiting.items() if count == 0}
+        queue = deque(depths)
+        while queue:
+            node = queue.popleft()
+            for child in self._hyper_children[node]:
+                depths[child] = max(depths.get(child, 0), depths[node] + 1)
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    queue.append(child)
+        if any(waiting.values()):
+            # walk up through unreached hypernyms until a concept repeats
+            node, seen = next(n for n in self.nodes if waiting[n]), set()
+            while node not in seen:
+                seen.add(node)
+                node = next(p for p in self._hyper_parents[node] if waiting[p])
+            raise ValidationError(f"hypernymy cycle through {node!r}")
         return depths
 
     def node_depth(self, concept: str) -> int:
@@ -336,41 +328,27 @@ def lin_taxonomy(taxonomy: Taxonomy, c1: str, c2: str, ic: ICTable) -> float:
 
 
 def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for line in extra_header:
-            out.write(line + "\n")
-        out.write(f"#ic\tlog_base={repr(table.log_base)}\n")
-        for concept in sorted(table.prob):
-            out.write(
-                f"{concept}\t{repr(table.prob[concept])}\t{repr(table.ic[concept])}\n"
-            )
+    body = (
+        f"{concept}\t{repr(table.prob[concept])}\t{repr(table.ic[concept])}\n"
+        for concept in sorted(table.prob)
+    )
+    write_tagged_tsv(path, "ic", {"log_base": repr(table.log_base)}, body, extra_header)
 
 
 def load_ic_table(path) -> ICTable:
+    fields, _, body = read_tagged_tsv(path, "ic")
     prob: dict[str, float] = {}
     ic: dict[str, float] = {}
-    log_base = 2.0
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#manifest"):
-                continue
-            if line.startswith("#ic"):
-                for part in line.split("\t")[1:]:
-                    key, _, value = part.partition("=")
-                    if key == "log_base":
-                        log_base = float(value)
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(str(path), line_number, "expected concept<TAB>prob<TAB>ic")
-            prob[parts[0]] = float(parts[1])
-            ic[parts[0]] = float(parts[2])
+    for line_number, parts in body:
+        if parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise ParseError(str(path), line_number, "expected concept<TAB>prob<TAB>ic")
+        prob[parts[0]] = float(parts[1])
+        ic[parts[0]] = float(parts[2])
     if not prob:
         raise ValidationError(f"{path}: empty information-content table")
-    return ICTable(prob=prob, ic=ic, log_base=log_base)
+    return ICTable(prob=prob, ic=ic, log_base=float(fields.get("log_base", 2.0)))
 
 
 def load_word_frequencies(path) -> dict[str, int]:

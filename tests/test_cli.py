@@ -94,8 +94,6 @@ class TestCount:
                 "line",
                 "--window",
                 "3",
-                "--threads",
-                "2",
                 "--out",
                 out,
             ]

@@ -305,10 +305,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CorpusConfig(window_radius=0)
 
-    def test_invalid_min_frequency(self):
-        with pytest.raises(ConfigurationError):
-            CorpusConfig(min_token_frequency=0)
-
     def test_boundaries_from_string(self):
         assert CorpusConfig(respect_boundaries="sentence").respect_boundaries is (
             Boundaries.SENTENCE

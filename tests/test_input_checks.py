@@ -1,0 +1,102 @@
+"""Inputs that once loaded silently wrong or crashed, and options that did nothing."""
+
+import contextlib
+import io
+
+import pytest
+
+from distsem import load_counts, load_taxonomy, save_counts
+from distsem.cli import main
+from distsem.errors import ValidationError
+
+from test_cli import run_cli
+
+
+class TestCountsTotals:
+    def test_cut_file_is_refused(self, toy_counts, tmp_path, fixtures_dir):
+        path = tmp_path / "counts.tsv"
+        save_counts(toy_counts, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValidationError):
+            load_counts(path)
+        code, _, err = run_cli(
+            ["rank", "--counts", path, "--benchmark", fixtures_dir / "toy_benchmark.csv"]
+        )
+        assert code == 2
+        assert "total_pairs" in err
+
+    def test_files_with_min_freq_field_still_load(self, toy_counts, tmp_path):
+        path = tmp_path / "counts.tsv"
+        save_counts(toy_counts, path)
+        text = path.read_text().replace("lowercase=true", "lowercase=true\tmin_freq=1")
+        path.write_text(text)
+        assert load_counts(path).config == toy_counts.config
+
+
+class TestDeepTaxonomy:
+    DEPTH = 3000
+
+    @pytest.fixture()
+    def chain_files(self, tmp_path):
+        # listed leaf first, so a recursive walk would go 3000 frames deep
+        nodes = [f"n{i}" for i in reversed(range(self.DEPTH))]
+        lines = [f"NODE\t{n}\t{n}" for n in nodes]
+        lines += [f"EDGE\tn{i}\tn{i - 1}\tisa" for i in reversed(range(1, self.DEPTH))]
+        lines.append(f"WORD\tleaf\tn{self.DEPTH - 1}")
+        taxonomy = tmp_path / "chain.taxo"
+        taxonomy.write_text("\n".join(lines) + "\n")
+        freqs = tmp_path / "freqs.tsv"
+        freqs.write_text("leaf\t5\n")
+        return taxonomy, freqs
+
+    def test_deep_chain_loads(self, chain_files):
+        taxonomy = load_taxonomy(chain_files[0])
+        assert taxonomy.depth == self.DEPTH - 1
+        assert taxonomy.node_depth("n0") == 0
+        assert taxonomy.roots == ["n0"]
+
+    def test_ic_build_on_deep_chain(self, chain_files, tmp_path):
+        taxonomy, freqs = chain_files
+        out = tmp_path / "ic.tsv"
+        code, _, err = run_cli(
+            ["ic-build", "--taxonomy", taxonomy, "--freqs", freqs, "--out", out]
+        )
+        assert code == 0, err
+        assert out.exists()
+
+    def test_depth_is_longest_chain(self, tmp_path):
+        path = tmp_path / "t.taxo"
+        path.write_text(
+            "NODE\tr\tr\nNODE\ta\ta\nNODE\tb\tb\nNODE\tc\tc\n"
+            "EDGE\ta\tr\tisa\nEDGE\tb\ta\tisa\nEDGE\tc\tr\tisa\nEDGE\tc\tb\tisa\n"
+        )
+        taxonomy = load_taxonomy(path)
+        assert [taxonomy.node_depth(n) for n in "rabc"] == [0, 1, 2, 3]
+
+    def test_cycle_below_a_root_is_named(self, tmp_path):
+        path = tmp_path / "t.taxo"
+        path.write_text(
+            "NODE\tr\tr\nNODE\ta\ta\nNODE\tb\tb\nNODE\tc\tc\n"
+            "EDGE\ta\tr\tisa\nEDGE\tb\ta\tisa\nEDGE\tb\tc\tisa\nEDGE\tc\tb\tisa\n"
+        )
+        with pytest.raises(ValidationError, match="cycle through '[bc]'"):
+            load_taxonomy(path)
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--corpus", "x.txt", "--threads", "2"],
+            ["count", "--corpus", "x.txt", "--min-freq", "2"],
+            ["wccm-bootstrap", "--corpus", "x", "--base", "b", "--thesaurus", "t",
+             "--cache-dir", "c"],
+            ["wccm-bootstrap", "--corpus", "x", "--base", "b", "--thesaurus", "t",
+             "--min-freq", "2"],
+        ],
+    )
+    def test_rejected_as_usage_errors(self, args):
+        with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stderr(io.StringIO()):
+            main(args)
+        assert exit_info.value.code == 2

@@ -1,0 +1,117 @@
+"""Property tests: file round trips are byte-stable and merging is associative."""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distsem import (
+    CooccurrenceCounts,
+    CorpusConfig,
+    counts_equal,
+    load_counts,
+    load_wccm,
+    merge_counts,
+    save_counts,
+    save_wccm,
+)
+from distsem.concept import WCCM
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+words = st.text(alphabet="abxyzé1", min_size=1, max_size=3)
+relations = st.sampled_from(["obj", "subj", "obj^-1", "mod"])
+configs = st.one_of(
+    st.none(),
+    st.builds(
+        CorpusConfig,
+        window_radius=st.integers(1, 9),
+        lowercase=st.booleans(),
+        respect_boundaries=st.sampled_from(["document", "sentence", "none"]),
+    ),
+)
+
+
+@st.composite
+def counts(draw, features=words, feature_kind="word", config=configs):
+    pairs = draw(st.dictionaries(st.tuples(words, features), st.integers(1, 50), max_size=12))
+    unigrams = draw(st.dictionaries(words, st.integers(1, 99), max_size=6))
+    return CooccurrenceCounts.from_pairs(
+        pairs,
+        unigram_counts=unigrams,
+        total_tokens=draw(st.integers(0, 500)),
+        config=draw(config),
+        feature_kind=feature_kind,
+    )
+
+
+def round_trip(save, load, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.tsv", Path(tmp) / "b.tsv"
+        save(value, first, extra_header=["#manifest\ttool=test"])
+        loaded = load(first)
+        save(loaded, second, extra_header=["#manifest\ttool=test"])
+        return loaded, first.read_bytes() == second.read_bytes()
+
+
+@SETTINGS
+@given(counts())
+def test_word_counts_round_trip(original):
+    loaded, stable = round_trip(save_counts, load_counts, original)
+    assert stable
+    assert counts_equal(loaded, original)
+    assert loaded.config == original.config
+
+
+@SETTINGS
+@given(counts(features=st.tuples(relations, words), feature_kind="relation"))
+def test_relation_counts_round_trip(original):
+    loaded, stable = round_trip(save_counts, load_counts, original)
+    assert stable
+    assert counts_equal(loaded, original)
+    assert loaded.feature_kind == "relation"
+
+
+@SETTINGS
+@given(
+    st.dictionaries(
+        words,
+        st.dictionaries(st.sampled_from(["c1", "c2", "c10", "x"]), st.integers(0, 40), max_size=4),
+        max_size=8,
+    ),
+    st.sampled_from(["base", "bootstrapped"]),
+    st.sampled_from(["monolingual", "crosslingual"]),
+    configs,
+    st.one_of(st.none(), st.text(alphabet="0123456789abcdef", min_size=8, max_size=8)),
+)
+def test_wccm_round_trip(cells, kind, language_mode, config, fingerprint):
+    original = WCCM(
+        {w: {c: float(n) for c, n in row.items()} for w, row in cells.items()},
+        kind=kind,
+        language_mode=language_mode,
+        config=config,
+        source_fingerprint=fingerprint,
+    )
+    loaded, stable = round_trip(save_wccm, load_wccm, original)
+    assert stable
+    assert loaded.cells == original.cells
+    assert loaded.cells == {
+        w: {c: float(n) for c, n in row.items() if n} for w, row in cells.items() if any(row.values())
+    }
+    assert (loaded.kind, loaded.language_mode, loaded.config, loaded.source_fingerprint) == (
+        kind,
+        language_mode,
+        config,
+        fingerprint,
+    )
+
+
+@SETTINGS
+@given(st.lists(counts(config=st.just(CorpusConfig(window_radius=2))), min_size=3, max_size=3))
+def test_merge_is_associative(parts):
+    a, b, c = parts
+    left = merge_counts([merge_counts([a, b]), c])
+    right = merge_counts([a, merge_counts([b, c])])
+    assert counts_equal(left, right)
+    assert counts_equal(left, merge_counts([a, b, c]))
