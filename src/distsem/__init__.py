@@ -65,27 +65,16 @@ from .evaluation import (
 from .measures import (
     CrmKind,
     CrmPenalty,
-    DivergenceVariant,
     MeasureConfig,
     MeasureId,
     Orientation,
-    PcmKind,
     WeightScheme,
-    cosine,
-    crm,
     crm_combine,
     crm_precision_recall,
-    divergence,
-    hindle,
     is_symmetric,
-    lin,
-    minkowski,
     orientation,
-    overlap,
-    pcm,
     required_soa,
     score,
-    symmetrize,
 )
 from .profiles import (
     DistributionalProfile,

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
+
+import numpy as np
 
 from .corpus import CooccurrenceCounts, Feature
 from .errors import MissingWordError, UndefinedAssociationError
@@ -62,59 +65,61 @@ def contingency(
     return ContingencyTable(float(n_wc), float(n_w_nc), float(n_nw_c), float(n_nw_nc))
 
 
-def strength(table: ContingencyTable, kind: SoAKind, log_base: float = 2.0) -> float:
-    """Evaluate one association statistic on a table.
+def strength(
+    table: ContingencyTable,
+    kind: SoAKind,
+    log_base: float = 2.0,
+    undefined_value: Optional[float] = None,
+):
+    """Evaluate one association statistic on a table, cell by cell.
 
-    Raises :class:`UndefinedAssociationError` naming the statistic whenever a
-    denominator vanishes; callers may substitute a floor of their choosing.
+    The four cells may be numbers or equal-length arrays; a number table gives
+    a Python ``float`` and an array table a float64 array.  Where a
+    denominator vanishes the statistic is undefined: :class:`UndefinedAssociationError`
+    naming the statistic is raised unless ``undefined_value`` stands in.
     """
     kind = SoAKind(kind)
-    n_wc = table.n_wc
-    row = table.word_total
-    col = table.feature_total
-    total = table.total
-    if total <= 0:
-        raise UndefinedAssociationError(kind.value, "empty table")
+    n_wc, n_w_nc, n_nw_c, n_nw_nc = (
+        np.asarray(c, dtype=np.float64)
+        for c in (table.n_wc, table.n_w_nc, table.n_nw_c, table.n_nw_nc)
+    )
+    row = n_wc + n_w_nc
+    col = n_wc + n_nw_c
+    total = row + n_nw_c + n_nw_nc
 
-    if kind is SoAKind.CP:
-        if row == 0:
-            raise UndefinedAssociationError("cp", "zero word total")
-        return n_wc / row
+    with np.errstate(all="ignore"):
+        if kind is SoAKind.CP:
+            undefined, reason = row == 0, "zero word total"
+            value = n_wc / row
+        elif kind is SoAKind.PMI:
+            undefined, reason = (n_wc == 0) | (row == 0) | (col == 0), "zero cell or marginal"
+            value = np.log((n_wc * total) / (row * col)) / math.log(log_base)
+        elif kind is SoAKind.PHI:
+            denom = row * col * (n_nw_c + n_nw_nc) * (n_w_nc + n_nw_nc)
+            undefined, reason = denom == 0, "zero marginal"
+            value = (n_wc * n_nw_nc - n_w_nc * n_nw_c) / np.sqrt(denom)
+        elif kind is SoAKind.ODDS:
+            denom = n_w_nc * n_nw_c
+            undefined, reason = denom == 0, "zero off-diagonal product"
+            value = (n_wc * n_nw_nc) / denom
+        elif kind is SoAKind.YULE:
+            concordant = n_wc * n_nw_nc
+            discordant = n_w_nc * n_nw_c
+            undefined = concordant + discordant == 0
+            reason = "both diagonal products zero"
+            value = (concordant - discordant) / (concordant + discordant)
+        elif kind is SoAKind.DICE:
+            undefined, reason = row + col == 0, "zero marginals"
+            value = 2.0 * n_wc / (row + col)
+        else:  # SoAKind.COS
+            undefined, reason = (row == 0) | (col == 0), "zero marginal"
+            value = n_wc / np.sqrt(row * col)
 
-    if kind is SoAKind.PMI:
-        if n_wc == 0 or row == 0 or col == 0:
-            raise UndefinedAssociationError("pmi", "zero cell or marginal")
-        return math.log((n_wc * total) / (row * col)) / math.log(log_base)
-
-    if kind is SoAKind.PHI:
-        row2 = table.n_nw_c + table.n_nw_nc
-        col2 = table.n_w_nc + table.n_nw_nc
-        denom = row * col * row2 * col2
-        if denom == 0:
-            raise UndefinedAssociationError("phi", "zero marginal")
-        return (n_wc * table.n_nw_nc - table.n_w_nc * table.n_nw_c) / math.sqrt(denom)
-
-    if kind is SoAKind.ODDS:
-        denom = table.n_w_nc * table.n_nw_c
-        if denom == 0:
-            raise UndefinedAssociationError("odds", "zero off-diagonal product")
-        return (n_wc * table.n_nw_nc) / denom
-
-    if kind is SoAKind.YULE:
-        concordant = n_wc * table.n_nw_nc
-        discordant = table.n_w_nc * table.n_nw_c
-        if concordant + discordant == 0:
-            raise UndefinedAssociationError("yule", "both diagonal products zero")
-        return (concordant - discordant) / (concordant + discordant)
-
-    if kind is SoAKind.DICE:
-        if row + col == 0:
-            raise UndefinedAssociationError("dice", "zero marginals")
-        return 2.0 * n_wc / (row + col)
-
-    if kind is SoAKind.COS:
-        if row == 0 or col == 0:
-            raise UndefinedAssociationError("cos", "zero marginal")
-        return n_wc / math.sqrt(row * col)
-
-    raise UndefinedAssociationError(str(kind), "unknown statistic")
+    empty = total <= 0
+    if empty.any():
+        undefined, reason = undefined | empty, "empty table"
+    if undefined.any():
+        if undefined_value is None:
+            raise UndefinedAssociationError(kind.value, reason)
+        value = np.where(undefined, undefined_value, value)
+    return float(value) if value.ndim == 0 else value

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -64,7 +66,7 @@ from .measures import (
     WeightScheme,
     orientation,
 )
-from .profiles import build_profile, save_profile
+from .profiles import build_profile, profile_lines
 from .taxonomy import (
     hirst_stonge,
     ic_from_counts,
@@ -188,7 +190,14 @@ def _cached_counts(args, config: CorpusConfig):
     if cache_file.exists():
         return load_counts(cache_file)
     counts = _count_corpus(args, config)
-    save_counts(counts, cache_file)
+    # a write cut short leaves only the temporary file, which is removed
+    fd, temp = tempfile.mkstemp(prefix=cache_file.name + ".", suffix=".tmp", dir=cache_dir)
+    os.close(fd)
+    try:
+        save_counts(counts, temp)
+        os.replace(temp, cache_file)
+    finally:
+        Path(temp).unlink(missing_ok=True)
     return counts
 
 
@@ -279,16 +288,7 @@ def cmd_profile(args) -> int:
             "min_freq": args.min_freq,
         },
     )
-    if args.out:
-        save_profile(profile, args.out, extra_header=manifest)
-    else:
-        lines = list(manifest)
-        lines.append(f"#{profile.target}\t{profile.soa.value}")
-        from .corpus import render_feature
-
-        for feature in sorted(profile.entries, key=render_feature):
-            lines.append(f"{render_feature(feature)}\t{repr(profile.entries[feature])}")
-        _emit(args, lines)
+    _emit(args, profile_lines(profile, manifest))
     return 0
 
 

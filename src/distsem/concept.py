@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .assoc import ContingencyTable, SoAKind, contingency, strength
+from .assoc import ContingencyTable, SoAKind, contingency
 from .corpus import (
     CooccurrenceCounts,
     CorpusConfig,
@@ -39,7 +39,6 @@ from .errors import (
     MissingWordError,
     ParseError,
     StalenessError,
-    UndefinedAssociationError,
     ValidationError,
 )
 from .measures import MeasureConfig, MeasureId, DEFAULT_CONFIG, required_soa, score
@@ -332,20 +331,16 @@ def bootstrap_wccm(
     reference = base
     for _ in range(iterations):
         cells: dict[str, dict[str, float]] = {}
-        assoc_cache: dict[tuple[str, str], float] = {}
-
-        def positive_assoc(word: str, category: str) -> float:
-            key = (word, category)
-            cached = assoc_cache.get(key)
-            if cached is None:
-                # a word or a category without a row in the reference scores 0
-                try:
-                    table = wccm_contingency(reference, word, category)
-                    cached = max(strength(table, SoAKind.PMI, log_base), 0.0)
-                except (MissingWordError, UndefinedAssociationError):
-                    cached = 0.0
-                assoc_cache[key] = cached
-            return cached
+        # each category's positive PMI with its words; anything else scores 0
+        positive: dict[str, dict[str, float]] = {}
+        for cat in reference.matrix.targets:
+            try:
+                profile = build_profile(reference.matrix, cat, SoAKind.PMI, log_base=log_base)
+            except EmptyProfileError:
+                continue
+            positive[cat] = {
+                w: v for w, v in zip(profile.features, profile.values.tolist()) if v > 0.0
+            }
 
         for occurrence, context in iter_occurrence_contexts(tokens, config):
             cats = index.get(occurrence)
@@ -357,9 +352,10 @@ def bootstrap_wccm(
                 chosen = None
                 best = -1.0
                 for cat in sorted(cats):
+                    row = positive.get(cat, {})
                     total = 0.0
                     for ctx_word in context:
-                        total += positive_assoc(ctx_word, cat)
+                        total += row.get(ctx_word, 0.0)
                     if total > best:
                         best = total
                         chosen = cat

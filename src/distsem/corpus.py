@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, islice
 from typing import Optional, Union
 
@@ -257,15 +258,23 @@ class CooccurrenceCounts:
         col = self._feature_index.get(feature)
         return int(self._feature_totals[col]) if col is not None else 0
 
-    def row_items(self, target: str) -> list[tuple[Feature, int]]:
+    @cached_property
+    def feature_keys(self) -> np.ndarray:
+        """The rendered features in id order, as a numpy string array."""
+        return np.array([render_feature(f) for f in self.features], dtype=str)
+
+    def row(self, target: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feature ids, counts and feature totals of a target's stored cells."""
         row = self._target_index.get(target)
         if row is None:
             raise MissingWordError(f"no counts row for {target!r}")
-        lo, hi = int(self._indptr[row]), int(self._indptr[row + 1])
-        return [
-            (self.features[int(c)], int(n))
-            for c, n in zip(self._indices[lo:hi], self._data[lo:hi])
-        ]
+        lo, hi = self._indptr[row], self._indptr[row + 1]
+        cols = self._indices[lo:hi]
+        return cols, self._data[lo:hi], self._feature_totals[cols]
+
+    def row_items(self, target: str) -> list[tuple[Feature, int]]:
+        cols, data, _ = self.row(target)
+        return [(self.features[c], n) for c, n in zip(cols.tolist(), data.tolist())]
 
     def items(self) -> Iterator[tuple[str, Feature, int]]:
         for row, target in enumerate(self.targets):
@@ -560,14 +569,15 @@ def write_tagged_tsv(
 
 
 def read_tagged_tsv(
-    path, tag: str
-) -> tuple[dict[str, str], Optional[CorpusConfig], Iterator[tuple[int, list[str]]]]:
+    path, tag: str, numbers: Mapping[str, type] = {}
+) -> tuple[dict, Optional[CorpusConfig], Iterator[tuple[int, list[str]]]]:
     """Read a file written by :func:`write_tagged_tsv`.
 
     Returns the header's fields, the corpus settings they record (``None``
     if they record none) and the lines after the header as (line number,
-    tab-separated fields).  Blank and ``#manifest`` lines are skipped; other
-    ``#`` lines are left to the caller.
+    tab-separated fields).  Header fields named in ``numbers`` are converted
+    with the type given there.  Blank and ``#manifest`` lines are skipped;
+    other ``#`` lines are left to the caller.
     """
     fields = None
     with open(path, encoding="utf-8") as handle:
@@ -579,6 +589,12 @@ def read_tagged_tsv(
                 break
     if fields is None:
         raise ValidationError(f"{path}: missing #{tag} header")
+    for key, kind in numbers.items():
+        if key in fields:
+            try:
+                fields[key] = kind(fields[key])
+            except ValueError:
+                raise ParseError(str(path), header_line, f"bad {key} {fields[key]!r}") from None
     config = None
     if "window" in fields:
         try:
@@ -625,7 +641,7 @@ def load_counts(path) -> CooccurrenceCounts:
     The cells must add up to the header's ``total_pairs``, so a file that was
     cut short is refused.
     """
-    fields, config, body = read_tagged_tsv(path, "counts")
+    fields, config, body = read_tagged_tsv(path, "counts", {"total_tokens": int})
     feature_kind = fields.get("feature_kind", "word")
     pair_counts: dict = {}
     unigram: dict[str, int] = {}
@@ -634,7 +650,10 @@ def load_counts(path) -> CooccurrenceCounts:
             if parts[0] == "#unigram":
                 if len(parts) != 3:
                     raise ParseError(str(path), line_number, "malformed unigram line")
-                unigram[parts[1]] = int(parts[2])
+                try:
+                    unigram[parts[1]] = int(parts[2])
+                except ValueError:
+                    raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
             continue
         if len(parts) != 3:
             raise ParseError(str(path), line_number, "expected target<TAB>feature<TAB>count")
@@ -647,7 +666,7 @@ def load_counts(path) -> CooccurrenceCounts:
     counts = CooccurrenceCounts.from_pairs(
         pair_counts,
         unigram_counts=unigram,
-        total_tokens=int(fields.get("total_tokens", 0)),
+        total_tokens=fields.get("total_tokens", 0),
         config=config,
         feature_kind=feature_kind,
     )

@@ -1,5 +1,11 @@
 """Distance and closeness measures between two distributional profiles.
 
+One table maps each :class:`MeasureId` to its traits and its kernel, and
+:func:`score` is the one way to evaluate a measure: it checks the pair,
+aligns both profiles once on the union of their features and hands the two
+value arrays to the kernel.  Intersection measures mask the shared features
+out of those arrays.
+
 Every measure carries an orientation tag (distance: larger = farther apart;
 closeness: larger = closer) and a symmetry tag.  Orientation is metadata
 only: nothing here converts a distance into a closeness, and ranking code is
@@ -21,7 +27,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .assoc import SoAKind
 from .errors import (
@@ -41,12 +49,6 @@ class WeightScheme(str, Enum):
     NONE = "none"
     AVG = "avg"
     MAX = "max"
-
-
-class PcmKind(str, Enum):
-    DIF = "dif"
-    DIV = "div"
-    PDT_AVG = "pdt_avg"
 
 
 class CrmKind(str, Enum):
@@ -111,378 +113,309 @@ class MeasureId(str, Enum):
     CRM = "crm"
 
 
-@dataclass(frozen=True)
-class MeasureTraits:
+# A kernel scores two zero-filled value arrays aligned on the pair's union
+# support, in ascending feature order.
+Kernel = Callable[[np.ndarray, np.ndarray, MeasureConfig], float]
+
+
+class Measure(NamedTuple):
     orientation: Orientation
     symmetric: bool
     soa: Optional[SoAKind]  # None: depends on configuration
-
-
-_D = Orientation.DISTANCE
-_C = Orientation.CLOSENESS
-
-TRAITS: dict[MeasureId, MeasureTraits] = {
-    MeasureId.COS: MeasureTraits(_C, True, SoAKind.CP),
-    MeasureId.L1: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.L2: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.KLD: MeasureTraits(_D, False, SoAKind.CP),
-    MeasureId.KLD_COM: MeasureTraits(_D, False, SoAKind.CP),
-    MeasureId.KLD_ABS: MeasureTraits(_D, False, SoAKind.CP),
-    MeasureId.KLD_UNW_ABS: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.KLD_MAX: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.KLD_AVG: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.ASD: MeasureTraits(_D, False, SoAKind.CP),
-    MeasureId.JSD: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.JSD_ABS: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.DICE_CP: MeasureTraits(_C, True, SoAKind.CP),
-    MeasureId.JACCARD_CP: MeasureTraits(_C, True, SoAKind.CP),
-    MeasureId.HINDLE: MeasureTraits(_C, True, SoAKind.PMI),
-    MeasureId.HINDLE_REL: MeasureTraits(_C, True, SoAKind.PMI),
-    MeasureId.LIN: MeasureTraits(_C, True, SoAKind.PMI),
-    MeasureId.DIF: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.DIV: MeasureTraits(_D, True, SoAKind.CP),
-    MeasureId.PDT_AVG: MeasureTraits(_C, True, SoAKind.CP),
-    MeasureId.PDT_AVG_WT: MeasureTraits(_C, True, SoAKind.CP),
-    MeasureId.CRM: MeasureTraits(_C, False, None),
-}
+    kernel: Kernel
 
 
 def orientation(measure: MeasureId) -> Orientation:
-    return TRAITS[MeasureId(measure)].orientation
+    return _MEASURES[MeasureId(measure)].orientation
 
 
 def is_symmetric(measure: MeasureId) -> bool:
-    return TRAITS[MeasureId(measure)].symmetric
+    return _MEASURES[MeasureId(measure)].symmetric
 
 
 def required_soa(measure: MeasureId, config: MeasureConfig = DEFAULT_CONFIG) -> SoAKind:
     """The strength-of-association kind profiles must carry for this measure."""
-    traits = TRAITS[MeasureId(measure)]
-    if traits.soa is not None:
-        return traits.soa
+    soa = _MEASURES[MeasureId(measure)].soa
+    if soa is not None:
+        return soa
     return SoAKind.PMI if config.crm_kind is CrmKind.MI else SoAKind.CP
 
 
-# ---------------------------------------------------------------------------
-# shared helpers
+# the inverse dependency relations of the syntactic matched-sign measure: a
+# noun profiled by the verbs it is object or subject of
+SYNTACTIC_RELATIONS = ("obj^-1", "subj^-1")
 
 
-def _check_pair(dp1: DistributionalProfile, dp2: DistributionalProfile,
-                require: Optional[SoAKind] = None) -> None:
+def score(
+    measure: MeasureId,
+    dp1: DistributionalProfile,
+    dp2: DistributionalProfile,
+    config: MeasureConfig = DEFAULT_CONFIG,
+) -> float:
+    """Evaluate any catalogued measure on a profile pair."""
+    measure = MeasureId(measure)
+    _check_pair(dp1, dp2, required_soa(measure, config))
+    v1, v2 = dp1.values, dp2.values
+    if measure is MeasureId.HINDLE:
+        if not (dp1.relation_constrained and dp2.relation_constrained):
+            raise IncompatibleProfilesError(
+                "syntactic variant needs relation-constrained profiles"
+            )
+        v1, v2 = _syntactic_only(dp1), _syntactic_only(dp2)
+    p, q = _align(dp1.keys, v1, dp2.keys, v2)
+    return float(_MEASURES[measure].kernel(p, q, config))
+
+
+def _syntactic_only(dp: DistributionalProfile) -> np.ndarray:
+    keep = [isinstance(f, tuple) and f[0] in SYNTACTIC_RELATIONS for f in dp.features]
+    return np.where(keep, dp.values, 0.0)
+
+
+def _check_pair(dp1: DistributionalProfile, dp2: DistributionalProfile, require: SoAKind) -> None:
     if dp1.soa != dp2.soa:
         raise IncompatibleProfilesError(
             f"profiles carry different association kinds: {dp1.soa} vs {dp2.soa}"
         )
-    if require is not None and dp1.soa is not SoAKind(require):
+    if dp1.soa is not require:
         raise IncompatibleProfilesError(
-            f"measure needs {SoAKind(require).value} profiles, got {dp1.soa.value}"
+            f"measure needs {require.value} profiles, got {dp1.soa.value}"
         )
-    if dp1.entries and dp2.entries:
+    if dp1.features and dp2.features:
         if dp1.relation_constrained != dp2.relation_constrained:
             raise IncompatibleProfilesError(
                 "cannot compare a relation-free profile with a relation-constrained one"
             )
 
 
-def _union_keys(e1: dict, e2: dict) -> list:
-    return sorted(set(e1) | set(e2), key=_feature_sort_key)
+def _align(
+    k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two profiles' values zero-filled over the union of their sorted feature keys."""
+    pos = np.searchsorted(k1, k2)
+    shared = pos < k1.size
+    shared[shared] = k1[pos[shared]] == k2[shared]
+    # a key only k2 holds goes in before k1[pos], after the k2-only keys below it
+    only2 = ~shared
+    at1 = np.arange(k1.size) + np.searchsorted(pos[only2], np.arange(k1.size), side="right")
+    at2 = pos + np.cumsum(only2) - 1
+    at2[shared] = at1[pos[shared]]
+    p = np.zeros(k1.size + np.count_nonzero(only2))
+    q = np.zeros(p.size)
+    p[at1] = v1
+    q[at2] = v2
+    return p, q
 
 
-def _feature_sort_key(feature):
-    if isinstance(feature, tuple):
-        return (1, feature[0], feature[1])
-    return (0, feature, "")
+def _sum(x: np.ndarray) -> float:
+    """Sum added left to right in feature order, as a plain loop adds.
 
-
-def _log(x: float, base: float) -> float:
-    return math.log(x) / math.log(base)
-
-
-def _smoothed_pair(e1: dict, e2: dict, epsilon: float) -> tuple[list, list[float], list[float]]:
-    """Union support with zeros replaced by epsilon on both sides.
-
-    Each side is rescaled so the added epsilon mass does not change its total;
-    a side with no zeros passes through untouched.
+    The zeros of the union support leave such a sum unchanged, so a kernel may
+    sum over the union where the measure sums over one side or the shared
+    features.
     """
-    keys = _union_keys(e1, e2)
-    raw1 = [e1.get(k, 0.0) for k in keys]
-    raw2 = [e2.get(k, 0.0) for k in keys]
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
 
-    def smooth(raw: list[float]) -> list[float]:
-        total = sum(raw)
-        zeros = sum(1 for v in raw if v <= 0.0)
-        if total <= 0.0:
-            raise UndefinedMeasureError("cannot smooth an empty profile")
-        if zeros == 0:
-            return list(raw)
-        scale = total / (total + epsilon * zeros)
-        return [(v if v > 0.0 else epsilon) * scale for v in raw]
 
-    return keys, smooth(raw1), smooth(raw2)
+def _log(x: np.ndarray, base: float) -> np.ndarray:
+    return np.log(x) / math.log(base)
+
+
+def _smooth(raw: np.ndarray, epsilon: float) -> np.ndarray:
+    """Zeros replaced by epsilon, rescaled so the added mass leaves the total unchanged."""
+    total = _sum(raw)
+    if total <= 0.0:
+        raise UndefinedMeasureError("cannot smooth an empty profile")
+    zeros = np.count_nonzero(raw <= 0.0)
+    if zeros == 0:
+        return raw
+    return np.where(raw > 0.0, raw, epsilon) * (total / (total + epsilon * zeros))
 
 
 # ---------------------------------------------------------------------------
 # spatial measures
 
 
-def cosine(dp1: DistributionalProfile, dp2: DistributionalProfile) -> float:
-    """Cosine of the angle between two profiles; 0 (unrelated) to 1 (synonymous)."""
-    _check_pair(dp1, dp2)
-    if not dp1.entries or not dp2.entries:
-        raise UndefinedMeasureError("cosine of an empty profile")
-    keys = _union_keys(dp1.entries, dp2.entries)
-    numerator = 0.0
-    sq1 = 0.0
-    sq2 = 0.0
-    for k in keys:
-        v1 = dp1.entries.get(k, 0.0)
-        v2 = dp2.entries.get(k, 0.0)
-        numerator += v1 * v2
-        sq1 += v1 * v1
-        sq2 += v2 * v2
+def _cos(p, q, config):
+    sq1 = _sum(p * p)
+    sq2 = _sum(q * q)
     if sq1 == 0.0 or sq2 == 0.0:
-        raise UndefinedMeasureError("cosine of a zero-norm profile")
-    value = numerator / (math.sqrt(sq1) * math.sqrt(sq2))
+        raise UndefinedMeasureError("cosine of an empty or zero-norm profile")
+    value = _sum(p * q) / (math.sqrt(sq1) * math.sqrt(sq2))
     # the true value is within [-1, 1]; strip rounding overshoot
     return min(max(value, -1.0), 1.0)
 
 
-def minkowski(dp1: DistributionalProfile, dp2: DistributionalProfile, p: int = 1) -> float:
-    """City-block (p=1) or Euclidean (p=2) distance over the union support."""
-    _check_pair(dp1, dp2, require=SoAKind.CP)
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    total = 0.0
-    for k in _union_keys(dp1.entries, dp2.entries):
-        diff = abs(dp1.entries.get(k, 0.0) - dp2.entries.get(k, 0.0))
-        total += diff if p == 1 else diff * diff
-    return total if p == 1 else math.sqrt(total)
+def _l1(p, q, config):
+    return _sum(np.abs(p - q))
+
+
+def _l2(p, q, config):
+    diff = p - q
+    return math.sqrt(_sum(diff * diff))
 
 
 # ---------------------------------------------------------------------------
 # relative-entropy family
 
 
-class DivergenceVariant(str, Enum):
-    KLD = "kld"
-    KLD_COM = "kld_com"
-    KLD_ABS = "kld_abs"
-    KLD_UNW_ABS = "kld_unw_abs"
-    ASD = "asd"
-    JSD = "jsd"
-    JSD_ABS = "jsd_abs"
+def _log_ratio(p, q, config):
+    """Smoothed p and its log ratio to smoothed q."""
+    p, q = _smooth(p, config.epsilon), _smooth(q, config.epsilon)
+    # difference of logs keeps |ratio| exactly order-free
+    return p, (np.log(p) - np.log(q)) / math.log(config.log_base)
 
 
-def divergence(
-    dp1: DistributionalProfile,
-    dp2: DistributionalProfile,
-    variant: DivergenceVariant,
-    config: MeasureConfig = DEFAULT_CONFIG,
-) -> float:
-    _check_pair(dp1, dp2, require=SoAKind.CP)
-    variant = DivergenceVariant(variant)
-    base = config.log_base
-    e1 = dp1.entries
-    e2 = dp2.entries
+def _kld(p, q, config):
+    p, ratio = _log_ratio(p, q, config)
+    return _sum(p * ratio)
 
-    if variant in (DivergenceVariant.KLD, DivergenceVariant.KLD_ABS,
-                   DivergenceVariant.KLD_UNW_ABS):
-        _, p, q = _smoothed_pair(e1, e2, config.epsilon)
-        log_norm = math.log(base)
-        total = 0.0
-        for pv, qv in zip(p, q):
-            # difference of logs keeps |ratio| exactly order-free
-            ratio = (math.log(pv) - math.log(qv)) / log_norm
-            if variant is DivergenceVariant.KLD:
-                total += pv * ratio
-            elif variant is DivergenceVariant.KLD_ABS:
-                total += pv * abs(ratio)
-            else:
-                total += abs(ratio)
-        return total
 
-    if variant is DivergenceVariant.KLD_COM:
-        shared = sorted(set(e1) & set(e2), key=_feature_sort_key)
-        if not shared:
-            warnings.warn(
-                f"profiles {dp1.target!r} and {dp2.target!r} share no features; "
-                "common-support divergence reported as 0",
-                EmptyIntersectionWarning,
-                stacklevel=2,
-            )
-            return 0.0
-        return sum(e1[k] * _log(e1[k] / e2[k], base) for k in shared)
+def _kld_abs(p, q, config):
+    p, ratio = _log_ratio(p, q, config)
+    return _sum(p * np.abs(ratio))
 
-    if variant is DivergenceVariant.ASD:
-        alpha = config.alpha
-        total = 0.0
-        for k in _union_keys(e1, e2):
-            pv = e1.get(k, 0.0)
-            if pv <= 0.0:
-                continue
-            mix = alpha * e2.get(k, 0.0) + (1.0 - alpha) * pv
-            if mix <= 0.0:
-                raise UndefinedMeasureError(
-                    "skew divergence undefined: zero mixture with alpha = 1"
-                )
-            total += pv * _log(pv / mix, base)
-        return total
 
-    # jsd / jsd_abs
-    use_abs = variant is DivergenceVariant.JSD_ABS
-    total = 0.0
-    for k in _union_keys(e1, e2):
-        pv = e1.get(k, 0.0)
-        qv = e2.get(k, 0.0)
-        mid = 0.5 * (pv + qv)
-        left = _log(pv / mid, base) if pv > 0.0 else 0.0
-        right = _log(qv / mid, base) if qv > 0.0 else 0.0
-        if use_abs:
-            total += pv * abs(left) + qv * abs(right)
-        else:
-            total += pv * left + qv * right
-    return total
+def _kld_unw_abs(p, q, config):
+    return _sum(np.abs(_log_ratio(p, q, config)[1]))
+
+
+def _kld_max(p, q, config):
+    return max(_kld(p, q, config), _kld(q, p, config))
+
+
+def _kld_avg(p, q, config):
+    return 0.5 * (_kld(p, q, config) + _kld(q, p, config))
+
+
+def _kld_com(p, q, config):
+    shared = (p != 0.0) & (q != 0.0)
+    if not shared.any():
+        warnings.warn(
+            "profiles share no features; common-support divergence reported as 0",
+            EmptyIntersectionWarning,
+            stacklevel=3,
+        )
+        return 0.0
+    p, q = p[shared], q[shared]
+    return _sum(p * _log(p / q, config.log_base))
+
+
+def _asd(p, q, config):
+    seen = p > 0.0
+    p, q = p[seen], q[seen]
+    mix = config.alpha * q + (1.0 - config.alpha) * p
+    if (mix <= 0.0).any():
+        raise UndefinedMeasureError("skew divergence undefined: zero mixture with alpha = 1")
+    return _sum(p * _log(p / mix, config.log_base))
+
+
+def _jsd_logs(p, q, config):
+    """Each side's log ratio to the average mixture, 0 off its support."""
+    mid = 0.5 * (p + q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = np.where(p > 0.0, _log(p / mid, config.log_base), 0.0)
+        right = np.where(q > 0.0, _log(q / mid, config.log_base), 0.0)
+    return left, right
+
+
+def _jsd(p, q, config):
+    left, right = _jsd_logs(p, q, config)
+    return _sum(p * left + q * right)
+
+
+def _jsd_abs(p, q, config):
+    left, right = _jsd_logs(p, q, config)
+    return _sum(p * np.abs(left) + q * np.abs(right))
 
 
 # ---------------------------------------------------------------------------
 # pointwise-mutual-information measures
 
 
-def _hindle_contribution(i1: float, i2: float) -> float:
-    if i1 > 0.0 and i2 > 0.0:
-        return min(i1, i2)
-    if i1 < 0.0 and i2 < 0.0:
-        # of two negatives, keep the one smaller in absolute value
-        return abs(max(i1, i2))
-    return 0.0
+def _hindle(p, q, config):
+    """Sum of matched-sign association strengths over shared features."""
+    positive = (p > 0.0) & (q > 0.0)
+    negative = (p < 0.0) & (q < 0.0)
+    # of two negatives, keep the one smaller in absolute value
+    return _sum(np.where(positive, np.minimum(p, q), np.where(negative, -np.maximum(p, q), 0.0)))
 
 
-def hindle(
-    dp1: DistributionalProfile,
-    dp2: DistributionalProfile,
-    variant: str = "rel",
-    syntactic_relations: tuple[str, ...] = ("obj^-1", "subj^-1"),
-) -> float:
-    """Sum of matched-sign association strengths over shared features.
-
-    The ``syntactic`` variant restricts features to the given inverse
-    dependency relations (a noun profiled by the verbs it is object or
-    subject of); the ``rel`` variant uses every shared feature.
-    """
-    _check_pair(dp1, dp2, require=SoAKind.PMI)
-    if variant not in ("syntactic", "rel"):
-        raise ValueError("variant must be 'syntactic' or 'rel'")
-    keys = sorted(set(dp1.entries) & set(dp2.entries), key=_feature_sort_key)
-    if variant == "syntactic":
-        if not (dp1.relation_constrained and dp2.relation_constrained):
-            raise IncompatibleProfilesError(
-                "syntactic variant needs relation-constrained profiles"
-            )
-        keys = [k for k in keys if isinstance(k, tuple) and k[0] in syntactic_relations]
-    return sum(_hindle_contribution(dp1.entries[k], dp2.entries[k]) for k in keys)
-
-
-def lin(dp1: DistributionalProfile, dp2: DistributionalProfile) -> float:
+def _lin(p, q, config):
     """Shared positive association mass over total positive association mass."""
-    _check_pair(dp1, dp2, require=SoAKind.PMI)
-    t1 = {k: v for k, v in dp1.entries.items() if v > 0.0}
-    t2 = {k: v for k, v in dp2.entries.items() if v > 0.0}
-    if not t1 and not t2:
+    p, q = np.maximum(p, 0.0), np.maximum(q, 0.0)
+    if not p.any() and not q.any():
         raise UndefinedMeasureError("no positively associated features on either side")
-    shared = sorted(set(t1) & set(t2), key=_feature_sort_key)
-    if not shared:
+    shared = (p != 0.0) & (q != 0.0)
+    if not shared.any():
         return 0.0
-    numerator = sum(t1[k] + t2[k] for k in shared)
-    denominator = sum(t1[k] for k in sorted(t1, key=_feature_sort_key)) + sum(
-        t2[k] for k in sorted(t2, key=_feature_sort_key)
-    )
-    return numerator / denominator
+    return _sum(np.where(shared, p + q, 0.0)) / (_sum(p) + _sum(q))
 
 
 # ---------------------------------------------------------------------------
-# support-overlap measures
+# support-overlap measures over CP profiles
 
 
-def overlap(dp1: DistributionalProfile, dp2: DistributionalProfile, kind: str) -> float:
-    """Min-sum overlap coefficients over CP profiles: ``dice_cp`` or ``jaccard_cp``."""
-    _check_pair(dp1, dp2, require=SoAKind.CP)
-    e1, e2 = dp1.entries, dp2.entries
-    min_sum = 0.0
-    for k in _union_keys(e1, e2):
-        min_sum += min(e1.get(k, 0.0), e2.get(k, 0.0))
-    if kind == "dice_cp":
-        denominator = sum(e1[k] for k in sorted(e1, key=_feature_sort_key)) + sum(
-            e2[k] for k in sorted(e2, key=_feature_sort_key)
-        )
-        if denominator == 0.0:
-            raise UndefinedMeasureError("dice overlap of empty profiles")
-        return 2.0 * min_sum / denominator
-    if kind == "jaccard_cp":
-        shared = sorted(set(e1) & set(e2), key=_feature_sort_key)
-        denominator = sum(max(e1[k], e2[k]) for k in shared)
-        if denominator == 0.0:
-            raise UndefinedMeasureError("jaccard overlap with empty intersection")
-        return min_sum / denominator
-    raise ValueError("kind must be 'dice_cp' or 'jaccard_cp'")
+def _dice_cp(p, q, config):
+    denominator = _sum(p) + _sum(q)
+    if denominator == 0.0:
+        raise UndefinedMeasureError("dice overlap of empty profiles")
+    return 2.0 * _sum(np.minimum(p, q)) / denominator
+
+
+def _jaccard_cp(p, q, config):
+    denominator = _sum(np.maximum(p, q)[(p != 0.0) & (q != 0.0)])
+    if denominator == 0.0:
+        raise UndefinedMeasureError("jaccard overlap with empty intersection")
+    return _sum(np.minimum(p, q)) / denominator
 
 
 # ---------------------------------------------------------------------------
-# primary compositional measures
+# primary compositional measures: per-feature difference, log-ratio, or
+# scaled-product terms.  ``dif`` and ``div`` add up plain (optionally
+# weighted) terms.  The unweighted product form averages its terms, which pins
+# it to [0, 1] with 1 on identical profiles; its ``avg`` weighting is the
+# plain weighted sum, whose terms telescope to product over half-sum.
 
 
-def pcm(
-    dp1: DistributionalProfile,
-    dp2: DistributionalProfile,
-    kind: PcmKind,
-    weight_scheme: WeightScheme = WeightScheme.NONE,
-    config: MeasureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Per-feature difference, log-ratio, or scaled-product contributions.
+def _dif_terms(p, q, config):
+    return np.abs(p - q)
 
-    ``dif`` and ``div`` accumulate plain (optionally weighted) sums.  The
-    unweighted product form averages its per-feature terms, which pins it to
-    [0, 1] with 1 on identical profiles; its ``avg`` weighting is the plain
-    weighted sum, whose terms telescope to product over half-sum.
-    """
-    _check_pair(dp1, dp2, require=SoAKind.CP)
-    kind = PcmKind(kind)
-    weight_scheme = WeightScheme(weight_scheme)
-    e1, e2 = dp1.entries, dp2.entries
-    keys = _union_keys(e1, e2)
-    if not keys:
-        raise UndefinedMeasureError("compositional measure of empty profiles")
-    raw1 = [e1.get(k, 0.0) for k in keys]
-    raw2 = [e2.get(k, 0.0) for k in keys]
 
-    if kind is PcmKind.DIF:
-        terms = [abs(a - b) for a, b in zip(raw1, raw2)]
-    elif kind is PcmKind.DIV:
-        _, p, q = _smoothed_pair(e1, e2, config.epsilon)
-        log_norm = math.log(config.log_base)
-        terms = [abs(math.log(a) - math.log(b)) / log_norm for a, b in zip(p, q)]
-    else:
-        terms = []
-        for a, b in zip(raw1, raw2):
-            if a + b <= 0.0:
-                terms.append(0.0)
-            else:
-                half_sum = 0.5 * (a + b)
-                # product over squared mean never exceeds 1; strip rounding overshoot
-                terms.append(min((a * b) / (half_sum * half_sum), 1.0))
+def _div_terms(p, q, config):
+    return np.abs(_log_ratio(p, q, config)[1])
 
-    if weight_scheme is WeightScheme.NONE:
-        if kind is PcmKind.PDT_AVG:
-            return sum(terms) / len(terms)
-        return sum(terms)
-    if weight_scheme is WeightScheme.AVG:
-        weights = [0.5 * (a + b) for a, b in zip(raw1, raw2)]
-    else:
-        maxes = [max(a, b) for a, b in zip(raw1, raw2)]
-        norm = sum(maxes)
-        if norm <= 0.0:
-            raise UndefinedMeasureError("max-weighting of empty profiles")
-        weights = [m / norm for m in maxes]
-    return sum(w * t for w, t in zip(weights, terms))
+
+def _pdt_terms(p, q, config):
+    half_sum = 0.5 * (p + q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # product over squared mean never exceeds 1; strip rounding overshoot
+        terms = np.minimum((p * q) / (half_sum * half_sum), 1.0)
+    return np.where(p + q <= 0.0, 0.0, terms)
+
+
+def _compositional(
+    terms_of, scheme: Optional[WeightScheme] = None, average: bool = False
+) -> Kernel:
+    """Kernel adding up ``terms_of``'s terms under ``scheme`` (the configured one if None)."""
+
+    def kernel(p, q, config):
+        if not p.size:
+            raise UndefinedMeasureError("compositional measure of empty profiles")
+        terms = terms_of(p, q, config)
+        weighting = scheme or config.weight_scheme
+        if weighting is WeightScheme.NONE:
+            return _sum(terms) / terms.size if average else _sum(terms)
+        if weighting is WeightScheme.AVG:
+            weights = 0.5 * (p + q)
+        else:
+            maxes = np.maximum(p, q)
+            norm = _sum(maxes)
+            if norm <= 0.0:
+                raise UndefinedMeasureError("max-weighting of empty profiles")
+            weights = maxes / norm
+        return _sum(weights * terms)
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -503,45 +436,37 @@ def crm_precision_recall(
     cores the penalty cancels into a plain sum of minima, making precision
     and recall coincide.
     """
-    kind = CrmKind(kind)
-    penalty = CrmPenalty(penalty)
+    kind, penalty = CrmKind(kind), CrmPenalty(penalty)
+    _check_pair(dp1, dp2, required_soa(MeasureId.CRM, MeasureConfig(crm_kind=kind)))
+    p, q = _align(dp1.keys, dp1.values, dp2.keys, dp2.values)
+    return _crm_pr(p, q, kind, penalty)
+
+
+def _crm_pr(p, q, kind: CrmKind, penalty: CrmPenalty) -> tuple[float, float]:
     if kind is CrmKind.MI:
-        _check_pair(dp1, dp2, require=SoAKind.PMI)
         # negative associations are too unreliable to subtract evidence
-        e1 = {k: v for k, v in dp1.entries.items() if v > 0.0}
-        e2 = {k: v for k, v in dp2.entries.items() if v > 0.0}
-    else:
-        require = SoAKind.CP if (kind is CrmKind.TOKEN or penalty is CrmPenalty.DW) else None
-        _check_pair(dp1, dp2, require=require)
-        e1, e2 = dp1.entries, dp2.entries
-    if not e1 or not e2:
+        p, q = np.maximum(p, 0.0), np.maximum(q, 0.0)
+    n1, n2 = np.count_nonzero(p), np.count_nonzero(q)
+    if not n1 or not n2:
         raise UndefinedMeasureError("substitutability of an empty co-occurrence set")
-    shared = sorted(set(e1) & set(e2), key=_feature_sort_key)
+    mass1, mass2 = _sum(p), _sum(q)
+    shared = (p != 0.0) & (q != 0.0)
+    p, q = p[shared], q[shared]
+    matched = np.minimum(p, q)
 
     if kind is CrmKind.TYPE:
         if penalty is CrmPenalty.ADD:
-            return len(shared) / len(e1), len(shared) / len(e2)
-        p = sum(min(e1[k], e2[k]) / e1[k] for k in shared) / len(e1)
-        r = sum(min(e1[k], e2[k]) / e2[k] for k in shared) / len(e2)
-        return p, r
-
+            return p.size / n1, q.size / n2
+        return _sum(matched / p) / n1, _sum(matched / q) / n2
     if kind is CrmKind.TOKEN:
         if penalty is CrmPenalty.ADD:
-            return sum(e1[k] for k in shared), sum(e2[k] for k in shared)
-        matched = sum(min(e1[k], e2[k]) for k in shared)
-        return matched, matched
-
-    denom1 = sum(e1[k] for k in sorted(e1, key=_feature_sort_key))
-    denom2 = sum(e2[k] for k in sorted(e2, key=_feature_sort_key))
-    if denom1 <= 0.0 or denom2 <= 0.0:
+            return _sum(p), _sum(q)
+        return _sum(matched), _sum(matched)
+    if mass1 <= 0.0 or mass2 <= 0.0:
         raise UndefinedMeasureError("no positive association mass on one side")
     if penalty is CrmPenalty.ADD:
-        return (
-            sum(e1[k] for k in shared) / denom1,
-            sum(e2[k] for k in shared) / denom2,
-        )
-    matched = sum(min(e1[k], e2[k]) for k in shared)
-    return matched / denom1, matched / denom2
+        return _sum(p) / mass1, _sum(q) / mass2
+    return _sum(matched) / mass1, _sum(matched) / mass2
 
 
 def crm_combine(p: float, r: float, gamma: float, beta: float) -> float:
@@ -550,85 +475,40 @@ def crm_combine(p: float, r: float, gamma: float, beta: float) -> float:
     return gamma * harmonic + (1.0 - gamma) * (beta * p + (1.0 - beta) * r)
 
 
-def crm(
-    dp1: DistributionalProfile,
-    dp2: DistributionalProfile,
-    config: MeasureConfig = DEFAULT_CONFIG,
-) -> float:
-    p, r = crm_precision_recall(dp1, dp2, config.crm_kind, config.crm_penalty)
-    return crm_combine(p, r, config.gamma, config.beta)
+def _crm(p, q, config):
+    pr = _crm_pr(p, q, config.crm_kind, config.crm_penalty)
+    return crm_combine(*pr, config.gamma, config.beta)
 
 
 # ---------------------------------------------------------------------------
-# symmetrization
+# the catalog
 
+_D = Orientation.DISTANCE
+_C = Orientation.CLOSENESS
+_CP = SoAKind.CP
+_PMI = SoAKind.PMI
 
-def symmetrize(
-    measure: Callable[[DistributionalProfile, DistributionalProfile], float],
-    mode: str,
-    dp1: DistributionalProfile,
-    dp2: DistributionalProfile,
-) -> float:
-    """Make an asymmetric measure order-free by taking the max or the mean."""
-    forward = measure(dp1, dp2)
-    backward = measure(dp2, dp1)
-    if mode == "max":
-        return max(forward, backward)
-    if mode == "avg":
-        return 0.5 * (forward + backward)
-    raise ValueError("mode must be 'max' or 'avg'")
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def score(
-    measure: MeasureId,
-    dp1: DistributionalProfile,
-    dp2: DistributionalProfile,
-    config: MeasureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Evaluate any catalogued measure on a profile pair."""
-    measure = MeasureId(measure)
-    if measure is MeasureId.COS:
-        return cosine(dp1, dp2)
-    if measure in (MeasureId.L1, MeasureId.L2):
-        return minkowski(dp1, dp2, 1 if measure is MeasureId.L1 else 2)
-    if measure is MeasureId.DIF:
-        return pcm(dp1, dp2, PcmKind.DIF, config.weight_scheme, config)
-    if measure is MeasureId.DIV:
-        return pcm(dp1, dp2, PcmKind.DIV, config.weight_scheme, config)
-    if measure is MeasureId.PDT_AVG:
-        return pcm(dp1, dp2, PcmKind.PDT_AVG, config.weight_scheme, config)
-    if measure is MeasureId.PDT_AVG_WT:
-        return pcm(dp1, dp2, PcmKind.PDT_AVG, WeightScheme.AVG, config)
-    if measure is MeasureId.KLD_MAX:
-        return symmetrize(
-            lambda a, b: divergence(a, b, DivergenceVariant.KLD, config), "max", dp1, dp2
-        )
-    if measure is MeasureId.KLD_AVG:
-        return symmetrize(
-            lambda a, b: divergence(a, b, DivergenceVariant.KLD, config), "avg", dp1, dp2
-        )
-    if measure in (
-        MeasureId.KLD,
-        MeasureId.KLD_COM,
-        MeasureId.KLD_ABS,
-        MeasureId.KLD_UNW_ABS,
-        MeasureId.ASD,
-        MeasureId.JSD,
-        MeasureId.JSD_ABS,
-    ):
-        return divergence(dp1, dp2, DivergenceVariant(measure.value), config)
-    if measure in (MeasureId.DICE_CP, MeasureId.JACCARD_CP):
-        return overlap(dp1, dp2, measure.value)
-    if measure is MeasureId.HINDLE:
-        return hindle(dp1, dp2, "syntactic")
-    if measure is MeasureId.HINDLE_REL:
-        return hindle(dp1, dp2, "rel")
-    if measure is MeasureId.LIN:
-        return lin(dp1, dp2)
-    if measure is MeasureId.CRM:
-        return crm(dp1, dp2, config)
-    raise UndefinedMeasureError(f"unknown measure {measure!r}")
+_MEASURES: dict[MeasureId, Measure] = {
+    MeasureId.COS: Measure(_C, True, _CP, _cos),
+    MeasureId.L1: Measure(_D, True, _CP, _l1),
+    MeasureId.L2: Measure(_D, True, _CP, _l2),
+    MeasureId.KLD: Measure(_D, False, _CP, _kld),
+    MeasureId.KLD_COM: Measure(_D, False, _CP, _kld_com),
+    MeasureId.KLD_ABS: Measure(_D, False, _CP, _kld_abs),
+    MeasureId.KLD_UNW_ABS: Measure(_D, True, _CP, _kld_unw_abs),
+    MeasureId.KLD_MAX: Measure(_D, True, _CP, _kld_max),
+    MeasureId.KLD_AVG: Measure(_D, True, _CP, _kld_avg),
+    MeasureId.ASD: Measure(_D, False, _CP, _asd),
+    MeasureId.JSD: Measure(_D, True, _CP, _jsd),
+    MeasureId.JSD_ABS: Measure(_D, True, _CP, _jsd_abs),
+    MeasureId.DICE_CP: Measure(_C, True, _CP, _dice_cp),
+    MeasureId.JACCARD_CP: Measure(_C, True, _CP, _jaccard_cp),
+    MeasureId.HINDLE: Measure(_C, True, _PMI, _hindle),  # on syntactic relations only
+    MeasureId.HINDLE_REL: Measure(_C, True, _PMI, _hindle),
+    MeasureId.LIN: Measure(_C, True, _PMI, _lin),
+    MeasureId.DIF: Measure(_D, True, _CP, _compositional(_dif_terms)),
+    MeasureId.DIV: Measure(_D, True, _CP, _compositional(_div_terms)),
+    MeasureId.PDT_AVG: Measure(_C, True, _CP, _compositional(_pdt_terms, average=True)),
+    MeasureId.PDT_AVG_WT: Measure(_C, True, _CP, _compositional(_pdt_terms, WeightScheme.AVG)),
+    MeasureId.CRM: Measure(_C, False, None, _crm),
+}

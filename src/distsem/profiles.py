@@ -7,45 +7,83 @@ profiles are proper distributions over the target's observed features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
 
-from .assoc import SoAKind, contingency, strength
-from .corpus import CooccurrenceCounts, Feature, parse_feature, render_feature
+import numpy as np
+
+from .assoc import ContingencyTable, SoAKind, strength
+from .corpus import CooccurrenceCounts, parse_feature, render_feature
 from .errors import (
     EmptyProfileError,
     IncompatibleProfilesError,
     MissingWordError,
     ParseError,
-    UndefinedAssociationError,
     ValidationError,
 )
 
 
-@dataclass
 class DistributionalProfile:
-    target: str
-    soa: SoAKind
-    entries: dict = field(default_factory=dict)
+    """One target's strength of association with each of its features.
 
-    @property
+    Features are held once, in ascending order of their rendered form (the
+    order of profile files): ``features`` lists them, ``keys`` holds their
+    rendered forms as a numpy string array, and ``values`` their strengths as
+    float64.  ``entries`` is a read-only feature-to-value mapping.
+    """
+
+    def __init__(self, target: str, soa: SoAKind, entries: Mapping = MappingProxyType({})):
+        features = list(entries)
+        keys = np.array([render_feature(f) for f in features], dtype=str)
+        self._init(target, soa, features, keys, list(entries.values()))
+
+    @classmethod
+    def from_arrays(
+        cls, target: str, soa: SoAKind, features: Sequence, keys: np.ndarray, values
+    ) -> "DistributionalProfile":
+        """A profile from parallel features, rendered features and values, in any order."""
+        profile = cls.__new__(cls)
+        profile._init(target, soa, features, keys, values)
+        return profile
+
+    def _init(self, target, soa, features, keys, values) -> None:
+        order = np.argsort(keys, kind="stable")
+        self.target = target
+        self.soa = SoAKind(soa)
+        self.keys = keys[order]
+        self.features = [features[i] for i in order.tolist()]
+        self.values = np.asarray(values, dtype=np.float64)[order]
+
+    @cached_property
     def relation_constrained(self) -> bool:
-        return any(isinstance(k, tuple) for k in self.entries)
+        return any(isinstance(f, tuple) for f in self.features)
+
+    @cached_property
+    def entries(self) -> Mapping:
+        return MappingProxyType(dict(zip(self.features, self.values.tolist())))
+
+    def __repr__(self) -> str:
+        return (
+            f"DistributionalProfile(target={self.target!r}, soa={self.soa.value!r}, "
+            f"features={len(self.features)})"
+        )
 
     def validate(self) -> None:
-        kinds = {isinstance(k, tuple) for k in self.entries}
+        kinds = {isinstance(k, tuple) for k in self.features}
         if len(kinds) > 1:
             raise IncompatibleProfilesError(
                 f"profile {self.target!r} mixes word and relation features"
             )
-        if any(v == 0 for v in self.entries.values()):
+        if not self.values.all():
             raise ValidationError(f"profile {self.target!r} stores explicit zeros")
-        if self.soa is SoAKind.CP and self.entries:
-            total = sum(self.entries[k] for k in sorted(self.entries, key=render_feature))
+        if self.soa is SoAKind.CP and self.features:
+            total = sum(self.values.tolist())
             if abs(total - 1.0) > 1e-9:
                 raise ValidationError(
                     f"cp profile {self.target!r} sums to {total!r}, expected 1"
                 )
-            if any(v < 0 or v > 1 for v in self.entries.values()):
+            if ((self.values < 0) | (self.values > 1)).any():
                 raise ValidationError(f"cp profile {self.target!r} has values outside [0,1]")
 
 
@@ -69,54 +107,51 @@ def build_profile(
     kind = SoAKind(kind)
     if not counts.has_target(target):
         raise MissingWordError(f"no counts row for {target!r}")
-    row = counts.row_items(target)
+    cols, n, feature_totals = counts.row(target)
     if min_feature_count > 1:
-        kept = []
-        for feature, n in row:
-            word = feature[1] if isinstance(feature, tuple) else feature
-            freq = counts.unigram_count(word)
-            if freq == 0:
-                freq = counts.feature_total(feature)
-            if freq >= min_feature_count:
-                kept.append((feature, n))
-        row = kept
-    if not row:
+        keep = np.array(
+            [_frequency(counts, counts.features[c]) >= min_feature_count for c in cols.tolist()],
+            dtype=bool,
+        )
+        cols, n, feature_totals = cols[keep], n[keep], feature_totals[keep]
+    if not n.size:
         raise EmptyProfileError(f"no features left for {target!r}")
 
-    entries: dict = {}
-    if kind is SoAKind.CP:
-        total = sum(n for _, n in row)
-        if total <= 0:
-            raise EmptyProfileError(f"zero row total for {target!r}")
-        for feature, n in row:
-            entries[feature] = n / total
-    else:
-        for feature, n in row:
-            try:
-                value = strength(contingency(counts, target, feature), kind, log_base)
-            except UndefinedAssociationError:
-                if undefined_value is None:
-                    raise
-                value = undefined_value
-            if value != 0.0:
-                entries[feature] = value
-    if not entries:
+    # CP sees only the kept features; the other statistics see the whole matrix
+    word_total = int(n.sum()) if kind is SoAKind.CP else counts.target_total(target)
+    n_nw_c = feature_totals - n
+    table = ContingencyTable(n, word_total - n, n_nw_c, counts.total_pairs - word_total - n_nw_c)
+    values = strength(table, kind, log_base, undefined_value)
+    stored = np.flatnonzero(values != 0.0)
+    if not stored.size:
         raise EmptyProfileError(f"profile for {target!r} is empty")
-    return DistributionalProfile(target=target, soa=kind, entries=entries)
+    cols = cols[stored]
+    features = [counts.features[c] for c in cols.tolist()]
+    return DistributionalProfile.from_arrays(
+        target, kind, features, counts.feature_keys[cols], values[stored]
+    )
+
+
+def _frequency(counts: CooccurrenceCounts, feature) -> int:
+    """Occurrences of a feature's word, or the feature's total if the word has no unigram count."""
+    word = feature[1] if isinstance(feature, tuple) else feature
+    return counts.unigram_count(word) or counts.feature_total(feature)
+
+
+def profile_lines(profile: DistributionalProfile, extra_header: list[str] = ()) -> list[str]:
+    """``extra_header``, ``#target<TAB>soa``, then one ``feature<TAB>value`` line per entry.
+
+    Entries come in rendered-feature order and values use full round-trip
+    precision, so rewriting a loaded profile is byte-stable.
+    """
+    lines = [*extra_header, f"#{profile.target}\t{profile.soa.value}"]
+    values = profile.values.tolist()
+    return lines + [f"{key}\t{value!r}" for key, value in zip(profile.keys.tolist(), values)]
 
 
 def save_profile(profile: DistributionalProfile, path, extra_header: list[str] = ()) -> None:
-    """Write ``#target<TAB>soa`` then one ``feature<TAB>value`` line per entry.
-
-    Entries are sorted by rendered feature and values use full round-trip
-    precision, so rewriting a loaded profile is byte-stable.
-    """
     with open(path, "w", encoding="utf-8") as out:
-        for line in extra_header:
-            out.write(line + "\n")
-        out.write(f"#{profile.target}\t{profile.soa.value}\n")
-        for feature in sorted(profile.entries, key=render_feature):
-            out.write(f"{render_feature(feature)}\t{repr(profile.entries[feature])}\n")
+        out.writelines(line + "\n" for line in profile_lines(profile, extra_header))
 
 
 def load_profile(path) -> DistributionalProfile:

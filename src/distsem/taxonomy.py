@@ -336,7 +336,7 @@ def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
 
 
 def load_ic_table(path) -> ICTable:
-    fields, _, body = read_tagged_tsv(path, "ic")
+    fields, _, body = read_tagged_tsv(path, "ic", {"log_base": float})
     prob: dict[str, float] = {}
     ic: dict[str, float] = {}
     for line_number, parts in body:
@@ -344,11 +344,13 @@ def load_ic_table(path) -> ICTable:
             continue
         if len(parts) != 3:
             raise ParseError(str(path), line_number, "expected concept<TAB>prob<TAB>ic")
-        prob[parts[0]] = float(parts[1])
-        ic[parts[0]] = float(parts[2])
+        try:
+            prob[parts[0]], ic[parts[0]] = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ParseError(str(path), line_number, "non-numeric prob or ic") from None
     if not prob:
         raise ValidationError(f"{path}: empty information-content table")
-    return ICTable(prob=prob, ic=ic, log_base=float(fields.get("log_base", 2.0)))
+    return ICTable(prob=prob, ic=ic, log_base=fields.get("log_base", 2.0))
 
 
 def load_word_frequencies(path) -> dict[str, int]:

@@ -29,7 +29,6 @@ from distsem import (
     MeasureConfig,
     MeasureId,
     SoAKind,
-    WeightScheme,
     build_base_wccm,
     build_crosslingual_wccm,
     build_profile,
@@ -46,9 +45,8 @@ from distsem import (
     leacock_chodorow,
     lin_taxonomy,
     lso,
+    is_symmetric,
     merge_counts,
-    minkowski,
-    pcm,
     resnik,
     score,
     strength,
@@ -56,7 +54,6 @@ from distsem import (
 )
 from distsem.concept import BilingualLexicon
 from distsem.errors import UndefinedAssociationError
-from distsem.measures import PcmKind, TRAITS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -112,7 +109,7 @@ REL_POOL = [("obj^-1", f"v{i}") for i in range(12)] + [
 
 PMI_MEASURES = {MeasureId.HINDLE, MeasureId.HINDLE_REL, MeasureId.LIN}
 
-SYMMETRIC_MEASURES = [m for m in MeasureId if TRAITS[m].symmetric]
+SYMMETRIC_MEASURES = [m for m in MeasureId if is_symmetric(m)]
 
 ZERO_ON_IDENTITY = [
     MeasureId.KLD,
@@ -358,10 +355,10 @@ def test_criterion_3_algebraic_identities():
         assert got == pytest.approx(closed, abs=1e-9)
 
         # the difference form is the city-block distance
-        assert pcm(d1, d2, PcmKind.DIF) == minkowski(d1, d2, 1)
+        assert score(MeasureId.DIF, d1, d2) == score(MeasureId.L1, d1, d2)
 
         # average-weighted product form telescopes to product over half-sum
-        got = pcm(d1, d2, PcmKind.PDT_AVG, WeightScheme.AVG)
+        got = score(MeasureId.PDT_AVG_WT, d1, d2)
         want = oracles.o_pdt_avg_wt_closed(d1.entries, d2.entries)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -390,14 +387,14 @@ def test_criterion_4_worked_compositional_example():
     close_pair = (cp({"w": 0.91}, "w1"), cp({"w": 0.80}, "w2"))
     far_pair = (cp({"w": 0.60}, "w3"), cp({"w": 0.50}, "w4"))
 
-    dif_close = pcm(*close_pair, PcmKind.DIF)
-    dif_far = pcm(*far_pair, PcmKind.DIF)
+    dif_close = score(MeasureId.DIF, *close_pair)
+    dif_far = score(MeasureId.DIF, *far_pair)
     assert dif_close == pytest.approx(0.11, abs=1e-12)
     assert dif_far == pytest.approx(0.10, abs=1e-12)
     assert dif_close > dif_far
 
-    div_close = pcm(*close_pair, PcmKind.DIV)
-    div_far = pcm(*far_pair, PcmKind.DIV)
+    div_close = score(MeasureId.DIV, *close_pair)
+    div_far = score(MeasureId.DIV, *far_pair)
     assert div_close < div_far  # the log-ratio form reverses the ranking
 
     report(4, "difference values 0.11 vs 0.10 with log-ratio ranking reversal")

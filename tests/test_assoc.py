@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from distsem import (
@@ -143,6 +144,15 @@ class TestStrength:
             strength(table(0, 2, 3, 4), SoAKind.PMI)
         with pytest.raises(UndefinedAssociationError):
             strength(table(1, 0, 0, 4), SoAKind.ODDS)
+
+    def test_arrays_of_cells(self):
+        columns = ([1, 0], [2, 2], [3, 3], [4, 4])
+        cells = ContingencyTable(*(np.array(c, dtype=float) for c in columns))
+        with pytest.raises(UndefinedAssociationError) as err:
+            strength(cells, SoAKind.PMI)
+        assert "pmi" in str(err.value)
+        got = strength(cells, SoAKind.PMI, undefined_value=-7.0)
+        assert got.tolist() == [strength(table(1, 2, 3, 4), SoAKind.PMI), -7.0]
 
     def test_log_base_rescales_pmi(self):
         t = table(4, 2, 2, 4)

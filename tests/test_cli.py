@@ -127,6 +127,32 @@ class TestCount:
         assert list(cache.glob("counts-*.tsv"))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_cut_cache_write_leaves_no_entry(self, workdir, tmp_path, monkeypatch):
+        import distsem.cli
+
+        real_save = distsem.cli.save_counts
+
+        def save_half_then_fail(counts, path, extra_header=()):
+            real_save(counts, path, extra_header)
+            text = Path(path).read_text()
+            Path(path).write_text(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        cache = tmp_path / "cache"
+        args = ["count", "--corpus", workdir / "toy.txt", "--cache-dir", cache]
+        monkeypatch.setattr(distsem.cli, "save_counts", save_half_then_fail)
+        with pytest.raises(OSError):
+            run_cli(args + ["--out", tmp_path / "cut.tsv"])
+        assert list(cache.iterdir()) == []
+
+        monkeypatch.setattr(distsem.cli, "save_counts", real_save)
+        code, _, err = run_cli(args + ["--out", tmp_path / "cached.tsv"])
+        assert code == 0, err
+        assert list(cache.glob("counts-*.tsv"))
+        code, _, err = run_cli(args[:3] + ["--out", tmp_path / "plain.tsv"])
+        assert code == 0, err
+        assert (tmp_path / "cached.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+
 
 class TestProfile:
     def test_profile_to_stdout(self, counts_file):
@@ -158,6 +184,17 @@ class TestProfile:
         from distsem import load_profile
 
         assert load_profile(out).target == "cat"
+
+    @pytest.mark.parametrize("soa", ["cp", "pmi"])
+    def test_stdout_equals_file(self, counts_file, workdir, soa):
+        out = workdir / f"cat-{soa}.dp"
+        args = ["profile", "--counts", counts_file, "--target", "cat", "--soa", soa]
+        code, _, err = run_cli(args + ["--out", out])
+        assert code == 0, err
+        code, printed, err = run_cli(args)
+        assert code == 0, err
+        assert printed.encode("utf-8") == out.read_bytes()
+        assert "np.float64" not in printed
 
 
 class TestDistance:

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from distsem import load_counts, load_taxonomy, save_counts
+from distsem import ic_from_counts, load_counts, load_taxonomy, save_counts, save_ic_table
 from distsem.cli import main
 from distsem.errors import ValidationError
 
@@ -32,6 +32,48 @@ class TestCountsTotals:
         text = path.read_text().replace("lowercase=true", "lowercase=true\tmin_freq=1")
         path.write_text(text)
         assert load_counts(path).config == toy_counts.config
+
+
+class TestMalformedNumbers:
+    """A number that does not parse is an input error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("tag, field", [("#counts", "total_tokens"), ("#unigram", None)])
+    def test_counts_file(self, toy_counts, tmp_path, fixtures_dir, tag, field):
+        path = tmp_path / "counts.tsv"
+        save_counts(toy_counts, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(tag + "\t"))
+        parts = lines[at].split("\t")
+        if field is None:
+            parts[2] = "x"
+        else:
+            parts = [f"{field}=abc" if p.startswith(field + "=") else p for p in parts]
+        lines[at] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["rank", "--counts", path, "--benchmark", fixtures_dir / "toy_benchmark.csv"]
+        )
+        assert code == 2, err
+        assert f"counts.tsv:{at + 1}:" in err
+
+    @pytest.mark.parametrize("column", ["prob", "ic", "log_base"])
+    def test_ic_file(self, toy_taxonomy, tmp_path, fixtures_dir, column):
+        path = tmp_path / "ic.tsv"
+        save_ic_table(ic_from_counts(toy_taxonomy, {"dog": 3, "cat": 2, "hammer": 4}), path)
+        lines = path.read_text().splitlines()
+        if column == "log_base":
+            lines[0] = lines[0].replace("log_base=2.0", "log_base=two")
+        else:
+            parts = lines[1].split("\t")
+            parts[1 if column == "prob" else 2] = "x"
+            lines[1] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["taxo-distance", "--taxonomy", fixtures_dir / "toy_taxonomy.tsv", "--c1", "dog",
+             "--c2", "cat", "--taxo-measure", "res", "--ic", path]
+        )
+        assert code == 2, err
+        assert f"ic.tsv:{1 if column == 'log_base' else 2}:" in err
 
 
 class TestDeepTaxonomy:

@@ -5,16 +5,19 @@ from distsem import (
     DistributionalProfile,
     SoAKind,
     build_profile,
+    contingency,
     count_cooccurrences,
     ingest_triples,
     load_profile,
     save_profile,
+    strength,
 )
 from distsem.errors import (
     EmptyProfileError,
     IncompatibleProfilesError,
     MissingWordError,
     ParseError,
+    UndefinedAssociationError,
 )
 
 from oracles import cp_profile, pmi_profile
@@ -75,6 +78,26 @@ class TestBuildProfile:
         assert set(profile.entries) == {("obj^-1", "eat")}
         pmi = build_profile(counts, "guitar", SoAKind.PMI)
         assert all(isinstance(f, tuple) and f[0] == "obj^-1" for f in pmi.entries)
+
+
+class TestWholeRow:
+    @pytest.mark.parametrize("kind", list(SoAKind))
+    def test_row_equals_cell_by_cell(self, toy_counts, kind):
+        """One strength call on the row gives each cell's own value, undefined ones as 0."""
+        for target in toy_counts.targets:
+            want = {}
+            for feature, _ in toy_counts.row_items(target):
+                try:
+                    value = strength(contingency(toy_counts, target, feature), kind)
+                except UndefinedAssociationError:
+                    value = 0.0
+                if value != 0.0:
+                    want[feature] = value
+            if not want:
+                with pytest.raises(EmptyProfileError):
+                    build_profile(toy_counts, target, kind, undefined_value=0.0)
+                continue
+            assert build_profile(toy_counts, target, kind, undefined_value=0.0).entries == want
 
 
 class TestValidation:

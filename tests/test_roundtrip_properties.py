@@ -1,22 +1,32 @@
 """Property tests: file round trips are byte-stable and merging is associative."""
 
+import math
+
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from distsem import (
     CooccurrenceCounts,
     CorpusConfig,
+    ICTable,
+    SoAKind,
+    build_profile,
     counts_equal,
     load_counts,
+    load_ic_table,
+    load_profile,
     load_wccm,
     merge_counts,
     save_counts,
+    save_ic_table,
+    save_profile,
     save_wccm,
 )
 from distsem.concept import WCCM
+from distsem.errors import EmptyProfileError
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -115,3 +125,54 @@ def test_merge_is_associative(parts):
     right = merge_counts([a, merge_counts([b, c])])
     assert counts_equal(left, right)
     assert counts_equal(left, merge_counts([a, b, c]))
+
+
+@st.composite
+def profiles(draw, features=words, feature_kind="word"):
+    matrix = draw(counts(features=features, feature_kind=feature_kind))
+    if not matrix.targets:
+        reject()
+    target = draw(st.sampled_from(matrix.targets))
+    try:
+        return build_profile(matrix, target, draw(st.sampled_from([SoAKind.CP, SoAKind.PMI])))
+    except EmptyProfileError:  # every PMI value is 0
+        reject()
+
+
+def profile_round_trip(original):
+    loaded, stable = round_trip(save_profile, load_profile, original)
+    assert stable
+    assert (loaded.target, loaded.soa) == (original.target, original.soa)
+    assert loaded.entries == original.entries
+
+
+@SETTINGS
+@given(profiles())
+def test_word_profile_round_trip(original):
+    profile_round_trip(original)
+
+
+@SETTINGS
+@given(profiles(features=st.tuples(relations, words), feature_kind="relation"))
+def test_relation_profile_round_trip(original):
+    assert original.relation_constrained
+    profile_round_trip(original)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@SETTINGS
+@given(
+    st.dictionaries(words, st.tuples(st.floats(0.0, 1.0, exclude_min=True), finite), min_size=1),
+    st.sampled_from([2.0, 10.0, math.e]),
+)
+def test_ic_table_round_trip(cells, log_base):
+    original = ICTable(
+        prob={c: p for c, (p, _) in cells.items()},
+        ic={c: ic for c, (_, ic) in cells.items()},
+        log_base=log_base,
+    )
+    loaded, stable = round_trip(save_ic_table, load_ic_table, original)
+    assert stable
+    assert (loaded.prob, loaded.ic, loaded.log_base) == (original.prob, original.ic, log_base)
