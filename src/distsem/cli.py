@@ -305,10 +305,7 @@ def cmd_distance(args) -> int:
 
 
 def _make_scorer(args, config: MeasureConfig):
-    inputs = []
-    if getattr(args, "wccm", None):
-        if not args.thesaurus:
-            raise ConfigurationError("--wccm needs --thesaurus for word-to-sense mapping")
+    if args.wccm:
         wccm = load_wccm(args.wccm)
         thesaurus = load_thesaurus(args.thesaurus)
         scorer = concept_pair_scorer(wccm, thesaurus, MeasureId(args.measure), config)
@@ -388,7 +385,7 @@ def cmd_wccm_bootstrap(args) -> int:
     docs = []
     for path in args.corpus:
         docs.extend(read_documents(path, one_doc_per_line=args.docs == "line"))
-    tokens = list(tokenize_documents(docs, config))
+    tokens = tokenize_documents(docs, config)
     wccm = bootstrap_wccm(
         tokens, base, senses, config, log_base=args.log_base, iterations=args.iterations
     )
@@ -429,12 +426,9 @@ def cmd_xling_wccm(args) -> int:
 
 def cmd_taxo_distance(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
-    needs_ic = args.taxo_measure in ("res", "jc", "lin")
     ic = None
     inputs = [args.taxonomy]
-    if needs_ic:
-        if not args.ic:
-            raise ConfigurationError(f"--taxo-measure {args.taxo_measure} needs --ic")
+    if args.ic:
         ic = load_ic_table(args.ic)
         inputs.append(args.ic)
     if args.taxo_measure == "path":
@@ -598,12 +592,24 @@ def _validate_combinations(args) -> None:
     if args.command in ("rank", "eval"):
         if not args.counts and not args.wccm:
             raise ConfigurationError("need --counts or --wccm")
+        if args.counts and args.wccm:
+            raise ConfigurationError("--counts and --wccm exclude each other")
+        if args.wccm and not args.thesaurus:
+            raise ConfigurationError("--wccm needs --thesaurus for word-to-sense mapping")
+        if args.thesaurus and not args.wccm:
+            raise ConfigurationError("--thesaurus is used only with --wccm")
     if args.command == "eval":
         if bool(args.benchmark) == bool(args.choices):
             raise ConfigurationError("need exactly one of --benchmark or --choices")
     if args.command == "ic-build":
         if bool(args.freqs) == bool(args.counts):
             raise ConfigurationError("need exactly one of --freqs or --counts")
+    if args.command == "taxo-distance":
+        needs_ic = args.taxo_measure in ("res", "jc", "lin")
+        if needs_ic and not args.ic:
+            raise ConfigurationError(f"--taxo-measure {args.taxo_measure} needs --ic")
+        if args.ic and not needs_ic:
+            raise ConfigurationError(f"--taxo-measure {args.taxo_measure} does not use --ic")
 
 
 def main(argv=None) -> int:

@@ -41,7 +41,7 @@ from .errors import (
     StalenessError,
     ValidationError,
 )
-from .measures import MeasureConfig, MeasureId, DEFAULT_CONFIG, required_soa, score
+from .measures import MeasureConfig, MeasureId, DEFAULT_CONFIG, is_symmetric, required_soa, score
 from .profiles import DistributionalProfile, build_profile
 
 
@@ -400,14 +400,20 @@ def concept_distance_matrix(
     measure: MeasureId,
     config: MeasureConfig = DEFAULT_CONFIG,
 ) -> tuple[list[str], np.ndarray]:
-    """All pairwise concept scores; storage is category-by-category only."""
+    """All pairwise concept scores; storage is category-by-category only.
+
+    A symmetric measure scores one triangle and mirrors it.
+    """
     cats = wccm.categories()
     kind = required_soa(measure, config)
     profiles = [concept_profile(wccm, c, kind, config.log_base) for c in cats]
     matrix = np.zeros((len(cats), len(cats)), dtype=np.float64)
+    symmetric = is_symmetric(measure)
     for i, dp1 in enumerate(profiles):
-        for j, dp2 in enumerate(profiles):
-            matrix[i, j] = score(measure, dp1, dp2, config)
+        for j in range(i if symmetric else 0, len(profiles)):
+            matrix[i, j] = score(measure, dp1, profiles[j], config)
+            if symmetric:
+                matrix[j, i] = matrix[i, j]
     return cats, matrix
 
 

@@ -142,6 +142,39 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     )
 
 
+def _layered_search(
+    taxonomy: Taxonomy, c1: str, c2: str, relation: Optional[str] = None
+) -> tuple[int, int]:
+    """Shortest path length from ``c1`` to ``c2`` and its fewest relation changes.
+
+    Goes out from ``c1`` one layer at a time and stops after the layer that
+    reaches ``c2``; with ``relation`` it walks only edges of that label.
+    """
+    # concept -> label of its path's last edge -> fewest relation changes
+    layer: dict[str, dict[str, int]] = {c1: {}}
+    seen = {c1}
+    length = 0
+    while c2 not in layer:
+        if not layer:
+            kind = "path" if relation is None else "hypernymy path"
+            raise NoPathError(f"no {kind} between {c1!r} and {c2!r}")
+        next_layer: dict[str, dict[str, int]] = {}
+        for node, costs in layer.items():
+            # a new label costs one change over the best path here; c1 has none yet
+            turn = min(costs.values(), default=-1) + 1
+            for neighbor, label in taxonomy._neighbors[node]:
+                if neighbor in seen or relation is not None and label != relation:
+                    continue
+                cost = min(costs.get(label, turn), turn)
+                slot = next_layer.setdefault(neighbor, {})
+                if cost < slot.get(label, turn + 1):
+                    slot[label] = cost
+        seen.update(next_layer)
+        layer = next_layer
+        length += 1
+    return length, min(layer[c2].values(), default=0)
+
+
 def shortest_path(taxonomy: Taxonomy, c1: str, c2: str) -> tuple[int, int]:
     """Length of the shortest path over all edge types, plus its relation changes.
 
@@ -150,38 +183,7 @@ def shortest_path(taxonomy: Taxonomy, c1: str, c2: str) -> tuple[int, int]:
     """
     taxonomy._require(c1)
     taxonomy._require(c2)
-    if c1 == c2:
-        return 0, 0
-    dist = {c1: 0}
-    queue = deque([c1])
-    while queue:
-        node = queue.popleft()
-        for neighbor, _ in taxonomy._neighbors[node]:
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                queue.append(neighbor)
-    if c2 not in dist:
-        raise NoPathError(f"no path between {c1!r} and {c2!r}")
-    length = dist[c2]
-
-    # minimal relation-change count along shortest paths, layer by layer
-    layer: dict[str, dict[Optional[str], int]] = {c1: {None: 0}}
-    for step in range(length):
-        next_layer: dict[str, dict[Optional[str], int]] = {}
-        for node in sorted(layer):
-            if dist[node] != step:
-                continue
-            for neighbor, relation in taxonomy._neighbors[node]:
-                if dist.get(neighbor) != step + 1:
-                    continue
-                for last_rel, changes in layer[node].items():
-                    cost = changes + (1 if last_rel is not None and relation != last_rel else 0)
-                    slot = next_layer.setdefault(neighbor, {})
-                    if relation not in slot or cost < slot[relation]:
-                        slot[relation] = cost
-        layer = next_layer
-    changes = min(layer[c2].values())
-    return length, changes
+    return _layered_search(taxonomy, c1, c2)
 
 
 def hirst_stonge(
@@ -195,29 +197,13 @@ def hirst_stonge(
     return max(0.0, c_const - length - k * changes)
 
 
-def _hypernym_path_length(taxonomy: Taxonomy, c1: str, c2: str) -> int:
-    if c1 == c2:
-        return 0
-    dist = {c1: 0}
-    queue = deque([c1])
-    while queue:
-        node = queue.popleft()
-        for neighbor in taxonomy._hyper_parents[node] + taxonomy._hyper_children[node]:
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                if neighbor == c2:
-                    return dist[neighbor]
-                queue.append(neighbor)
-    raise NoPathError(f"no hypernymy path between {c1!r} and {c2!r}")
-
-
 def leacock_chodorow(
     taxonomy: Taxonomy, c1: str, c2: str, log_base: float = 2.0
 ) -> float:
     """Negative log of hypernymy path length scaled by twice the taxonomy depth."""
     taxonomy._require(c1)
     taxonomy._require(c2)
-    length = max(_hypernym_path_length(taxonomy, c1, c2), 1)
+    length = max(_layered_search(taxonomy, c1, c2, taxonomy.hypernym_relation)[0], 1)
     depth = taxonomy.depth
     if depth < 1:
         raise ConfigurationError("taxonomy depth must be at least 1")
@@ -303,7 +289,7 @@ def lso(
         ic_value = ic.ic.get(node, 0.0) if ic is not None else 0.0
         return (-taxonomy.node_depth(node), -ic_value, node)
 
-    return sorted(common, key=sort_key)[0]
+    return min(common, key=sort_key)
 
 
 def resnik(taxonomy: Taxonomy, c1: str, c2: str, ic: ICTable) -> float:

@@ -250,12 +250,22 @@ class TestConceptDistance:
         got = concept_distance(base_wccm, "music", "food", MeasureId.COS)
         assert got == want
 
-    def test_matrix_is_category_indexed(self, base_wccm):
-        cats, matrix = concept_distance_matrix(base_wccm, MeasureId.COS)
+    @pytest.mark.parametrize(
+        "measure",
+        [MeasureId.COS, MeasureId.JSD, MeasureId.LIN, MeasureId.KLD, MeasureId.ASD],
+        ids=lambda measure: measure.value,
+    )
+    def test_matrix_is_category_indexed(self, base_wccm, measure):
+        cats, matrix = concept_distance_matrix(base_wccm, measure)
         n = base_wccm and len(base_wccm.categories())
         assert matrix.shape == (n, n)
         assert cats == base_wccm.categories()
-        assert np.allclose(np.diag(matrix), 1.0)
+        if measure is MeasureId.COS:
+            assert np.allclose(np.diag(matrix), 1.0)
+        # symmetric measures score one triangle; kld and asd must not be mirrored
+        for i, c1 in enumerate(cats):
+            for j, c2 in enumerate(cats):
+                assert matrix[i, j] == concept_distance(base_wccm, c1, c2, measure)
 
 
 @pytest.fixture(scope="module")

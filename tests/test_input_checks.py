@@ -5,7 +5,15 @@ import io
 
 import pytest
 
-from distsem import ic_from_counts, load_counts, load_taxonomy, save_counts, save_ic_table
+from distsem import (
+    build_base_wccm,
+    ic_from_counts,
+    load_counts,
+    load_taxonomy,
+    save_counts,
+    save_ic_table,
+    save_wccm,
+)
 from distsem.cli import main
 from distsem.errors import ValidationError
 
@@ -74,6 +82,52 @@ class TestMalformedNumbers:
         )
         assert code == 2, err
         assert f"ic.tsv:{1 if column == 'log_base' else 2}:" in err
+
+
+class TestIgnoredInputs:
+    """An input the command would not read is refused (exit 2), not dropped."""
+
+    @pytest.fixture()
+    def files(self, toy_counts, toy_thesaurus, toy_taxonomy, tmp_path, fixtures_dir):
+        counts, wccm, ic = tmp_path / "counts.tsv", tmp_path / "wccm.tsv", tmp_path / "ic.tsv"
+        save_counts(toy_counts, counts)
+        save_wccm(build_base_wccm(toy_counts, toy_thesaurus), wccm)
+        save_ic_table(ic_from_counts(toy_taxonomy, {"dog": 3, "cat": 2, "hammer": 4}), ic)
+        return {
+            "counts": counts,
+            "wccm": wccm,
+            "ic": ic,
+            "thesaurus": fixtures_dir / "toy_thesaurus.tsv",
+            "benchmark": fixtures_dir / "toy_benchmark.csv",
+            "taxonomy": fixtures_dir / "toy_taxonomy.tsv",
+        }
+
+    @pytest.mark.parametrize("command", ["rank", "eval"])
+    def test_counts_with_wccm(self, files, command):
+        code, out, err = run_cli(
+            [command, "--counts", files["counts"], "--wccm", files["wccm"],
+             "--thesaurus", files["thesaurus"], "--benchmark", files["benchmark"]]
+        )
+        assert (code, out) == (2, ""), err
+        assert "--counts and --wccm" in err
+
+    @pytest.mark.parametrize("command", ["rank", "eval"])
+    def test_thesaurus_without_wccm(self, files, command):
+        code, out, err = run_cli(
+            [command, "--counts", files["counts"], "--thesaurus", files["thesaurus"],
+             "--benchmark", files["benchmark"]]
+        )
+        assert (code, out) == (2, ""), err
+        assert "--thesaurus" in err
+
+    @pytest.mark.parametrize("measure", ["path", "hs", "lc"])
+    def test_ic_with_path_measure(self, files, measure):
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", files["taxonomy"], "--c1", "dog", "--c2", "cat",
+             "--taxo-measure", measure, "--ic", files["ic"]]
+        )
+        assert (code, out) == (2, ""), err
+        assert "--ic" in err
 
 
 class TestDeepTaxonomy:

@@ -1,7 +1,10 @@
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsem import (
     Taxonomy,
@@ -124,6 +127,16 @@ class TestShortestPath:
                 want = shortest_with_changes(neighbors, c1, c2)
                 assert shortest_path(toy_taxonomy, c1, c2) == want
 
+    def test_turn_counts_from_the_fewest_changes(self):
+        # x is reached by partof edges with no change and by an isa edge with
+        # two; going on by isa from x costs one change, not two
+        edges = [
+            ("a", "p", "partof"), ("p", "q", "partof"), ("q", "x", "partof"),
+            ("a", "r", "isa"), ("r", "s", "partof"), ("s", "x", "isa"), ("x", "g", "isa"),
+        ]
+        taxo = Taxonomy(nodes={n: n for n in "apqrsxg"}, edges=edges)
+        assert shortest_path(taxo, "a", "g") == (4, 1)
+
     def test_disconnected(self):
         taxo = Taxonomy(
             nodes={"a": "A", "b": "B", "c": "C"},
@@ -135,6 +148,70 @@ class TestShortestPath:
     def test_unknown_concept(self, toy_taxonomy):
         with pytest.raises(MissingWordError):
             shortest_path(toy_taxonomy, "dog", "unicorn")
+
+
+@st.composite
+def small_taxonomies(draw):
+    """At most 8 nodes: acyclic ``isa`` edges (at least one), other labels that
+    may form cycles, parallel edges with different labels, isolated nodes."""
+    names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
+    isa = draw(
+        st.lists(
+            st.tuples(st.integers(1, len(names) - 1), st.integers(0, len(names) - 1))
+            .map(lambda e: (e[0], e[1] % e[0])),  # parent precedes child
+            min_size=1,
+            max_size=8,
+        )
+    )
+    labels = st.sampled_from(["partof", "memberof"])
+    index = st.integers(0, len(names) - 1)
+    others = draw(st.lists(st.tuples(index, index, labels), max_size=6))
+    parallel = draw(st.lists(st.tuples(st.sampled_from(isa), labels), max_size=3))
+    others += [(child, parent, label) for (child, parent), label in parallel]
+    edges = [(names[c], names[p], "isa") for c, p in isa]
+    edges += [(names[a], names[b], label) for a, b, label in others]
+    return Taxonomy(nodes={n: n.upper() for n in names}, edges=edges)
+
+
+def _hypernym_bfs(taxonomy, start, goal):
+    """Plain breadth-first search over ``isa`` edges in both directions."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for child, parent, relation in taxonomy.edges:
+            if relation != "isa" or node not in (child, parent):
+                continue
+            other = parent if node == child else child
+            if other not in dist:
+                dist[other] = dist[node] + 1
+                queue.append(other)
+    return dist.get(goal)
+
+
+class TestSearchProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_taxonomies())
+    def test_paths_match_oracles(self, taxo):
+        neighbors = {node: [] for node in taxo.nodes}
+        for child, parent, relation in taxo.edges:
+            neighbors[child].append((parent, relation))
+            neighbors[parent].append((child, relation))
+        for c1 in taxo.nodes:
+            for c2 in taxo.nodes:
+                want = shortest_with_changes(neighbors, c1, c2)
+                if want is None:
+                    with pytest.raises(NoPathError, match="no path between"):
+                        shortest_path(taxo, c1, c2)
+                else:
+                    assert shortest_path(taxo, c1, c2) == want
+                length = _hypernym_bfs(taxo, c1, c2)
+                if length is None:
+                    with pytest.raises(NoPathError, match="no hypernymy path between"):
+                        leacock_chodorow(taxo, c1, c2)
+                else:
+                    want_lc = -math.log(max(length, 1) / (2.0 * taxo.depth)) / math.log(2.0)
+                    assert leacock_chodorow(taxo, c1, c2) == want_lc
 
 
 class TestHirstStOnge:
