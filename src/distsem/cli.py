@@ -34,6 +34,8 @@ from .concept import (
 from .corpus import (
     Boundaries,
     CorpusConfig,
+    _load_counts_cache,
+    _save_counts_cache,
     count_cooccurrences,
     ingest_triples,
     load_counts,
@@ -174,6 +176,10 @@ def _count_corpus(args, config: CorpusConfig):
     return parts[0] if len(parts) == 1 else merge_counts(parts)
 
 
+#: Version of the count cache's entries, part of their names: other versions are misses.
+_CACHE_FORMAT = 2
+
+
 def _cached_counts(args, config: CorpusConfig):
     """Load windowed counts from the cache if the inputs and config match."""
     if not args.cache_dir:
@@ -186,15 +192,15 @@ def _cached_counts(args, config: CorpusConfig):
     key = hashlib.sha256("|".join(key_parts).encode("utf-8")).hexdigest()
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / f"counts-{key}.tsv"
+    cache_file = cache_dir / f"counts-v{_CACHE_FORMAT}-{key}.npz"
     if cache_file.exists():
-        return load_counts(cache_file)
+        return _load_counts_cache(cache_file)
     counts = _count_corpus(args, config)
     # a write cut short leaves only the temporary file, which is removed
     fd, temp = tempfile.mkstemp(prefix=cache_file.name + ".", suffix=".tmp", dir=cache_dir)
     os.close(fd)
     try:
-        save_counts(counts, temp)
+        _save_counts_cache(counts, temp)
         os.replace(temp, cache_file)
     finally:
         Path(temp).unlink(missing_ok=True)

@@ -28,6 +28,8 @@ from .assoc import ContingencyTable, SoAKind, contingency
 from .corpus import (
     CooccurrenceCounts,
     CorpusConfig,
+    _build_counts,
+    _collect_cells,
     config_fields,
     iter_occurrence_contexts,
     read_tagged_tsv,
@@ -205,14 +207,23 @@ class WCCM:
 
 def _event_matrix(pairs: dict, source: str) -> CooccurrenceCounts:
     """Counts from ``{(category, word): count}``; each count must be a non-negative integer."""
+    items = list(pairs.items())
     values = np.fromiter(pairs.values(), dtype=np.float64, count=len(pairs))
+    _refuse_bad_events(values, source, lambda i: (items[i][0][1], items[i][0][0], items[i][1]))
+    return CooccurrenceCounts.from_pairs(pairs)
+
+
+def _refuse_bad_events(values: np.ndarray, source: str, cell) -> None:
+    """Refuse a value that is not a non-negative integer count.
+
+    ``cell(i)`` gives (word, category, value) of the i-th value for the message.
+    """
     bad = np.flatnonzero(~((values >= 0) & (values < 2**63) & (values == np.floor(values))))
     if bad.size:
-        (cat, word), value = list(pairs.items())[bad[0]]
+        word, cat, value = cell(bad[0])
         raise ValidationError(
             f"{source}: cell ({word!r}, {cat!r}) = {value!r} is not a non-negative integer count"
         )
-    return CooccurrenceCounts.from_pairs(pairs)
 
 
 def build_base_wccm(
@@ -435,20 +446,20 @@ def save_wccm(wccm: WCCM, path, extra_header: list[str] = ()) -> None:
 
 
 def load_wccm(path) -> WCCM:
-    """Read a matrix written by :func:`save_wccm`; cells must be non-negative integers."""
-    fields, config, body = read_tagged_tsv(path, "wccm")
-    pairs: dict = {}
-    for line_number, parts in body:
-        if parts[0].startswith("#"):
-            continue
-        if len(parts) != 3:
-            raise ParseError(str(path), line_number, "expected word<TAB>category<TAB>count")
-        try:
-            pairs[(parts[1], parts[0])] = float(parts[2])
-        except ValueError:
-            raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
+    """Read a matrix written by :func:`save_wccm`.
+
+    Cells must be non-negative integers, each given once.
+    """
+    fields, config, blocks = read_tagged_tsv(
+        path, "wccm", {"word": str, "category": str, "count": float}
+    )
+    cells = _collect_cells(blocks, target=1, feature=0)
+    categories, words, rows, cols, values, _ = cells
+    _refuse_bad_events(
+        values, str(path), lambda i: (words[cols[i]], categories[rows[i]], float(values[i]))
+    )
     return WCCM(
-        _event_matrix(pairs, str(path)),
+        _build_counts(path, cells),
         kind=fields.get("kind", "base"),
         language_mode=fields.get("language_mode", "monolingual"),
         config=config,

@@ -14,12 +14,13 @@ length.  Counts over disjoint document shards can be merged additively with
 from __future__ import annotations
 
 import re
+import zipfile
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -43,6 +44,9 @@ _TOKEN_OR_STOP = re.compile(r"[^\W_]+|[.!?]", re.UNICODE)
 
 _KEY_BITS = 32
 _KEY_MASK = (1 << _KEY_BITS) - 1
+
+#: Lines a tagged-TSV reader takes from a file at a time.
+_BLOCK_LINES = 1 << 12
 
 
 class Boundaries(str, Enum):
@@ -559,7 +563,7 @@ def write_tagged_tsv(
 ) -> None:
     """Write ``extra_header`` lines, one ``#tag<TAB>key=value...`` line, then ``body``.
 
-    Body lines carry their own line ends.
+    Each piece of the body is one or more lines with their line ends.
     """
     with open(path, "w", encoding="utf-8") as out:
         for line in extra_header:
@@ -568,16 +572,39 @@ def write_tagged_tsv(
         out.writelines(body)
 
 
+def _corpus_config(fields: Mapping[str, str]) -> Optional[CorpusConfig]:
+    """The corpus settings that header ``fields`` record, or ``None``."""
+    if "window" not in fields:
+        return None
+    return CorpusConfig(
+        window_radius=int(fields["window"]),
+        lowercase=fields.get("lowercase", "true") == "true",
+        respect_boundaries=Boundaries(fields.get("boundaries", "document")),
+    )
+
+
 def read_tagged_tsv(
-    path, tag: str, numbers: Mapping[str, type] = {}
-) -> tuple[dict, Optional[CorpusConfig], Iterator[tuple[int, list[str]]]]:
+    path,
+    tag: str,
+    columns: Mapping[str, type],
+    numbers: Mapping[str, type] = {},
+    bad_value: str = "bad {} {!r}",
+    on_note: Optional[Callable[[int, list[str]], None]] = None,
+) -> tuple[dict, Optional[CorpusConfig], Iterator[tuple[np.ndarray, list]]]:
     """Read a file written by :func:`write_tagged_tsv`.
 
     Returns the header's fields, the corpus settings they record (``None``
-    if they record none) and the lines after the header as (line number,
-    tab-separated fields).  Header fields named in ``numbers`` are converted
-    with the type given there.  Blank and ``#manifest`` lines are skipped;
-    other ``#`` lines are left to the caller.
+    if they record none) and the data lines after the header in blocks of
+    (line numbers, one value list per entry of ``columns``).  Header fields
+    named in ``numbers`` are converted with the type given there, and so are
+    columns: ``str`` keeps the text, ``int`` or ``float`` gives a numpy array.
+
+    A data line must have one tab-separated field per column; a value its
+    column's type refuses ends in :class:`ParseError` with ``bad_value``,
+    formatted with the column's name and the value.  Blank and ``#manifest``
+    lines are skipped; other ``#`` lines go to ``on_note`` as (line number,
+    tab-separated fields).  Lines are checked in file order, so the error
+    raised is the first line's.
     """
     fields = None
     with open(path, encoding="utf-8") as handle:
@@ -595,76 +622,194 @@ def read_tagged_tsv(
                 fields[key] = kind(fields[key])
             except ValueError:
                 raise ParseError(str(path), header_line, f"bad {key} {fields[key]!r}") from None
-    config = None
-    if "window" in fields:
-        try:
-            config = CorpusConfig(
-                window_radius=int(fields["window"]),
-                lowercase=fields.get("lowercase", "true") == "true",
-                respect_boundaries=Boundaries(fields.get("boundaries", "document")),
-            )
-        except ValueError:
-            raise ParseError(str(path), header_line, "bad corpus settings") from None
+    try:
+        config = _corpus_config(fields)
+    except ValueError:
+        raise ParseError(str(path), header_line, "bad corpus settings") from None
 
-    def body() -> Iterator[tuple[int, list[str]]]:
+    def blocks() -> Iterator[tuple[np.ndarray, list]]:
         with open(path, encoding="utf-8") as handle:
-            for number, line in enumerate(islice(handle, header_line, None), header_line + 1):
-                line = line.rstrip("\n")
-                if line and not line.startswith("#manifest"):
-                    yield number, line.split("\t")
+            lines = islice(handle, header_line, None)
+            first = header_line + 1
+            while block := list(islice(lines, _BLOCK_LINES)):
+                # blank and "#" lines cut the block into runs of data lines
+                text = "".join(block)
+                marks = []
+                if text[0] in "\n#" or "\n\n" in text or "\n#" in text:
+                    marks = [i for i, line in enumerate(block) if line[0] in "\n#"]
+                start = 0
+                for end in marks + [len(block)]:
+                    if end > start:
+                        run = block[start:end]
+                        yield _split_lines(path, run, first + start, columns, bad_value)
+                    if end < len(block) and on_note and block[end] != "\n":
+                        if not block[end].startswith("#manifest"):
+                            on_note(first + end, block[end].rstrip("\n").split("\t"))
+                    start = end + 1
+                first += len(block)
 
-    return fields, config, body()
+    return fields, config, blocks()
 
 
-def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) -> None:
-    """Write counts as a sorted TSV with a totals header and unigram lines."""
-    fields = {
+def _split_lines(
+    path, lines: list[str], first: int, columns: Mapping[str, type], bad_value: str
+) -> tuple[np.ndarray, list]:
+    """Line numbers and columns of data lines numbered from ``first``.
+
+    See :func:`read_tagged_tsv` for the checks.
+    """
+    kinds = list(columns.values())
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
+    wrong = np.flatnonzero(tabs != len(kinds) - 1)
+    good = int(wrong[0]) if wrong.size else len(lines)
+    cells = "".join(lines[:good]).rstrip("\n").replace("\n", "\t").split("\t") if good else []
+    split = [cells[i :: len(kinds)] for i in range(len(kinds))]
+    try:
+        split = [
+            values if kind is str else np.fromiter(map(kind, values), dtype=kind, count=good)
+            for kind, values in zip(kinds, split)
+        ]
+    except (ValueError, OverflowError):  # find the first value refused, line by line
+        for number, row in enumerate(zip(*split), first):
+            for name, kind, value in zip(columns, kinds, row):
+                try:
+                    np.array(kind(value), dtype=kind)
+                except (ValueError, OverflowError):
+                    raise ParseError(str(path), number, bad_value.format(name, value)) from None
+        raise
+    if good < len(lines):
+        raise ParseError(str(path), first + good, "expected " + "<TAB>".join(columns))
+    return np.arange(first, first + good, dtype=np.int64), split
+
+
+def _sort_ranks(names: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Each name's rank in sorted order, and the names sorted."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ranks = np.empty(len(names), dtype=np.int64)
+    ranks[order] = np.arange(len(names), dtype=np.int64)
+    return ranks, [names[i] for i in order]
+
+
+class _FirstSeenIds(dict):
+    """Maps each key to an id; a new key gets the next one."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = n = len(self)
+        return n
+
+    def ids(self, keys: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _collect_cells(blocks: Iterable[tuple[np.ndarray, list]], target: int, feature: int):
+    """Cells of :func:`read_tagged_tsv` blocks whose third column holds the values.
+
+    Returns (targets, features, target ids, feature ids, values, line
+    numbers), with ids given in first-seen order.
+    """
+    targets, features = _FirstSeenIds(), _FirstSeenIds()
+    parts: list[tuple] = [(np.empty(0, np.int64),) * 4]
+    for numbers, columns in blocks:
+        rows, cols = targets.ids(columns[target]), features.ids(columns[feature])
+        parts.append((rows, cols, columns[2], numbers))
+    return list(targets), list(features), *(np.concatenate(p) for p in zip(*parts))
+
+
+def _build_counts(
+    path, cells: tuple, parse: Optional[Callable[[str], Feature]] = None, **meta
+) -> CooccurrenceCounts:
+    """Counts over sorted targets and sorted features from :func:`_collect_cells`.
+
+    Values become int64 counts.  A cell given twice ends in
+    :class:`ParseError` at its second line.  ``parse`` turns feature text
+    into features; ``meta`` goes to the constructor.
+    """
+    targets, features, rows, cols, data, lines = cells
+    target_ranks, targets = _sort_ranks(targets)
+    feature_ranks, features = _sort_ranks(features)
+    rows, cols = target_ranks[rows], feature_ranks[cols]
+    keys = (rows << _KEY_BITS) | cols
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            at = repeats.min()
+            earlier = lines[np.flatnonzero(keys == keys[at])[0]]
+            raise ParseError(str(path), int(lines[at]), f"repeats the cell of line {earlier}")
+    if parse is not None:
+        features = [parse(f) for f in features]
+    data = data.astype(np.int64, copy=False)
+    return CooccurrenceCounts.from_ids(targets, features, rows, cols, data, **meta)
+
+
+def _counts_fields(counts: CooccurrenceCounts) -> dict:
+    return {
         "total_pairs": counts.total_pairs,
         "total_tokens": counts.total_tokens,
         "feature_kind": counts.feature_kind,
         **config_fields(counts.config),
     }
+
+
+def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) -> None:
+    """Write counts as a sorted TSV with a totals header and unigram lines."""
     unigrams = counts.unigram_counts
-    cells = sorted(
-        (target, render_feature(feature), n) for target, feature, n in counts.items()
-    )
     body = chain(
         (f"#unigram\t{word}\t{unigrams[word]}\n" for word in sorted(unigrams)),
-        (f"{target}\t{feature}\t{n}\n" for target, feature, n in cells),
+        _cell_lines(counts),
     )
-    write_tagged_tsv(path, "counts", fields, body, extra_header)
+    write_tagged_tsv(path, "counts", _counts_fields(counts), body, extra_header)
+
+
+def _cell_lines(counts: CooccurrenceCounts) -> Iterator[str]:
+    """``target<TAB>feature<TAB>count`` lines sorted by target, then rendered feature.
+
+    Each piece holds up to ``_BLOCK_LINES`` lines.
+    """
+    features = [render_feature(f) for f in counts.features]
+    rows, cols, data = counts.coo()
+    order = np.lexsort((_sort_ranks(features)[0][cols], _sort_ranks(counts.targets)[0][rows]))
+    targets = np.array([t + "\t" for t in counts.targets], dtype=object)
+    features = np.array([f + "\t" for f in features], dtype=object)
+    for lo in range(0, order.size, _BLOCK_LINES):
+        cells = order[lo : lo + _BLOCK_LINES]
+        pieces = [""] * (4 * cells.size)
+        pieces[0::4] = targets[rows[cells]].tolist()
+        pieces[1::4] = features[cols[cells]].tolist()
+        pieces[2::4] = map(str, data[cells].tolist())
+        pieces[3::4] = ["\n"] * cells.size
+        yield "".join(pieces)
 
 
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`.
 
     The cells must add up to the header's ``total_pairs``, so a file that was
-    cut short is refused.
+    cut short is refused; a cell given twice is refused too.
     """
-    fields, config, body = read_tagged_tsv(path, "counts", {"total_tokens": int})
-    feature_kind = fields.get("feature_kind", "word")
-    pair_counts: dict = {}
     unigram: dict[str, int] = {}
-    for line_number, parts in body:
-        if parts[0].startswith("#"):
-            if parts[0] == "#unigram":
-                if len(parts) != 3:
-                    raise ParseError(str(path), line_number, "malformed unigram line")
-                try:
-                    unigram[parts[1]] = int(parts[2])
-                except ValueError:
-                    raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
-            continue
-        if len(parts) != 3:
-            raise ParseError(str(path), line_number, "expected target<TAB>feature<TAB>count")
-        try:
-            n = int(parts[2])
-        except ValueError:
-            raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
-        feature = parse_feature(parts[1]) if feature_kind == "relation" else parts[1]
-        pair_counts[(parts[0], feature)] = n
-    counts = CooccurrenceCounts.from_pairs(
-        pair_counts,
+
+    def note(line_number: int, parts: list[str]) -> None:
+        if parts[0] == "#unigram":
+            if len(parts) != 3:
+                raise ParseError(str(path), line_number, "malformed unigram line")
+            try:
+                unigram[parts[1]] = int(parts[2])
+            except ValueError:
+                raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
+
+    fields, config, blocks = read_tagged_tsv(
+        path,
+        "counts",
+        {"target": str, "feature": str, "count": int},
+        {"total_tokens": int},
+        on_note=note,
+    )
+    feature_kind = fields.get("feature_kind", "word")
+    counts = _build_counts(
+        path,
+        _collect_cells(blocks, target=0, feature=1),
+        parse=parse_feature if feature_kind == "relation" else None,
         unigram_counts=unigram,
         total_tokens=fields.get("total_tokens", 0),
         config=config,
@@ -675,6 +820,105 @@ def load_counts(path) -> CooccurrenceCounts:
             f"{path}: cells add up to {counts.total_pairs} pairs, "
             f"the header says total_pairs={fields['total_pairs']}"
         )
+    return counts
+
+
+_CACHE_ARRAYS = (
+    "shape", "indptr", "indices", "data", "unigram_counts",  # int64
+    "targets", "features", "unigram_words", "header",  # text
+)
+
+
+def _text_array(strings: Iterable[str]) -> np.ndarray:
+    """UTF-8 bytes of ``strings``, each ended by a newline (which no token holds)."""
+    return np.frombuffer("".join(map("{}\n".format, strings)).encode("utf-8"), dtype=np.uint8)
+
+
+def _array_text(array: np.ndarray) -> list[str]:
+    if array.dtype != np.uint8 or array.ndim != 1:
+        raise ValueError("a text array is not bytes")
+    strings = array.tobytes().decode("utf-8").split("\n")
+    if strings.pop() != "":
+        raise ValueError("a text array is cut short")
+    return strings
+
+
+def _save_counts_cache(counts: CooccurrenceCounts, path) -> None:
+    """Write counts as an uncompressed ``.npz`` archive of their CSR arrays, names and header."""
+    unigrams = counts.unigram_counts
+    with open(path, "wb") as out:  # a file object: np.savez would add ".npz" to a path
+        np.savez(
+            out,
+            shape=np.array([len(counts.targets), len(counts.features)], dtype=np.int64),
+            indptr=counts._indptr.astype(np.int64, copy=False),
+            indices=counts._indices.astype(np.int64, copy=False),
+            data=counts._data.astype(np.int64, copy=False),
+            unigram_counts=np.fromiter(unigrams.values(), dtype=np.int64, count=len(unigrams)),
+            targets=_text_array(counts.targets),
+            features=_text_array(map(render_feature, counts.features)),
+            unigram_words=_text_array(unigrams),
+            header=_text_array(f"{k}={v}" for k, v in _counts_fields(counts).items()),
+        )
+
+
+def _load_counts_cache(path) -> CooccurrenceCounts:
+    """Read an archive written by :func:`_save_counts_cache`.
+
+    An archive that cannot be read, or whose arrays do not make consistent
+    counts, ends in :class:`ValidationError` naming the file.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in _CACHE_ARRAYS}
+        return _counts_from_arrays(**arrays)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, ConfigurationError) as e:
+        raise ValidationError(f"{path}: unreadable counts cache entry ({e})") from None
+
+
+def _counts_from_arrays(
+    shape, indptr, indices, data, unigram_counts, targets, features, unigram_words, header
+) -> CooccurrenceCounts:
+    """Counts from the arrays of a cache archive; ValueError if they do not fit together."""
+    integers = (shape, indptr, indices, data, unigram_counts)
+    if any(a.dtype != np.int64 or a.ndim != 1 for a in integers):
+        raise ValueError("an integer array has the wrong type")
+    targets, features, words, header = map(_array_text, (targets, features, unigram_words, header))
+    fields = dict(item.partition("=")[::2] for item in header)
+    if shape.tolist() != [len(targets), len(features)]:
+        raise ValueError("the names do not match the shape")
+    if len(set(targets)) != len(targets) or len(set(features)) != len(features):
+        raise ValueError("a target or feature is named twice")
+    if indptr.size != len(targets) + 1 or indptr[0] != 0 or indptr[-1] != indices.size:
+        raise ValueError("the row pointers do not match the cells")
+    if data.size != indices.size or unigram_counts.size != len(words):
+        raise ValueError("the arrays do not match in size")
+    if (np.diff(indptr) < 0).any():
+        raise ValueError("the row pointers go back")
+    rows = np.repeat(np.arange(len(targets), dtype=np.int64), np.diff(indptr))
+    keys = (rows << _KEY_BITS) | indices
+    if indices.size and (
+        indices.min() < 0 or indices.max() >= len(features) or (keys[1:] <= keys[:-1]).any()
+    ):
+        raise ValueError("a cell's feature is out of range or out of order")
+    if (data <= 0).any():
+        raise ValueError("a cell count is not positive")
+    feature_kind = fields["feature_kind"]
+    counts = CooccurrenceCounts(
+        targets,
+        [parse_feature(f) for f in features] if feature_kind == "relation" else features,
+        indptr,
+        indices,
+        data,
+        unigram_counts=dict(zip(words, unigram_counts.tolist())),
+        total_tokens=int(fields["total_tokens"]),
+        config=_corpus_config(fields),
+        feature_kind=feature_kind,
+    )
+    if str(counts.total_pairs) != fields["total_pairs"]:
+        raise ValueError(f"the cells do not add up to total_pairs={fields['total_pairs']}")
     return counts
 
 

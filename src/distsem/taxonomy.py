@@ -322,18 +322,18 @@ def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
 
 
 def load_ic_table(path) -> ICTable:
-    fields, _, body = read_tagged_tsv(path, "ic", {"log_base": float})
+    fields, _, blocks = read_tagged_tsv(
+        path,
+        "ic",
+        {"concept": str, "prob": float, "ic": float},
+        {"log_base": float},
+        bad_value="non-numeric prob or ic",
+    )
     prob: dict[str, float] = {}
     ic: dict[str, float] = {}
-    for line_number, parts in body:
-        if parts[0].startswith("#"):
-            continue
-        if len(parts) != 3:
-            raise ParseError(str(path), line_number, "expected concept<TAB>prob<TAB>ic")
-        try:
-            prob[parts[0]], ic[parts[0]] = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(str(path), line_number, "non-numeric prob or ic") from None
+    for _, (concepts, probs, ics) in blocks:
+        prob.update(zip(concepts, probs.tolist()))
+        ic.update(zip(concepts, ics.tolist()))
     if not prob:
         raise ValidationError(f"{path}: empty information-content table")
     return ICTable(prob=prob, ic=ic, log_base=fields.get("log_base", 2.0))

@@ -353,3 +353,105 @@ def shortest_with_changes(neighbors, start, goal, max_len=12):
         if len(p) == best_len
     )
     return best_len, best_changes
+
+
+# ---------------------------------------------------------------------------
+# tagged TSV files, read one line at a time
+#
+# The loaders' rules line by line: the first bad line is reported; once every
+# line parses, a WCCM value that is not a non-negative integer is refused,
+# and then a cell given a second time.
+
+
+class Refused(Exception):
+    """A file the loaders refuse: ``args`` are the error's class name and message."""
+
+
+def _parse_error(path, number, message):
+    return Refused("ParseError", f"{path}:{number}: {message}")
+
+
+def _tagged_body(path, tag):
+    """(line number, fields) after the ``#tag`` header, without blank and ``#manifest`` lines."""
+    header_seen = False
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not header_seen:
+                header_seen = line.split("\t")[0] == f"#{tag}"
+            elif line and not line.startswith("#manifest"):
+                yield number, line.split("\t")
+
+
+def _first_repeat(path, keyed_lines):
+    first = {}
+    for number, key in keyed_lines:
+        if key in first:
+            raise _parse_error(path, number, f"repeats the cell of line {first[key]}")
+        first[key] = number
+
+
+def counts_file(path):
+    """({(target, feature text): count} without zero cells, unigrams) of a counts file."""
+    cells, unigrams = [], {}
+    for number, parts in _tagged_body(path, "counts"):
+        if parts[0] == "#unigram":
+            if len(parts) != 3:
+                raise _parse_error(path, number, "malformed unigram line")
+            try:
+                unigrams[parts[1]] = int(parts[2])
+            except ValueError:
+                raise _parse_error(path, number, f"bad count {parts[2]!r}") from None
+        if parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise _parse_error(path, number, "expected target<TAB>feature<TAB>count")
+        try:
+            n = int(parts[2])
+        except ValueError:
+            n = None
+        if n is None or not -(2**63) <= n < 2**63:
+            raise _parse_error(path, number, f"bad count {parts[2]!r}")
+        cells.append((number, (parts[0], parts[1]), n))
+    _first_repeat(path, [(number, key) for number, key, _ in cells])
+    return {key: n for _, key, n in cells if n != 0}, unigrams
+
+
+def wccm_file(path):
+    """{(word, category): count} without zero cells of a WCCM file."""
+    cells = []
+    for number, parts in _tagged_body(path, "wccm"):
+        if parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise _parse_error(path, number, "expected word<TAB>category<TAB>count")
+        try:
+            cells.append((number, (parts[0], parts[1]), float(parts[2])))
+        except ValueError:
+            raise _parse_error(path, number, f"bad count {parts[2]!r}") from None
+    for _, (word, category), value in cells:
+        if not (0 <= value < 2**63 and value == math.floor(value)):
+            raise Refused(
+                "ValidationError",
+                f"{path}: cell ({word!r}, {category!r}) = {value!r}"
+                " is not a non-negative integer count",
+            )
+    _first_repeat(path, [(number, key) for number, key, _ in cells])
+    return {key: int(value) for _, key, value in cells if value != 0}
+
+
+def ic_file(path):
+    """(prob, ic) dicts of an information-content file; a later line wins."""
+    prob, ic = {}, {}
+    for number, parts in _tagged_body(path, "ic"):
+        if parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise _parse_error(path, number, "expected concept<TAB>prob<TAB>ic")
+        try:
+            prob[parts[0]], ic[parts[0]] = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise _parse_error(path, number, "non-numeric prob or ic") from None
+    if not prob:
+        raise Refused("ValidationError", f"{path}: empty information-content table")
+    return prob, ic

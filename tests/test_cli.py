@@ -124,31 +124,31 @@ class TestCount:
                 ]
             )
             assert code == 0, err
-        assert list(cache.glob("counts-*.tsv"))
+        assert list(cache.glob("counts-v2-*.npz"))
         assert first.read_bytes() == second.read_bytes()
 
     def test_cut_cache_write_leaves_no_entry(self, workdir, tmp_path, monkeypatch):
         import distsem.cli
 
-        real_save = distsem.cli.save_counts
+        real_save = distsem.cli._save_counts_cache
 
-        def save_half_then_fail(counts, path, extra_header=()):
-            real_save(counts, path, extra_header)
-            text = Path(path).read_text()
-            Path(path).write_text(text[: len(text) // 2])
+        def save_half_then_fail(counts, path):
+            real_save(counts, path)
+            data = Path(path).read_bytes()
+            Path(path).write_bytes(data[: len(data) // 2])
             raise OSError("disk full")
 
         cache = tmp_path / "cache"
         args = ["count", "--corpus", workdir / "toy.txt", "--cache-dir", cache]
-        monkeypatch.setattr(distsem.cli, "save_counts", save_half_then_fail)
+        monkeypatch.setattr(distsem.cli, "_save_counts_cache", save_half_then_fail)
         with pytest.raises(OSError):
             run_cli(args + ["--out", tmp_path / "cut.tsv"])
         assert list(cache.iterdir()) == []
 
-        monkeypatch.setattr(distsem.cli, "save_counts", real_save)
+        monkeypatch.setattr(distsem.cli, "_save_counts_cache", real_save)
         code, _, err = run_cli(args + ["--out", tmp_path / "cached.tsv"])
         assert code == 0, err
-        assert list(cache.glob("counts-*.tsv"))
+        assert list(cache.glob("counts-v2-*.npz"))
         code, _, err = run_cli(args[:3] + ["--out", tmp_path / "plain.tsv"])
         assert code == 0, err
         assert (tmp_path / "cached.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()

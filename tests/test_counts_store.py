@@ -1,0 +1,312 @@
+"""Counts storage: the block reader of tagged TSV files, repeated cells and the count cache."""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import distsem.cli
+import oracles
+from distsem import (
+    BOUNDARY,
+    CorpusConfig,
+    count_cooccurrences,
+    counts_equal,
+    load_counts,
+    load_ic_table,
+    load_wccm,
+)
+from distsem import corpus
+from distsem.concept import WCCM
+from distsem.corpus import render_feature
+from distsem.errors import DistSemError
+from distsem.taxonomy import ICTable
+
+from test_cli import run_cli
+
+BLOCK = corpus._BLOCK_LINES
+
+
+def outcome(load, path):
+    """What loading ``path`` gives, in the form the oracles give it."""
+    try:
+        value = load(path)
+    except DistSemError as exc:
+        return type(exc).__name__, str(exc)
+    except oracles.Refused as exc:
+        return exc.args
+    if isinstance(value, corpus.CooccurrenceCounts):
+        value = {(t, render_feature(f)): n for t, f, n in value.items()}, value.unigram_counts
+    elif isinstance(value, WCCM):
+        value = {(w, c): n for c, w, n in value.matrix.items()}
+    elif isinstance(value, ICTable):
+        value = value.prob, value.ic
+    return "loaded", value
+
+
+LOADERS = {
+    "counts": (load_counts, oracles.counts_file, "#counts\ttotal_tokens=9\tfeature_kind=word"),
+    "wccm": (load_wccm, oracles.wccm_file, "#wccm\tkind=base\tlanguage_mode=monolingual"),
+    "ic": (load_ic_table, oracles.ic_file, "#ic\tlog_base=2.0"),
+}
+
+
+def data_line(kind, i):
+    """The i-th of a run of distinct, well-formed data lines."""
+    if kind == "counts":
+        return f"t{i // 50}\tf{i % 50}\t{i % 7 + 1}"
+    if kind == "wccm":
+        return f"w{i // 50}\tc{i % 50}\t{float(i % 7 + 1)!r}"
+    return f"c{i}\t{1 / (i + 2)!r}\t{float(i % 9)!r}"
+
+
+BAD_LINES = {
+    "fields": {"counts": "t\tf", "wccm": "w\tc\t1.0\tx", "ic": "c\t0.5"},
+    "value": {"counts": "t\tf\t2.5", "wccm": "w\tc\tmany", "ic": "c\t0.5\thigh"},
+}
+
+
+class TestBlockBoundaries:
+    """Files longer than one block read as they do one line at a time."""
+
+    def write(self, path, kind, body):
+        lines = ["#manifest\ttool=test", LOADERS[kind][2]]
+        if kind == "counts":
+            lines += ["#unigram\tt0\t4", "#unigram\tt1\t3"]
+        path.write_text("\n".join(lines + body) + "\n", encoding="utf-8")
+
+    def body(self, kind, interleave):
+        body = [data_line(kind, i) for i in range(BLOCK + 5000)]
+        if interleave:
+            # blank and #manifest lines (and notes) spread over the second block
+            for at in range(BLOCK + 4000, BLOCK - 3000, -997):
+                body[at:at] = ["", "#manifest\tx=1", "#note"]
+        return body
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("interleave", [False, True], ids=["plain", "interleaved"])
+    @pytest.mark.parametrize("bad", [None, "fields", "value", "both"])
+    def test_same_as_one_line_at_a_time(self, tmp_path, kind, interleave, bad):
+        body = self.body(kind, interleave)
+        if bad == "both":  # the value error comes first
+            body.insert(BLOCK + 3500, BAD_LINES["fields"][kind])
+            body.insert(BLOCK + 1200, BAD_LINES["value"][kind])
+        elif bad:
+            body.insert(BLOCK + 1200, BAD_LINES[bad][kind])
+        path = tmp_path / f"{kind}.tsv"
+        self.write(path, kind, body)
+        load, oracle, _ = LOADERS[kind]
+        expected = outcome(oracle, path)
+        assert outcome(load, path) == expected
+        if bad:
+            assert expected[0] == "ParseError"
+            assert int(expected[1].split(":")[1]) > BLOCK
+        else:
+            assert expected[0] == "loaded"
+
+    def test_repeat_in_a_later_block(self, tmp_path):
+        body = [data_line("counts", i) for i in range(BLOCK + 10)]
+        body.append(data_line("counts", 3))
+        path = tmp_path / "counts.tsv"
+        self.write(path, "counts", body)
+        with pytest.raises(DistSemError, match=f":{BLOCK + 15}: repeats the cell of line 8$"):
+            load_counts(path)
+
+
+words = st.sampled_from(["a", "b", "é", "ü", "a:b"])
+count_lines = st.one_of(
+    st.builds("{}\t{}\t{}".format, words, words, st.integers(-2, 9)),
+    st.builds("{}\t{}\t{}".format, words, words, st.sampled_from([" 7", "+3", "1_0", "x", "2.5"])),
+    st.builds("#unigram\t{}\t{}".format, words, st.sampled_from(["1", "4", "y"])),
+    st.sampled_from(
+        ["", " ", "#manifest\tx=1", "#manifestation", "#note", "#unigram\tw", "a\tb",
+         "a\tb\t1\t2", "a\tb\t99999999999999999999", "\t\t1"]
+    ),
+)
+wccm_lines = st.one_of(
+    st.builds("{}\t{}\t{}".format, words, words, st.sampled_from(["0.0", "2.0", "3", "-1.0"])),
+    st.builds("{}\t{}\t{}".format, words, words, st.sampled_from(["2.5", "nan", "x", "inf"])),
+    st.sampled_from(["", "#manifest\tx=1", "#note", "a\tb", "a\tb\t1\t2"]),
+)
+ic_lines = st.one_of(
+    st.builds("{}\t{}\t{}".format, words, st.sampled_from(["0.5", "1e-3", "x"]),
+              st.sampled_from(["1.0", "2", "y"])),
+    st.sampled_from(["", "#manifest\tx=1", "#note", "a\t0.5", "a\t0.5\t1\t2"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(LOADERS)).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind),
+            st.lists({"counts": count_lines, "wccm": wccm_lines, "ic": ic_lines}[kind],
+                     max_size=14),
+        )
+    ),
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+def test_small_blocks_read_as_one_line_at_a_time(kind_and_lines, block, newline, last_newline):
+    kind, lines = kind_and_lines
+    text = newline.join(["#manifest\ttool=test", LOADERS[kind][2], *lines])
+    load, oracle, _ = LOADERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.tsv"
+        path.write_bytes((text + newline * last_newline).encode("utf-8"))
+        with mock.patch.object(corpus, "_BLOCK_LINES", block):
+            assert outcome(load, path) == outcome(oracle, path)
+
+
+class TestRepeatedCells:
+    """A cell given twice used to load silently with its last value."""
+
+    def test_counts(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("#counts\ttotal_pairs=3\ttotal_tokens=4\na\tb\t2\na\tb\t3\n")
+        code, out, err = run_cli(["profile", "--counts", path, "--target", "a"])
+        assert (code, out) == (2, ""), err
+        assert f"{path}:3: repeats the cell of line 2" in err
+
+    def test_relation_counts(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text(
+            "#counts\ttotal_tokens=4\tfeature_kind=relation\n"
+            "a\tobj:b\t2\na\tsubj:b\t1\na\tobj:b\t2\n"
+        )
+        code, _, err = run_cli(["profile", "--counts", path, "--target", "a"])
+        assert code == 2
+        assert f"{path}:4: repeats the cell of line 2" in err
+
+    def test_wccm(self, tmp_path):
+        path = tmp_path / "wccm.tsv"
+        path.write_text("#wccm\tkind=base\nw\tc2\t1.0\nw\tc1\t2.0\nv\tc1\t4.0\nw\tc1\t5.0\n")
+        code, out, err = run_cli(
+            ["concept-distance", "--wccm", path, "--c1", "c1", "--c2", "c2"]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"{path}:5: repeats the cell of line 3" in err
+
+
+# ---------------------------------------------------------------------------
+# the count cache
+
+tokens = st.lists(
+    st.one_of(st.sampled_from(["a", "zé", "ß", "中文", "ÅÄ", "x1", "ǅ"]), st.just(BOUNDARY)),
+    max_size=40,
+)
+configs = st.builds(
+    CorpusConfig,
+    window_radius=st.integers(1, 6),
+    lowercase=st.booleans(),
+    respect_boundaries=st.sampled_from(["document", "sentence", "none"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens, configs)
+def test_cache_entry_round_trip(stream, config):
+    original = count_cooccurrences(stream, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "entry.npz"
+        corpus._save_counts_cache(original, path)
+        loaded = corpus._load_counts_cache(path)
+    assert counts_equal(loaded, original)
+    assert (loaded.config, loaded.total_tokens, loaded.feature_kind) == (
+        config,
+        original.total_tokens,
+        "word",
+    )
+    assert loaded.unigram_counts == original.unigram_counts
+    assert loaded.targets == original.targets and loaded.features == original.features
+
+
+class TestCountCache:
+    @pytest.fixture()
+    def cached(self, tmp_path, toy_corpus_path):
+        """A count run that left one cache entry; returns (args, entry, uncached output)."""
+        args = ["count", "--corpus", toy_corpus_path, "--docs", "line", "--window", "3"]
+        plain = tmp_path / "plain.tsv"
+        code, _, err = run_cli(args + ["--out", plain])
+        assert code == 0, err
+        args += ["--cache-dir", tmp_path / "cache"]
+        code, _, err = run_cli(args + ["--out", tmp_path / "cold.tsv"])
+        assert code == 0, err
+        (entry,) = (tmp_path / "cache").iterdir()
+        assert entry.name.startswith("counts-v2-") and entry.suffix == ".npz"
+        assert (tmp_path / "cold.tsv").read_bytes() == plain.read_bytes()
+        return args, entry, plain.read_bytes()
+
+    def test_warm_run_reads_the_entry(self, cached, tmp_path, monkeypatch):
+        args, entry, plain = cached
+        monkeypatch.setattr(distsem.cli, "count_cooccurrences", None)  # a recount would fail
+        code, _, err = run_cli(args + ["--out", tmp_path / "warm.tsv"])
+        assert code == 0, err
+        assert (tmp_path / "warm.tsv").read_bytes() == plain
+
+    def rerun_fails(self, args, entry, tmp_path):
+        code, out, err = run_cli(args + ["--out", tmp_path / "again.tsv"])
+        assert (code, out) == (2, ""), err
+        assert str(entry) in err
+
+    @pytest.mark.parametrize("keep", [0, 1, 30, 0.5, -1])
+    def test_truncated_entry(self, cached, tmp_path, keep):
+        args, entry, _ = cached
+        data = entry.read_bytes()
+        entry.write_bytes(data[: int(keep * len(data)) if isinstance(keep, float) else keep])
+        self.rerun_fails(args, entry, tmp_path)
+
+    @pytest.mark.parametrize(
+        "content", [b"garbage", b"#counts\ttotal_pairs=0\n", b"\x93NUMPY\x01\x00"]
+    )
+    def test_garbage_entry(self, cached, tmp_path, content):
+        args, entry, _ = cached
+        entry.write_bytes(content)
+        self.rerun_fails(args, entry, tmp_path)
+
+    def test_array_entry(self, cached, tmp_path):
+        args, entry, _ = cached
+        with open(entry, "wb") as out:
+            np.save(out, np.arange(3))
+        self.rerun_fails(args, entry, tmp_path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda a: a.pop("header"),
+            lambda a: a.update(data=a["data"] + 1),
+            lambda a: a.update(data=a["data"].astype(np.float64)),
+            lambda a: a.update(indices=a["indices"] + a["shape"][1]),
+            lambda a: a.update(indices=a["indices"][::-1].copy()),
+            lambda a: a.update(indptr=a["indptr"][:-1]),
+            lambda a: a.update(shape=a["shape"] + 1),
+            lambda a: a.update(targets=a["targets"][:-1]),
+            lambda a: a.update(targets=np.append(a["targets"], np.uint8(0xFF))),
+            lambda a: a.update(unigram_counts=a["unigram_counts"][1:]),
+        ],
+        ids=["no-header", "total-pairs", "float-data", "index-range", "index-order",
+             "indptr", "shape", "cut-name", "bad-utf8", "unigrams"],
+    )
+    def test_inconsistent_entry(self, cached, tmp_path, change):
+        args, entry, _ = cached
+        with np.load(entry) as archive:
+            arrays = dict(archive)
+        change(arrays)
+        with open(entry, "wb") as out:
+            np.savez(out, **arrays)
+        self.rerun_fails(args, entry, tmp_path)
+
+    def test_old_tsv_entry_is_ignored(self, cached, tmp_path):
+        args, entry, plain = cached
+        key = entry.name[len("counts-v2-") : -len(".npz")]
+        entry.unlink()
+        (entry.parent / f"counts-{key}.tsv").write_text("not a counts file\n")
+        code, _, err = run_cli(args + ["--out", tmp_path / "recount.tsv"])
+        assert code == 0, err
+        assert (tmp_path / "recount.tsv").read_bytes() == plain
+        assert entry.exists()
