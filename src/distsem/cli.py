@@ -40,6 +40,7 @@ from .corpus import (
     ingest_triples,
     load_counts,
     merge_counts,
+    open_text,
     read_documents,
     save_counts,
     tokenize_documents,
@@ -262,7 +263,7 @@ def cmd_count(args) -> int:
         relations = set(args.relations.split(",")) if args.relations else None
         parts = []
         for path in args.corpus:
-            with open(path, encoding="utf-8") as handle:
+            with open_text(path) as handle:
                 parts.append(ingest_triples(handle, relations, source=str(path)))
         counts = parts[0] if len(parts) == 1 else merge_counts(parts)
     else:

@@ -32,6 +32,7 @@ from .corpus import (
     _collect_cells,
     config_fields,
     iter_occurrence_contexts,
+    open_text,
     read_tagged_tsv,
     write_tagged_tsv,
 )
@@ -82,7 +83,7 @@ class Thesaurus:
 def load_thesaurus(path, lowercase: bool = True) -> Thesaurus:
     """Read ``category_id<TAB>label<TAB>word word ...`` lines."""
     categories: dict[str, Category] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -121,7 +122,7 @@ class BilingualLexicon:
 def load_lexicon(path, lowercase: bool = True) -> BilingualLexicon:
     """Read ``source_word<TAB>target_word`` lines, merging repeated sources."""
     table: dict[str, set] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -17,11 +17,12 @@ import re
 import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
@@ -132,6 +133,31 @@ def read_documents(path, one_doc_per_line: bool = False) -> list[str]:
     if one_doc_per_line:
         return [line for line in text.split("\n") if line.strip()]
     return [text] if text.strip() else []
+
+
+@contextmanager
+def open_text(path) -> Iterator[TextIO]:
+    """Open a UTF-8 data file for reading lines.
+
+    Bytes that are not UTF-8 end in :class:`ParseError` naming the first line
+    that holds them.  The line is looked for only once decoding has failed.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise ParseError(str(path), _first_undecodable_line(path), "invalid UTF-8") from None
+
+
+def _first_undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8, counting lines as text mode does."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8")  # an escaped byte cannot be encoded back
+            except UnicodeEncodeError:
+                return number
+    return 0
 
 
 def inverse_relation(relation: str) -> str:
@@ -607,7 +633,7 @@ def read_tagged_tsv(
     raised is the first line's.
     """
     fields = None
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for header_line, line in enumerate(handle, 1):
             parts = line.rstrip("\n").split("\t")
             if parts[0] == f"#{tag}":
@@ -628,7 +654,7 @@ def read_tagged_tsv(
         raise ParseError(str(path), header_line, "bad corpus settings") from None
 
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
-        with open(path, encoding="utf-8") as handle:
+        with open_text(path) as handle:
             lines = islice(handle, header_line, None)
             first = header_line + 1
             while block := list(islice(lines, _BLOCK_LINES)):

@@ -24,7 +24,7 @@ from .errors import (
     UndefinedAssociationError,
     ValidationError,
 )
-from .corpus import CooccurrenceCounts
+from .corpus import CooccurrenceCounts, open_text
 from .measures import (
     DEFAULT_CONFIG,
     MeasureConfig,
@@ -77,7 +77,7 @@ def load_benchmark(path, name: Optional[str] = None) -> BenchmarkSet:
     """
     pairs: list[tuple[str, str, float]] = []
     scale: Optional[tuple[float, float]] = None
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -111,7 +111,7 @@ def load_benchmark(path, name: Optional[str] = None) -> BenchmarkSet:
 def load_word_choice(path) -> list[WordChoiceProblem]:
     """Read ``target<TAB>alt1|alt2|...<TAB>answer_index`` lines."""
     problems: list[WordChoiceProblem] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .assoc import ContingencyTable, SoAKind, strength
-from .corpus import CooccurrenceCounts, parse_feature, render_feature
+from .corpus import CooccurrenceCounts, open_text, parse_feature, render_feature
 from .errors import (
     EmptyProfileError,
     IncompatibleProfilesError,
@@ -158,7 +158,7 @@ def load_profile(path) -> DistributionalProfile:
     target = None
     kind = None
     entries: dict = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .corpus import read_tagged_tsv, write_tagged_tsv
+from .corpus import open_text, read_tagged_tsv, write_tagged_tsv
 from .errors import (
     ConfigurationError,
     MissingICError,
@@ -115,7 +115,7 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     nodes: dict[str, str] = {}
     edges: list[tuple[str, str, str]] = []
     word_map: dict[str, set] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -147,39 +147,74 @@ def _layered_search(
 ) -> tuple[int, int]:
     """Shortest path length from ``c1`` to ``c2`` and its fewest relation changes.
 
-    Goes out from ``c1`` one layer at a time and stops after the layer that
-    reaches ``c2``; with ``relation`` it walks only edges of that label.
+    Searches from both concepts, one whole layer at a time, growing the
+    frontier with fewer adjacency entries; with ``relation`` it walks only
+    edges of that label.  It stops at the first layer that reaches a concept
+    in the other side's frontier.  The length is then the two sides' layer
+    counts added, and every shortest path passes through exactly one of these
+    meeting concepts.  The fewest changes are the least, over the meeting
+    concepts and the labels ``l1`` of the edge reaching one from ``c1`` and
+    ``l2`` of the edge leaving it toward ``c2``, of the changes on each half
+    plus one if ``l1 != l2``; at ``c1`` or ``c2`` itself, which no edge
+    reaches, the other half's fewest changes.
     """
-    # concept -> label of its path's last edge -> fewest relation changes
-    layer: dict[str, dict[str, int]] = {c1: {}}
-    seen = {c1}
+    if c1 == c2:
+        return 0, 0
+    # per side: concept -> label of the edge toward that side's end -> fewest changes
+    fronts: list[dict[str, dict[str, int]]] = [{c1: {}}, {c2: {}}]
+    seen = [{c1}, {c2}]
+    work = [len(taxonomy._neighbors[c1]), len(taxonomy._neighbors[c2])]
     length = 0
-    while c2 not in layer:
-        if not layer:
+    while True:
+        side = 0 if work[0] <= work[1] else 1
+        fronts[side] = _next_layer(taxonomy, fronts[side], seen[side], relation)
+        work[side] = sum(len(taxonomy._neighbors[node]) for node in fronts[side])
+        length += 1
+        if not fronts[side]:
             kind = "path" if relation is None else "hypernymy path"
             raise NoPathError(f"no {kind} between {c1!r} and {c2!r}")
-        next_layer: dict[str, dict[str, int]] = {}
-        for node, costs in layer.items():
-            # a new label costs one change over the best path here; c1 has none yet
-            turn = min(costs.values(), default=-1) + 1
-            for neighbor, label in taxonomy._neighbors[node]:
-                if neighbor in seen or relation is not None and label != relation:
-                    continue
-                cost = min(costs.get(label, turn), turn)
-                slot = next_layer.setdefault(neighbor, {})
-                if cost < slot.get(label, turn + 1):
-                    slot[label] = cost
-        seen.update(next_layer)
-        layer = next_layer
-        length += 1
-    return length, min(layer[c2].values(), default=0)
+        head, tail = fronts
+        meeting = head.keys() & tail.keys()
+        if meeting:
+            return length, min(_joined_changes(head[m], tail[m]) for m in meeting)
+
+
+def _next_layer(
+    taxonomy: Taxonomy,
+    layer: dict[str, dict[str, int]],
+    seen: set,
+    relation: Optional[str],
+) -> dict[str, dict[str, int]]:
+    """The concepts one edge beyond ``layer`` and not yet ``seen``, which it then holds."""
+    next_layer: dict[str, dict[str, int]] = {}
+    for node, costs in layer.items():
+        # a new label costs one change over the best path here; an end has none yet
+        turn = min(costs.values(), default=-1) + 1
+        for neighbor, label in taxonomy._neighbors[node]:
+            if neighbor in seen or relation is not None and label != relation:
+                continue
+            cost = min(costs.get(label, turn), turn)
+            slot = next_layer.setdefault(neighbor, {})
+            if cost < slot.get(label, turn + 1):
+                slot[label] = cost
+    seen.update(next_layer)
+    return next_layer
+
+
+def _joined_changes(head: dict[str, int], tail: dict[str, int]) -> int:
+    """Fewest changes of a path joined at one concept from its two halves' costs."""
+    if not head or not tail:
+        return min((head or tail).values())
+    return min(h + t + (l1 != l2) for l1, h in head.items() for l2, t in tail.items())
 
 
 def shortest_path(taxonomy: Taxonomy, c1: str, c2: str) -> tuple[int, int]:
     """Length of the shortest path over all edge types, plus its relation changes.
 
     Among equal-length paths the one with the fewest changes of relation
-    label between consecutive edges is chosen.
+    label between consecutive edges is chosen.  The search grows from both
+    concepts and stops where the two frontiers meet (see ``_layered_search``),
+    so ``shortest_path(t, a, b) == shortest_path(t, b, a)``.
     """
     taxonomy._require(c1)
     taxonomy._require(c2)
@@ -342,7 +377,7 @@ def load_ic_table(path) -> ICTable:
 def load_word_frequencies(path) -> dict[str, int]:
     """Read a ``word<TAB>count`` frequency table."""
     freqs: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

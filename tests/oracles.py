@@ -4,6 +4,7 @@ Everything here works on plain dicts and position lists with naive loops so
 that results can be checked against the package without sharing code paths.
 """
 
+import heapq
 import math
 from collections import Counter
 
@@ -353,6 +354,32 @@ def shortest_with_changes(neighbors, start, goal, max_len=12):
         if len(p) == best_len
     )
     return best_len, best_changes
+
+
+def dijkstra_with_changes(neighbors, start, goal):
+    """(length, fewest relation changes) of a shortest path, or None if there is none.
+
+    Dijkstra's algorithm over states (node, label of the last edge), with the
+    cost (edges, changes) compared lexicographically.  A cheapest walk is a
+    simple path, since a walk that repeats a node has a shorter one, so this
+    agrees with :func:`shortest_with_changes` without enumerating paths.
+    """
+    if start == goal:
+        return 0, 0
+    best = {(start, None): (0, 0)}  # the start has no last edge
+    heap = [(0, 0, start, None)]
+    while heap:
+        length, changes, node, label = heapq.heappop(heap)
+        if best[(node, label)] < (length, changes):
+            continue
+        if node == goal:
+            return length, changes
+        for nxt, rel in neighbors.get(node, []):
+            cost = (length + 1, changes + (label is not None and rel != label))
+            if cost < best.get((nxt, rel), (math.inf, math.inf)):
+                best[(nxt, rel)] = cost
+                heapq.heappush(heap, (*cost, nxt, rel))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,28 @@ import io
 import pytest
 
 from distsem import (
+    SoAKind,
     build_base_wccm,
+    build_profile,
     ic_from_counts,
+    load_benchmark,
     load_counts,
+    load_ic_table,
+    load_lexicon,
+    load_profile,
     load_taxonomy,
+    load_thesaurus,
+    load_wccm,
+    load_word_choice,
     save_counts,
     save_ic_table,
+    save_profile,
     save_wccm,
 )
 from distsem.cli import main
-from distsem.errors import ValidationError
+from distsem.corpus import _BLOCK_LINES
+from distsem.errors import ParseError, ValidationError
+from distsem.taxonomy import load_word_frequencies
 
 from test_cli import run_cli
 
@@ -82,6 +94,88 @@ class TestMalformedNumbers:
         )
         assert code == 2, err
         assert f"ic.tsv:{1 if column == 'log_base' else 2}:" in err
+
+
+def _spoil(source, path, at=-1):
+    """Copy ``source`` to ``path`` with the bytes ff fe opening line ``at``; return its number."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[at] = b"\xff\xfe" + lines[at]
+    path.write_bytes(b"".join(lines))
+    return range(1, len(lines) + 1)[at]
+
+
+class TestInvalidUtf8:
+    """A text input holding bytes that are not UTF-8 ends in ParseError naming
+    the first such line (exit 2), not in a UnicodeDecodeError traceback."""
+
+    @pytest.fixture()
+    def readers(self, toy_counts, toy_thesaurus, toy_taxonomy, tmp_path, fixtures_dir):
+        counts, wccm, ic = tmp_path / "counts.tsv", tmp_path / "wccm.tsv", tmp_path / "ic.tsv"
+        save_counts(toy_counts, counts)
+        save_wccm(build_base_wccm(toy_counts, toy_thesaurus), wccm)
+        save_ic_table(ic_from_counts(toy_taxonomy, {"dog": 3, "cat": 2, "hammer": 4}), ic)
+        profile, freqs, lexicon = tmp_path / "p.tsv", tmp_path / "f.tsv", tmp_path / "l.tsv"
+        save_profile(build_profile(toy_counts, "bread", SoAKind.PMI), profile)
+        freqs.write_text("dog\t3\ncat\t2\nhammer\t4\n", encoding="utf-8")
+        lexicon.write_text("hund\tdog\nkatze\tcat\n", encoding="utf-8")
+        return {
+            "counts": (load_counts, counts),
+            "wccm": (load_wccm, wccm),
+            "ic": (load_ic_table, ic),
+            "profile": (load_profile, profile),
+            "word_frequencies": (load_word_frequencies, freqs),
+            "lexicon": (load_lexicon, lexicon),
+            "taxonomy": (load_taxonomy, fixtures_dir / "toy_taxonomy.tsv"),
+            "thesaurus": (load_thesaurus, fixtures_dir / "toy_thesaurus.tsv"),
+            "benchmark": (load_benchmark, fixtures_dir / "toy_benchmark.csv"),
+            "word_choice": (load_word_choice, fixtures_dir / "toy_choices.tsv"),
+        }
+
+    @pytest.mark.parametrize(
+        "reader",
+        ["counts", "wccm", "ic", "profile", "word_frequencies", "lexicon", "taxonomy",
+         "thesaurus", "benchmark", "word_choice"],
+    )
+    def test_reader(self, readers, reader, tmp_path):
+        load, source = readers[reader]
+        bad = tmp_path / f"bad-{source.name}"
+        number = _spoil(source, bad)
+        with pytest.raises(ParseError, match="invalid UTF-8") as err:
+            load(bad)
+        assert err.value.line_number == number
+
+    @pytest.mark.parametrize("at", ["header", "second block"])
+    def test_long_counts_file(self, toy_counts, tmp_path, at):
+        source, bad = tmp_path / "counts.tsv", tmp_path / "bad.tsv"
+        save_counts(toy_counts, source)
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if line.startswith("#counts"))
+        cells = [line for line in lines[header + 1 :] if not line.startswith("#")]
+        filler = "".join(f"#unigram\tw{i}\t1\n" for i in range(_BLOCK_LINES + 10))
+        source.write_text("".join(lines[: header + 1]) + filler + "".join(cells), "utf-8")
+        number = _spoil(source, bad, header if at == "header" else -2)
+        with pytest.raises(ParseError, match="invalid UTF-8") as err:
+            load_counts(bad)
+        assert err.value.line_number == number
+
+    def test_taxonomy_through_cli(self, tmp_path):
+        path = tmp_path / "bad.taxo"
+        path.write_bytes(b"NODE\ta\tA\n\xff\xfe\n")
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", path, "--c1", "a", "--c2", "b",
+             "--taxo-measure", "path"]
+        )
+        assert (code, out) == (2, ""), err
+        assert "bad.taxo:2: invalid UTF-8" in err
+
+    def test_triples_through_cli(self, fixtures_dir, tmp_path):
+        bad = tmp_path / "bad.triples"
+        number = _spoil(fixtures_dir / "toy.triples", bad, 1)
+        code, out, err = run_cli(
+            ["count", "--corpus", bad, "--triples", "--out", tmp_path / "c.tsv"]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"bad.triples:{number}: invalid UTF-8" in err
 
 
 class TestIgnoredInputs:

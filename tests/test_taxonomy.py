@@ -1,4 +1,5 @@
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -30,7 +31,8 @@ from distsem.errors import (
     ZeroCreditWarning,
 )
 
-from oracles import shortest_with_changes
+import distsem.taxonomy as taxonomy_module
+from oracles import dijkstra_with_changes, shortest_with_changes
 
 # hand-derived corpus frequencies for the 7-node fixture
 TOY_FREQS = {
@@ -212,6 +214,145 @@ class TestSearchProperties:
                 else:
                     want_lc = -math.log(max(length, 1) / (2.0 * taxo.depth)) / math.log(2.0)
                     assert leacock_chodorow(taxo, c1, c2) == want_lc
+
+
+def _neighbor_lists(taxonomy, relation=None):
+    """Both directions of every edge, or of the edges labeled ``relation``."""
+    neighbors = {node: [] for node in taxonomy.nodes}
+    for child, parent, label in taxonomy.edges:
+        if relation is None or label == relation:
+            neighbors[child].append((parent, label))
+            neighbors[parent].append((child, label))
+    return neighbors
+
+
+def wordnet_like(seed, size=300):
+    """A seeded hierarchy shaped like WordNet's nouns, plus a detached island.
+
+    ``c0`` is the root and its hyponym ``c1`` a hub with a fifth of the
+    concepts as direct hyponyms, so a search that reaches the hub faces a wide
+    layer on that side only.  The rest hang in deep, narrow chains, some with
+    a second hypernym.  ``partof`` and ``memberof`` edges join random concepts,
+    close three-concept cycles and run parallel to some ``isa`` edges.  The
+    last five concepts are an island of three reached by no edge from the
+    rest, a concept that only ``memberof`` ties to the island, and one that
+    only ``partof`` ties to the main hierarchy.
+    """
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(size)]
+    hub, main = size // 5 + 2, size - 5
+    edges = [("c1", "c0", "isa")] + [(names[i], "c1", "isa") for i in range(2, hub)]
+    for i in range(hub, main):
+        parent = names[rng.randrange(max(hub, i - 3), i)] if i > hub else "c0"
+        edges.append((names[i], parent, "isa"))
+        if rng.random() < 0.1:
+            edges.append((names[i], names[rng.randrange(i)], "isa"))
+    labels = ("partof", "memberof")
+    for _ in range(size // 6):
+        a, b = rng.sample(range(main), 2)
+        edges.append((names[a], names[b], rng.choice(labels)))
+    for _ in range(4):
+        a, b, c = (names[i] for i in rng.sample(range(main), 3))
+        label = rng.choice(labels)
+        edges += [(a, b, label), (b, c, label), (c, a, label)]
+    isa = [edge for edge in edges if edge[2] == "isa"]
+    edges += [(child, parent, rng.choice(labels)) for child, parent, _ in rng.sample(isa, 5)]
+    i0, i1, i2, i3, lone = names[main:]
+    edges += [(i1, i0, "isa"), (i2, i0, "isa"), (i3, i1, "memberof")]
+    edges.append((lone, names[rng.randrange(hub, main)], "partof"))
+    return Taxonomy(nodes={n: n.upper() for n in names}, edges=edges)
+
+
+def _test_pairs(taxo, seed, count=80):
+    """Random pairs of the main hierarchy, hub hyponyms against chain concepts,
+    and pairs with the island and the ``partof``-only concept, in both orders."""
+    rng = random.Random(seed)
+    names = list(taxo.nodes)
+    hub, main = len(names) // 5 + 2, len(names) - 5
+    pairs = [tuple(rng.sample(names[:main], 2)) for _ in range(count)]
+    pairs += [(names[rng.randrange(2, hub)], names[rng.randrange(hub, main)]) for _ in range(20)]
+    pairs += [(names[rng.randrange(main)], far) for far in names[main:]]
+    pairs += [(names[main], names[main + 3]), (names[main + 2], names[main + 3])]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+class TestMidSizeSearch:
+    """The two-sided search against the state-space Dijkstra oracle on graphs
+    too large for path enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_taxonomies())
+    def test_dijkstra_oracle_matches_enumeration(self, taxo):
+        for relation in (None, "isa"):
+            neighbors = _neighbor_lists(taxo, relation)
+            for c1 in taxo.nodes:
+                for c2 in taxo.nodes:
+                    want = shortest_with_changes(neighbors, c1, c2)
+                    assert dijkstra_with_changes(neighbors, c1, c2) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_path_measures_match_oracle(self, seed):
+        taxo = wordnet_like(seed)
+        every, isa = _neighbor_lists(taxo), _neighbor_lists(taxo, "isa")
+        unreachable = 0
+        for c1, c2 in _test_pairs(taxo, seed):
+            want = dijkstra_with_changes(every, c1, c2)
+            if want is None:
+                unreachable += 1
+                with pytest.raises(NoPathError, match="no path between"):
+                    shortest_path(taxo, c1, c2)
+                assert hirst_stonge(taxo, c1, c2) == 0.0
+            else:
+                assert shortest_path(taxo, c1, c2) == want
+                assert hirst_stonge(taxo, c1, c2) == max(0.0, 8.0 - want[0] - want[1])
+            hyper = dijkstra_with_changes(isa, c1, c2)
+            if hyper is None:
+                with pytest.raises(NoPathError, match="no hypernymy path between"):
+                    leacock_chodorow(taxo, c1, c2)
+            else:
+                want_lc = -math.log(max(hyper[0], 1) / (2.0 * taxo.depth)) / math.log(2.0)
+                assert leacock_chodorow(taxo, c1, c2) == want_lc
+        assert unreachable >= 8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetric(self, seed):
+        taxo = wordnet_like(seed)
+        for c1, c2 in _test_pairs(taxo, seed, count=40):
+            for measure in (shortest_path, hirst_stonge, leacock_chodorow):
+                try:
+                    forward = measure(taxo, c1, c2)
+                except NoPathError as err:
+                    forward = type(err)
+                try:
+                    backward = measure(taxo, c2, c1)
+                except NoPathError as err:
+                    backward = type(err)
+                assert forward == backward
+
+    def test_each_side_grows_first_and_the_far_side_empties(self, monkeypatch):
+        taxo = wordnet_like(0)
+        grown = []  # per search: (end whose side grew, concepts in its new layer)
+        next_layer = taxonomy_module._next_layer
+
+        def spy(taxonomy, layer, seen, relation):
+            result = next_layer(taxonomy, layer, seen, relation)
+            grown[-1].append(("c1" if c1 in seen else "c2", len(result)))
+            return result
+
+        monkeypatch.setattr(taxonomy_module, "_next_layer", spy)
+        detached = list(taxo.nodes)[-5:]
+        firsts, island_ends = set(), 0
+        for c1, c2 in _test_pairs(taxo, 0):
+            grown.append([])
+            try:
+                shortest_path(taxo, c1, c2)
+            except NoPathError:
+                if c2 in detached[:4] and c1 not in detached:
+                    assert grown[-1][-1] == ("c2", 0)
+                    island_ends += 1
+            firsts.add(grown[-1][0][0])
+        assert firsts == {"c1", "c2"}
+        assert island_ends == 4
 
 
 class TestHirstStOnge:
