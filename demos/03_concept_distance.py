@@ -45,20 +45,27 @@ THESAURUS = Thesaurus(
     }
 )
 
+
+
+def word_row(wccm, word):
+    """A word's event counts per category, read from the category-by-word matrix."""
+    return {cat: n for cat, w, n in wccm.matrix.items() if w == word}
+
+
 config = CorpusConfig(window_radius=3)
 tokens = list(tokenize_documents(DOCUMENTS, config))
 counts = count_cooccurrences(tokens, config)
 
 # First pass: ambiguous neighbors ('jam') credit both of their categories.
 base = build_base_wccm(counts, THESAURUS)
-print("base matrix grand total:", base.grand_total)
-print("row for 'bread':", base.cells["bread"])
+print("base matrix grand total:", base.matrix.total_pairs)
+print("row for 'bread':", word_row(base, "bread"))
 
 # Second pass: every event lands in exactly one category, so the total drops
 # to the number of co-occurrence events.
 boot = bootstrap_wccm(tokens, base, THESAURUS, config)
-print("bootstrapped grand total:", boot.grand_total, "(one cell per event)")
-print("row for 'bread':", boot.cells["bread"])
+print("bootstrapped grand total:", boot.matrix.total_pairs, "(one cell per event)")
+print("row for 'bread':", word_row(boot, "bread"))
 
 # Columns are distributional profiles of concepts.
 music = concept_profile(boot, "music", SoAKind.CP)
@@ -86,4 +93,4 @@ print("\ncandidate senses of 'marmelade':",
 source_docs = ["gitarre und marmelade", "brot und marmelade", "katze und brot"]
 source_counts = count_cooccurrences(tokenize_documents(source_docs, config), config)
 xling = build_crosslingual_wccm(source_counts, lexicon, THESAURUS)
-print("cross-lingual row for 'brot':", xling.cells["brot"])
+print("cross-lingual row for 'brot':", word_row(xling, "brot"))

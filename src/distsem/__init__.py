@@ -31,7 +31,6 @@ from .concept import (
     load_thesaurus,
     load_wccm,
     save_wccm,
-    wccm_contingency,
 )
 from .corpus import (
     BOUNDARY,

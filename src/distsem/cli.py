@@ -32,10 +32,12 @@ from .concept import (
     save_wccm,
 )
 from .corpus import (
+    BOUNDARY,
     Boundaries,
     CorpusConfig,
     _load_counts_cache,
     _save_counts_cache,
+    config_fields,
     count_cooccurrences,
     ingest_triples,
     load_counts,
@@ -132,12 +134,7 @@ def _corpus_config(args) -> CorpusConfig:
 
 
 def _corpus_settings(args) -> dict:
-    return {
-        "window": args.window,
-        "boundaries": args.boundaries,
-        "lowercase": str(not args.no_lowercase).lower(),
-        "docs": args.docs,
-    }
+    return {**config_fields(_corpus_config(args)), "docs": args.docs}
 
 
 def _measure_config(args) -> MeasureConfig:
@@ -168,13 +165,23 @@ def _measure_settings(args) -> dict:
     }
 
 
+def _file_tokens(args, config: CorpusConfig):
+    """The token stream of each ``--corpus`` file, in order."""
+    for path in args.corpus:
+        yield tokenize_documents(read_documents(path, one_doc_per_line=args.docs == "line"), config)
+
+
 def _count_corpus(args, config: CorpusConfig):
     """Count each input file as a shard and merge."""
-    parts = []
-    for path in args.corpus:
-        docs = read_documents(path, one_doc_per_line=args.docs == "line")
-        parts.append(count_cooccurrences(tokenize_documents(docs, config), config))
+    parts = [count_cooccurrences(tokens, config) for tokens in _file_tokens(args, config)]
     return parts[0] if len(parts) == 1 else merge_counts(parts)
+
+
+def _chained_tokens(args, config: CorpusConfig):
+    """All ``--corpus`` files as one token stream, with a boundary where a file ends."""
+    for tokens in _file_tokens(args, config):
+        yield from tokens
+        yield BOUNDARY
 
 
 #: Version of the count cache's entries, part of their names: other versions are misses.
@@ -206,10 +213,6 @@ def _cached_counts(args, config: CorpusConfig):
     finally:
         Path(temp).unlink(missing_ok=True)
     return counts
-
-
-def _load_counts_arg(args):
-    return load_counts(args.counts)
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -277,7 +280,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    counts = _load_counts_arg(args)
+    counts = load_counts(args.counts)
     profile = build_profile(
         counts,
         args.target,
@@ -300,7 +303,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    counts = _load_counts_arg(args)
+    counts = load_counts(args.counts)
     config = _measure_config(args)
     scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
     value = scorer(args.w1, args.w2)
@@ -318,7 +321,7 @@ def _make_scorer(args, config: MeasureConfig):
         scorer = concept_pair_scorer(wccm, thesaurus, MeasureId(args.measure), config)
         inputs = [args.wccm, args.thesaurus]
     else:
-        counts = _load_counts_arg(args)
+        counts = load_counts(args.counts)
         scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
         inputs = [args.counts]
     return scorer, inputs
@@ -371,7 +374,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_wccm_build(args) -> int:
-    counts = _load_counts_arg(args)
+    counts = load_counts(args.counts)
     thesaurus = load_thesaurus(args.thesaurus)
     wccm = build_base_wccm(counts, thesaurus)
     wccm.source_fingerprint = _hash_file(args.counts)
@@ -389,10 +392,7 @@ def cmd_wccm_bootstrap(args) -> int:
         senses = crosslingual_sense_index(lexicon, thesaurus)
     else:
         senses = thesaurus.index
-    docs = []
-    for path in args.corpus:
-        docs.extend(read_documents(path, one_doc_per_line=args.docs == "line"))
-    tokens = tokenize_documents(docs, config)
+    tokens = _chained_tokens(args, config)
     wccm = bootstrap_wccm(
         tokens, base, senses, config, log_base=args.log_base, iterations=args.iterations
     )
@@ -419,7 +419,7 @@ def cmd_concept_distance(args) -> int:
 
 
 def cmd_xling_wccm(args) -> int:
-    counts = _load_counts_arg(args)
+    counts = load_counts(args.counts)
     lexicon = load_lexicon(args.lexicon)
     thesaurus = load_thesaurus(args.thesaurus)
     wccm = build_crosslingual_wccm(counts, lexicon, thesaurus)
@@ -608,6 +608,11 @@ def _validate_combinations(args) -> None:
     if args.command == "eval":
         if bool(args.benchmark) == bool(args.choices):
             raise ConfigurationError("need exactly one of --benchmark or --choices")
+    if args.command == "count":
+        if args.relations is not None and not args.triples:
+            raise ConfigurationError("--relations is used only with --triples")
+        if args.cache_dir and args.triples:
+            raise ConfigurationError("--cache-dir caches window counts, not --triples")
     if args.command == "ic-build":
         if bool(args.freqs) == bool(args.counts):
             raise ConfigurationError("need exactly one of --freqs or --counts")

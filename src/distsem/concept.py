@@ -24,14 +24,20 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .assoc import ContingencyTable, SoAKind, contingency
+from .assoc import SoAKind
 from .corpus import (
+    _KEY_BITS,
+    _KEY_MASK,
+    _NO_EVENTS,
     CooccurrenceCounts,
     CorpusConfig,
     _build_counts,
     _collect_cells,
+    _FirstSeenIds,
+    _id_chunks,
+    _tally,
+    _window_pairs,
     config_fields,
-    iter_occurrence_contexts,
     open_text,
     read_tagged_tsv,
     write_tagged_tsv,
@@ -169,39 +175,6 @@ class WCCM:
         self.config = config
         self.source_fingerprint = source_fingerprint
 
-    @property
-    def cells(self) -> dict[str, dict[str, float]]:
-        cells: dict[str, dict[str, float]] = {}
-        for cat, word, n in self.matrix.items():
-            cells.setdefault(word, {})[cat] = float(n)
-        return cells
-
-    @property
-    def row_totals(self) -> dict[str, float]:
-        return {w: float(self.matrix.feature_total(w)) for w in self.matrix.features}
-
-    @property
-    def col_totals(self) -> dict[str, float]:
-        return {c: float(self.matrix.target_total(c)) for c in self.matrix.targets}
-
-    @property
-    def grand_total(self) -> float:
-        return float(self.matrix.total_pairs)
-
-    def cell(self, word: str, category: str) -> float:
-        return float(self.matrix.pair_count(category, word))
-
-    def has_word(self, word: str) -> bool:
-        return self.matrix.feature_total(word) > 0
-
-    def column(self, category: str) -> dict[str, float]:
-        if not self.matrix.has_target(category):
-            return {}
-        return {word: float(n) for word, n in self.matrix.row_items(category)}
-
-    def words(self) -> list[str]:
-        return sorted(self.matrix.features)
-
     def categories(self) -> list[str]:
         return sorted(self.matrix.targets)
 
@@ -227,6 +200,28 @@ def _refuse_bad_events(values: np.ndarray, source: str, cell) -> None:
         )
 
 
+class _SenseFan:
+    """The categories ``index`` gives each of ``words``, as ids into the sorted ``categories``."""
+
+    def __init__(self, index: Mapping[str, frozenset], words: list[str]):
+        self.categories = sorted(set().union(*index.values()))
+        cat_id = {c: i for i, c in enumerate(self.categories)}
+        senses = [sorted(cat_id[c] for c in index.get(w, ())) for w in words]
+        self.counts = np.array([len(s) for s in senses], dtype=np.int64)
+        self._first = np.cumsum(self.counts) - self.counts
+        self._ids = np.fromiter(chain.from_iterable(senses), dtype=np.int64)
+
+    def fan_out(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(item, category id) for each item of ``words`` (places in the word list) and category.
+
+        Items ascend, and so do each item's categories.
+        """
+        fan = self.counts[words]
+        item = np.repeat(np.arange(words.size), fan)
+        nth = np.arange(item.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        return item, self._ids[self._first[words[item]] + nth]
+
+
 def build_base_wccm(
     counts: CooccurrenceCounts,
     thesaurus: Thesaurus,
@@ -243,35 +238,14 @@ def build_base_wccm(
     index = thesaurus.index if sense_index is None else sense_index
     if not index:
         raise ConfigurationError("no word has any candidate category")
-    categories = sorted(set().union(*index.values()))
-    cat_id = {c: i for i, c in enumerate(categories)}
-    # incidence in compressed sparse row form, one row per counts feature
-    senses = [sorted(cat_id[c] for c in index.get(f, ())) for f in counts.features]
-    n_senses = np.array([len(s) for s in senses], dtype=np.int64)
-    first_sense = np.cumsum(n_senses) - n_senses
-    sense_ids = np.fromiter(chain.from_iterable(senses), dtype=np.int64)
+    senses = _SenseFan(index, counts.features)
     # cell (word, feature, n) adds n to (category, word) for every sense of feature
     rows, cols, data = counts.coo()
-    fan = n_senses[cols]
-    cell_of = np.repeat(np.arange(cols.size), fan)
-    nth = np.arange(cell_of.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    cell, category = senses.fan_out(cols)
     matrix = CooccurrenceCounts.from_ids(
-        categories,
-        counts.targets,
-        sense_ids[first_sense[cols[cell_of]] + nth],
-        rows[cell_of],
-        data[cell_of],
+        senses.categories, counts.targets, category, rows[cell], data[cell]
     )
     return WCCM(matrix, kind="base", language_mode=language_mode, config=counts.config)
-
-
-def wccm_contingency(wccm: WCCM, word: str, category: str) -> ContingencyTable:
-    """Collapse the matrix into a 2x2 table for one (word, category) cell."""
-    if not wccm.has_word(word):
-        raise MissingWordError(f"no matrix row for {word!r}")
-    # the matrix is stored category by word: swap the two margins back
-    t = contingency(wccm.matrix, category, word)
-    return ContingencyTable(t.n_wc, t.n_nw_c, t.n_w_nc, t.n_nw_nc)
 
 
 def candidate_senses(
@@ -313,6 +287,10 @@ def build_crosslingual_wccm(
     )
 
 
+#: Token positions the bootstrap pass takes from the stream at a time.
+_BOOTSTRAP_CHUNK = 1 << 12
+
+
 def bootstrap_wccm(
     tokens: Iterable,
     base: WCCM,
@@ -325,10 +303,11 @@ def bootstrap_wccm(
     """Second corpus pass: attribute each co-occurrence event to one category.
 
     For every occurrence of a word with several candidate categories, the
-    category scoring highest by summed context association (positive-only,
-    from the reference matrix) wins; ties go to the smallest category id.
-    Monosemous occurrences attribute directly.  Words without candidate
-    categories contribute no events.
+    category scoring highest by summed context association (positive-only
+    PMI from the reference matrix, added from the farthest left neighbor to
+    the farthest right) wins; ties go to the smallest category id.
+    Monosemous occurrences attribute directly.  An occurrence gives its
+    category one event per neighbor; words without candidates give none.
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
@@ -337,51 +316,88 @@ def bootstrap_wccm(
     index = senses.index if isinstance(senses, Thesaurus) else senses
     if not index:
         raise ConfigurationError("no word has any candidate category")
-    if iterations > 1 and not isinstance(tokens, (list, tuple)):
-        tokens = list(tokens)
+    radius = config.window_radius
+    fan = _SenseFan(index, list(index))
+    words = _FirstSeenIds({w: i for i, w in enumerate(index)})  # sensed words first
+    # with 2 * radius positions carried, each occurrence is decided in the one
+    # chunk where its whole window lies between lo and hi
+    chunks = _id_chunks(tokens, words, 2 * radius, _BOOTSTRAP_CHUNK)
+    if iterations > 1:
+        chunks = [(ids.copy(), segs.copy(), carried, last) for ids, segs, carried, last in chunks]
 
     reference = base
     for _ in range(iterations):
-        cells: dict[str, dict[str, float]] = {}
-        # each category's positive PMI with its words; anything else scores 0
-        positive: dict[str, dict[str, float]] = {}
-        for cat in reference.matrix.targets:
-            try:
-                profile = build_profile(reference.matrix, cat, SoAKind.PMI, log_base=log_base)
-            except EmptyProfileError:
-                continue
-            positive[cat] = {
-                w: v for w, v in zip(profile.features, profile.values.tolist()) if v > 0.0
-            }
-
-        for occurrence, context in iter_occurrence_contexts(tokens, config):
-            cats = index.get(occurrence)
-            if not cats or not context:
-                continue
-            if len(cats) == 1:
-                chosen = next(iter(cats))
-            else:
-                chosen = None
-                best = -1.0
-                for cat in sorted(cats):
-                    row = positive.get(cat, {})
-                    total = 0.0
-                    for ctx_word in context:
-                        total += row.get(ctx_word, 0.0)
-                    if total > best:
-                        best = total
-                        chosen = cat
-            for ctx_word in context:
-                row = cells.setdefault(ctx_word, {})
-                row[chosen] = row.get(chosen, 0.0) + 1.0
+        table = _positive_pmi(reference.matrix, fan.categories, words, log_base)
+        tally = _NO_EVENTS
+        for ids, segs, carried, last in chunks:
+            lo = max(carried - radius, 0)
+            hi = ids.size if last else ids.size - radius
+            chosen = _choose(ids, segs, lo, hi, fan, table, radius)
+            pairs = _window_pairs(chosen, ids, segs, 0, radius)
+            tally = _tally(tally, ((rows[rows >= 0], cols[rows >= 0]) for rows, cols in pairs))
+        keys, counts = tally
+        matrix = CooccurrenceCounts.from_ids(
+            fan.categories, list(words), keys >> _KEY_BITS, keys & _KEY_MASK, counts
+        )
         reference = WCCM(
-            cells,
+            matrix,
             kind="bootstrapped",
             language_mode=base.language_mode,
             config=base.config if base.config is not None else config,
             source_fingerprint=base.source_fingerprint,
         )
     return reference
+
+
+def _positive_pmi(
+    matrix: CooccurrenceCounts, categories: list[str], words: _FirstSeenIds, log_base: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (category id, word id) keys of the positive PMI cells, and their values.
+
+    A sentinel key that no lookup matches ends the keys.
+    """
+    keys, values = [np.array([np.iinfo(np.int64).max])], [np.zeros(1)]
+    for cat_id, cat in enumerate(categories):
+        try:
+            profile = build_profile(matrix, cat, SoAKind.PMI, log_base=log_base)
+        except (MissingWordError, EmptyProfileError):
+            continue
+        positive = profile.values > 0.0
+        keys.append((cat_id << _KEY_BITS) | words.ids(profile.keys[positive].tolist()))
+        values.append(profile.values[positive])
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], values[order]
+
+
+def _choose(ids, segs, lo: int, hi: int, fan: _SenseFan, table, radius: int) -> np.ndarray:
+    """Category id of each occurrence at positions ``lo`` to ``hi`` of a chunk, else -1.
+
+    A candidate's score adds the ``table`` values (0 if missing) of the
+    neighbors at offsets -radius to -1, then 1 to radius.
+    """
+    chosen = np.full(ids.size, -1, dtype=np.int64)
+    at = lo + np.flatnonzero(ids[lo:hi] < fan.counts.size)
+    n = fan.counts[ids[at]]
+    at, n = at[n > 0], n[n > 0]
+    if not at.size:
+        return chosen
+    item, cats = fan.fan_out(ids[at])
+    centre = at[item]
+    keys, values = table
+    totals = np.zeros(item.size)
+    for offset in chain(range(-radius, 0), range(1, radius + 1)):
+        near = np.clip(centre + offset, 0, ids.size - 1)
+        want = (cats << _KEY_BITS) | ids[near]
+        found = np.searchsorted(keys, want)
+        hit = (near == centre + offset) & (segs[near] == segs[centre]) & (keys[found] == want)
+        totals += np.where(hit, values[found], 0.0)
+    first = np.cumsum(n) - n
+    best = np.repeat(np.maximum.reduceat(totals, first), n)
+    # an occurrence's candidates ascend, so the least rank among its best is the tie winner
+    ranks = np.where(totals == best, np.arange(totals.size), totals.size)
+    chosen[at] = cats[np.minimum.reduceat(ranks, first)]
+    return chosen
 
 
 def concept_profile(

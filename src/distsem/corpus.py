@@ -348,6 +348,64 @@ def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     return keys[starts], np.add.reduceat(counts, starts)
 
 
+def _id_chunks(
+    tokens: Iterable, index: _FirstSeenIds, carry: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, int, bool]]:
+    """(word ids, segment numbers, carried positions, last?) of a token stream, chunk by chunk.
+
+    ``index`` gives a new word the next id; a boundary marker starts the next
+    segment.  A chunk begins with the last ``carry`` positions of the one
+    before.  The arrays are views of buffers that the next chunk reuses.
+    """
+    size = max(size, 2 * carry + 2)
+    ids = np.empty(size, dtype=np.int64)
+    segs = np.empty(size, dtype=np.int64)
+    pos = kept = segment = 0
+    for token in tokens:
+        if token is BOUNDARY:
+            segment += 1
+            continue
+        ids[pos] = index[token]
+        segs[pos] = segment
+        pos += 1
+        if pos == size:
+            yield ids, segs, kept, False
+            kept = carry
+            ids[:kept] = ids[pos - kept : pos]
+            segs[:kept] = segs[pos - kept : pos]
+            pos = kept
+    yield ids[:pos], segs[:pos], kept, True
+
+
+def _window_pairs(rows, cols, segs: np.ndarray, start: int, radius: int) -> Iterator[tuple]:
+    """(row, column) event arrays of the positions 1 to ``radius`` apart in one segment.
+
+    A pair (i, j) whose later position is at or after ``start`` gives the
+    events (rows[i], cols[j]) and (rows[j], cols[i]).
+    """
+    end = segs.size
+    for offset in range(1, radius + 1):
+        lo = max(start - offset, 0)
+        if end - offset <= lo:
+            continue
+        left, right = slice(lo, end - offset), slice(lo + offset, end)
+        same = segs[left] == segs[right]
+        yield rows[left][same], cols[right][same]
+        yield rows[right][same], cols[left][same]
+
+
+_NO_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _tally(tally: tuple[np.ndarray, np.ndarray], events: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """Add (row, column) event arrays to a tally of sorted cell keys and their counts."""
+    keys = [(rows << _KEY_BITS) | cols for rows, cols in events]
+    if not keys:
+        return tally
+    uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return _sum_by_key(np.concatenate([tally[0], uniq]), np.concatenate([tally[1], counts]))
+
+
 def count_cooccurrences(
     tokens: Iterable,
     config: CorpusConfig = CorpusConfig(),
@@ -361,87 +419,27 @@ def count_cooccurrences(
     appearing twice inside one window contributes two events.
     """
     radius = config.window_radius
-    chunk = max(chunk_size, 2 * radius + 2)
-    index: dict[str, int] = {}
-    words: list[str] = []
-    ids_buf = np.empty(chunk, dtype=np.int64)
-    seg_buf = np.empty(chunk, dtype=np.int64)
-
-    agg_keys = np.empty(0, dtype=np.int64)
-    agg_counts = np.empty(0, dtype=np.int64)
+    index = _FirstSeenIds()
+    tally = _NO_EVENTS
     unigrams = np.empty(0, dtype=np.int64)
     total_tokens = 0
+    for ids, segs, carried, _ in _id_chunks(tokens, index, radius, chunk_size):
+        total_tokens += ids.size - carried
+        grown = np.bincount(ids[carried:], minlength=len(index))
+        grown[: unigrams.size] += unigrams
+        unigrams = grown
+        # pairs within the carried positions were counted with the chunk before
+        tally = _tally(tally, _window_pairs(ids, ids, segs, carried, radius))
 
-    def flush(pos: int, prefix: int) -> int:
-        nonlocal agg_keys, agg_counts, unigrams
-        new_ids = ids_buf[prefix:pos]
-        if new_ids.size:
-            if unigrams.size < len(words):
-                unigrams = np.concatenate(
-                    [unigrams, np.zeros(len(words) - unigrams.size, dtype=np.int64)]
-                )
-            unigrams += np.bincount(new_ids, minlength=unigrams.size)
-        pieces = []
-        for offset in range(1, radius + 1):
-            lo = max(prefix - offset, 0)
-            if pos - offset <= lo:
-                continue
-            left = ids_buf[lo : pos - offset]
-            right = ids_buf[lo + offset : pos]
-            same = seg_buf[lo : pos - offset] == seg_buf[lo + offset : pos]
-            left = left[same]
-            right = right[same]
-            if left.size:
-                pieces.append((left << _KEY_BITS) | right)
-                pieces.append((right << _KEY_BITS) | left)
-        if pieces:
-            chunk_keys = np.concatenate(pieces)
-            uniq, cnt = np.unique(chunk_keys, return_counts=True)
-            agg_keys, agg_counts = _sum_by_key(
-                np.concatenate([agg_keys, uniq]), np.concatenate([agg_counts, cnt])
-            )
-        # carry the last `radius` positions so cross-chunk windows are counted once
-        keep = min(radius, pos)
-        ids_buf[:keep] = ids_buf[pos - keep : pos]
-        seg_buf[:keep] = seg_buf[pos - keep : pos]
-        return keep
-
-    pos = 0
-    prefix = 0
-    segment = 0
-    for token in tokens:
-        if token is BOUNDARY:
-            segment += 1
-            continue
-        tid = index.get(token)
-        if tid is None:
-            tid = len(words)
-            index[token] = tid
-            words.append(token)
-        ids_buf[pos] = tid
-        seg_buf[pos] = segment
-        pos += 1
-        total_tokens += 1
-        if pos == chunk:
-            prefix = flush(pos, prefix)
-            pos = prefix
-    flush(pos, prefix)
-
-    if unigrams.size < len(words):
-        unigrams = np.concatenate(
-            [unigrams, np.zeros(len(words) - unigrams.size, dtype=np.int64)]
-        )
-    rows = agg_keys >> _KEY_BITS
-    cols = agg_keys & _KEY_MASK
-    indptr = _indptr_from_sorted_rows(rows, len(words))
-    unigram_counts = {w: int(unigrams[i]) for i, w in enumerate(words)}
+    words = list(index)
+    keys, counts = tally
     return CooccurrenceCounts(
         targets=words,
         features=list(words),
-        indptr=indptr,
-        indices=cols,
-        data=agg_counts,
-        unigram_counts=unigram_counts,
+        indptr=_indptr_from_sorted_rows(keys >> _KEY_BITS, len(words)),
+        indices=keys & _KEY_MASK,
+        data=counts,
+        unigram_counts=dict(zip(words, unigrams.tolist())),
         total_tokens=total_tokens,
         config=config,
         feature_kind="word",
@@ -946,31 +944,3 @@ def _counts_from_arrays(
     if str(counts.total_pairs) != fields["total_pairs"]:
         raise ValueError(f"the cells do not add up to total_pairs={fields['total_pairs']}")
     return counts
-
-
-def iter_occurrence_contexts(
-    tokens: Iterable, config: CorpusConfig = CorpusConfig()
-) -> Iterator[tuple[str, list[str]]]:
-    """Yield (word occurrence, window context words) pairs from a token stream.
-
-    Used by the disambiguating second pass over a corpus; the windowing is the
-    same as in :func:`count_cooccurrences`.
-    """
-    radius = config.window_radius
-    segment: list[str] = []
-
-    def emit(seg: list[str]) -> Iterator[tuple[str, list[str]]]:
-        for i, word in enumerate(seg):
-            lo = max(i - radius, 0)
-            context = seg[lo:i] + seg[i + 1 : i + radius + 1]
-            yield word, context
-
-    for token in tokens:
-        if token is BOUNDARY:
-            if segment:
-                yield from emit(segment)
-            segment = []
-        else:
-            segment.append(token)
-    if segment:
-        yield from emit(segment)

@@ -34,6 +34,48 @@ def triple_pairs(records):
     return pairs
 
 
+def occurrence_contexts(segments, radius):
+    """(word, window context) of every position, the context left to right."""
+    for segment in segments:
+        for i, word in enumerate(segment):
+            yield word, segment[max(i - radius, 0) : i] + segment[i + 1 : i + radius + 1]
+
+
+def bootstrap_cells(segments, senses, positive, radius):
+    """One disambiguating pass, occurrence by occurrence: {word: {category: events}}.
+
+    ``senses`` maps a word to its candidate categories and ``positive`` a
+    category to {word: positive PMI}.  Each candidate's score adds its
+    context's values left to right; the first best in sorted order wins, and
+    the occurrence gives its category one event per context word.
+    """
+    cells = {}
+    for occurrence, context in occurrence_contexts(segments, radius):
+        cats = senses.get(occurrence)
+        if not cats or not context:
+            continue
+        chosen, best = None, -1.0
+        for cat in sorted(cats):
+            row = positive.get(cat, {})
+            total = 0.0
+            for word in context:
+                total += row.get(word, 0.0)
+            if total > best:
+                best, chosen = total, cat
+        for word in context:
+            row = cells.setdefault(word, {})
+            row[chosen] = row.get(chosen, 0) + 1
+    return cells
+
+
+def matrix_cells(matrix):
+    """{word: {category: count}} of a category-by-word matrix read through ``items()``."""
+    cells = {}
+    for category, word, n in matrix.items():
+        cells.setdefault(word, {})[category] = n
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # contingency and association
 

@@ -424,7 +424,7 @@ def test_criterion_5_word_category_matrix_suite(
     product = counts_matrix @ incidence
     for i, word in enumerate(words):
         for j, cat in enumerate(cats):
-            assert base.cell(word, cat) == pytest.approx(product[i, j], abs=1e-9)
+            assert base.matrix.pair_count(cat, word) == pytest.approx(product[i, j], abs=1e-9)
 
     # bootstrap attribution: one cell per event, totals conserved
     tokens = list(tokenize_documents(toy_documents, toy_config))
@@ -437,16 +437,14 @@ def test_criterion_5_word_category_matrix_suite(
                 lo = max(0, i - radius)
                 hi = min(len(segment), i + radius + 1)
                 events += hi - lo - 1
-    assert boot.grand_total == pytest.approx(events)
-    assert all(
-        abs(v - round(v)) < 1e-9 for row in boot.cells.values() for v in row.values()
-    )
-    assert boot.grand_total <= base.grand_total
+    assert boot.matrix.total_pairs == pytest.approx(events)
+    assert all(abs(v - round(v)) < 1e-9 for _, _, v in boot.matrix.items())
+    assert boot.matrix.total_pairs <= base.matrix.total_pairs
 
     # identity lexicon collapses the cross-lingual matrix onto the monolingual one
     identity = BilingualLexicon({w: frozenset({w}) for w in toy_counts.targets})
     xling = build_crosslingual_wccm(toy_counts, identity, toy_thesaurus)
-    assert xling.cells == base.cells
+    assert sorted(xling.matrix.items()) == sorted(base.matrix.items())
 
     report(5, "linearity, event conservation, and identity-lexicon reduction hold")
 

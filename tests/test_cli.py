@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from distsem import load_wccm
 from distsem.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -459,6 +460,32 @@ class TestConceptCommands:
         )
         assert code == 0, err
         assert "language_mode=crosslingual" in out.read_text()
+
+    def test_bootstrap_windows_stop_at_file_ends(self, workdir, tmp_path):
+        # two files under --boundaries none give the events of two separate lines
+        files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        files[0].write_text("jam bread\n")
+        files[1].write_text("guitar jam\n")
+        lines = tmp_path / "lines.txt"
+        lines.write_text("jam bread\nguitar jam\n")
+        thesaurus = workdir / "thesaurus.tsv"
+
+        def pipeline(corpus, name, *flags):
+            counts, base, boot = (tmp_path / f"{name}-{n}.tsv" for n in ("c", "base", "boot"))
+            for args in (
+                ["count", "--corpus", *corpus, *flags, "--out", counts],
+                ["wccm-build", "--counts", counts, "--thesaurus", thesaurus, "--out", base],
+                ["wccm-bootstrap", "--corpus", *corpus, *flags, "--base", base,
+                 "--thesaurus", thesaurus, "--out", boot],
+            ):
+                code, _, err = run_cli(args)
+                assert code == 0, err
+            return [load_wccm(base).matrix, load_wccm(boot).matrix]
+
+        base, boot = pipeline(files, "files", "--window", "2", "--boundaries", "none")
+        assert (base.total_pairs, boot.total_pairs) == (6, 4)
+        by_line = pipeline([lines], "lines", "--window", "2", "--docs", "line")
+        assert [sorted(m.items()) for m in by_line] == [sorted(base.items()), sorted(boot.items())]
 
 
 @pytest.fixture(scope="module")

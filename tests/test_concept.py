@@ -20,10 +20,10 @@ from distsem import (
     load_wccm,
     save_wccm,
     tokenize_documents,
-    wccm_contingency,
 )
+from distsem.assoc import contingency
 from distsem.concept import Category, WCCM, crosslingual_sense_index
-from distsem.corpus import iter_occurrence_contexts
+from distsem.corpus import BOUNDARY
 from distsem.errors import (
     ConfigurationError,
     EmptyProfileError,
@@ -32,7 +32,13 @@ from distsem.errors import (
     ValidationError,
 )
 
-from oracles import contingency_from_pairs, soa_value
+from oracles import (
+    bootstrap_cells,
+    contingency_from_pairs,
+    matrix_cells,
+    occurrence_contexts,
+    soa_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +49,17 @@ def base_wccm(toy_counts, toy_thesaurus):
 @pytest.fixture(scope="module")
 def toy_tokens(toy_documents, toy_config):
     return list(tokenize_documents(toy_documents, toy_config))
+
+
+def segments_of(tokens):
+    """The runs of a token stream between boundary markers."""
+    segments = [[]]
+    for token in tokens:
+        if token is BOUNDARY:
+            segments.append([])
+        else:
+            segments[-1].append(token)
+    return segments
 
 
 def brute_force_wccm(counts, thesaurus):
@@ -75,17 +92,17 @@ class TestBaseWccm:
     def test_unique_word_single_cell(self, toy_thesaurus):
         counts = count_cooccurrences(["piano", "cat"], CorpusConfig(window_radius=1))
         wccm = build_base_wccm(counts, toy_thesaurus)
-        assert wccm.cell("piano", "animals") == 1.0
-        assert wccm.cell("cat", "music") == 1.0
+        assert wccm.matrix.pair_count("animals", "piano") == 1
+        assert wccm.matrix.pair_count("music", "cat") == 1
 
     def test_ambiguous_neighbor_credits_both(self, toy_thesaurus):
         counts = count_cooccurrences(["bird", "jam"], CorpusConfig(window_radius=1))
         wccm = build_base_wccm(counts, toy_thesaurus)
-        assert wccm.cell("bird", "music") == 1.0
-        assert wccm.cell("bird", "food") == 1.0
+        assert wccm.matrix.pair_count("music", "bird") == 1
+        assert wccm.matrix.pair_count("food", "bird") == 1
 
     def test_toy_matrix_matches_brute_force(self, base_wccm, toy_counts, toy_thesaurus):
-        assert base_wccm.cells == brute_force_wccm(toy_counts, toy_thesaurus)
+        assert matrix_cells(base_wccm.matrix) == brute_force_wccm(toy_counts, toy_thesaurus)
 
     def test_linearity_against_incidence_product(self, base_wccm, toy_counts, toy_thesaurus):
         words = toy_counts.targets
@@ -102,7 +119,7 @@ class TestBaseWccm:
         product = counts_matrix @ incidence
         for i, word in enumerate(words):
             for j, cat in enumerate(cats):
-                assert base_wccm.cell(word, cat) == pytest.approx(product[i, j])
+                assert base_wccm.matrix.pair_count(cat, word) == pytest.approx(product[i, j])
 
     def test_rejects_relation_counts(self, toy_thesaurus, fixtures_dir):
         from distsem import ingest_triples
@@ -113,47 +130,52 @@ class TestBaseWccm:
 
 
 class TestWccmContingency:
+    """The matrix is stored category by word: its (category, word) table has the margins swapped."""
+
     def test_single_cell_matrix(self):
         wccm = WCCM({"w": {"c": 7.0}})
-        t = wccm_contingency(wccm, "w", "c")
-        assert (t.n_wc, t.n_w_nc, t.n_nw_c, t.n_nw_nc) == (7.0, 0.0, 0.0, 0.0)
+        t = contingency(wccm.matrix, "c", "w")
+        assert (t.n_wc, t.n_nw_c, t.n_w_nc, t.n_nw_nc) == (7.0, 0.0, 0.0, 0.0)
 
     def test_marginals_sum_to_grand_total(self, base_wccm):
-        assert sum(base_wccm.row_totals.values()) == pytest.approx(base_wccm.grand_total)
-        assert sum(base_wccm.col_totals.values()) == pytest.approx(base_wccm.grand_total)
+        matrix = base_wccm.matrix
+        assert sum(matrix.feature_total(w) for w in matrix.features) == matrix.total_pairs
+        assert sum(matrix.target_total(c) for c in matrix.targets) == matrix.total_pairs
 
     def test_tables_match_oracle(self, base_wccm):
-        pairs = {
-            (w, c): v for w, row in base_wccm.cells.items() for c, v in row.items()
-        }
+        pairs = {(w, c): n for c, w, n in base_wccm.matrix.items()}
         for word, cat in [("the", "music"), ("cheese", "food"), ("dog", "animals")]:
-            got = wccm_contingency(base_wccm, word, cat)
+            got = contingency(base_wccm.matrix, cat, word)
             want = contingency_from_pairs(pairs, word, cat)
-            assert (got.n_wc, got.n_w_nc, got.n_nw_c, got.n_nw_nc) == want
+            assert (got.n_wc, got.n_nw_c, got.n_w_nc, got.n_nw_nc) == want
 
     def test_missing_row(self, base_wccm):
+        assert base_wccm.matrix.feature_total("zebra") == 0
+        assert base_wccm.matrix.pair_count("music", "zebra") == 0
         with pytest.raises(MissingWordError):
-            wccm_contingency(base_wccm, "zebra", "music")
+            contingency(base_wccm.matrix, "zebra", "music")
 
 
 class TestBootstrap:
     def test_monosemous_column_equals_base(self, toy_tokens, base_wccm, toy_thesaurus, toy_config):
         boot = bootstrap_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config)
         # every member of this category is monosemous, so nothing to reattribute
-        for word in base_wccm.words():
-            assert boot.cell(word, "animals") == base_wccm.cell(word, "animals")
+        for word in sorted(base_wccm.matrix.features):
+            assert boot.matrix.pair_count("animals", word) == (
+                base_wccm.matrix.pair_count("animals", word)
+            )
 
     def test_event_conservation(self, toy_tokens, base_wccm, toy_thesaurus, toy_config):
         boot = bootstrap_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config)
         events = 0
-        for word, context in iter_occurrence_contexts(toy_tokens, toy_config):
+        for word, context in occurrence_contexts(segments_of(toy_tokens), toy_config.window_radius):
             if toy_thesaurus.senses(word):
                 events += len(context)
-        assert boot.grand_total == pytest.approx(events)
+        assert boot.matrix.total_pairs == events
 
     def test_grand_total_not_above_base(self, toy_tokens, base_wccm, toy_thesaurus, toy_config):
         boot = bootstrap_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config)
-        assert boot.grand_total <= base_wccm.grand_total
+        assert boot.matrix.total_pairs <= base_wccm.matrix.total_pairs
 
     def test_ambiguous_occurrence_lands_in_argmax_category(
         self, toy_tokens, base_wccm, toy_thesaurus, toy_config
@@ -161,28 +183,16 @@ class TestBootstrap:
         boot = bootstrap_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config)
         # oracle: recompute the per-occurrence argmax with positive-only
         # association pulled straight from the base matrix
-        pairs = {
-            (w, c): v for w, row in base_wccm.cells.items() for c, v in row.items()
-        }
-
-        def assoc(word, cat):
+        pairs = {(w, c): n for c, w, n in base_wccm.matrix.items()}
+        positive = {}
+        for word, cat in pairs:
             value = soa_value(contingency_from_pairs(pairs, word, cat), "pmi")
-            return max(value, 0.0) if value is not None else 0.0
-
-        expected = {}
-        for word, context in iter_occurrence_contexts(toy_tokens, toy_config):
-            cats = toy_thesaurus.senses(word)
-            if not cats or not context:
-                continue
-            best = min(cats) if len(cats) == 1 else None
-            if best is None:
-                scores = {c: sum(assoc(x, c) for x in context) for c in cats}
-                top = max(scores.values())
-                best = min(c for c in cats if scores[c] == top)
-            for x in context:
-                expected.setdefault(x, {}).setdefault(best, 0.0)
-                expected[x][best] += 1.0
-        assert boot.cells == expected
+            if value is not None and value > 0.0:
+                positive.setdefault(cat, {})[word] = value
+        expected = bootstrap_cells(
+            segments_of(toy_tokens), toy_thesaurus.index, positive, toy_config.window_radius
+        )
+        assert matrix_cells(boot.matrix) == expected
 
     def test_ambiguous_word_context_decides(self, toy_thesaurus, toy_config):
         # strong food context around one jam occurrence
@@ -195,8 +205,8 @@ class TestBootstrap:
         counts = count_cooccurrences(tokens, toy_config)
         base = build_base_wccm(counts, toy_thesaurus)
         boot = bootstrap_wccm(tokens, base, toy_thesaurus, toy_config)
-        assert boot.cell("cheese", "food") > 0
-        assert boot.cell("cheese", "music") == 0.0
+        assert boot.matrix.pair_count("food", "cheese") > 0
+        assert boot.matrix.pair_count("music", "cheese") == 0
 
     def test_config_mismatch_is_stale(self, toy_tokens, base_wccm, toy_thesaurus):
         other = CorpusConfig(window_radius=9)
@@ -220,7 +230,7 @@ class TestConceptProfiles:
             assert sum(profile.entries.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_cp_profile_matches_column_normalization(self, base_wccm):
-        column = base_wccm.column("music")
+        column = dict(base_wccm.matrix.row_items("music"))
         total = sum(column.values())
         profile = concept_profile(base_wccm, "music", SoAKind.CP)
         for word, value in column.items():
@@ -315,14 +325,14 @@ class TestCrossLingual:
     def test_single_candidate_neighbor_single_cell(self, de_lexicon, en_thesaurus):
         counts = count_cooccurrences(["berg", "sonne"], CorpusConfig(window_radius=1))
         wccm = build_crosslingual_wccm(counts, de_lexicon, en_thesaurus)
-        assert wccm.cells.get("berg") == {"celestial_body": 1.0}
+        assert matrix_cells(wccm.matrix).get("berg") == {"celestial_body": 1.0}
         assert wccm.language_mode == "crosslingual"
 
     def test_two_candidate_senses_credit_both_columns(self, de_lexicon, en_thesaurus):
         counts = count_cooccurrences(["sonne", "stern"], CorpusConfig(window_radius=1))
         wccm = build_crosslingual_wccm(counts, de_lexicon, en_thesaurus)
-        assert wccm.cell("sonne", "celestial_body") == 1.0
-        assert wccm.cell("sonne", "celebrity") == 1.0
+        assert wccm.matrix.pair_count("celestial_body", "sonne") == 1
+        assert wccm.matrix.pair_count("celebrity", "sonne") == 1
 
     def test_matrix_matches_nested_loop_oracle(self, de_lexicon, en_thesaurus, toy_config):
         docs = ["sonne stern held bank", "stern sonne sonne bank held"]
@@ -338,7 +348,7 @@ class TestCrossLingual:
             for cat in senses.get(feature, frozenset()):
                 expected.setdefault(target, {}).setdefault(cat, 0.0)
                 expected[target][cat] += n
-        assert wccm.cells == expected
+        assert matrix_cells(wccm.matrix) == expected
 
     def test_identity_lexicon_reduces_to_monolingual(
         self, toy_counts, toy_thesaurus, base_wccm
@@ -347,7 +357,7 @@ class TestCrossLingual:
             {w: frozenset({w}) for w in toy_counts.targets}
         )
         xling = build_crosslingual_wccm(toy_counts, identity, toy_thesaurus)
-        assert xling.cells == base_wccm.cells
+        assert matrix_cells(xling.matrix) == matrix_cells(base_wccm.matrix)
 
     def test_crosslingual_bootstrap(self, de_lexicon, en_thesaurus, toy_config):
         docs = ["sonne stern held bank", "stern sonne sonne bank held"]
@@ -358,7 +368,7 @@ class TestCrossLingual:
         boot = bootstrap_wccm(tokens, base, senses, toy_config)
         assert boot.kind == "bootstrapped"
         assert boot.language_mode == "crosslingual"
-        assert boot.grand_total <= base.grand_total
+        assert boot.matrix.total_pairs <= base.matrix.total_pairs
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -370,7 +380,7 @@ class TestWccmSerialization:
         path = tmp_path / "wccm.tsv"
         save_wccm(base_wccm, path)
         loaded = load_wccm(path)
-        assert loaded.cells == base_wccm.cells
+        assert matrix_cells(loaded.matrix) == matrix_cells(base_wccm.matrix)
         assert loaded.kind == base_wccm.kind
         assert loaded.config == base_wccm.config
 

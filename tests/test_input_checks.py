@@ -223,6 +223,26 @@ class TestIgnoredInputs:
         assert (code, out) == (2, ""), err
         assert "--ic" in err
 
+    @pytest.mark.parametrize("relations", ["subj", ""])
+    def test_relations_without_triples(self, fixtures_dir, tmp_path, relations):
+        code, out, err = run_cli(
+            ["count", "--corpus", fixtures_dir / "toy.txt", "--relations", relations,
+             "--out", tmp_path / "c.tsv"]
+        )
+        assert (code, out) == (2, ""), err
+        assert "--relations" in err
+        assert not (tmp_path / "c.tsv").exists()
+
+    def test_cache_dir_with_triples(self, fixtures_dir, tmp_path):
+        cache = tmp_path / "cache"
+        code, out, err = run_cli(
+            ["count", "--corpus", fixtures_dir / "toy.triples", "--triples", "--cache-dir", cache,
+             "--out", tmp_path / "c.tsv"]
+        )
+        assert (code, out) == (2, ""), err
+        assert "--cache-dir" in err
+        assert not cache.exists()
+
 
 class TestDeepTaxonomy:
     DEPTH = 3000

@@ -16,7 +16,7 @@ from distsem import (
 from distsem.concept import WCCM
 from distsem.errors import DistSemError, EmptyProfileError, ValidationError
 
-from oracles import contingency_from_pairs, soa_value
+from oracles import contingency_from_pairs, matrix_cells, soa_value
 from test_cli import run_cli
 
 
@@ -32,16 +32,17 @@ class TestMatrixLayout:
         wccm = WCCM({"a": {"c1": 2.0, "c2": 1.0}, "b": {"c1": 3.0}})
         assert wccm.matrix.targets == ["c1", "c2"]
         assert sorted(wccm.matrix.features) == ["a", "b"]
-        assert wccm.row_totals == {"a": 3.0, "b": 3.0}
-        assert wccm.col_totals == {"c1": 5.0, "c2": 1.0}
-        assert wccm.grand_total == 6.0
-        assert wccm.column("c1") == {"a": 2.0, "b": 3.0}
-        assert wccm.column("c3") == {}
+        matrix = wccm.matrix
+        assert {w: matrix.feature_total(w) for w in matrix.features} == {"a": 3, "b": 3}
+        assert {c: matrix.target_total(c) for c in matrix.targets} == {"c1": 5, "c2": 1}
+        assert matrix.total_pairs == 6
+        assert dict(matrix.row_items("c1")) == {"a": 2, "b": 3}
+        assert not matrix.has_target("c3")
 
     def test_zero_cells_are_not_stored(self):
         wccm = WCCM({"a": {"c1": 0.0}, "b": {"c2": 4.0}})
-        assert wccm.cells == {"b": {"c2": 4.0}}
-        assert not wccm.has_word("a")
+        assert matrix_cells(wccm.matrix) == {"b": {"c2": 4}}
+        assert wccm.matrix.feature_total("a") == 0
         assert wccm.categories() == ["c2"]
 
     @pytest.mark.parametrize("value", [-1.0, 0.5, float("nan"), float("inf")])
@@ -56,7 +57,7 @@ class TestMatrixLayout:
             for cat in toy_thesaurus.senses(feature):
                 want.setdefault(target, {}).setdefault(cat, 0.0)
                 want[target][cat] += n
-        assert wccm.cells == want
+        assert matrix_cells(wccm.matrix) == want
         assert wccm.matrix.total_pairs == sum(
             n * len(toy_thesaurus.senses(f)) for _, f, n in toy_counts.items()
         )
@@ -65,12 +66,12 @@ class TestMatrixLayout:
 class TestConceptProfiles:
     def test_pmi_profile_matches_oracle(self, toy_counts, toy_thesaurus):
         wccm = build_base_wccm(toy_counts, toy_thesaurus)
-        pairs = {(w, c): v for w, row in wccm.cells.items() for c, v in row.items()}
+        pairs = {(w, c): n for c, w, n in wccm.matrix.items()}
         for cat in wccm.categories():
             profile = concept_profile(wccm, cat, SoAKind.PMI)
             want = {
                 w: soa_value(contingency_from_pairs(pairs, w, cat), "pmi")
-                for w in wccm.column(cat)
+                for w, _ in wccm.matrix.row_items(cat)
             }
             want = {w: v for w, v in want.items() if v != 0.0}
             assert profile.entries.keys() == want.keys()
@@ -95,7 +96,7 @@ class TestBootstrapReference:
         base = WCCM({"ctx": {"A": 3.0}})
         senses = {"y": frozenset({"A", "B"})}
         boot = bootstrap_wccm(["ctx", "y"], base, senses, CorpusConfig(window_radius=1))
-        assert boot.cells == {"ctx": {"A": 1.0}}
+        assert matrix_cells(boot.matrix) == {"ctx": {"A": 1}}
 
     def test_iterated_reference_may_lose_a_category(self):
         base = WCCM({"ctx": {"A": 3.0, "B": 1.0}, "z": {"B": 2.0}})
@@ -118,7 +119,7 @@ class TestWccmFiles:
     def test_load_drops_zero_cells(self, tmp_path):
         path = write_wccm(tmp_path / "m.tsv", ("w", "c1", "0.0"), ("v", "c2", "2.0"))
         wccm = load_wccm(path)
-        assert wccm.cells == {"v": {"c2": 2.0}}
+        assert matrix_cells(wccm.matrix) == {"v": {"c2": 2}}
         save_wccm(wccm, tmp_path / "again.tsv")
         assert "c1" not in (tmp_path / "again.tsv").read_text()
 
@@ -152,4 +153,4 @@ class TestWccmFiles:
         wccm = load_wccm(path)
         assert wccm.kind == "bootstrapped"
         assert wccm.config == CorpusConfig(window_radius=4)
-        assert wccm.cells == {"w": {"c1": 3.0}}
+        assert matrix_cells(wccm.matrix) == {"w": {"c1": 3}}
