@@ -3,7 +3,8 @@
 Every emitted file or stream begins with manifest lines recording the tool
 version, the subcommand, the configuration, and a content hash of every
 input, so identical inputs and flags always produce byte-identical output.
-Expensive intermediates (counts) can be cached on disk keyed by those hashes.
+``count --cache-dir`` keeps each counts file it writes, keyed by the file's
+manifest, and copies it to ``--out`` on a re-run instead of counting again.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input validation
 error.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -35,8 +37,6 @@ from .corpus import (
     BOUNDARY,
     Boundaries,
     CorpusConfig,
-    _load_counts_cache,
-    _save_counts_cache,
     config_fields,
     count_cooccurrences,
     ingest_triples,
@@ -92,7 +92,9 @@ _USAGE_ERRORS = (
     ConfigurationError,
     CorpusDecodeError,
     FileNotFoundError,
+    FileExistsError,
     IsADirectoryError,
+    NotADirectoryError,
 )
 
 
@@ -171,9 +173,17 @@ def _file_tokens(args, config: CorpusConfig):
         yield tokenize_documents(read_documents(path, one_doc_per_line=args.docs == "line"), config)
 
 
-def _count_corpus(args, config: CorpusConfig):
-    """Count each input file as a shard and merge."""
-    parts = [count_cooccurrences(tokens, config) for tokens in _file_tokens(args, config)]
+def _count_corpus(args):
+    """Count each input file as a shard, of windows or of ``--triples``, and merge."""
+    if args.triples:
+        relations = set(args.relations.split(",")) if args.relations else None
+        parts = []
+        for path in args.corpus:
+            with open_text(path) as handle:
+                parts.append(ingest_triples(handle, relations, source=str(path)))
+    else:
+        config = _corpus_config(args)
+        parts = [count_cooccurrences(tokens, config) for tokens in _file_tokens(args, config)]
     return parts[0] if len(parts) == 1 else merge_counts(parts)
 
 
@@ -184,35 +194,29 @@ def _chained_tokens(args, config: CorpusConfig):
         yield BOUNDARY
 
 
-#: Version of the count cache's entries, part of their names: other versions are misses.
-_CACHE_FORMAT = 2
+def _digest_line(data: bytes) -> bytes:
+    return b"#sha256\t" + hashlib.sha256(data).hexdigest().encode("ascii") + b"\n"
 
 
-def _cached_counts(args, config: CorpusConfig):
-    """Load windowed counts from the cache if the inputs and config match."""
-    if not args.cache_dir:
-        return _count_corpus(args, config)
-    key_parts = [f"{path}:{_hash_file(path)}" for path in args.corpus]
-    key_parts.append(
-        f"window={config.window_radius};boundaries={config.respect_boundaries.value};"
-        f"lowercase={config.lowercase};docs={args.docs}"
-    )
-    key = hashlib.sha256("|".join(key_parts).encode("utf-8")).hexdigest()
-    cache_dir = Path(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / f"counts-v{_CACHE_FORMAT}-{key}.npz"
-    if cache_file.exists():
-        return _load_counts_cache(cache_file)
-    counts = _count_corpus(args, config)
-    # a write cut short leaves only the temporary file, which is removed
-    fd, temp = tempfile.mkstemp(prefix=cache_file.name + ".", suffix=".tmp", dir=cache_dir)
-    os.close(fd)
+def _entry_bytes(entry: Path) -> bytes:
+    """The ``--out`` bytes a count cache entry holds, checked against its last line."""
+    data = entry.read_bytes()
+    body = data[: -len(_digest_line(b""))]
+    if data[len(body) :] != _digest_line(body):
+        raise ValidationError(f"{entry}: damaged counts cache entry (sha256 line does not match)")
+    return body
+
+
+def _store_entry(entry: Path, data: bytes) -> None:
+    """Write ``data`` and its digest line as ``entry``; a write cut short leaves no entry."""
+    fd, temp = tempfile.mkstemp(prefix=entry.name + ".", suffix=".tmp", dir=entry.parent)
     try:
-        _save_counts_cache(counts, temp)
-        os.replace(temp, cache_file)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.write(_digest_line(data))
+        os.replace(temp, entry)
     finally:
         Path(temp).unlink(missing_ok=True)
-    return counts
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -261,21 +265,21 @@ def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_count(args) -> int:
-    config = _corpus_config(args)
-    if args.triples:
-        relations = set(args.relations.split(",")) if args.relations else None
-        parts = []
-        for path in args.corpus:
-            with open_text(path) as handle:
-                parts.append(ingest_triples(handle, relations, source=str(path)))
-        counts = parts[0] if len(parts) == 1 else merge_counts(parts)
-    else:
-        counts = _cached_counts(args, config)
     settings = _corpus_settings(args)
     settings["triples"] = str(args.triples).lower()
     manifest = build_manifest("count", args.corpus, settings)
-    out = args.out or "counts.tsv"
-    save_counts(counts, out, extra_header=manifest)
+    out = Path(args.out or "counts.tsv")
+    entry = None
+    if args.cache_dir:  # the entry is the output file, keyed by everything that shapes it
+        key = hashlib.sha256("\n".join(manifest).encode("utf-8")).hexdigest()
+        entry = Path(args.cache_dir) / f"counts-v3-{key}.tsv"
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        if entry.exists():
+            out.write_bytes(_entry_bytes(entry))
+            return 0
+    save_counts(_count_corpus(args), out, extra_header=manifest)
+    if entry is not None:
+        _store_entry(entry, out.read_bytes())
     return 0
 
 
@@ -596,6 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_combinations(args) -> None:
+    log_base = getattr(args, "log_base", None)
+    if log_base is not None and not (0.0 < log_base < math.inf and log_base != 1.0):
+        raise ConfigurationError(f"--log-base must be positive, finite and not 1, not {log_base}")
     if args.command in ("rank", "eval"):
         if not args.counts and not args.wccm:
             raise ConfigurationError("need --counts or --wccm")
@@ -611,6 +618,8 @@ def _validate_combinations(args) -> None:
     if args.command == "count":
         if args.relations is not None and not args.triples:
             raise ConfigurationError("--relations is used only with --triples")
+        if args.relations == "":
+            raise ConfigurationError("--relations names no relation")
         if args.cache_dir and args.triples:
             raise ConfigurationError("--cache-dir caches window counts, not --triples")
     if args.command == "ic-build":

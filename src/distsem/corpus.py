@@ -14,7 +14,6 @@ length.  Counts over disjoint document shards can be merged additively with
 from __future__ import annotations
 
 import re
-import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
@@ -846,101 +845,3 @@ def load_counts(path) -> CooccurrenceCounts:
         )
     return counts
 
-
-_CACHE_ARRAYS = (
-    "shape", "indptr", "indices", "data", "unigram_counts",  # int64
-    "targets", "features", "unigram_words", "header",  # text
-)
-
-
-def _text_array(strings: Iterable[str]) -> np.ndarray:
-    """UTF-8 bytes of ``strings``, each ended by a newline (which no token holds)."""
-    return np.frombuffer("".join(map("{}\n".format, strings)).encode("utf-8"), dtype=np.uint8)
-
-
-def _array_text(array: np.ndarray) -> list[str]:
-    if array.dtype != np.uint8 or array.ndim != 1:
-        raise ValueError("a text array is not bytes")
-    strings = array.tobytes().decode("utf-8").split("\n")
-    if strings.pop() != "":
-        raise ValueError("a text array is cut short")
-    return strings
-
-
-def _save_counts_cache(counts: CooccurrenceCounts, path) -> None:
-    """Write counts as an uncompressed ``.npz`` archive of their CSR arrays, names and header."""
-    unigrams = counts.unigram_counts
-    with open(path, "wb") as out:  # a file object: np.savez would add ".npz" to a path
-        np.savez(
-            out,
-            shape=np.array([len(counts.targets), len(counts.features)], dtype=np.int64),
-            indptr=counts._indptr.astype(np.int64, copy=False),
-            indices=counts._indices.astype(np.int64, copy=False),
-            data=counts._data.astype(np.int64, copy=False),
-            unigram_counts=np.fromiter(unigrams.values(), dtype=np.int64, count=len(unigrams)),
-            targets=_text_array(counts.targets),
-            features=_text_array(map(render_feature, counts.features)),
-            unigram_words=_text_array(unigrams),
-            header=_text_array(f"{k}={v}" for k, v in _counts_fields(counts).items()),
-        )
-
-
-def _load_counts_cache(path) -> CooccurrenceCounts:
-    """Read an archive written by :func:`_save_counts_cache`.
-
-    An archive that cannot be read, or whose arrays do not make consistent
-    counts, ends in :class:`ValidationError` naming the file.
-    """
-    try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with archive:
-            arrays = {name: archive[name] for name in _CACHE_ARRAYS}
-        return _counts_from_arrays(**arrays)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, ConfigurationError) as e:
-        raise ValidationError(f"{path}: unreadable counts cache entry ({e})") from None
-
-
-def _counts_from_arrays(
-    shape, indptr, indices, data, unigram_counts, targets, features, unigram_words, header
-) -> CooccurrenceCounts:
-    """Counts from the arrays of a cache archive; ValueError if they do not fit together."""
-    integers = (shape, indptr, indices, data, unigram_counts)
-    if any(a.dtype != np.int64 or a.ndim != 1 for a in integers):
-        raise ValueError("an integer array has the wrong type")
-    targets, features, words, header = map(_array_text, (targets, features, unigram_words, header))
-    fields = dict(item.partition("=")[::2] for item in header)
-    if shape.tolist() != [len(targets), len(features)]:
-        raise ValueError("the names do not match the shape")
-    if len(set(targets)) != len(targets) or len(set(features)) != len(features):
-        raise ValueError("a target or feature is named twice")
-    if indptr.size != len(targets) + 1 or indptr[0] != 0 or indptr[-1] != indices.size:
-        raise ValueError("the row pointers do not match the cells")
-    if data.size != indices.size or unigram_counts.size != len(words):
-        raise ValueError("the arrays do not match in size")
-    if (np.diff(indptr) < 0).any():
-        raise ValueError("the row pointers go back")
-    rows = np.repeat(np.arange(len(targets), dtype=np.int64), np.diff(indptr))
-    keys = (rows << _KEY_BITS) | indices
-    if indices.size and (
-        indices.min() < 0 or indices.max() >= len(features) or (keys[1:] <= keys[:-1]).any()
-    ):
-        raise ValueError("a cell's feature is out of range or out of order")
-    if (data <= 0).any():
-        raise ValueError("a cell count is not positive")
-    feature_kind = fields["feature_kind"]
-    counts = CooccurrenceCounts(
-        targets,
-        [parse_feature(f) for f in features] if feature_kind == "relation" else features,
-        indptr,
-        indices,
-        data,
-        unigram_counts=dict(zip(words, unigram_counts.tolist())),
-        total_tokens=int(fields["total_tokens"]),
-        config=_corpus_config(fields),
-        feature_kind=feature_kind,
-    )
-    if str(counts.total_pairs) != fields["total_pairs"]:
-        raise ValueError(f"the cells do not add up to total_pairs={fields['total_pairs']}")
-    return counts

@@ -33,6 +33,7 @@ import numpy as np
 
 from .assoc import SoAKind
 from .errors import (
+    ConfigurationError,
     EmptyIntersectionWarning,
     IncompatibleProfilesError,
     UndefinedMeasureError,
@@ -78,11 +79,11 @@ class MeasureConfig:
         object.__setattr__(self, "crm_kind", CrmKind(self.crm_kind))
         object.__setattr__(self, "crm_penalty", CrmPenalty(self.crm_penalty))
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ConfigurationError("alpha must lie in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.beta <= 1.0:
-            raise ValueError("gamma and beta must lie in [0, 1]")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigurationError("gamma and beta must lie in [0, 1]")
+        if not self.epsilon > 0.0:
+            raise ConfigurationError("epsilon must be positive")
 
 
 DEFAULT_CONFIG = MeasureConfig()

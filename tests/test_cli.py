@@ -125,31 +125,26 @@ class TestCount:
                 ]
             )
             assert code == 0, err
-        assert list(cache.glob("counts-v2-*.npz"))
+        assert list(cache.glob("counts-v3-*.tsv"))
         assert first.read_bytes() == second.read_bytes()
 
     def test_cut_cache_write_leaves_no_entry(self, workdir, tmp_path, monkeypatch):
         import distsem.cli
 
-        real_save = distsem.cli._save_counts_cache
-
-        def save_half_then_fail(counts, path):
-            real_save(counts, path)
-            data = Path(path).read_bytes()
-            Path(path).write_bytes(data[: len(data) // 2])
-            raise OSError("disk full")
+        def cut_before_digest(data):
+            raise OSError("disk full")  # the body is written, its sha256 line is not
 
         cache = tmp_path / "cache"
         args = ["count", "--corpus", workdir / "toy.txt", "--cache-dir", cache]
-        monkeypatch.setattr(distsem.cli, "_save_counts_cache", save_half_then_fail)
-        with pytest.raises(OSError):
-            run_cli(args + ["--out", tmp_path / "cut.tsv"])
+        with monkeypatch.context() as patch:
+            patch.setattr(distsem.cli, "_digest_line", cut_before_digest)
+            with pytest.raises(OSError):
+                run_cli(args + ["--out", tmp_path / "cut.tsv"])
         assert list(cache.iterdir()) == []
 
-        monkeypatch.setattr(distsem.cli, "_save_counts_cache", real_save)
         code, _, err = run_cli(args + ["--out", tmp_path / "cached.tsv"])
         assert code == 0, err
-        assert list(cache.glob("counts-v2-*.npz"))
+        assert list(cache.glob("counts-v3-*.tsv"))
         code, _, err = run_cli(args[:3] + ["--out", tmp_path / "plain.tsv"])
         assert code == 0, err
         assert (tmp_path / "cached.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()

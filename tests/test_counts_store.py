@@ -1,6 +1,7 @@
 """Counts storage: the block reader of tagged TSV files, repeated cells and the count cache."""
 
 import tempfile
+from hashlib import sha256
 from pathlib import Path
 from unittest import mock
 
@@ -12,10 +13,7 @@ from hypothesis import strategies as st
 import distsem.cli
 import oracles
 from distsem import (
-    BOUNDARY,
     CorpusConfig,
-    count_cooccurrences,
-    counts_equal,
     load_counts,
     load_ic_table,
     load_wccm,
@@ -196,9 +194,9 @@ class TestRepeatedCells:
 # ---------------------------------------------------------------------------
 # the count cache
 
-tokens = st.lists(
-    st.one_of(st.sampled_from(["a", "zé", "ß", "中文", "ÅÄ", "x1", "ǅ"]), st.just(BOUNDARY)),
-    max_size=40,
+documents = st.lists(
+    st.lists(st.sampled_from(["a", "zé", "ß", "中文", "ÅÄ", "x1", "ǅ", "A", "."]), max_size=12),
+    max_size=5,
 )
 configs = st.builds(
     CorpusConfig,
@@ -208,22 +206,72 @@ configs = st.builds(
 )
 
 
+def corpus_flags(config: CorpusConfig) -> list:
+    flags = ["--window", config.window_radius, "--boundaries", config.respect_boundaries.value]
+    return flags + ([] if config.lowercase else ["--no-lowercase"])
+
+
+def count_three_ways(args, tmp: Path) -> list[bytes]:
+    """``--out`` bytes without the cache, on a cold cache and on a warm one."""
+    outputs = []
+    for name, extra in [("plain", []), ("cold", ["--cache-dir", tmp / "cache"]),
+                        ("warm", ["--cache-dir", tmp / "cache"])]:
+        code, _, err = run_cli(args + extra + ["--out", tmp / f"{name}.tsv"])
+        assert code == 0, err
+        outputs.append((tmp / f"{name}.tsv").read_bytes())
+    return outputs
+
+
 @settings(max_examples=60, deadline=None)
-@given(tokens, configs)
-def test_cache_entry_round_trip(stream, config):
-    original = count_cooccurrences(stream, config)
+@given(documents, configs, st.sampled_from(["line", "file"]))
+def test_cache_entry_round_trip(docs, config, docs_mode):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "entry.npz"
-        corpus._save_counts_cache(original, path)
-        loaded = corpus._load_counts_cache(path)
-    assert counts_equal(loaded, original)
-    assert (loaded.config, loaded.total_tokens, loaded.feature_kind) == (
-        config,
-        original.total_tokens,
-        "word",
-    )
-    assert loaded.unigram_counts == original.unigram_counts
-    assert loaded.targets == original.targets and loaded.features == original.features
+        tmp = Path(tmp)
+        text = tmp / "corpus.txt"
+        text.write_text("".join(" ".join(doc) + "\n" for doc in docs), encoding="utf-8")
+        args = ["count", "--corpus", text, "--docs", docs_mode, *corpus_flags(config)]
+        plain, cold, warm = count_three_ways(args, tmp)
+        (entry,) = (tmp / "cache").iterdir()
+        assert entry.read_bytes().startswith(plain)
+        assert load_counts(tmp / "plain.tsv").config == config
+    assert plain == cold == warm
+
+
+@pytest.mark.parametrize(
+    "flags, shards",
+    [(["--window", "1"], 1), (["--window", "7"], 1), (["--boundaries", "sentence"], 1),
+     (["--boundaries", "none"], 1), (["--no-lowercase"], 1), (["--docs", "file"], 1),
+     (["--docs", "line"], 1), (["--docs", "line"], 2)],
+    ids=["window-1", "window-7", "sentence", "none", "no-lowercase", "docs-file", "docs-line",
+         "two-shards"],
+)
+def test_warm_run_equals_uncached(flags, shards, tmp_path, two_shards):
+    args = ["count", "--corpus", *two_shards[:shards], *flags]
+    plain, cold, warm = count_three_ways(args, tmp_path)
+    assert plain == cold == warm
+
+
+@pytest.fixture()
+def two_shards(tmp_path, toy_corpus_path):
+    """The toy corpus, and a second shard of its first half with every word reversed."""
+    lines = toy_corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    second = tmp_path / "shard2.txt"
+    second.write_text("".join(line[-2::-1] + "\n" for line in lines[: len(lines) // 2]))
+    return [toy_corpus_path, second]
+
+
+def edit_lines(data: bytes, change) -> bytes:
+    """The entry ``data`` with ``change`` applied to its body lines; the sha256 line is kept."""
+    *body, digest = data.decode("utf-8").splitlines(keepends=True)
+    header = next(i for i, line in enumerate(body) if line.startswith("#counts"))
+    cells = next(i for i, line in enumerate(body) if i > header and line[0] != "#")
+    edited = (change(body, header, cells) + digest).encode("utf-8", "surrogateescape")
+    assert edited != data
+    return edited
+
+
+def renamed_target(line: str, name: str) -> str:
+    return name + line[line.index("\t") :]
 
 
 class TestCountCache:
@@ -238,16 +286,49 @@ class TestCountCache:
         code, _, err = run_cli(args + ["--out", tmp_path / "cold.tsv"])
         assert code == 0, err
         (entry,) = (tmp_path / "cache").iterdir()
-        assert entry.name.startswith("counts-v2-") and entry.suffix == ".npz"
+        assert entry.name.startswith("counts-v3-") and entry.suffix == ".tsv"
         assert (tmp_path / "cold.tsv").read_bytes() == plain.read_bytes()
         return args, entry, plain.read_bytes()
 
     def test_warm_run_reads_the_entry(self, cached, tmp_path, monkeypatch):
         args, entry, plain = cached
-        monkeypatch.setattr(distsem.cli, "count_cooccurrences", None)  # a recount would fail
+        for name in ("count_cooccurrences", "merge_counts", "save_counts"):
+            monkeypatch.setattr(distsem.cli, name, None)  # a recount or a rewrite would fail
         code, _, err = run_cli(args + ["--out", tmp_path / "warm.tsv"])
         assert code == 0, err
         assert (tmp_path / "warm.tsv").read_bytes() == plain
+
+    def test_entry_is_the_output_and_its_digest(self, cached):
+        _, entry, plain = cached
+        assert entry.read_bytes() == plain + b"#sha256\t%s\n" % sha256(plain).hexdigest().encode()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_input_is_hashed_once(self, tmp_path, two_shards, shards):
+        corpus_files = two_shards[:shards]
+        args = ["count", "--corpus", *corpus_files, "--cache-dir", tmp_path / "cache"]
+        hashed = []
+        real_hash = distsem.cli._hash_file
+
+        def counted_hash(path):
+            hashed.append(str(path))
+            return real_hash(path)
+
+        with mock.patch.object(distsem.cli, "_hash_file", counted_hash):
+            for run in ("cold", "warm"):
+                hashed.clear()
+                code, _, err = run_cli(args + ["--out", tmp_path / f"{run}.tsv"])
+                assert code == 0, err
+                assert hashed == list(map(str, corpus_files)), run
+
+    def test_other_version_is_a_miss(self, cached, tmp_path, monkeypatch):
+        args, entry, plain = cached
+        monkeypatch.setattr(distsem.cli, "__version__", "0.0-other")
+        code, _, err = run_cli(args + ["--out", tmp_path / "other.tsv"])
+        assert code == 0, err
+        other = (tmp_path / "other.tsv").read_bytes()
+        assert b"tool=distsem/0.0-other\n" in other
+        assert other.replace(b"0.0-other", distsem.__version__.encode()) == plain
+        assert len(list(entry.parent.iterdir())) == 2 and entry.read_bytes().startswith(plain)
 
     def rerun_fails(self, args, entry, tmp_path):
         code, out, err = run_cli(args + ["--out", tmp_path / "again.tsv"])
@@ -278,35 +359,54 @@ class TestCountCache:
     @pytest.mark.parametrize(
         "change",
         [
-            lambda a: a.pop("header"),
-            lambda a: a.update(data=a["data"] + 1),
-            lambda a: a.update(data=a["data"].astype(np.float64)),
-            lambda a: a.update(indices=a["indices"] + a["shape"][1]),
-            lambda a: a.update(indices=a["indices"][::-1].copy()),
-            lambda a: a.update(indptr=a["indptr"][:-1]),
-            lambda a: a.update(shape=a["shape"] + 1),
-            lambda a: a.update(targets=a["targets"][:-1]),
-            lambda a: a.update(targets=np.append(a["targets"], np.uint8(0xFF))),
-            lambda a: a.update(unigram_counts=a["unigram_counts"][1:]),
+            lambda data: data[:100] + bytes([data[100] ^ 1]) + data[101:],
+            lambda data: data[: data.rindex(b"#sha256")],
+            lambda data: data[:-2] + (b"0" if data[-2:-1] != b"0" else b"1") + b"\n",
+        ],
+        ids=["flipped-byte", "no-digest", "altered-digest"],
+    )
+    def test_damaged_entry(self, cached, tmp_path, change):
+        args, entry, _ = cached
+        entry.write_bytes(change(entry.read_bytes()))
+        self.rerun_fails(args, entry, tmp_path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda b, h, c: "".join(b[:h] + b[h + 1 :]),
+            lambda b, h, c: "".join(b).replace("total_pairs=", "total_pairs=1"),
+            lambda b, h, c: "".join(b[:c] + [b[c].replace("\n", ".0\n")] + b[c + 1 :]),
+            lambda b, h, c: "".join(b[:c] + [b[c].replace("\t", "\tunseen\t", 1)] + b[c + 1 :]),
+            lambda b, h, c: "".join(b[:c] + [b[c + 1], b[c]] + b[c + 2 :]),
+            lambda b, h, c: "".join(b[:-1]),
+            lambda b, h, c: "".join(b + [renamed_target(b[-1], "zzz")]),
+            lambda b, h, c: "".join(b[:c] + [renamed_target(b[c], b[c][: b[c].index("\t") - 1])]
+                                    + b[c + 1 :]),
+            lambda b, h, c: "".join(b[:c] + [renamed_target(b[c], "\udcff")] + b[c + 1 :]),
+            lambda b, h, c: "".join(b[: h + 1] + b[h + 2 :]),
         ],
         ids=["no-header", "total-pairs", "float-data", "index-range", "index-order",
              "indptr", "shape", "cut-name", "bad-utf8", "unigrams"],
     )
     def test_inconsistent_entry(self, cached, tmp_path, change):
+        """An edited body is refused by the sha256 line, even where the counts would still load."""
         args, entry, _ = cached
-        with np.load(entry) as archive:
-            arrays = dict(archive)
-        change(arrays)
-        with open(entry, "wb") as out:
-            np.savez(out, **arrays)
+        entry.write_bytes(edit_lines(entry.read_bytes(), change))
         self.rerun_fails(args, entry, tmp_path)
 
-    def test_old_tsv_entry_is_ignored(self, cached, tmp_path):
+    def recount_leaves(self, cached, tmp_path, old_name: str):
+        """A run with only an entry of another name recounts and leaves that entry alone."""
         args, entry, plain = cached
-        key = entry.name[len("counts-v2-") : -len(".npz")]
-        entry.unlink()
-        (entry.parent / f"counts-{key}.tsv").write_text("not a counts file\n")
+        key = entry.name[len("counts-v3-") : -len(".tsv")]
+        old = entry.parent / old_name.format(key)
+        entry.rename(old)
         code, _, err = run_cli(args + ["--out", tmp_path / "recount.tsv"])
         assert code == 0, err
         assert (tmp_path / "recount.tsv").read_bytes() == plain
-        assert entry.exists()
+        assert entry.exists() and old.read_bytes() == plain + distsem.cli._digest_line(plain)
+
+    def test_old_tsv_entry_is_ignored(self, cached, tmp_path):
+        self.recount_leaves(cached, tmp_path, "counts-{}.tsv")
+
+    def test_old_npz_entry_is_ignored(self, cached, tmp_path):
+        self.recount_leaves(cached, tmp_path, "counts-v2-{}.npz")

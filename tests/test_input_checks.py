@@ -233,6 +233,15 @@ class TestIgnoredInputs:
         assert "--relations" in err
         assert not (tmp_path / "c.tsv").exists()
 
+    def test_empty_relations_with_triples(self, fixtures_dir, tmp_path):
+        code, out, err = run_cli(
+            ["count", "--corpus", fixtures_dir / "toy.triples", "--triples", "--relations", "",
+             "--out", tmp_path / "c.tsv"]
+        )
+        assert (code, out) == (2, ""), err
+        assert "--relations" in err
+        assert not (tmp_path / "c.tsv").exists()
+
     def test_cache_dir_with_triples(self, fixtures_dir, tmp_path):
         cache = tmp_path / "cache"
         code, out, err = run_cli(
@@ -242,6 +251,65 @@ class TestIgnoredInputs:
         assert (code, out) == (2, ""), err
         assert "--cache-dir" in err
         assert not cache.exists()
+
+
+class TestPathsUnderAFile:
+    """An output or cache path below a regular file is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out", "afile/x.tsv"], ["--cache-dir", "afile/sub"], ["--cache-dir", "afile"]],
+        ids=["out", "cache-dir-below", "cache-dir"],
+    )
+    def test_exit_2(self, fixtures_dir, tmp_path, flags):
+        (tmp_path / "afile").write_text("a file\n")
+        flags = [flags[0], tmp_path / flags[1]]
+        if flags[0] != "--out":
+            flags += ["--out", tmp_path / "c.tsv"]
+        code, out, err = run_cli(["count", "--corpus", fixtures_dir / "toy.txt", *flags])
+        assert (code, out) == (2, ""), err
+        assert "afile" in err
+
+
+class TestMeasureSettings:
+    """A setting out of its range is a usage error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--epsilon", "0", "epsilon"), ("--epsilon", "nan", "epsilon"),
+         ("--alpha", "2", "alpha"), ("--alpha", "0", "alpha"),
+         ("--gamma", "3", "gamma"), ("--beta", "2", "beta"), ("--beta", "-0.5", "beta")],
+    )
+    def test_out_of_range(self, toy_counts, tmp_path, flag, value, message):
+        counts = tmp_path / "counts.tsv"
+        save_counts(toy_counts, counts)
+        code, out, err = run_cli(
+            ["distance", "--counts", counts, "--w1", "bread", "--w2", "jam", flag, value]
+        )
+        assert (code, out) == (2, ""), err
+        assert message in err
+
+    @pytest.mark.parametrize("base", ["1", "0", "-2", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["distance", "--counts", "c.tsv", "--w1", "a", "--w2", "b", "--measure", "kld"],
+            ["rank", "--counts", "c.tsv", "--benchmark", "b.csv"],
+            ["eval", "--counts", "c.tsv", "--benchmark", "b.csv"],
+            ["concept-distance", "--wccm", "w.tsv", "--c1", "a", "--c2", "b"],
+            ["profile", "--counts", "c.tsv", "--target", "a", "--soa", "pmi"],
+            ["wccm-bootstrap", "--corpus", "x.txt", "--base", "w.tsv", "--thesaurus", "t.tsv"],
+            ["taxo-distance", "--taxonomy", "t.taxo", "--c1", "a", "--c2", "b",
+             "--taxo-measure", "lc"],
+            ["ic-build", "--taxonomy", "t.taxo", "--freqs", "f.tsv"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_log_base(self, command, base):
+        """Refused before any input is read, so the inputs need not exist."""
+        code, out, err = run_cli(command + ["--log-base", base])
+        assert (code, out) == (2, ""), err
+        assert "--log-base" in err
 
 
 class TestDeepTaxonomy:
