@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import CooccurrenceCounts, Feature
-from .errors import MissingWordError, UndefinedAssociationError
+from .errors import ConfigurationError, MissingWordError, UndefinedAssociationError
 
 
 class SoAKind(str, Enum):
@@ -52,6 +52,12 @@ class ContingencyTable:
         return self.n_wc + self.n_w_nc + self.n_nw_c + self.n_nw_nc
 
 
+def check_log_base(log_base: float, name: str = "log base") -> None:
+    """Refuse a log base that is not positive and finite, or is 1 (:class:`ConfigurationError`)."""
+    if not (0.0 < log_base < math.inf and log_base != 1.0):
+        raise ConfigurationError(f"{name} must be positive, finite and not 1, not {log_base}")
+
+
 def contingency(
     counts: CooccurrenceCounts, target: str, feature: Feature
 ) -> ContingencyTable:
@@ -79,6 +85,7 @@ def strength(
     naming the statistic is raised unless ``undefined_value`` stands in.
     """
     kind = SoAKind(kind)
+    check_log_base(log_base)
     n_wc, n_w_nc, n_nw_c, n_nw_nc = (
         np.asarray(c, dtype=np.float64)
         for c in (table.n_wc, table.n_w_nc, table.n_nw_c, table.n_nw_nc)

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
-from .assoc import SoAKind
+from .assoc import SoAKind, check_log_base
 from .concept import (
     bootstrap_wccm,
     build_base_wccm,
@@ -167,31 +167,30 @@ def _measure_settings(args) -> dict:
     }
 
 
-def _file_tokens(args, config: CorpusConfig):
-    """The token stream of each ``--corpus`` file, in order."""
+def _chained_tokens(args, config: CorpusConfig):
+    """All ``--corpus`` files as one token stream, with a boundary where a file ends."""
     for path in args.corpus:
-        yield tokenize_documents(read_documents(path, one_doc_per_line=args.docs == "line"), config)
+        documents = read_documents(path, one_doc_per_line=args.docs == "line")
+        yield from tokenize_documents(documents, config)
+        yield BOUNDARY
 
 
 def _count_corpus(args):
-    """Count each input file as a shard, of windows or of ``--triples``, and merge."""
-    if args.triples:
-        relations = set(args.relations.split(",")) if args.relations else None
-        parts = []
-        for path in args.corpus:
-            with open_text(path) as handle:
-                parts.append(ingest_triples(handle, relations, source=str(path)))
-    else:
+    """Count the windows of all input files, or each file's ``--triples`` and merge them."""
+    if not args.triples:
         config = _corpus_config(args)
-        parts = [count_cooccurrences(tokens, config) for tokens in _file_tokens(args, config)]
+        return count_cooccurrences(_chained_tokens(args, config), config)
+    relations = set(args.relations.split(",")) if args.relations else None
+    parts = []
+    for path in args.corpus:
+        with open_text(path) as handle:
+            parts.append(ingest_triples(handle, relations, source=str(path)))
     return parts[0] if len(parts) == 1 else merge_counts(parts)
 
 
-def _chained_tokens(args, config: CorpusConfig):
-    """All ``--corpus`` files as one token stream, with a boundary where a file ends."""
-    for tokens in _file_tokens(args, config):
-        yield from tokens
-        yield BOUNDARY
+def _lowercase(config: Optional[CorpusConfig]) -> bool:
+    """Whether words were lowercased under ``config``, so a thesaurus or lexicon must be too."""
+    return config is None or config.lowercase
 
 
 def _digest_line(data: bytes) -> bytes:
@@ -321,7 +320,7 @@ def cmd_distance(args) -> int:
 def _make_scorer(args, config: MeasureConfig):
     if args.wccm:
         wccm = load_wccm(args.wccm)
-        thesaurus = load_thesaurus(args.thesaurus)
+        thesaurus = load_thesaurus(args.thesaurus, _lowercase(wccm.config))
         scorer = concept_pair_scorer(wccm, thesaurus, MeasureId(args.measure), config)
         inputs = [args.wccm, args.thesaurus]
     else:
@@ -379,7 +378,7 @@ def cmd_eval(args) -> int:
 
 def cmd_wccm_build(args) -> int:
     counts = load_counts(args.counts)
-    thesaurus = load_thesaurus(args.thesaurus)
+    thesaurus = load_thesaurus(args.thesaurus, _lowercase(counts.config))
     wccm = build_base_wccm(counts, thesaurus)
     wccm.source_fingerprint = _hash_file(args.counts)
     manifest = build_manifest("wccm-build", [args.counts, args.thesaurus], {})
@@ -390,9 +389,9 @@ def cmd_wccm_build(args) -> int:
 def cmd_wccm_bootstrap(args) -> int:
     config = _corpus_config(args)
     base = load_wccm(args.base)
-    thesaurus = load_thesaurus(args.thesaurus)
+    thesaurus = load_thesaurus(args.thesaurus, config.lowercase)
     if args.lexicon:
-        lexicon = load_lexicon(args.lexicon)
+        lexicon = load_lexicon(args.lexicon, config.lowercase)
         senses = crosslingual_sense_index(lexicon, thesaurus)
     else:
         senses = thesaurus.index
@@ -424,8 +423,8 @@ def cmd_concept_distance(args) -> int:
 
 def cmd_xling_wccm(args) -> int:
     counts = load_counts(args.counts)
-    lexicon = load_lexicon(args.lexicon)
-    thesaurus = load_thesaurus(args.thesaurus)
+    lexicon = load_lexicon(args.lexicon, _lowercase(counts.config))
+    thesaurus = load_thesaurus(args.thesaurus, _lowercase(counts.config))
     wccm = build_crosslingual_wccm(counts, lexicon, thesaurus)
     wccm.source_fingerprint = _hash_file(args.counts)
     manifest = build_manifest(
@@ -600,9 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_combinations(args) -> None:
-    log_base = getattr(args, "log_base", None)
-    if log_base is not None and not (0.0 < log_base < math.inf and log_base != 1.0):
-        raise ConfigurationError(f"--log-base must be positive, finite and not 1, not {log_base}")
+    out = args.out and Path(args.out)
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise ConfigurationError(f"--out {out} must name a file in an existing directory")
+    if getattr(args, "log_base", None) is not None:
+        check_log_base(args.log_base, "--log-base")
     if args.command in ("rank", "eval"):
         if not args.counts and not args.wccm:
             raise ConfigurationError("need --counts or --wccm")

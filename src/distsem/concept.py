@@ -38,7 +38,7 @@ from .corpus import (
     _tally,
     _window_pairs,
     config_fields,
-    open_text,
+    read_records,
     read_tagged_tsv,
     write_tagged_tsv,
 )
@@ -89,23 +89,15 @@ class Thesaurus:
 def load_thesaurus(path, lowercase: bool = True) -> Thesaurus:
     """Read ``category_id<TAB>label<TAB>word word ...`` lines."""
     categories: dict[str, Category] = {}
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(str(path), line_number, "expected id<TAB>label<TAB>words")
-            cat_id, label, words = parts
-            if cat_id in categories:
-                raise ParseError(str(path), line_number, f"duplicate category {cat_id!r}")
-            tokens = words.split()
-            if not tokens:
-                raise ParseError(str(path), line_number, f"category {cat_id!r} has no words")
-            if lowercase:
-                tokens = [w.lower() for w in tokens]
-            categories[cat_id] = Category(label=label, words=frozenset(tokens))
+    for line_number, (cat_id, label, words) in read_records(path, "id<TAB>label<TAB>words"):
+        if cat_id in categories:
+            raise ParseError(str(path), line_number, f"duplicate category {cat_id!r}")
+        tokens = words.split()
+        if not tokens:
+            raise ParseError(str(path), line_number, f"category {cat_id!r} has no words")
+        if lowercase:
+            tokens = [w.lower() for w in tokens]
+        categories[cat_id] = Category(label=label, words=frozenset(tokens))
     if not categories:
         raise ConfigurationError(f"{path}: thesaurus file is empty")
     return Thesaurus(categories)
@@ -128,18 +120,10 @@ class BilingualLexicon:
 def load_lexicon(path, lowercase: bool = True) -> BilingualLexicon:
     """Read ``source_word<TAB>target_word`` lines, merging repeated sources."""
     table: dict[str, set] = {}
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(str(path), line_number, "expected source<TAB>target")
-            src, tgt = parts
-            if lowercase:
-                src, tgt = src.lower(), tgt.lower()
-            table.setdefault(src, set()).add(tgt)
+    for _, (src, tgt) in read_records(path, "source<TAB>target"):
+        if lowercase:
+            src, tgt = src.lower(), tgt.lower()
+        table.setdefault(src, set()).add(tgt)
     if not table:
         raise ConfigurationError(f"{path}: lexicon file is empty")
     return BilingualLexicon({w: frozenset(t) for w, t in table.items()})

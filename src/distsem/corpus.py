@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, takewhile
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -146,6 +146,51 @@ def open_text(path) -> Iterator[TextIO]:
             yield handle
         except UnicodeDecodeError:
             raise ParseError(str(path), _first_undecodable_line(path), "invalid UTF-8") from None
+
+
+def read_records(
+    path,
+    expect: Optional[str] = None,
+    sep: str = "\t",
+    on_note: Optional[Callable[[int, list[str]], None]] = None,
+) -> Iterator[tuple[int, list[str]]]:
+    """The records of a line-oriented data file; see :func:`line_records`.
+
+    The file is decoded whole first, so invalid UTF-8 is refused before any line is.
+    """
+    with open_text(path) as handle:
+        lines = handle.read().split("\n")
+    return line_records(lines, str(path), expect, sep, on_note)
+
+
+def line_records(
+    lines: Iterable[str],
+    source: str,
+    expect: Optional[str] = None,
+    sep: str = "\t",
+    on_note: Optional[Callable[[int, list[str]], None]] = None,
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields split on ``sep``) of each line that is neither blank nor a ``#`` line.
+
+    Lines are numbered from 1, and a line holding only whitespace is blank.
+    ``#`` lines go to ``on_note`` as (line number, fields), except those whose
+    first field is ``#manifest``.  With ``expect``, the field names joined by
+    ``<TAB>`` or ``sep``, a line with another field count ends in
+    :class:`ParseError` ("expected ..." and the field names) from ``source``.
+    """
+    width = None if expect is None else len(expect.replace("<TAB>", "\t").split(sep))
+    for number, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if line.startswith("#"):
+            if on_note is not None:
+                fields = line.split(sep)
+                if fields[0] != "#manifest":
+                    on_note(number, fields)
+        elif line.strip():
+            fields = line.split(sep)
+            if width is not None and len(fields) != width:
+                raise ParseError(source, number, "expected " + expect)
+            yield number, fields
 
 
 def _first_undecodable_line(path) -> int:
@@ -432,16 +477,15 @@ def count_cooccurrences(
 
     words = list(index)
     keys, counts = tally
-    return CooccurrenceCounts(
-        targets=words,
-        features=list(words),
-        indptr=_indptr_from_sorted_rows(keys >> _KEY_BITS, len(words)),
-        indices=keys & _KEY_MASK,
-        data=counts,
+    return CooccurrenceCounts.from_ids(
+        words,
+        words,
+        keys >> _KEY_BITS,
+        keys & _KEY_MASK,
+        counts,
         unigram_counts=dict(zip(words, unigrams.tolist())),
         total_tokens=total_tokens,
         config=config,
-        feature_kind="word",
     )
 
 
@@ -459,14 +503,7 @@ def ingest_triples(
     """
     pair_counts: Counter = Counter()
     unigram: Counter = Counter()
-    records = 0
-    for line_number, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(source, line_number, "expected head<TAB>relation<TAB>dependent")
+    for line_number, parts in line_records(lines, source, "head<TAB>relation<TAB>dependent"):
         head, relation, dependent = parts
         if not head or not relation or not dependent:
             raise ParseError(source, line_number, "empty field in triple")
@@ -479,11 +516,10 @@ def ingest_triples(
         pair_counts[(dependent, (inverse_relation(relation), head))] += 1
         unigram[head] += 1
         unigram[dependent] += 1
-        records += 1
     return CooccurrenceCounts.from_pairs(
         dict(pair_counts),
         unigram_counts=dict(unigram),
-        total_tokens=2 * records,
+        total_tokens=sum(unigram.values()),
         config=None,
         feature_kind="relation",
     )
@@ -501,40 +537,21 @@ def merge_counts(parts: list[CooccurrenceCounts]) -> CooccurrenceCounts:
     if len(kinds) != 1:
         raise ConfigurationError("cannot merge word-feature and relation-feature counts")
 
-    targets: list[str] = []
-    tix: dict[str, int] = {}
-    features: list[Feature] = []
-    fix: dict[Feature, int] = {}
-    for part in parts:
-        for w in part.targets:
-            if w not in tix:
-                tix[w] = len(targets)
-                targets.append(w)
-        for f in part.features:
-            if f not in fix:
-                fix[f] = len(features)
-                features.append(f)
-
-    keys, counts = [], []
-    for part in parts:
-        row_map = np.array([tix[w] for w in part.targets], dtype=np.int64)
-        col_map = np.array([fix[f] for f in part.features], dtype=np.int64)
-        rows, cols, data = part.coo()
-        keys.append((row_map[rows] << _KEY_BITS) | col_map[cols])
-        counts.append(data)
-    agg_keys, agg_counts = _sum_by_key(np.concatenate(keys), np.concatenate(counts))
-
+    targets, features = _FirstSeenIds(), _FirstSeenIds()
+    rows, cols, data = [], [], []
     unigram: Counter = Counter()
     for part in parts:
+        part_rows, part_cols, part_data = part.coo()
+        rows.append(targets.ids(part.targets)[part_rows])
+        cols.append(features.ids(part.features)[part_cols])
+        data.append(part_data)
         unigram.update(part.unigram_counts)
-    rows = agg_keys >> _KEY_BITS
-    cols = agg_keys & _KEY_MASK
-    return CooccurrenceCounts(
-        targets=targets,
-        features=features,
-        indptr=_indptr_from_sorted_rows(rows, len(targets)),
-        indices=cols,
-        data=agg_counts,
+    return CooccurrenceCounts.from_ids(
+        list(targets),
+        list(features),
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(data),
         unigram_counts=dict(unigram),
         total_tokens=sum(p.total_tokens for p in parts),
         config=configs[0] if configs else None,
@@ -624,21 +641,24 @@ def read_tagged_tsv(
 
     A data line must have one tab-separated field per column; a value its
     column's type refuses ends in :class:`ParseError` with ``bad_value``,
-    formatted with the column's name and the value.  Blank and ``#manifest``
-    lines are skipped; other ``#`` lines go to ``on_note`` as (line number,
-    tab-separated fields).  Lines are checked in file order, so the error
-    raised is the first line's.
+    formatted with the column's name and the value.  Blank lines and lines
+    whose first field is ``#manifest`` are skipped; other ``#`` lines go to
+    ``on_note`` as (line number, tab-separated fields).  Lines are checked in
+    file order, so the error raised is the first line's.
     """
-    fields = None
+    headers = []
+
+    def header(line_number: int, parts: list[str]) -> None:
+        if parts[0] == f"#{tag}":
+            headers.append((line_number, dict(part.partition("=")[::2] for part in parts[1:])))
+
     with open_text(path) as handle:
-        for header_line, line in enumerate(handle, 1):
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] == f"#{tag}":
-                fields = dict(part.partition("=")[::2] for part in parts[1:])
-            if fields is not None or line[0] not in "\n#":
-                break
-    if fields is None:
+        # read up to the header, or up to the first data line if none comes before it
+        lines = takewhile(lambda _: not headers, handle)
+        next(line_records(lines, str(path), on_note=header), None)
+    if not headers:
         raise ValidationError(f"{path}: missing #{tag} header")
+    header_line, fields = headers[0]
     for key, kind in numbers.items():
         if key in fields:
             try:
@@ -666,8 +686,9 @@ def read_tagged_tsv(
                         run = block[start:end]
                         yield _split_lines(path, run, first + start, columns, bad_value)
                     if end < len(block) and on_note and block[end] != "\n":
-                        if not block[end].startswith("#manifest"):
-                            on_note(first + end, block[end].rstrip("\n").split("\t"))
+                        parts = block[end].rstrip("\n").split("\t")
+                        if parts[0] != "#manifest":
+                            on_note(first + end, parts)
                     start = end + 1
                 first += len(block)
 

@@ -24,7 +24,7 @@ from .errors import (
     UndefinedAssociationError,
     ValidationError,
 )
-from .corpus import CooccurrenceCounts, open_text
+from .corpus import CooccurrenceCounts, read_records
 from .measures import (
     DEFAULT_CONFIG,
     MeasureConfig,
@@ -77,32 +77,27 @@ def load_benchmark(path, name: Optional[str] = None) -> BenchmarkSet:
     """
     pairs: list[tuple[str, str, float]] = []
     scale: Optional[tuple[float, float]] = None
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[:2] == ["word1", "word2"]:
-                continue
-            if len(parts) != 5:
-                raise ParseError(
-                    str(path), line_number, "expected word1,word2,score,scale_min,scale_max"
-                )
-            try:
-                value = float(parts[2])
-                lo, hi = float(parts[3]), float(parts[4])
-            except ValueError:
-                raise ParseError(str(path), line_number, "non-numeric score or scale") from None
-            if scale is None:
-                scale = (lo, hi)
-            elif scale != (lo, hi):
-                raise ParseError(str(path), line_number, "scale changes mid-file")
-            if not lo <= value <= hi:
-                raise ParseError(
-                    str(path), line_number, f"score {value} outside scale [{lo}, {hi}]"
-                )
-            pairs.append((parts[0], parts[1], value))
+    for line_number, fields in read_records(path, sep=","):
+        parts = [p.strip() for p in fields]
+        # a "#" after leading spaces starts a comment too
+        if parts[0].startswith("#") or parts[:2] == ["word1", "word2"]:
+            continue
+        if len(parts) != 5:
+            raise ParseError(
+                str(path), line_number, "expected word1,word2,score,scale_min,scale_max"
+            )
+        try:
+            value = float(parts[2])
+            lo, hi = float(parts[3]), float(parts[4])
+        except ValueError:
+            raise ParseError(str(path), line_number, "non-numeric score or scale") from None
+        if scale is None:
+            scale = (lo, hi)
+        elif scale != (lo, hi):
+            raise ParseError(str(path), line_number, "scale changes mid-file")
+        if not lo <= value <= hi:
+            raise ParseError(str(path), line_number, f"score {value} outside scale [{lo}, {hi}]")
+        pairs.append((parts[0], parts[1], value))
     if not pairs or scale is None:
         raise ValidationError(f"{path}: benchmark file has no pairs")
     return BenchmarkSet(name=name or str(path), pairs=pairs, score_scale=scale)
@@ -111,27 +106,17 @@ def load_benchmark(path, name: Optional[str] = None) -> BenchmarkSet:
 def load_word_choice(path) -> list[WordChoiceProblem]:
     """Read ``target<TAB>alt1|alt2|...<TAB>answer_index`` lines."""
     problems: list[WordChoiceProblem] = []
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    str(path), line_number, "expected target<TAB>alternatives<TAB>answer"
-                )
-            alternatives = [a for a in parts[1].split("|") if a]
-            if not alternatives:
-                raise ParseError(str(path), line_number, "no alternatives")
-            try:
-                answer = int(parts[2])
-            except ValueError:
-                raise ParseError(str(path), line_number, "bad answer index") from None
-            try:
-                problems.append(WordChoiceProblem(parts[0], alternatives, answer))
-            except ValidationError as exc:
-                raise ParseError(str(path), line_number, str(exc)) from None
+    expect = "target<TAB>alternatives<TAB>answer"
+    for line_number, (target, listed, answer) in read_records(path, expect):
+        alternatives = [a for a in listed.split("|") if a]
+        if not alternatives:
+            raise ParseError(str(path), line_number, "no alternatives")
+        try:
+            problems.append(WordChoiceProblem(target, alternatives, int(answer)))
+        except ValueError:
+            raise ParseError(str(path), line_number, "bad answer index") from None
+        except ValidationError as exc:
+            raise ParseError(str(path), line_number, str(exc)) from None
     if not problems:
         raise ValidationError(f"{path}: word-choice file has no problems")
     return problems

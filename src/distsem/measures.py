@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .assoc import SoAKind
+from .assoc import SoAKind, check_log_base
 from .errors import (
     ConfigurationError,
     EmptyIntersectionWarning,
@@ -78,6 +78,7 @@ class MeasureConfig:
         object.__setattr__(self, "weight_scheme", WeightScheme(self.weight_scheme))
         object.__setattr__(self, "crm_kind", CrmKind(self.crm_kind))
         object.__setattr__(self, "crm_penalty", CrmPenalty(self.crm_penalty))
+        check_log_base(self.log_base)
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.beta <= 1.0:

@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .assoc import ContingencyTable, SoAKind, strength
-from .corpus import CooccurrenceCounts, open_text, parse_feature, render_feature
+from .corpus import CooccurrenceCounts, parse_feature, read_records, render_feature
 from .errors import (
     EmptyProfileError,
     IncompatibleProfilesError,
@@ -155,39 +155,41 @@ def save_profile(profile: DistributionalProfile, path, extra_header: list[str] =
 
 
 def load_profile(path) -> DistributionalProfile:
-    target = None
-    kind = None
+    """Read a file written by :func:`save_profile`.
+
+    A second header, or a feature given twice, ends in :class:`ParseError`.
+    """
+    headers: list[tuple[int, str, SoAKind]] = []
+
+    def header(line_number: int, parts: list[str]) -> None:
+        if len(parts) != 2:
+            raise ParseError(str(path), line_number, "malformed profile header")
+        if headers:
+            raise ParseError(
+                str(path), line_number, f"repeats the profile header of line {headers[0][0]}"
+            )
+        try:
+            headers.append((line_number, parts[0][1:], SoAKind(parts[1])))
+        except ValueError:
+            raise ParseError(str(path), line_number, f"unknown soa kind {parts[1]!r}") from None
+
+    seen: dict[str, int] = {}
     entries: dict = {}
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#manifest"):
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split("\t")
-                if len(parts) != 2:
-                    raise ParseError(str(path), line_number, "malformed profile header")
-                target = parts[0]
-                try:
-                    kind = SoAKind(parts[1])
-                except ValueError:
-                    raise ParseError(
-                        str(path), line_number, f"unknown soa kind {parts[1]!r}"
-                    ) from None
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(str(path), line_number, "expected feature<TAB>value")
-            try:
-                value = float(parts[1])
-            except ValueError:
-                raise ParseError(str(path), line_number, f"bad value {parts[1]!r}") from None
-            if value != 0.0:
-                entries[parse_feature(parts[0])] = value
-    if target is None or kind is None:
+    for line_number, (feature, text) in read_records(path, "feature<TAB>value", on_note=header):
+        if feature in seen:
+            raise ParseError(
+                str(path), line_number, f"repeats the feature of line {seen[feature]}"
+            )
+        seen[feature] = line_number
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(str(path), line_number, f"bad value {text!r}") from None
+        if value != 0.0:
+            entries[parse_feature(feature)] = value
+    if not headers:
         raise ParseError(str(path), 0, "missing profile header")
+    _, target, kind = headers[0]
     if not entries:
         raise EmptyProfileError(f"{path}: profile file has no entries")
     profile = DistributionalProfile(target=target, soa=kind, entries=entries)

@@ -19,7 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .corpus import open_text, read_tagged_tsv, write_tagged_tsv
+from .assoc import check_log_base
+from .corpus import read_records, read_tagged_tsv, write_tagged_tsv
 from .errors import (
     ConfigurationError,
     MissingICError,
@@ -115,23 +116,19 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     nodes: dict[str, str] = {}
     edges: list[tuple[str, str, str]] = []
     word_map: dict[str, set] = {}
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            record = parts[0]
-            if record == "NODE" and len(parts) == 3:
-                if parts[1] in nodes:
-                    raise ParseError(str(path), line_number, f"duplicate node {parts[1]!r}")
-                nodes[parts[1]] = parts[2]
-            elif record == "EDGE" and len(parts) == 4:
-                edges.append((parts[1], parts[2], parts[3]))
-            elif record == "WORD" and len(parts) == 3:
-                word_map.setdefault(parts[1], set()).add(parts[2])
-            else:
-                raise ParseError(str(path), line_number, f"unrecognized record {line!r}")
+    for line_number, parts in read_records(path):
+        record = parts[0]
+        if record == "NODE" and len(parts) == 3:
+            if parts[1] in nodes:
+                raise ParseError(str(path), line_number, f"duplicate node {parts[1]!r}")
+            nodes[parts[1]] = parts[2]
+        elif record == "EDGE" and len(parts) == 4:
+            edges.append((parts[1], parts[2], parts[3]))
+        elif record == "WORD" and len(parts) == 3:
+            word_map.setdefault(parts[1], set()).add(parts[2])
+        else:
+            line = "\t".join(parts)
+            raise ParseError(str(path), line_number, f"unrecognized record {line!r}")
     if not nodes:
         raise ConfigurationError(f"{path}: taxonomy file has no nodes")
     return Taxonomy(
@@ -236,6 +233,7 @@ def leacock_chodorow(
     taxonomy: Taxonomy, c1: str, c2: str, log_base: float = 2.0
 ) -> float:
     """Negative log of hypernymy path length scaled by twice the taxonomy depth."""
+    check_log_base(log_base)
     taxonomy._require(c1)
     taxonomy._require(c2)
     length = max(_layered_search(taxonomy, c1, c2, taxonomy.hypernym_relation)[0], 1)
@@ -265,6 +263,7 @@ def ic_from_counts(
     Requires a single root.  Concepts left with zero credit are floored to
     half of one occurrence's share and flagged with a warning.
     """
+    check_log_base(log_base)
     if len(taxonomy.roots) != 1:
         raise ConfigurationError("information content needs a single-root taxonomy")
     root = taxonomy.roots[0]
@@ -377,16 +376,9 @@ def load_ic_table(path) -> ICTable:
 def load_word_frequencies(path) -> dict[str, int]:
     """Read a ``word<TAB>count`` frequency table."""
     freqs: dict[str, int] = {}
-    with open_text(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(str(path), line_number, "expected word<TAB>count")
-            try:
-                freqs[parts[0]] = freqs.get(parts[0], 0) + int(parts[1])
-            except ValueError:
-                raise ParseError(str(path), line_number, f"bad count {parts[1]!r}") from None
+    for line_number, (word, count) in read_records(path, "word<TAB>count"):
+        try:
+            freqs[word] = freqs.get(word, 0) + int(count)
+        except ValueError:
+            raise ParseError(str(path), line_number, f"bad count {count!r}") from None
     return freqs

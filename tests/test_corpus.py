@@ -19,6 +19,7 @@ from distsem import (
     tokenize,
     tokenize_documents,
 )
+from distsem.corpus import line_records, read_records
 from distsem.errors import (
     ConfigurationError,
     CorpusDecodeError,
@@ -258,6 +259,44 @@ class TestTriples:
         assert features and all(
             isinstance(f, tuple) and f[0] == "obj^-1" for f in features
         )
+
+
+class TestRecordReader:
+    LINES = [
+        "#manifest\ttool=x\n",
+        "#note\tone\n",
+        "a\tb\n",
+        "\n",
+        "  \t \n",
+        "#manifesto\tcp\n",
+        "c\td",
+    ]
+
+    def test_records_and_notes(self):
+        notes = []
+        got = list(line_records(self.LINES, "src", on_note=lambda n, f: notes.append((n, f))))
+        assert got == [(3, ["a", "b"]), (7, ["c", "d"])]
+        assert notes == [(2, ["#note", "one"]), (6, ["#manifesto", "cp"])]
+
+    def test_notes_are_dropped_without_a_taker(self):
+        assert [n for n, _ in line_records(self.LINES, "src")] == [3, 7]
+
+    def test_expected_field_count(self):
+        with pytest.raises(ParseError, match=r"^src:2: expected x<TAB>y<TAB>z$"):
+            list(line_records(["a\tb\tc\n", "a\tb\n"], "src", "x<TAB>y<TAB>z"))
+
+    def test_other_separator(self):
+        with pytest.raises(ParseError, match="expected x,y"):
+            list(line_records(["a,b\n", "a,b,c\n"], "src", "x,y", sep=","))
+        assert list(line_records(["a, b\n"], "src", "x,y", sep=",")) == [(1, ["a", " b"])]
+
+    def test_file(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("".join(self.LINES))
+        assert list(read_records(path, "x<TAB>y")) == [(3, ["a", "b"]), (7, ["c", "d"])]
+        with pytest.raises(ParseError) as err:
+            list(read_records(path, "x<TAB>y<TAB>z"))
+        assert (err.value.source, err.value.line_number) == (str(path), 3)
 
 
 class TestSerialization:

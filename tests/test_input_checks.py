@@ -6,10 +6,12 @@ import io
 import pytest
 
 from distsem import (
+    MeasureConfig,
     SoAKind,
     build_base_wccm,
     build_profile,
     ic_from_counts,
+    leacock_chodorow,
     load_benchmark,
     load_counts,
     load_ic_table,
@@ -26,7 +28,7 @@ from distsem import (
 )
 from distsem.cli import main
 from distsem.corpus import _BLOCK_LINES
-from distsem.errors import ParseError, ValidationError
+from distsem.errors import ConfigurationError, ParseError, ValidationError
 from distsem.taxonomy import load_word_frequencies
 
 from test_cli import run_cli
@@ -378,3 +380,174 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stderr(io.StringIO()):
             main(args)
         assert exit_info.value.code == 2
+
+
+class TestCaseFollowsTheCounts:
+    """With ``--no-lowercase`` the thesaurus and lexicon keep their case too, so a
+    capitalised corpus still meets its capitalised categories."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        corpus, thesaurus = tmp_path / "corpus.txt", tmp_path / "thesaurus.tsv"
+        corpus.write_text("Music\nGuitar\n")
+        thesaurus.write_text("c1\tSound\tMusic Guitar\n")
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("Musik\tMusic\nGitarre\tGuitar\n")
+        counts = tmp_path / "counts.tsv"
+        code, _, err = run_cli(
+            ["count", "--corpus", corpus, "--no-lowercase", "--out", counts]
+        )
+        assert code == 0, err
+        return {"corpus": corpus, "thesaurus": thesaurus, "lexicon": lexicon, "counts": counts}
+
+    def test_wccm_build(self, files, tmp_path):
+        out = tmp_path / "wccm.tsv"
+        code, _, err = run_cli(
+            ["wccm-build", "--counts", files["counts"], "--thesaurus", files["thesaurus"],
+             "--out", out]
+        )
+        assert code == 0, err
+        assert load_wccm(out).matrix.nnz() == 2
+
+    def test_wccm_bootstrap(self, files, tmp_path):
+        base, out = tmp_path / "wccm.tsv", tmp_path / "boot.tsv"
+        run_cli(["wccm-build", "--counts", files["counts"], "--thesaurus", files["thesaurus"],
+                 "--out", base])
+        code, _, err = run_cli(
+            ["wccm-bootstrap", "--corpus", files["corpus"], "--no-lowercase", "--base", base,
+             "--thesaurus", files["thesaurus"], "--out", out]
+        )
+        assert code == 0, err
+        assert load_wccm(out).matrix.nnz() == 2
+
+    def test_xling_wccm(self, files, tmp_path):
+        # the source words of the lexicon are the corpus's: rename them
+        files["lexicon"].write_text("Music\tMusic\nGuitar\tGuitar\n")
+        out = tmp_path / "xling.tsv"
+        code, _, err = run_cli(
+            ["xling-wccm", "--counts", files["counts"], "--lexicon", files["lexicon"],
+             "--thesaurus", files["thesaurus"], "--out", out]
+        )
+        assert code == 0, err
+        assert load_wccm(out).matrix.nnz() == 2
+
+    def test_lowercased_counts_still_lowercase_the_thesaurus(self, files, tmp_path):
+        counts, out = tmp_path / "lower.tsv", tmp_path / "wccm.tsv"
+        run_cli(["count", "--corpus", files["corpus"], "--out", counts])
+        code, _, err = run_cli(
+            ["wccm-build", "--counts", counts, "--thesaurus", files["thesaurus"], "--out", out]
+        )
+        assert code == 0, err
+        assert load_wccm(out).matrix.nnz() == 2
+
+
+class TestProfileRefusals:
+    """A profile file states each feature once under one header."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("#x\tpmi\na\t1.5\nb\t2.0\na\t-2.0\n", 4, "repeats the feature of line 2"),
+            ("#x\tpmi\na\t0.0\nb\t2.0\na\t-2.0\n", 4, "repeats the feature of line 2"),
+            ("#x\tpmi\na\t1.5\n#y\tcp\nb\t0.5\n", 3, "repeats the profile header of line 1"),
+            ("#x\tpmi\n#x\tpmi\na\t1.5\n", 2, "repeats the profile header of line 1"),
+        ],
+        ids=["feature", "feature-first-zero", "header", "same-header"],
+    )
+    def test_refused(self, tmp_path, text, line, message):
+        path = tmp_path / "p.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            load_profile(path)
+        assert err.value.line_number == line
+
+    def test_whitespace_line_is_blank(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("#x\tpmi\n   \na\t1.5\n\t\n")
+        assert dict(load_profile(path).entries) == {"a": 1.5}
+
+    def test_target_named_like_the_manifest(self, toy_counts, tmp_path):
+        path = tmp_path / "p.tsv"
+        save_profile(build_profile(toy_counts, "bread", SoAKind.PMI), path,
+                     extra_header=["#manifest\ttool=test"])
+        path.write_text(path.read_text().replace("#bread\t", "#manifesto\t"))
+        assert load_profile(path).target == "manifesto"
+
+
+class TestLogBaseInTheLibrary:
+    """Every library entry that takes a log base refuses one no logarithm has."""
+
+    BASES = [1.0, 0.0, -2.0, float("nan"), float("inf")]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_measure_config(self, base):
+        with pytest.raises(ConfigurationError, match="log base"):
+            MeasureConfig(log_base=base)
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("kind", [SoAKind.PMI, SoAKind.CP])
+    def test_build_profile(self, toy_counts, base, kind):
+        with pytest.raises(ConfigurationError, match="log base"):
+            build_profile(toy_counts, "bread", kind, log_base=base)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_ic_from_counts(self, toy_taxonomy, base):
+        with pytest.raises(ConfigurationError, match="log base"):
+            ic_from_counts(toy_taxonomy, {"dog": 3, "cat": 2, "hammer": 4}, log_base=base)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_leacock_chodorow(self, toy_taxonomy, base):
+        with pytest.raises(ConfigurationError, match="log base"):
+            leacock_chodorow(toy_taxonomy, "dog", "cat", base)
+
+    @pytest.mark.parametrize("base", [2.0, 10.0, 0.5, 1.5])
+    def test_usable_bases_pass(self, toy_counts, toy_taxonomy, base):
+        MeasureConfig(log_base=base)
+        build_profile(toy_counts, "bread", SoAKind.PMI, log_base=base)
+        ic_from_counts(toy_taxonomy, {"dog": 3, "cat": 2, "hammer": 4}, log_base=base)
+        leacock_chodorow(toy_taxonomy, "dog", "cat", base)
+
+
+class TestOutCheckedFirst:
+    """An ``--out`` that cannot be written is refused before any input is read."""
+
+    COMMANDS = [
+        ["count", "--corpus", "x.txt"],
+        ["profile", "--counts", "c.tsv", "--target", "a"],
+        ["distance", "--counts", "c.tsv", "--w1", "a", "--w2", "b"],
+        ["rank", "--counts", "c.tsv", "--benchmark", "b.csv"],
+        ["eval", "--counts", "c.tsv", "--benchmark", "b.csv"],
+        ["wccm-build", "--counts", "c.tsv", "--thesaurus", "t.tsv"],
+        ["wccm-bootstrap", "--corpus", "x.txt", "--base", "w.tsv", "--thesaurus", "t.tsv"],
+        ["concept-distance", "--wccm", "w.tsv", "--c1", "a", "--c2", "b"],
+        ["xling-wccm", "--counts", "c.tsv", "--lexicon", "l.tsv", "--thesaurus", "t.tsv"],
+        ["taxo-distance", "--taxonomy", "t.taxo", "--c1", "a", "--c2", "b"],
+        ["ic-build", "--taxonomy", "t.taxo", "--freqs", "f.tsv"],
+    ]
+
+    @pytest.mark.parametrize("where", ["below-a-file", "missing-directory", "a-directory"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_exit_2(self, tmp_path, command, where):
+        (tmp_path / "afile").write_text("a file\n")
+        out = {
+            "below-a-file": tmp_path / "afile" / "x.tsv",
+            "missing-directory": tmp_path / "nodir" / "x.tsv",
+            "a-directory": tmp_path,
+        }[where]
+        code, stdout, err = run_cli(command + ["--out", out])
+        assert (code, stdout) == (2, ""), err
+        assert "--out" in err
+
+    def test_count_does_no_work(self, fixtures_dir, tmp_path, monkeypatch):
+        import distsem.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(distsem.cli, "read_documents", refuse)
+        (tmp_path / "afile").write_text("a file\n")
+        code, _, err = run_cli(
+            ["count", "--corpus", fixtures_dir / "toy.txt", "--out", tmp_path / "afile" / "c.tsv"]
+        )
+        assert code == 2, err
+        assert "afile" in err

@@ -14,6 +14,7 @@ from distsem import (
     ICTable,
     SoAKind,
     build_profile,
+    count_cooccurrences,
     counts_equal,
     load_counts,
     load_ic_table,
@@ -24,6 +25,7 @@ from distsem import (
     save_ic_table,
     save_profile,
     save_wccm,
+    tokenize_documents,
 )
 from distsem.concept import WCCM
 from distsem.errors import EmptyProfileError
@@ -74,6 +76,28 @@ def test_word_counts_round_trip(original):
     assert stable
     assert counts_equal(loaded, original)
     assert loaded.config == original.config
+
+
+@SETTINGS
+@given(
+    st.lists(st.lists(st.sampled_from(["alpha", "Beta", "gamma", "é", "."]), max_size=6)),
+    configs.filter(lambda config: config is not None),
+)
+def test_counted_round_trip(documents, config):
+    """Words seen only in one-token segments have unigram counts but no cells."""
+    original = count_cooccurrences(tokenize_documents(map(" ".join, documents), config), config)
+    loaded, stable = round_trip(save_counts, load_counts, original)
+    assert stable
+    assert counts_equal(loaded, original)
+    assert loaded.config == original.config
+
+
+def test_lonely_word_round_trip():
+    original = count_cooccurrences(tokenize_documents(["alpha beta", "lonely", "beta gamma"]))
+    loaded, _ = round_trip(save_counts, load_counts, original)
+    assert counts_equal(loaded, original)
+    assert "lonely" not in original.targets
+    assert original.unigram_count("lonely") == 1
 
 
 @SETTINGS
