@@ -604,6 +604,10 @@ def _validate_combinations(args) -> None:
         raise ConfigurationError(f"--out {out} must name a file in an existing directory")
     if getattr(args, "log_base", None) is not None:
         check_log_base(args.log_base, "--log-base")
+    if getattr(args, "min_freq", 1) < 1:
+        raise ConfigurationError(f"--min-freq must be >= 1, not {args.min_freq}")
+    if getattr(args, "min_freq", 1) != 1 and getattr(args, "wccm", None):
+        raise ConfigurationError("--min-freq applies to --counts, not to --wccm")
     if args.command in ("rank", "eval"):
         if not args.counts and not args.wccm:
             raise ConfigurationError("need --counts or --wccm")

@@ -160,7 +160,8 @@ class WCCM:
         self.source_fingerprint = source_fingerprint
 
     def categories(self) -> list[str]:
-        return sorted(self.matrix.targets)
+        """The categories with a stored cell, sorted, as the matrix holds its targets."""
+        return list(self.matrix.targets)
 
 
 def _event_matrix(pairs: dict, source: str) -> CooccurrenceCounts:

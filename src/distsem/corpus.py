@@ -48,6 +48,9 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 #: Lines a tagged-TSV reader takes from a file at a time.
 _BLOCK_LINES = 1 << 12
 
+#: A line after the first of a block that may be blank or a ``#`` line.
+_LINE_MARK = re.compile(r"\n[#\s]")
+
 
 class Boundaries(str, Enum):
     DOCUMENT = "document"
@@ -227,7 +230,9 @@ class CooccurrenceCounts:
 
     Rows are target words; columns are features (words for window counts,
     (relation, word) pairs for dependency triples).  Stored in compressed
-    sparse row form over integer ids.
+    sparse row form over integer ids.  Targets are held sorted by name and
+    features by rendered form, so rows, and the cells within each row, come
+    in the order of a counts file.
     """
 
     def __init__(
@@ -258,31 +263,16 @@ class CooccurrenceCounts:
         self.total_pairs = int(data.sum()) if data.size else 0
 
     @classmethod
-    def from_pairs(
-        cls,
-        pair_counts: dict,
-        unigram_counts: Optional[dict[str, int]] = None,
-        total_tokens: int = 0,
-        config: Optional[CorpusConfig] = None,
-        feature_kind: str = "word",
-    ) -> "CooccurrenceCounts":
-        """Build counts from a {(target, feature): count} mapping."""
-        targets = sorted({t for t, _ in pair_counts})
-        features = sorted({f for _, f in pair_counts}, key=render_feature)
-        tix = {w: i for i, w in enumerate(targets)}
-        fix = {f: i for i, f in enumerate(features)}
-        n = len(pair_counts)
-        return cls.from_ids(
-            targets,
-            features,
-            np.fromiter((tix[t] for t, _ in pair_counts), dtype=np.int64, count=n),
-            np.fromiter((fix[f] for _, f in pair_counts), dtype=np.int64, count=n),
-            np.fromiter(pair_counts.values(), dtype=np.int64, count=n),
-            unigram_counts=unigram_counts,
-            total_tokens=total_tokens,
-            config=config,
-            feature_kind=feature_kind,
-        )
+    def from_pairs(cls, pair_counts: dict, **meta) -> "CooccurrenceCounts":
+        """Build counts from a {(target, feature): count} mapping.
+
+        ``meta`` goes to the constructor.
+        """
+        targets, features = _FirstSeenIds(), _FirstSeenIds()
+        rows = targets.ids([t for t, _ in pair_counts])
+        cols = features.ids([f for _, f in pair_counts])
+        data = np.fromiter(pair_counts.values(), dtype=np.int64, count=len(pair_counts))
+        return cls.from_ids(list(targets), list(features), rows, cols, data, **meta)
 
     @classmethod
     def from_ids(
@@ -291,10 +281,13 @@ class CooccurrenceCounts:
         """Build counts from parallel (target id, feature id, count) arrays.
 
         Counts of a repeated cell add up.  Zero cells are not stored, and
-        targets and features left without a cell are dropped; the others keep
-        their relative order.  ``meta`` goes to the constructor.
+        targets and features left without a cell are dropped.  The others are
+        held in sorted order, whatever order they come in: targets by name,
+        features by rendered form.  ``meta`` goes to the constructor.
         """
-        keys, data = _sum_by_key((rows << _KEY_BITS) | cols, data)
+        target_ranks, targets = _sort_ranks(targets)
+        feature_ranks, features = _sort_ranks(features, key=render_feature)
+        keys, data = _sum_by_key((target_ranks[rows] << _KEY_BITS) | feature_ranks[cols], data)
         stored = data != 0
         keys, data = keys[stored], data[stored]
         row_ids, rows = np.unique(keys >> _KEY_BITS, return_inverse=True)
@@ -560,31 +553,16 @@ def merge_counts(parts: list[CooccurrenceCounts]) -> CooccurrenceCounts:
 
 
 def counts_equal(a: CooccurrenceCounts, b: CooccurrenceCounts) -> bool:
-    """Content equality regardless of internal id assignment."""
-    if (
-        sorted(a.targets) != sorted(b.targets)
-        or sorted(map(render_feature, a.features)) != sorted(map(render_feature, b.features))
-        or a.total_tokens != b.total_tokens
-        or a.total_pairs != b.total_pairs
-        or a.unigram_counts != b.unigram_counts
-    ):
-        return False
-
-    def canonical(c: CooccurrenceCounts) -> tuple[np.ndarray, np.ndarray]:
-        t_rank = {w: i for i, w in enumerate(sorted(c.targets))}
-        f_rank = {
-            f: i for i, f in enumerate(sorted(c.features, key=render_feature))
-        }
-        row_map = np.array([t_rank[w] for w in c.targets], dtype=np.int64)
-        col_map = np.array([f_rank[f] for f in c.features], dtype=np.int64)
-        rows, cols, data = c.coo()
-        keys = (row_map[rows] << _KEY_BITS) | col_map[cols]
-        order = np.argsort(keys, kind="mergesort")
-        return keys[order], data[order]
-
-    ka, va = canonical(a)
-    kb, vb = canonical(b)
-    return ka.size == kb.size and bool(np.array_equal(ka, kb) and np.array_equal(va, vb))
+    """Content equality: the same cells over the same targets and rendered features."""
+    return (
+        a.targets == b.targets
+        and np.array_equal(a.feature_keys, b.feature_keys)
+        and a.total_tokens == b.total_tokens
+        and a.unigram_counts == b.unigram_counts
+        and np.array_equal(a._indptr, b._indptr)
+        and np.array_equal(a._indices, b._indices)
+        and np.array_equal(a._data, b._data)
+    )
 
 
 def config_fields(config: Optional[CorpusConfig]) -> dict:
@@ -627,7 +605,7 @@ def read_tagged_tsv(
     path,
     tag: str,
     columns: Mapping[str, type],
-    numbers: Mapping[str, type] = {},
+    converters: Mapping[str, Callable[[str], object]] = {},
     bad_value: str = "bad {} {!r}",
     on_note: Optional[Callable[[int, list[str]], None]] = None,
 ) -> tuple[dict, Optional[CorpusConfig], Iterator[tuple[np.ndarray, list]]]:
@@ -636,13 +614,16 @@ def read_tagged_tsv(
     Returns the header's fields, the corpus settings they record (``None``
     if they record none) and the data lines after the header in blocks of
     (line numbers, one value list per entry of ``columns``).  Header fields
-    named in ``numbers`` are converted with the type given there, and so are
-    columns: ``str`` keeps the text, ``int`` or ``float`` gives a numpy array.
+    named in ``converters`` are converted with the function given there, and
+    a ``ValueError`` from it ends in :class:`ParseError` at the header.
+    Columns are converted with their type: ``str`` keeps the text, ``int``
+    or ``float`` gives a numpy array.
 
     A data line must have one tab-separated field per column; a value its
     column's type refuses ends in :class:`ParseError` with ``bad_value``,
-    formatted with the column's name and the value.  Blank lines and lines
-    whose first field is ``#manifest`` are skipped; other ``#`` lines go to
+    formatted with the column's name and the value.  Blank lines (of only
+    whitespace) and lines whose first field is ``#manifest`` are skipped, a
+    second ``#tag`` header is refused, and other ``#`` lines go to
     ``on_note`` as (line number, tab-separated fields).  Lines are checked in
     file order, so the error raised is the first line's.
     """
@@ -659,16 +640,22 @@ def read_tagged_tsv(
     if not headers:
         raise ValidationError(f"{path}: missing #{tag} header")
     header_line, fields = headers[0]
-    for key, kind in numbers.items():
+    for key, convert in converters.items():
         if key in fields:
             try:
-                fields[key] = kind(fields[key])
+                fields[key] = convert(fields[key])
             except ValueError:
                 raise ParseError(str(path), header_line, f"bad {key} {fields[key]!r}") from None
     try:
         config = _corpus_config(fields)
     except ValueError:
         raise ParseError(str(path), header_line, "bad corpus settings") from None
+
+    def note(line_number: int, parts: list[str]) -> None:
+        if parts[0] == f"#{tag}":
+            raise ParseError(str(path), line_number, f"repeats the header of line {header_line}")
+        if on_note is not None and parts[0] != "#manifest":
+            on_note(line_number, parts)
 
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
         with open_text(path) as handle:
@@ -678,17 +665,15 @@ def read_tagged_tsv(
                 # blank and "#" lines cut the block into runs of data lines
                 text = "".join(block)
                 marks = []
-                if text[0] in "\n#" or "\n\n" in text or "\n#" in text:
-                    marks = [i for i, line in enumerate(block) if line[0] in "\n#"]
+                if text[0] == "#" or text[0].isspace() or _LINE_MARK.search(text):
+                    marks = [i for i, line in enumerate(block) if line[0] == "#" or line.isspace()]
                 start = 0
                 for end in marks + [len(block)]:
                     if end > start:
                         run = block[start:end]
                         yield _split_lines(path, run, first + start, columns, bad_value)
-                    if end < len(block) and on_note and block[end] != "\n":
-                        parts = block[end].rstrip("\n").split("\t")
-                        if parts[0] != "#manifest":
-                            on_note(first + end, parts)
+                    if end < len(block) and block[end][0] == "#":
+                        note(first + end, block[end].rstrip("\n").split("\t"))
                     start = end + 1
                 first += len(block)
 
@@ -726,9 +711,10 @@ def _split_lines(
     return np.arange(first, first + good, dtype=np.int64), split
 
 
-def _sort_ranks(names: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Each name's rank in sorted order, and the names sorted."""
-    order = sorted(range(len(names)), key=names.__getitem__)
+def _sort_ranks(names: list, key: Optional[Callable] = None) -> tuple[np.ndarray, list]:
+    """Each name's rank in sorted order (by ``key`` if given), and the names sorted."""
+    sort_keys = names if key is None else list(map(key, names))
+    order = sorted(range(len(names)), key=sort_keys.__getitem__)
     ranks = np.empty(len(names), dtype=np.int64)
     ranks[order] = np.arange(len(names), dtype=np.int64)
     return ranks, [names[i] for i in order]
@@ -749,29 +735,29 @@ def _collect_cells(blocks: Iterable[tuple[np.ndarray, list]], target: int, featu
     """Cells of :func:`read_tagged_tsv` blocks whose third column holds the values.
 
     Returns (targets, features, target ids, feature ids, values, line
-    numbers), with ids given in first-seen order.
+    numbers): targets and features sorted by their text, and ids into them.
     """
     targets, features = _FirstSeenIds(), _FirstSeenIds()
     parts: list[tuple] = [(np.empty(0, np.int64),) * 4]
     for numbers, columns in blocks:
         rows, cols = targets.ids(columns[target]), features.ids(columns[feature])
         parts.append((rows, cols, columns[2], numbers))
-    return list(targets), list(features), *(np.concatenate(p) for p in zip(*parts))
+    rows, cols, values, lines = (np.concatenate(p) for p in zip(*parts))
+    target_ranks, targets = _sort_ranks(list(targets))
+    feature_ranks, features = _sort_ranks(list(features))
+    return targets, features, target_ranks[rows], feature_ranks[cols], values, lines
 
 
 def _build_counts(
     path, cells: tuple, parse: Optional[Callable[[str], Feature]] = None, **meta
 ) -> CooccurrenceCounts:
-    """Counts over sorted targets and sorted features from :func:`_collect_cells`.
+    """Counts from :func:`_collect_cells`.
 
     Values become int64 counts.  A cell given twice ends in
     :class:`ParseError` at its second line.  ``parse`` turns feature text
     into features; ``meta`` goes to the constructor.
     """
     targets, features, rows, cols, data, lines = cells
-    target_ranks, targets = _sort_ranks(targets)
-    feature_ranks, features = _sort_ranks(features)
-    rows, cols = target_ranks[rows], feature_ranks[cols]
     keys = (rows << _KEY_BITS) | cols
     if not (keys[1:] > keys[:-1]).all():
         order = np.argsort(keys, kind="stable")
@@ -806,30 +792,43 @@ def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) 
 
 
 def _cell_lines(counts: CooccurrenceCounts) -> Iterator[str]:
-    """``target<TAB>feature<TAB>count`` lines sorted by target, then rendered feature.
+    """``target<TAB>feature<TAB>count`` lines in row order, so sorted by target, then feature.
 
     Each piece holds up to ``_BLOCK_LINES`` lines.
     """
-    features = [render_feature(f) for f in counts.features]
     rows, cols, data = counts.coo()
-    order = np.lexsort((_sort_ranks(features)[0][cols], _sort_ranks(counts.targets)[0][rows]))
     targets = np.array([t + "\t" for t in counts.targets], dtype=object)
-    features = np.array([f + "\t" for f in features], dtype=object)
-    for lo in range(0, order.size, _BLOCK_LINES):
-        cells = order[lo : lo + _BLOCK_LINES]
-        pieces = [""] * (4 * cells.size)
-        pieces[0::4] = targets[rows[cells]].tolist()
-        pieces[1::4] = features[cols[cells]].tolist()
-        pieces[2::4] = map(str, data[cells].tolist())
-        pieces[3::4] = ["\n"] * cells.size
+    features = np.array([render_feature(f) + "\t" for f in counts.features], dtype=object)
+    for lo in range(0, data.size, _BLOCK_LINES):
+        hi = min(lo + _BLOCK_LINES, data.size)
+        pieces = [""] * (4 * (hi - lo))
+        pieces[0::4] = targets[rows[lo:hi]].tolist()
+        pieces[1::4] = features[cols[lo:hi]].tolist()
+        pieces[2::4] = map(str, data[lo:hi].tolist())
+        pieces[3::4] = ["\n"] * (hi - lo)
         yield "".join(pieces)
+
+
+def _count(text: str) -> int:
+    """A count's text as a non-negative integer; other text is a ``ValueError``."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
+def _feature_kind(text: str) -> str:
+    if text not in ("word", "relation"):
+        raise ValueError(text)
+    return text
 
 
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`.
 
     The cells must add up to the header's ``total_pairs``, so a file that was
-    cut short is refused; a cell given twice is refused too.
+    cut short is refused; a cell given twice is refused too, and so is a
+    negative count, once every line has been read.
     """
     unigram: dict[str, int] = {}
 
@@ -838,7 +837,7 @@ def load_counts(path) -> CooccurrenceCounts:
             if len(parts) != 3:
                 raise ParseError(str(path), line_number, "malformed unigram line")
             try:
-                unigram[parts[1]] = int(parts[2])
+                unigram[parts[1]] = _count(parts[2])
             except ValueError:
                 raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
 
@@ -846,13 +845,19 @@ def load_counts(path) -> CooccurrenceCounts:
         path,
         "counts",
         {"target": str, "feature": str, "count": int},
-        {"total_tokens": int},
+        {"total_tokens": _count, "feature_kind": _feature_kind},
         on_note=note,
     )
+    cells = _collect_cells(blocks, target=0, feature=1)
+    data, lines = cells[4:]
+    negative = np.flatnonzero(data < 0)
+    if negative.size:
+        at = negative[0]
+        raise ParseError(str(path), int(lines[at]), f"negative count {data[at]}")
     feature_kind = fields.get("feature_kind", "word")
     counts = _build_counts(
         path,
-        _collect_cells(blocks, target=0, feature=1),
+        cells,
         parse=parse_feature if feature_kind == "relation" else None,
         unigram_counts=unigram,
         total_tokens=fields.get("total_tokens", 0),
@@ -865,4 +870,3 @@ def load_counts(path) -> CooccurrenceCounts:
             f"the header says total_pairs={fields['total_pairs']}"
         )
     return counts
-

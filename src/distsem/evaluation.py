@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assoc import SoAKind
 from .errors import (
     CoverageError,
     EmptyProfileError,
@@ -108,9 +107,9 @@ def load_word_choice(path) -> list[WordChoiceProblem]:
     problems: list[WordChoiceProblem] = []
     expect = "target<TAB>alternatives<TAB>answer"
     for line_number, (target, listed, answer) in read_records(path, expect):
-        alternatives = [a for a in listed.split("|") if a]
-        if not alternatives:
-            raise ParseError(str(path), line_number, "no alternatives")
+        alternatives = listed.split("|")
+        if "" in alternatives:
+            raise ParseError(str(path), line_number, "empty alternative")
         try:
             problems.append(WordChoiceProblem(target, alternatives, int(answer)))
         except ValueError:
@@ -317,7 +316,6 @@ def word_pair_scorer(
                     kind,
                     log_base=config.log_base,
                     min_feature_count=min_feature_count,
-                    undefined_value=0.0 if kind is not SoAKind.CP else None,
                 )
             except EmptyProfileError as exc:
                 raise MissingWordError(str(exc)) from None

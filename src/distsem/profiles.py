@@ -16,6 +16,7 @@ import numpy as np
 from .assoc import ContingencyTable, SoAKind, strength
 from .corpus import CooccurrenceCounts, parse_feature, read_records, render_feature
 from .errors import (
+    ConfigurationError,
     EmptyProfileError,
     IncompatibleProfilesError,
     MissingWordError,
@@ -100,11 +101,14 @@ def build_profile(
 
     Features whose word falls below ``min_feature_count`` occurrences are
     dropped before computing values, and CP values are renormalized over the
-    kept features.  Statistics that are undefined for a cell propagate unless
-    ``undefined_value`` supplies a substitute; zero-valued results are not
-    stored.
+    kept features; ``min_feature_count`` below 1 ends in
+    :class:`ConfigurationError`.  Statistics that are undefined for a cell
+    propagate unless ``undefined_value`` supplies a substitute; zero-valued
+    results are not stored.
     """
     kind = SoAKind(kind)
+    if min_feature_count < 1:
+        raise ConfigurationError(f"min_feature_count must be >= 1, not {min_feature_count}")
     if not counts.has_target(target):
         raise MissingWordError(f"no counts row for {target!r}")
     cols, n, feature_totals = counts.row(target)

@@ -428,8 +428,8 @@ def dijkstra_with_changes(neighbors, start, goal):
 # tagged TSV files, read one line at a time
 #
 # The loaders' rules line by line: the first bad line is reported; once every
-# line parses, a WCCM value that is not a non-negative integer is refused,
-# and then a cell given a second time.
+# line parses, a negative count or a WCCM value that is not a non-negative
+# integer is refused, and then a cell given a second time.
 
 
 class Refused(Exception):
@@ -441,14 +441,20 @@ def _parse_error(path, number, message):
 
 
 def _tagged_body(path, tag):
-    """(line number, fields) after the ``#tag`` header, without blank and ``#manifest`` lines."""
-    header_seen = False
+    """(line number, fields) after the ``#tag`` header, without blank and ``#manifest`` lines.
+
+    A second header is refused.
+    """
+    header_line = None
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
-            if not header_seen:
-                header_seen = line.split("\t")[0] == f"#{tag}"
-            elif line and not line.startswith("#manifest"):
+            is_header = line.split("\t")[0] == f"#{tag}"
+            if header_line is None:
+                header_line = number if is_header else None
+            elif is_header:
+                raise _parse_error(path, number, f"repeats the header of line {header_line}")
+            elif line.strip() and not line.startswith("#manifest"):
                 yield number, line.split("\t")
 
 
@@ -470,7 +476,9 @@ def counts_file(path):
             try:
                 unigrams[parts[1]] = int(parts[2])
             except ValueError:
-                raise _parse_error(path, number, f"bad count {parts[2]!r}") from None
+                unigrams[parts[1]] = -1
+            if unigrams[parts[1]] < 0:
+                raise _parse_error(path, number, f"bad count {parts[2]!r}")
         if parts[0].startswith("#"):
             continue
         if len(parts) != 3:
@@ -482,6 +490,9 @@ def counts_file(path):
         if n is None or not -(2**63) <= n < 2**63:
             raise _parse_error(path, number, f"bad count {parts[2]!r}")
         cells.append((number, (parts[0], parts[1]), n))
+    for number, _, n in cells:
+        if n < 0:
+            raise _parse_error(path, number, f"negative count {n}")
     _first_repeat(path, [(number, key) for number, key, _ in cells])
     return {key: n for _, key, n in cells if n != 0}, unigrams
 

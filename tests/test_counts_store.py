@@ -121,19 +121,20 @@ count_lines = st.one_of(
     st.builds("{}\t{}\t{}".format, words, words, st.sampled_from([" 7", "+3", "1_0", "x", "2.5"])),
     st.builds("#unigram\t{}\t{}".format, words, st.sampled_from(["1", "4", "y"])),
     st.sampled_from(
-        ["", " ", "#manifest\tx=1", "#manifestation", "#note", "#unigram\tw", "a\tb",
-         "a\tb\t1\t2", "a\tb\t99999999999999999999", "\t\t1"]
+        ["", " ", "\t\t", "#manifest\tx=1", "#manifestation", "#note", "#unigram\tw",
+         "a\tb", "a\tb\t1\t2", "a\tb\t99999999999999999999", "\t\t1",
+         "#counts\ttotal_tokens=1"]
     ),
 )
 wccm_lines = st.one_of(
     st.builds("{}\t{}\t{}".format, words, words, st.sampled_from(["0.0", "2.0", "3", "-1.0"])),
     st.builds("{}\t{}\t{}".format, words, words, st.sampled_from(["2.5", "nan", "x", "inf"])),
-    st.sampled_from(["", "#manifest\tx=1", "#note", "a\tb", "a\tb\t1\t2"]),
+    st.sampled_from(["", " ", "#manifest\tx=1", "#note", "a\tb", "a\tb\t1\t2", "#wccm"]),
 )
 ic_lines = st.one_of(
     st.builds("{}\t{}\t{}".format, words, st.sampled_from(["0.5", "1e-3", "x"]),
               st.sampled_from(["1.0", "2", "y"])),
-    st.sampled_from(["", "#manifest\tx=1", "#note", "a\t0.5", "a\t0.5\t1\t2"]),
+    st.sampled_from(["", " \t", "#manifest\tx=1", "#note", "a\t0.5", "a\t0.5\t1\t2", "#ic"]),
 )
 
 

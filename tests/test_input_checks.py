@@ -32,6 +32,7 @@ from distsem.errors import ConfigurationError, ParseError, ValidationError
 from distsem.taxonomy import load_word_frequencies
 
 from test_cli import run_cli
+from test_counts_store import outcome
 
 
 class TestCountsTotals:
@@ -551,3 +552,156 @@ class TestOutCheckedFirst:
         )
         assert code == 2, err
         assert "afile" in err
+
+
+class TestMinFreqWhereItApplies:
+    """``--min-freq`` filters word profiles; with ``--wccm`` a value other than 1 is refused."""
+
+    @pytest.fixture()
+    def files(self, toy_counts, toy_thesaurus, tmp_path, fixtures_dir):
+        counts, wccm = tmp_path / "counts.tsv", tmp_path / "wccm.tsv"
+        save_counts(toy_counts, counts)
+        save_wccm(build_base_wccm(toy_counts, toy_thesaurus), wccm)
+        return {
+            "counts": counts,
+            "wccm": wccm,
+            "thesaurus": fixtures_dir / "toy_thesaurus.tsv",
+            "benchmark": fixtures_dir / "toy_benchmark.csv",
+            "choices": fixtures_dir / "toy_choices.tsv",
+        }
+
+    def concept_commands(self, files):
+        model = ["--wccm", files["wccm"], "--thesaurus", files["thesaurus"]]
+        return {
+            "concept-distance": ["concept-distance", "--wccm", files["wccm"],
+                                 "--c1", "music", "--c2", "food"],
+            "rank": ["rank", *model, "--benchmark", files["benchmark"]],
+            "eval": ["eval", *model, "--choices", files["choices"]],
+        }
+
+    @pytest.mark.parametrize("command", ["concept-distance", "rank", "eval"])
+    def test_refused_with_a_concept_matrix(self, files, command):
+        args = self.concept_commands(files)[command]
+        assert run_cli(args)[0] == 0
+        code, out, err = run_cli([*args, "--min-freq", "50"])
+        assert (code, out) == (2, ""), err
+        assert "--min-freq" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["profile", "distance", "rank"])
+    def test_below_one(self, files, command, value):
+        args = {
+            "profile": ["profile", "--counts", files["counts"], "--target", "band"],
+            "distance": ["distance", "--counts", files["counts"], "--w1", "cat", "--w2", "dog"],
+            "rank": ["rank", "--counts", files["counts"], "--benchmark", files["benchmark"]],
+        }[command]
+        code, out, err = run_cli([*args, "--min-freq", value])
+        assert (code, out) == (2, ""), err
+        assert "--min-freq" in err
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_below_one_in_the_library(self, toy_counts, value):
+        with pytest.raises(ConfigurationError, match="min_feature_count"):
+            build_profile(toy_counts, "band", SoAKind.CP, min_feature_count=value)
+
+
+class TestWordChoiceAlternatives:
+    """An empty alternative would shift the answer index onto another word."""
+
+    @pytest.mark.parametrize("listed", ["bird||bread|drum", "|bird|bread", "bird|bread|", ""])
+    def test_empty_alternative_is_refused(self, tmp_path, listed):
+        path = tmp_path / "choices.tsv"
+        path.write_text(f"cat\tdog|jam\t0\nsoup\t{listed}\t1\n")
+        with pytest.raises(ParseError, match="empty alternative") as err:
+            load_word_choice(path)
+        assert err.value.line_number == 2
+
+    def test_through_the_cli(self, toy_counts, tmp_path):
+        counts, choices = tmp_path / "counts.tsv", tmp_path / "choices.tsv"
+        save_counts(toy_counts, counts)
+        choices.write_text("soup\tbird||bread|drum\t1\n")
+        code, out, err = run_cli(["eval", "--counts", counts, "--choices", choices])
+        assert (code, out) == (2, ""), err
+        assert "choices.tsv:1: empty alternative" in err
+
+
+class TestCountsValues:
+    """A count that is negative, or a header field no writer gives, is refused at its line."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("#counts\ttotal_tokens=4\n#unigram\ta\t-3\na\tb\t2\n", 2, "bad count '-3'"),
+            ("#counts\ttotal_tokens=-4\na\tb\t2\n", 1, "bad total_tokens '-4'"),
+            ("#counts\tfeature_kind=bogus\na\tb\t2\n", 1, "bad feature_kind 'bogus'"),
+            ("#counts\ttotal_tokens=4\na\tb\t2\na\tc\t-2\nb\t\t\n", 4, "bad count ''"),
+            ("#counts\ttotal_tokens=4\na\tb\t2\na\tc\t-2\nb\ta\t1\n", 3, "negative count -2"),
+        ],
+        ids=["unigram", "total_tokens", "feature_kind", "bad-line-first", "negative-cell"],
+    )
+    def test_refused(self, tmp_path, text, line, message):
+        path = tmp_path / "counts.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            load_counts(path)
+        assert err.value.line_number == line
+
+    def test_negative_cell_is_not_scored(self, tmp_path, fixtures_dir):
+        # the row total of "cat" is 0, so its PMI values would be undefined
+        path = tmp_path / "counts.tsv"
+        path.write_text(
+            "#counts\ttotal_pairs=4\ttotal_tokens=8\n"
+            "cat\tdog\t-2\ncat\tjam\t2\ndog\tcat\t4\n"
+        )
+        code, out, err = run_cli(
+            ["rank", "--counts", path, "--benchmark", fixtures_dir / "toy_benchmark.csv",
+             "--measure", "lin"]
+        )
+        assert (code, out) == (2, ""), err
+        assert "counts.tsv:2: negative count -2" in err
+
+    @pytest.mark.parametrize("kind", ["word", "relation"])
+    def test_written_kinds_load(self, tmp_path, kind):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#counts\ttotal_tokens=0\tfeature_kind={kind}\na\tobj:b\t2\n")
+        assert load_counts(path).feature_kind == kind
+
+
+TAGGED_FILES = {
+    "counts": (load_counts, "#counts\ttotal_tokens=4", "a\tb\t2", "#counts\ttotal_tokens=9"),
+    "wccm": (load_wccm, "#wccm\tkind=base", "w\tc\t2.0", "#wccm\tkind=bootstrapped"),
+    "ic": (load_ic_table, "#ic\tlog_base=2.0", "c\t0.5\t1.0", "#ic\tlog_base=10.0"),
+}
+
+
+class TestTaggedFileLines:
+    """Counts, WCCM and IC files follow the line rules of every other input."""
+
+    @pytest.mark.parametrize("blank", ["   ", "\t", "\t\t", " \t \u3000"])
+    @pytest.mark.parametrize("kind", sorted(TAGGED_FILES))
+    def test_whitespace_line_is_blank(self, tmp_path, kind, blank):
+        load, header, data, _ = TAGGED_FILES[kind]
+        path = tmp_path / f"{kind}.tsv"
+        path.write_text(f"{header}\n{data}\n", encoding="utf-8")
+        expected = outcome(load, path)
+        path.write_text(f"{blank}\n{header}\n{blank}\n{data}\n{blank}\n{blank}", encoding="utf-8")
+        assert outcome(load, path) == expected
+        assert expected[0] == "loaded"
+
+    @pytest.mark.parametrize("at_end", [False, True], ids=["middle", "end"])
+    @pytest.mark.parametrize("kind", sorted(TAGGED_FILES))
+    def test_second_header_is_refused(self, tmp_path, kind, at_end):
+        load, header, data, again = TAGGED_FILES[kind]
+        path = tmp_path / f"{kind}.tsv"
+        lines = [header, data, again] if at_end else [header, again, data]
+        path.write_text("#manifest\ttool=test\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="repeats the header of line 2") as err:
+            load(path)
+        assert err.value.line_number == (4 if at_end else 3)
+
+    def test_whitespace_line_in_a_later_block(self, tmp_path):
+        body = [f"t{i // 50}\tf{i % 50}\t1" for i in range(_BLOCK_LINES + 100)]
+        body.insert(_BLOCK_LINES + 50, "  ")
+        path = tmp_path / "counts.tsv"
+        path.write_text("#counts\ttotal_tokens=0\n" + "\n".join(body) + "\n")
+        assert load_counts(path).total_pairs == _BLOCK_LINES + 100
