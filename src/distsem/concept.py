@@ -35,6 +35,7 @@ from .corpus import (
     _collect_cells,
     _FirstSeenIds,
     _id_chunks,
+    _indptr_from_sorted_rows,
     _tally,
     _window_pairs,
     config_fields,
@@ -50,8 +51,16 @@ from .errors import (
     StalenessError,
     ValidationError,
 )
-from .measures import MeasureConfig, MeasureId, DEFAULT_CONFIG, is_symmetric, required_soa, score
-from .profiles import DistributionalProfile, build_profile
+from .measures import (
+    DEFAULT_CONFIG,
+    MeasureConfig,
+    MeasureId,
+    is_symmetric,
+    required_soa,
+    score,
+    score_rows,
+)
+from .profiles import DistributionalProfile, build_profile, cell_strengths
 
 
 @dataclass(frozen=True)
@@ -339,20 +348,20 @@ def _positive_pmi(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (category id, word id) keys of the positive PMI cells, and their values.
 
-    A sentinel key that no lookup matches ends the keys.
+    Cells of a category outside ``categories`` are left out.  A sentinel key
+    that no lookup matches ends the keys.
     """
-    keys, values = [np.array([np.iinfo(np.int64).max])], [np.zeros(1)]
-    for cat_id, cat in enumerate(categories):
-        try:
-            profile = build_profile(matrix, cat, SoAKind.PMI, log_base=log_base)
-        except (MissingWordError, EmptyProfileError):
-            continue
-        positive = profile.values > 0.0
-        keys.append((cat_id << _KEY_BITS) | words.ids(profile.keys[positive].tolist()))
-        values.append(profile.values[positive])
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    order = np.argsort(keys, kind="stable")
-    return keys[order], values[order]
+    rows, cols, _ = matrix.coo()
+    values = cell_strengths(matrix, SoAKind.PMI, log_base)
+    cat_id = {c: i for i, c in enumerate(categories)}
+    cats = np.array([cat_id.get(c, -1) for c in matrix.targets], dtype=np.int64)[rows]
+    keep = (values > 0.0) & (cats >= 0)
+    keys = (cats[keep] << _KEY_BITS) | words.ids(matrix.features)[cols[keep]]
+    order = np.argsort(keys)
+    return (
+        np.append(keys[order], np.iinfo(np.int64).max),
+        np.append(values[keep][order], 0.0),
+    )
 
 
 def _choose(ids, segs, lo: int, hi: int, fan: _SenseFan, table, radius: int) -> np.ndarray:
@@ -371,7 +380,8 @@ def _choose(ids, segs, lo: int, hi: int, fan: _SenseFan, table, radius: int) -> 
     centre = at[item]
     keys, values = table
     totals = np.zeros(item.size)
-    for offset in chain(range(-radius, 0), range(1, radius + 1)):
+    reach = min(radius, ids.size - 1)  # no neighbor lies farther in the chunk
+    for offset in chain(range(-reach, 0), range(1, reach + 1)):
         near = np.clip(centre + offset, 0, ids.size - 1)
         want = (cats << _KEY_BITS) | ids[near]
         found = np.searchsorted(keys, want)
@@ -408,6 +418,15 @@ def concept_distance(
     return score(measure, dp1, dp2, config)
 
 
+#: Memory that scoring one block of aligned concept profiles may take, in
+#: bytes.  Bigger blocks take fewer calls but pad sparse profiles with more
+#: zeros.
+_BLOCK_BYTES = 1 << 20
+#: Float64 cells (rows times columns) of one block.  The block and the
+#: kernel's temporaries are at most eight arrays of this size.
+_BLOCK_CELLS = _BLOCK_BYTES // (8 * 8)
+
+
 def concept_distance_matrix(
     wccm: WCCM,
     measure: MeasureId,
@@ -415,18 +434,44 @@ def concept_distance_matrix(
 ) -> tuple[list[str], np.ndarray]:
     """All pairwise concept scores; storage is category-by-category only.
 
-    A symmetric measure scores one triangle and mirrors it.
+    Every cell equals :func:`concept_distance`'s score, bit for bit.  Each
+    concept is scored against blocks of concepts at once, aligned on their
+    union support; a block spans at most ``_BLOCK_CELLS`` cells, so the
+    matrix is never held dense.  A symmetric measure scores one triangle and
+    mirrors it.
     """
     cats = wccm.categories()
-    kind = required_soa(measure, config)
-    profiles = [concept_profile(wccm, c, kind, config.log_base) for c in cats]
+    rows, cols, _ = wccm.matrix.coo()
+    values = cell_strengths(wccm.matrix, required_soa(measure, config), config.log_base)
+    stored = values != 0.0  # the cells a profile stores
+    rows, cols, values = rows[stored], cols[stored], values[stored]
+    indptr = _indptr_from_sorted_rows(rows, len(cats))
+    sizes = np.diff(indptr)
+    if not sizes.all():
+        raise EmptyProfileError(f"profile for {cats[int(np.argmin(sizes))]!r} is empty")
+    features = len(wccm.matrix.features)
     matrix = np.zeros((len(cats), len(cats)), dtype=np.float64)
     symmetric = is_symmetric(measure)
-    for i, dp1 in enumerate(profiles):
-        for j in range(i if symmetric else 0, len(profiles)):
-            matrix[i, j] = score(measure, dp1, profiles[j], config)
+    for i in range(len(cats)):
+        own = slice(indptr[i], indptr[i + 1])
+        start = i if symmetric else 0
+        while start < len(cats):
+            # a block's union support is at most every feature, and at most all its cells
+            width = np.minimum(features, sizes[i] + np.cumsum(sizes[start:]))
+            cells = width * np.arange(1, width.size + 1)
+            stop = start + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+            block = slice(indptr[start], indptr[stop])
+            held = np.zeros(features, dtype=bool)
+            held[cols[own]] = held[cols[block]] = True
+            at = np.cumsum(held) - 1  # a held feature's column in the aligned rows
+            p = np.zeros((1, at[-1] + 1))
+            p[0, at[cols[own]]] = values[own]
+            q = np.zeros((stop - start, p.shape[1]))
+            q[rows[block] - start, at[cols[block]]] = values[block]
+            matrix[i, start:stop] = score_rows(measure, p, q, config)
             if symmetric:
-                matrix[j, i] = matrix[i, j]
+                matrix[start:stop, i] = matrix[i, start:stop]
+            start = stop
     return cats, matrix
 
 

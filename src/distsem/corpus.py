@@ -45,6 +45,9 @@ _TOKEN_OR_STOP = re.compile(r"[^\W_]+|[.!?]", re.UNICODE)
 _KEY_BITS = 32
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
+#: Positions the token-id buffers hold before they first grow.
+_FIRST_BUFFER = 1 << 12
+
 #: Lines a tagged-TSV reader takes from a file at a time.
 _BLOCK_LINES = 1 << 12
 
@@ -283,8 +286,17 @@ class CooccurrenceCounts:
         Counts of a repeated cell add up.  Zero cells are not stored, and
         targets and features left without a cell are dropped.  The others are
         held in sorted order, whatever order they come in: targets by name,
-        features by rendered form.  ``meta`` goes to the constructor.
+        features by rendered form.  A negative count ends in
+        :class:`ValidationError`.  ``meta`` goes to the constructor.
         """
+        data = np.asarray(data)
+        negative = np.flatnonzero(data < 0)
+        if negative.size:
+            at = negative[0]
+            raise ValidationError(
+                f"negative count {data[at].item()} for cell "
+                f"({targets[rows[at]]!r}, {features[cols[at]]!r})"
+            )
         target_ranks, targets = _sort_ranks(targets)
         feature_ranks, features = _sort_ranks(features, key=render_feature)
         keys, data = _sum_by_key((target_ranks[rows] << _KEY_BITS) | feature_ranks[cols], data)
@@ -339,6 +351,11 @@ class CooccurrenceCounts:
         cols = self._indices[lo:hi]
         return cols, self._data[lo:hi], self._feature_totals[cols]
 
+    def cell_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target total and feature total of each stored cell, in row order."""
+        rows, cols, _ = self.coo()
+        return self._target_totals[rows], self._feature_totals[cols]
+
     def row_items(self, target: str) -> list[tuple[Feature, int]]:
         cols, data, _ = self.row(target)
         return [(self.features[c], n) for c, n in zip(cols.tolist(), data.tolist())]
@@ -371,11 +388,18 @@ def _indptr_from_sorted_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return np.searchsorted(rows, np.arange(n_rows + 1), side="left").astype(np.int64)
 
 
-def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (key, count) pairs by key and add up the counts of equal keys."""
+def _sum_by_key(
+    keys: np.ndarray, counts: np.ndarray, kind: Optional[str] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (key, count) pairs by key and add up the counts of equal keys.
+
+    ``kind`` is numpy's sort kind, its default sort if None.  Counts are
+    integers, so the order in which equal keys' counts are added cannot
+    change a sum.
+    """
     if keys.size == 0:
         return keys, counts
-    order = np.argsort(keys, kind="mergesort")
+    order = np.argsort(keys, kind=kind)
     keys = keys[order]
     counts = counts[order]
     fresh = np.empty(keys.size, dtype=bool)
@@ -392,11 +416,14 @@ def _id_chunks(
 
     ``index`` gives a new word the next id; a boundary marker starts the next
     segment.  A chunk begins with the last ``carry`` positions of the one
-    before.  The arrays are views of buffers that the next chunk reuses.
+    before.  The arrays are views of buffers that the next chunk reuses.  The
+    buffers grow to their full size as tokens arrive, so a stream shorter
+    than a chunk takes only the memory of its tokens, whatever ``carry`` is.
     """
     size = max(size, 2 * carry + 2)
-    ids = np.empty(size, dtype=np.int64)
-    segs = np.empty(size, dtype=np.int64)
+    held = min(size, _FIRST_BUFFER)
+    ids = np.empty(held, dtype=np.int64)
+    segs = np.empty(held, dtype=np.int64)
     pos = kept = segment = 0
     for token in tokens:
         if token is BOUNDARY:
@@ -405,7 +432,11 @@ def _id_chunks(
         ids[pos] = index[token]
         segs[pos] = segment
         pos += 1
-        if pos == size:
+        if pos == held:
+            if held < size:
+                held = min(2 * held, size)
+                ids, segs = np.resize(ids, held), np.resize(segs, held)
+                continue
             yield ids, segs, kept, False
             kept = carry
             ids[:kept] = ids[pos - kept : pos]
@@ -421,7 +452,7 @@ def _window_pairs(rows, cols, segs: np.ndarray, start: int, radius: int) -> Iter
     events (rows[i], cols[j]) and (rows[j], cols[i]).
     """
     end = segs.size
-    for offset in range(1, radius + 1):
+    for offset in range(1, min(radius, end - 1) + 1):
         lo = max(start - offset, 0)
         if end - offset <= lo:
             continue
@@ -440,7 +471,10 @@ def _tally(tally: tuple[np.ndarray, np.ndarray], events: Iterable) -> tuple[np.n
     if not keys:
         return tally
     uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
-    return _sum_by_key(np.concatenate([tally[0], uniq]), np.concatenate([tally[1], counts]))
+    # two sorted runs, which mergesort merges in one pass
+    return _sum_by_key(
+        np.concatenate([tally[0], uniq]), np.concatenate([tally[1], counts]), kind="mergesort"
+    )
 
 
 def count_cooccurrences(

@@ -1,10 +1,11 @@
 """Distance and closeness measures between two distributional profiles.
 
-One table maps each :class:`MeasureId` to its traits and its kernel, and
-:func:`score` is the one way to evaluate a measure: it checks the pair,
-aligns both profiles once on the union of their features and hands the two
-value arrays to the kernel.  Intersection measures mask the shared features
-out of those arrays.
+One table maps each :class:`MeasureId` to its traits and its kernel.  A
+kernel scores rows of pairs at once: :func:`score` checks one pair, aligns
+both profiles once on the union of their features and hands the kernel one
+row of each; :func:`score_rows` hands it many pairs aligned on shared
+columns, whose zeros outside a pair's union leave its score unchanged, bit
+for bit.  Intersection measures mask the shared features out of those rows.
 
 Every measure carries an orientation tag (distance: larger = farther apart;
 closeness: larger = closer) and a symmetry tag.  Orientation is metadata
@@ -115,9 +116,10 @@ class MeasureId(str, Enum):
     CRM = "crm"
 
 
-# A kernel scores two zero-filled value arrays aligned on the pair's union
-# support, in ascending feature order.
-Kernel = Callable[[np.ndarray, np.ndarray, MeasureConfig], float]
+# A kernel scores rows of pairs: row i of p (or p's only row) against row i of
+# q, zero-filled value arrays aligned on columns in ascending feature order
+# that cover each pair's union support.  It gives one score per row.
+Kernel = Callable[[np.ndarray, np.ndarray, MeasureConfig], np.ndarray]
 
 
 class Measure(NamedTuple):
@@ -154,7 +156,10 @@ def score(
     dp2: DistributionalProfile,
     config: MeasureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Evaluate any catalogued measure on a profile pair."""
+    """Evaluate any catalogued measure on a profile pair.
+
+    A feature stored with the value 0 counts as one the profile does not hold.
+    """
     measure = MeasureId(measure)
     _check_pair(dp1, dp2, required_soa(measure, config))
     v1, v2 = dp1.values, dp2.values
@@ -165,7 +170,24 @@ def score(
             )
         v1, v2 = _syntactic_only(dp1), _syntactic_only(dp2)
     p, q = _align(dp1.keys, v1, dp2.keys, v2)
-    return float(_MEASURES[measure].kernel(p, q, config))
+    return float(_MEASURES[measure].kernel(p[None], q[None], config)[0])
+
+
+def score_rows(
+    measure: MeasureId, p: np.ndarray, q: np.ndarray, config: MeasureConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """Scores of relation-free profile pairs given as aligned value rows, one per row of ``q``.
+
+    Row i of ``q`` is scored against row i of ``p``, or against its only row.
+    Columns ascend in feature order, and a zero is a feature that profile
+    does not hold.  Each score equals :func:`score`'s on the two profiles, bit
+    for bit; the caller vouches that the rows carry ``measure``'s association
+    kind.
+    """
+    measure = MeasureId(measure)
+    if measure is MeasureId.HINDLE:
+        raise IncompatibleProfilesError("syntactic variant needs relation-constrained profiles")
+    return _MEASURES[measure].kernel(p, q, config)
 
 
 def _syntactic_only(dp: DistributionalProfile) -> np.ndarray:
@@ -208,29 +230,49 @@ def _align(
     return p, q
 
 
-def _sum(x: np.ndarray) -> float:
-    """Sum added left to right in feature order, as a plain loop adds.
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Row sums added left to right in feature order, as a plain loop adds.
 
-    The zeros of the union support leave such a sum unchanged, so a kernel may
-    sum over the union where the measure sums over one side or the shared
-    features.
+    Adding -0.0 leaves every sum unchanged, and adding 0.0 every sum but
+    -0.0.  So a kernel may sum over all columns where the measure sums over a
+    pair's union, if every term outside it is -0.0, or is 0.0 while no term
+    inside can be -0.0; :func:`_sum_over` masks the terms outside with -0.0.
     """
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _sum_over(x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """Row sums of ``x`` over the columns ``where`` holds, as :func:`_sum` adds them.
+
+    The other columns' terms become -0.0, which leaves every sum unchanged.  A
+    row holding no column sums to 0.0.
+    """
+    return np.where(where.any(axis=-1), _sum(np.where(where, x, -0.0)), 0.0)
+
+
+def _union(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each pair's union support: the columns where either profile holds a value."""
+    return (p != 0.0) | (q != 0.0)
 
 
 def _log(x: np.ndarray, base: float) -> np.ndarray:
     return np.log(x) / math.log(base)
 
 
-def _smooth(raw: np.ndarray, epsilon: float) -> np.ndarray:
-    """Zeros replaced by epsilon, rescaled so the added mass leaves the total unchanged."""
+def _smooth(raw: np.ndarray, union: np.ndarray, epsilon: float) -> np.ndarray:
+    """Zeros of the union replaced by epsilon, rescaled so the total stays unchanged.
+
+    Columns outside the union stay 0.
+    """
     total = _sum(raw)
-    if total <= 0.0:
+    if (total <= 0.0).any():
         raise UndefinedMeasureError("cannot smooth an empty profile")
-    zeros = np.count_nonzero(raw <= 0.0)
-    if zeros == 0:
-        return raw
-    return np.where(raw > 0.0, raw, epsilon) * (total / (total + epsilon * zeros))
+    zeros = np.count_nonzero(union & (raw <= 0.0), axis=-1)
+    # with no zeros the scale is exactly 1.0, which leaves every value as it is
+    scale = total / (total + epsilon * zeros)
+    return np.where(union, np.where(raw > 0.0, raw, epsilon), 0.0) * scale[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +282,11 @@ def _smooth(raw: np.ndarray, epsilon: float) -> np.ndarray:
 def _cos(p, q, config):
     sq1 = _sum(p * p)
     sq2 = _sum(q * q)
-    if sq1 == 0.0 or sq2 == 0.0:
+    if (sq1 == 0.0).any() or (sq2 == 0.0).any():
         raise UndefinedMeasureError("cosine of an empty or zero-norm profile")
-    value = _sum(p * q) / (math.sqrt(sq1) * math.sqrt(sq2))
+    value = _sum(p * q) / (np.sqrt(sq1) * np.sqrt(sq2))
     # the true value is within [-1, 1]; strip rounding overshoot
-    return min(max(value, -1.0), 1.0)
+    return np.clip(value, -1.0, 1.0)
 
 
 def _l1(p, q, config):
@@ -253,7 +295,7 @@ def _l1(p, q, config):
 
 def _l2(p, q, config):
     diff = p - q
-    return math.sqrt(_sum(diff * diff))
+    return np.sqrt(_sum(diff * diff))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +303,14 @@ def _l2(p, q, config):
 
 
 def _log_ratio(p, q, config):
-    """Smoothed p and its log ratio to smoothed q."""
-    p, q = _smooth(p, config.epsilon), _smooth(q, config.epsilon)
-    # difference of logs keeps |ratio| exactly order-free
-    return p, (np.log(p) - np.log(q)) / math.log(config.log_base)
+    """Smoothed p and its log ratio to smoothed q, -0.0 outside the union."""
+    union = _union(p, q)
+    p, q = _smooth(p, union, config.epsilon), _smooth(q, union, config.epsilon)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # difference of logs keeps |ratio| exactly order-free
+        ratio = (np.log(p) - np.log(q)) / math.log(config.log_base)
+    # no row's union is empty, as smoothing refuses an empty profile
+    return p, np.where(union, ratio, -0.0)
 
 
 def _kld(p, q, config):
@@ -282,7 +328,9 @@ def _kld_unw_abs(p, q, config):
 
 
 def _kld_max(p, q, config):
-    return max(_kld(p, q, config), _kld(q, p, config))
+    forward, backward = _kld(p, q, config), _kld(q, p, config)
+    # as max() picks, which np.maximum does not between 0.0 and -0.0
+    return np.where(backward > forward, backward, forward)
 
 
 def _kld_avg(p, q, config):
@@ -291,24 +339,23 @@ def _kld_avg(p, q, config):
 
 def _kld_com(p, q, config):
     shared = (p != 0.0) & (q != 0.0)
-    if not shared.any():
+    if not shared.any(axis=-1).all():
         warnings.warn(
             "profiles share no features; common-support divergence reported as 0",
             EmptyIntersectionWarning,
             stacklevel=3,
         )
-        return 0.0
-    p, q = p[shared], q[shared]
-    return _sum(p * _log(p / q, config.log_base))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _sum_over(p * _log(p / q, config.log_base), shared)
 
 
 def _asd(p, q, config):
     seen = p > 0.0
-    p, q = p[seen], q[seen]
     mix = config.alpha * q + (1.0 - config.alpha) * p
-    if (mix <= 0.0).any():
+    if (seen & (mix <= 0.0)).any():
         raise UndefinedMeasureError("skew divergence undefined: zero mixture with alpha = 1")
-    return _sum(p * _log(p / mix, config.log_base))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _sum_over(p * _log(p / mix, config.log_base), seen)
 
 
 def _jsd_logs(p, q, config):
@@ -322,7 +369,8 @@ def _jsd_logs(p, q, config):
 
 def _jsd(p, q, config):
     left, right = _jsd_logs(p, q, config)
-    return _sum(p * left + q * right)
+    # with identical sides and a log base below 1, every term is -0.0
+    return _sum_over(p * left + q * right, _union(p, q))
 
 
 def _jsd_abs(p, q, config):
@@ -345,12 +393,11 @@ def _hindle(p, q, config):
 def _lin(p, q, config):
     """Shared positive association mass over total positive association mass."""
     p, q = np.maximum(p, 0.0), np.maximum(q, 0.0)
-    if not p.any() and not q.any():
+    if (~p.any(axis=-1) & ~q.any(axis=-1)).any():
         raise UndefinedMeasureError("no positively associated features on either side")
     shared = (p != 0.0) & (q != 0.0)
-    if not shared.any():
-        return 0.0
-    return _sum(np.where(shared, p + q, 0.0)) / (_sum(p) + _sum(q))
+    value = _sum(np.where(shared, p + q, 0.0)) / (_sum(p) + _sum(q))
+    return np.where(shared.any(axis=-1), value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +406,14 @@ def _lin(p, q, config):
 
 def _dice_cp(p, q, config):
     denominator = _sum(p) + _sum(q)
-    if denominator == 0.0:
+    if (denominator == 0.0).any():
         raise UndefinedMeasureError("dice overlap of empty profiles")
     return 2.0 * _sum(np.minimum(p, q)) / denominator
 
 
 def _jaccard_cp(p, q, config):
-    denominator = _sum(np.maximum(p, q)[(p != 0.0) & (q != 0.0)])
-    if denominator == 0.0:
+    denominator = _sum_over(np.maximum(p, q), (p != 0.0) & (q != 0.0))
+    if (denominator == 0.0).any():
         raise UndefinedMeasureError("jaccard overlap with empty intersection")
     return _sum(np.minimum(p, q)) / denominator
 
@@ -401,20 +448,21 @@ def _compositional(
     """Kernel adding up ``terms_of``'s terms under ``scheme`` (the configured one if None)."""
 
     def kernel(p, q, config):
-        if not p.size:
+        size = np.count_nonzero(_union(p, q), axis=-1)
+        if not size.all():
             raise UndefinedMeasureError("compositional measure of empty profiles")
         terms = terms_of(p, q, config)
         weighting = scheme or config.weight_scheme
         if weighting is WeightScheme.NONE:
-            return _sum(terms) / terms.size if average else _sum(terms)
+            return _sum(terms) / size if average else _sum(terms)
         if weighting is WeightScheme.AVG:
             weights = 0.5 * (p + q)
         else:
             maxes = np.maximum(p, q)
             norm = _sum(maxes)
-            if norm <= 0.0:
+            if (norm <= 0.0).any():
                 raise UndefinedMeasureError("max-weighting of empty profiles")
-            weights = maxes / norm
+            weights = maxes / norm[..., None]
         return _sum(weights * terms)
 
     return kernel
@@ -441,40 +489,48 @@ def crm_precision_recall(
     kind, penalty = CrmKind(kind), CrmPenalty(penalty)
     _check_pair(dp1, dp2, required_soa(MeasureId.CRM, MeasureConfig(crm_kind=kind)))
     p, q = _align(dp1.keys, dp1.values, dp2.keys, dp2.values)
-    return _crm_pr(p, q, kind, penalty)
+    precision, recall = _crm_pr(p[None], q[None], kind, penalty)
+    return float(precision[0]), float(recall[0])
 
 
-def _crm_pr(p, q, kind: CrmKind, penalty: CrmPenalty) -> tuple[float, float]:
+def _crm_pr(p, q, kind: CrmKind, penalty: CrmPenalty) -> tuple[np.ndarray, np.ndarray]:
     if kind is CrmKind.MI:
         # negative associations are too unreliable to subtract evidence
         p, q = np.maximum(p, 0.0), np.maximum(q, 0.0)
-    n1, n2 = np.count_nonzero(p), np.count_nonzero(q)
-    if not n1 or not n2:
+    n1, n2 = np.count_nonzero(p, axis=-1), np.count_nonzero(q, axis=-1)
+    if not (n1.all() and n2.all()):
         raise UndefinedMeasureError("substitutability of an empty co-occurrence set")
     mass1, mass2 = _sum(p), _sum(q)
     shared = (p != 0.0) & (q != 0.0)
-    p, q = p[shared], q[shared]
-    matched = np.minimum(p, q)
+    least = np.minimum(p, q)
 
     if kind is CrmKind.TYPE:
         if penalty is CrmPenalty.ADD:
-            return p.size / n1, q.size / n2
-        return _sum(matched / p) / n1, _sum(matched / q) / n2
-    if kind is CrmKind.TOKEN:
-        if penalty is CrmPenalty.ADD:
-            return _sum(p), _sum(q)
-        return _sum(matched), _sum(matched)
-    if mass1 <= 0.0 or mass2 <= 0.0:
-        raise UndefinedMeasureError("no positive association mass on one side")
+            both = np.count_nonzero(shared, axis=-1)
+            return both / n1, both / n2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _sum_over(least / p, shared) / n1, _sum_over(least / q, shared) / n2
     if penalty is CrmPenalty.ADD:
-        return _sum(p) / mass1, _sum(q) / mass2
-    return _sum(matched) / mass1, _sum(matched) / mass2
+        core1, core2 = _sum_over(p, shared), _sum_over(q, shared)
+    else:
+        core1 = core2 = _sum_over(least, shared)
+    if kind is CrmKind.TOKEN:
+        return core1, core2
+    if (mass1 <= 0.0).any() or (mass2 <= 0.0).any():
+        raise UndefinedMeasureError("no positive association mass on one side")
+    return core1 / mass1, core2 / mass2
 
 
-def crm_combine(p: float, r: float, gamma: float, beta: float) -> float:
-    """Weighted blend of the harmonic mean with a precision/recall mixture."""
-    harmonic = 0.0 if p + r == 0.0 else (2.0 * p * r) / (p + r)
-    return gamma * harmonic + (1.0 - gamma) * (beta * p + (1.0 - beta) * r)
+def crm_combine(p, r, gamma: float, beta: float):
+    """Weighted blend of the harmonic mean with a precision/recall mixture.
+
+    ``p`` and ``r`` are numbers, giving a number, or equal-shape arrays of them.
+    """
+    p, r = np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harmonic = np.where(p + r == 0.0, 0.0, (2.0 * p * r) / (p + r))
+    value = gamma * harmonic + (1.0 - gamma) * (beta * p + (1.0 - beta) * r)
+    return float(value) if value.ndim == 0 else value
 
 
 def _crm(p, q, config):

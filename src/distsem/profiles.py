@@ -123,9 +123,7 @@ def build_profile(
 
     # CP sees only the kept features; the other statistics see the whole matrix
     word_total = int(n.sum()) if kind is SoAKind.CP else counts.target_total(target)
-    n_nw_c = feature_totals - n
-    table = ContingencyTable(n, word_total - n, n_nw_c, counts.total_pairs - word_total - n_nw_c)
-    values = strength(table, kind, log_base, undefined_value)
+    values = _strengths(counts, kind, n, word_total, feature_totals, log_base, undefined_value)
     stored = np.flatnonzero(values != 0.0)
     if not stored.size:
         raise EmptyProfileError(f"profile for {target!r} is empty")
@@ -134,6 +132,24 @@ def build_profile(
     return DistributionalProfile.from_arrays(
         target, kind, features, counts.feature_keys[cols], values[stored]
     )
+
+
+def cell_strengths(counts: CooccurrenceCounts, kind: SoAKind, log_base: float = 2.0) -> np.ndarray:
+    """The strength of association of every stored cell, in row order (see ``coo``).
+
+    A cell's value is the one :func:`build_profile` gives it with its other
+    settings left at their defaults, bit for bit; undefined values raise.
+    """
+    _, _, n = counts.coo()
+    target_totals, feature_totals = counts.cell_totals()
+    return _strengths(counts, kind, n, target_totals, feature_totals, log_base)
+
+
+def _strengths(counts, kind, n, word_total, feature_totals, log_base, undefined_value=None):
+    """Association values of cells with counts ``n`` and the given marginals."""
+    n_nw_c = feature_totals - n
+    table = ContingencyTable(n, word_total - n, n_nw_c, counts.total_pairs - word_total - n_nw_c)
+    return strength(table, kind, log_base, undefined_value)
 
 
 def _frequency(counts: CooccurrenceCounts, feature) -> int:

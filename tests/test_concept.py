@@ -1,9 +1,14 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from distsem import (
     BilingualLexicon,
+    CooccurrenceCounts,
     CorpusConfig,
+    MeasureConfig,
     MeasureId,
     SoAKind,
     Thesaurus,
@@ -22,15 +27,19 @@ from distsem import (
     tokenize_documents,
 )
 from distsem.assoc import contingency
-from distsem.concept import Category, WCCM, crosslingual_sense_index
+from distsem.concept import _BLOCK_BYTES, Category, WCCM, crosslingual_sense_index
 from distsem.corpus import BOUNDARY
 from distsem.errors import (
     ConfigurationError,
+    DistSemError,
+    EmptyIntersectionWarning,
     EmptyProfileError,
     MissingWordError,
     StalenessError,
+    UndefinedMeasureError,
     ValidationError,
 )
+from distsem.measures import CrmKind, CrmPenalty
 
 from oracles import (
     bootstrap_cells,
@@ -49,6 +58,21 @@ def base_wccm(toy_counts, toy_thesaurus):
 @pytest.fixture(scope="module")
 def toy_tokens(toy_documents, toy_config):
     return list(tokenize_documents(toy_documents, toy_config))
+
+
+@pytest.fixture(scope="module")
+def boot_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config):
+    return bootstrap_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config)
+
+
+def matrix_configs(measure):
+    """The default settings, a log base below 1 (negative logs) and what ``measure`` reads."""
+    configs = [MeasureConfig(), MeasureConfig(log_base=0.5)]
+    if measure is MeasureId.CRM:
+        configs += [MeasureConfig(crm_kind=k, crm_penalty=p) for k in CrmKind for p in CrmPenalty]
+    if measure in (MeasureId.DIF, MeasureId.DIV, MeasureId.PDT_AVG):
+        configs += [MeasureConfig(weight_scheme=w) for w in ("avg", "max")]
+    return configs
 
 
 def segments_of(tokens):
@@ -260,22 +284,64 @@ class TestConceptDistance:
         got = concept_distance(base_wccm, "music", "food", MeasureId.COS)
         assert got == want
 
-    @pytest.mark.parametrize(
-        "measure",
-        [MeasureId.COS, MeasureId.JSD, MeasureId.LIN, MeasureId.KLD, MeasureId.ASD],
-        ids=lambda measure: measure.value,
-    )
-    def test_matrix_is_category_indexed(self, base_wccm, measure):
-        cats, matrix = concept_distance_matrix(base_wccm, measure)
-        n = base_wccm and len(base_wccm.categories())
-        assert matrix.shape == (n, n)
-        assert cats == base_wccm.categories()
-        if measure is MeasureId.COS:
-            assert np.allclose(np.diag(matrix), 1.0)
-        # symmetric measures score one triangle; kld and asd must not be mirrored
-        for i, c1 in enumerate(cats):
-            for j, c2 in enumerate(cats):
-                assert matrix[i, j] == concept_distance(base_wccm, c1, c2, measure)
+    @pytest.mark.parametrize("measure", list(MeasureId), ids=lambda measure: measure.value)
+    def test_matrix_is_category_indexed(self, base_wccm, boot_wccm, measure):
+        # every cell is the pair's own score, bit for bit: symmetric measures score one
+        # triangle (kld and asd must not be mirrored), and blocks align many pairs at once
+        for wccm, config in itertools.product((base_wccm, boot_wccm), matrix_configs(measure)):
+            cats = wccm.categories()
+            try:
+                want = np.array([
+                    [concept_distance(wccm, c1, c2, measure, config) for c2 in cats] for c1 in cats
+                ])
+            except DistSemError as exc:  # the syntactic hindle variant needs relations
+                with pytest.raises(type(exc)):
+                    concept_distance_matrix(wccm, measure, config)
+                continue
+            got_cats, matrix = concept_distance_matrix(wccm, measure, config)
+            assert got_cats == cats
+            assert matrix.shape == want.shape == (len(cats), len(cats))
+            assert np.array_equal(matrix.view(np.int64), want.view(np.int64)), config
+            if measure is MeasureId.COS:
+                assert np.allclose(np.diag(matrix), 1.0)
+
+    def test_matrix_of_disjoint_concepts(self):
+        wccm = WCCM({"w1": {"a": 2}, "w2": {"b": 3, "c": 1}, "w3": {"c": 4}})
+        with pytest.warns(EmptyIntersectionWarning):
+            want = concept_distance(wccm, "a", "b", MeasureId.KLD_COM)
+        with pytest.warns(EmptyIntersectionWarning):
+            _, matrix = concept_distance_matrix(wccm, MeasureId.KLD_COM)
+        assert matrix[0, 1].view(np.int64) == np.float64(want).view(np.int64)
+        for run in (lambda: concept_distance(wccm, "a", "b", MeasureId.JACCARD_CP),
+                    lambda: concept_distance_matrix(wccm, MeasureId.JACCARD_CP)):
+            with pytest.raises(UndefinedMeasureError, match="empty intersection"):
+                run()
+
+    def test_matrix_blocks_stay_bounded(self):
+        rng = np.random.default_rng(5)
+        cats, words, per_cat = 120, 5_000, 10
+        rows = np.repeat(np.arange(cats), per_cat)
+        cols = rng.integers(0, words, rows.size)
+        counts = CooccurrenceCounts.from_ids(
+            [f"c{i:03d}" for i in range(cats)], [f"w{j:05d}" for j in range(words)],
+            rows, cols, rng.integers(1, 9, rows.size),
+        )
+        assert cats * words * 8 >= 4 * _BLOCK_BYTES  # dense, it would not fit the blocks
+        wccm = WCCM(counts)
+        tracemalloc.start()
+        try:
+            _, matrix = concept_distance_matrix(wccm, MeasureId.JSD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _BLOCK_BYTES + matrix.nbytes
+        # a row's blocks here span about 40 rows; each cell is still the pair's own score
+        _, asymmetric = concept_distance_matrix(wccm, MeasureId.ASD)
+        for measure, scores in ((MeasureId.JSD, matrix), (MeasureId.ASD, asymmetric)):
+            for first in ("c000", "c119"):
+                want = [concept_distance(wccm, first, c, measure) for c in wccm.categories()]
+                row = scores[wccm.categories().index(first)]
+                assert np.array_equal(row.view(np.int64), np.array(want).view(np.int64))
 
 
 @pytest.fixture(scope="module")

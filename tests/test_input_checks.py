@@ -3,9 +3,11 @@
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 from distsem import (
+    CooccurrenceCounts,
     MeasureConfig,
     SoAKind,
     build_base_wccm,
@@ -660,6 +662,15 @@ class TestCountsValues:
         assert (code, out) == (2, ""), err
         assert "counts.tsv:2: negative count -2" in err
 
+    def test_library_constructors_refuse_negative_counts(self):
+        # the file readers' rule: a row total of 0 for "a" would make its PMI undefined
+        cells = {("a", "b"): -2, ("a", "c"): 2, ("b", "a"): 3, ("c", "a"): 1}
+        with pytest.raises(ValidationError, match=r"negative count -2 for cell \('a', 'b'\)"):
+            CooccurrenceCounts.from_pairs(cells)
+        with pytest.raises(ValidationError, match="negative count -1"):
+            CooccurrenceCounts.from_ids(["a"], ["b"], np.array([0, 0]), np.array([0, 0]),
+                                        np.array([2, -1]))
+
     @pytest.mark.parametrize("kind", ["word", "relation"])
     def test_written_kinds_load(self, tmp_path, kind):
         path = tmp_path / "counts.tsv"
@@ -705,3 +716,29 @@ class TestTaggedFileLines:
         path = tmp_path / "counts.tsv"
         path.write_text("#counts\ttotal_tokens=0\n" + "\n".join(body) + "\n")
         assert load_counts(path).total_pairs == _BLOCK_LINES + 100
+
+
+class TestHugeWindow:
+    """A window wider than the corpus pairs every two tokens of a document, at no greater cost."""
+
+    HUGE = 10**20  # buffers of this many positions could never be allocated
+
+    def test_count_and_bootstrap(self, tmp_path, fixtures_dir):
+        corpus, thesaurus = fixtures_dir / "toy.txt", fixtures_dir / "toy_thesaurus.tsv"
+        for window in (self.HUGE, 1000):  # the toy corpus has fewer than 1000 tokens
+            counts, base, boot = (tmp_path / f"{name}_{window}.tsv" for name in ("c", "b", "s"))
+            for args in (
+                ["count", "--corpus", corpus, "--window", window, "--out", counts],
+                ["wccm-build", "--counts", counts, "--thesaurus", thesaurus, "--out", base],
+                ["wccm-bootstrap", "--corpus", corpus, "--window", window, "--base", base,
+                 "--thesaurus", thesaurus, "--out", boot],
+            ):
+                code, _, err = run_cli(args)
+                assert code == 0, err
+
+        def cells(name, window):
+            return [line for line in (tmp_path / f"{name}_{window}.tsv").read_text().splitlines()
+                    if not line.startswith("#")]
+
+        for name in ("c", "s"):
+            assert cells(name, self.HUGE) == cells(name, 1000)
