@@ -73,6 +73,7 @@ from .measures import (
 )
 from .profiles import build_profile, profile_lines
 from .taxonomy import (
+    check_hs_constants,
     hirst_stonge,
     ic_from_counts,
     jiang_conrath,
@@ -218,22 +219,23 @@ def _store_entry(entry: Path, data: bytes) -> None:
         Path(temp).unlink(missing_ok=True)
 
 
+#: Flags (by ``dest``) that only window counting reads, and their defaults.
+_WINDOW_DEFAULTS = {"window": 5, "boundaries": "document", "no_lowercase": False, "docs": "file"}
+#: The Hirst-St-Onge constants of ``taxo-distance`` and their defaults.
+_HS_DEFAULTS = {"hs_c": 8.0, "hs_k": 1.0}
+
+
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", nargs="+", required=True, help="corpus text file(s)")
-    parser.add_argument(
-        "--docs",
-        choices=("file", "line"),
-        default="file",
-        help="one document per file or per line",
-    )
-    parser.add_argument("--window", type=int, default=5, help="window radius in tokens")
+    parser.add_argument("--docs", choices=("file", "line"), help="one document per file or line")
+    parser.add_argument("--window", type=int, help="window radius in tokens")
     parser.add_argument(
         "--boundaries",
         choices=tuple(b.value for b in Boundaries),
-        default="document",
         help="which boundaries windows must not cross",
     )
     parser.add_argument("--no-lowercase", action="store_true", help="keep original case")
+    parser.set_defaults(**_WINDOW_DEFAULTS)
 
 
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
@@ -582,10 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ic", default=None, help="information-content table file")
     p.add_argument("--log-base", type=float, default=2.0)
-    p.add_argument("--hs-c", type=float, default=8.0)
-    p.add_argument("--hs-k", type=float, default=1.0)
+    p.add_argument("--hs-c", type=float)
+    p.add_argument("--hs-k", type=float)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_taxo_distance)
+    p.set_defaults(func=cmd_taxo_distance, **_HS_DEFAULTS)
 
     p = sub.add_parser("ic-build", help="corpus-derived information content")
     p.add_argument("--taxonomy", required=True)
@@ -596,6 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ic_build)
 
     return parser
+
+
+def _refuse_unread(args, mode: str, defaults: dict) -> None:
+    """Refuse a flag of ``defaults`` (dest to default) set otherwise: ``mode`` never reads it."""
+    for dest, default in defaults.items():
+        if getattr(args, dest) != default:
+            raise ConfigurationError(f"--{dest.replace('_', '-')} is not used with {mode}")
 
 
 def _validate_combinations(args) -> None:
@@ -627,6 +636,8 @@ def _validate_combinations(args) -> None:
             raise ConfigurationError("--relations names no relation")
         if args.cache_dir and args.triples:
             raise ConfigurationError("--cache-dir caches window counts, not --triples")
+        if args.triples:
+            _refuse_unread(args, "--triples", _WINDOW_DEFAULTS)
     if args.command == "ic-build":
         if bool(args.freqs) == bool(args.counts):
             raise ConfigurationError("need exactly one of --freqs or --counts")
@@ -636,6 +647,11 @@ def _validate_combinations(args) -> None:
             raise ConfigurationError(f"--taxo-measure {args.taxo_measure} needs --ic")
         if args.ic and not needs_ic:
             raise ConfigurationError(f"--taxo-measure {args.taxo_measure} does not use --ic")
+        if args.taxo_measure != "lc":
+            _refuse_unread(args, f"--taxo-measure {args.taxo_measure}", {"log_base": 2.0})
+        if args.taxo_measure != "hs":
+            _refuse_unread(args, f"--taxo-measure {args.taxo_measure}", _HS_DEFAULTS)
+        check_hs_constants(args.hs_c, args.hs_k, ("--hs-c", "--hs-k"))
 
 
 def main(argv=None) -> int:

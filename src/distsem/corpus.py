@@ -51,7 +51,7 @@ _FIRST_BUFFER = 1 << 12
 #: Lines a tagged-TSV reader takes from a file at a time.
 _BLOCK_LINES = 1 << 12
 
-#: A line after the first of a block that may be blank or a ``#`` line.
+#: A line after the first of a piece of text that may be blank or a ``#`` line.
 _LINE_MARK = re.compile(r"\n[#\s]")
 
 
@@ -165,8 +165,7 @@ def read_records(
     The file is decoded whole first, so invalid UTF-8 is refused before any line is.
     """
     with open_text(path) as handle:
-        lines = handle.read().split("\n")
-    return line_records(lines, str(path), expect, sep, on_note)
+        return line_records([handle.read()], str(path), expect, sep, on_note)
 
 
 def line_records(
@@ -176,27 +175,49 @@ def line_records(
     sep: str = "\t",
     on_note: Optional[Callable[[int, list[str]], None]] = None,
 ) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields split on ``sep``) of each line that is neither blank nor a ``#`` line.
+    """(line number, fields split on ``sep``) of each data line in ``lines``; see :func:`_runs`.
 
-    Lines are numbered from 1, and a line holding only whitespace is blank.
-    ``#`` lines go to ``on_note`` as (line number, fields), except those whose
-    first field is ``#manifest``.  With ``expect``, the field names joined by
-    ``<TAB>`` or ``sep``, a line with another field count ends in
-    :class:`ParseError` ("expected ..." and the field names) from ``source``.
+    ``lines`` are pieces of text, each one or more whole lines.  With
+    ``expect``, the field names joined by ``<TAB>`` or ``sep``, a line with
+    another field count ends in :class:`ParseError` ("expected ..." and the
+    field names) from ``source``.
     """
     width = None if expect is None else len(expect.replace("<TAB>", "\t").split(sep))
-    for number, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if line.startswith("#"):
-            if on_note is not None:
-                fields = line.split(sep)
-                if fields[0] != "#manifest":
-                    on_note(number, fields)
-        elif line.strip():
+    for first, run in _runs(lines, 1, sep, on_note):
+        for number, line in enumerate(run, first):
             fields = line.split(sep)
             if width is not None and len(fields) != width:
                 raise ParseError(source, number, "expected " + expect)
             yield number, fields
+
+
+def _runs(
+    pieces: Iterable[str], first: int, sep: str, on_note: Optional[Callable]
+) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) of each run of data lines in ``pieces``.
+
+    The line rules of every data file: each piece of text holds whole lines,
+    split at ``\\n`` only, numbered on from ``first`` and given without
+    their line ends.  Blank lines (of only whitespace) are skipped, and a
+    ``#`` line goes to ``on_note`` as (line number, fields split on ``sep``)
+    unless its first field is ``#manifest``.  One search finds a piece whose
+    lines are all data lines.
+    """
+    for text in pieces:
+        lines = text.removesuffix("\n").split("\n")
+        marks = []
+        if not text or text[0] == "#" or text[0].isspace() or _LINE_MARK.search(text):
+            marks = [i for i, line in enumerate(lines) if line[:1] == "#" or not line.strip()]
+        start = 0
+        for end in marks + [len(lines)]:
+            if end > start:
+                yield first + start, lines[start:end]
+            if end < len(lines) and on_note is not None and lines[end][:1] == "#":
+                fields = lines[end].split(sep)
+                if fields[0] != "#manifest":
+                    on_note(first + end, fields)
+            start = end + 1
+        first += len(lines)
 
 
 def _first_undecodable_line(path) -> int:
@@ -625,12 +646,19 @@ def write_tagged_tsv(
 
 
 def _corpus_config(fields: Mapping[str, str]) -> Optional[CorpusConfig]:
-    """The corpus settings that header ``fields`` record, or ``None``."""
+    """The corpus settings that header ``fields`` record, or ``None``.
+
+    A setting that is not one :func:`config_fields` could write ends in
+    ``ValueError`` or :class:`ConfigurationError`.
+    """
     if "window" not in fields:
         return None
+    lowercase = fields.get("lowercase", "true")
+    if lowercase not in ("true", "false"):
+        raise ValueError(lowercase)
     return CorpusConfig(
         window_radius=int(fields["window"]),
-        lowercase=fields.get("lowercase", "true") == "true",
+        lowercase=lowercase == "true",
         respect_boundaries=Boundaries(fields.get("boundaries", "document")),
     )
 
@@ -655,11 +683,10 @@ def read_tagged_tsv(
 
     A data line must have one tab-separated field per column; a value its
     column's type refuses ends in :class:`ParseError` with ``bad_value``,
-    formatted with the column's name and the value.  Blank lines (of only
-    whitespace) and lines whose first field is ``#manifest`` are skipped, a
-    second ``#tag`` header is refused, and other ``#`` lines go to
-    ``on_note`` as (line number, tab-separated fields).  Lines are checked in
-    file order, so the error raised is the first line's.
+    formatted with the column's name and the value.  The lines follow the
+    rules of :func:`_runs`: a second ``#tag`` header is refused, and other
+    ``#`` lines go to ``on_note`` as (line number, tab-separated fields).
+    Lines are checked in file order, so the error raised is the first line's.
     """
     headers = []
 
@@ -682,34 +709,21 @@ def read_tagged_tsv(
                 raise ParseError(str(path), header_line, f"bad {key} {fields[key]!r}") from None
     try:
         config = _corpus_config(fields)
-    except ValueError:
+    except (ValueError, ConfigurationError):
         raise ParseError(str(path), header_line, "bad corpus settings") from None
 
     def note(line_number: int, parts: list[str]) -> None:
         if parts[0] == f"#{tag}":
             raise ParseError(str(path), line_number, f"repeats the header of line {header_line}")
-        if on_note is not None and parts[0] != "#manifest":
+        if on_note is not None:
             on_note(line_number, parts)
 
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
         with open_text(path) as handle:
             lines = islice(handle, header_line, None)
-            first = header_line + 1
-            while block := list(islice(lines, _BLOCK_LINES)):
-                # blank and "#" lines cut the block into runs of data lines
-                text = "".join(block)
-                marks = []
-                if text[0] == "#" or text[0].isspace() or _LINE_MARK.search(text):
-                    marks = [i for i, line in enumerate(block) if line[0] == "#" or line.isspace()]
-                start = 0
-                for end in marks + [len(block)]:
-                    if end > start:
-                        run = block[start:end]
-                        yield _split_lines(path, run, first + start, columns, bad_value)
-                    if end < len(block) and block[end][0] == "#":
-                        note(first + end, block[end].rstrip("\n").split("\t"))
-                    start = end + 1
-                first += len(block)
+            pieces = iter(lambda: "".join(islice(lines, _BLOCK_LINES)), "")
+            for first, run in _runs(pieces, header_line + 1, "\t", note):
+                yield _split_lines(path, run, first, columns, bad_value)
 
     return fields, config, blocks()
 
@@ -725,7 +739,7 @@ def _split_lines(
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
     wrong = np.flatnonzero(tabs != len(kinds) - 1)
     good = int(wrong[0]) if wrong.size else len(lines)
-    cells = "".join(lines[:good]).rstrip("\n").replace("\n", "\t").split("\t") if good else []
+    cells = "\t".join(lines[:good]).split("\t") if good else []
     split = [cells[i :: len(kinds)] for i in range(len(kinds))]
     try:
         split = [

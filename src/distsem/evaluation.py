@@ -340,19 +340,8 @@ def concept_pair_scorer(
     cross-category score under the measure's orientation, mirroring how
     annotators rate the closest senses of a pair.
     """
-    from .concept import concept_profile  # local import to avoid a cycle
-
-    measure = MeasureId(measure)
-    kind = required_soa(measure, config)
     closeness = orientation(measure) is Orientation.CLOSENESS
-    cache: dict[str, DistributionalProfile] = {}
-
-    def profile_of(category: str) -> DistributionalProfile:
-        cached = cache.get(category)
-        if cached is None:
-            cached = concept_profile(wccm, category, kind, config.log_base)
-            cache[category] = cached
-        return cached
+    category_scorer = word_pair_scorer(wccm.matrix, measure, config)
 
     def scorer(w1: str, w2: str) -> float:
         senses1 = thesaurus.senses(w1)
@@ -365,8 +354,8 @@ def concept_pair_scorer(
         for c1 in sorted(senses1):
             for c2 in sorted(senses2):
                 try:
-                    value = score(measure, profile_of(c1), profile_of(c2), config)
-                except EmptyProfileError:
+                    value = category_scorer(c1, c2)
+                except MissingWordError:  # a category with no row or an empty profile
                     continue
                 if best is None or (value > best if closeness else value < best):
                     best = value

@@ -218,10 +218,18 @@ def shortest_path(taxonomy: Taxonomy, c1: str, c2: str) -> tuple[int, int]:
     return _layered_search(taxonomy, c1, c2)
 
 
+def check_hs_constants(c_const: float, k: float, names: tuple[str, str] = ("C", "k")) -> None:
+    """Refuse a Hirst-St-Onge constant that is negative or not finite (ConfigurationError)."""
+    for name, value in zip(names, (c_const, k)):
+        if not 0.0 <= value < math.inf:
+            raise ConfigurationError(f"{name} must be finite and >= 0, not {value}")
+
+
 def hirst_stonge(
     taxonomy: Taxonomy, c1: str, c2: str, c_const: float = 8.0, k: float = 1.0
 ) -> float:
     """Path-based relatedness discounted by length and relation turns, floored at 0."""
+    check_hs_constants(c_const, k)
     try:
         length, changes = shortest_path(taxonomy, c1, c2)
     except NoPathError:

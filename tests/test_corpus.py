@@ -1,7 +1,12 @@
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsem import (
     BOUNDARY,
@@ -19,7 +24,8 @@ from distsem import (
     tokenize,
     tokenize_documents,
 )
-from distsem.corpus import line_records, read_records
+from distsem import corpus
+from distsem.corpus import line_records, read_records, read_tagged_tsv
 from distsem.errors import (
     ConfigurationError,
     CorpusDecodeError,
@@ -297,6 +303,75 @@ class TestRecordReader:
         with pytest.raises(ParseError) as err:
             list(read_records(path, "x<TAB>y<TAB>z"))
         assert (err.value.source, err.value.line_number) == (str(path), 3)
+
+
+# Characters that str.splitlines breaks a line at but the data files do not,
+# and whitespace that makes a line blank.
+ODD = ["\x0b", "\x1c", "\x85", "\u2028"]
+SPACE = [" ", "\t", "\x0c", "\xa0"]
+fields = st.text(st.sampled_from(["a", "b", "#", " ", *ODD, *SPACE[2:]]), max_size=3)
+body_lines = st.lists(
+    st.one_of(
+        st.lists(fields, min_size=2, max_size=4).map("\t".join),  # mostly three fields
+        st.lists(fields, min_size=3, max_size=3).map("\t".join),
+        st.text(st.sampled_from(SPACE), max_size=3),  # blank
+        st.builds("#{}\t{}".format, st.sampled_from(["note", "manifest", "manifesto", ""]), fields),
+    ),
+    max_size=12,
+)
+
+
+def line_rules(body, first):
+    """Records, notes and first refused line of ``body`` under the documented line rules.
+
+    Records are kept only if no line is refused.
+    """
+    records, notes = [], []
+    for number, line in enumerate(body, first):
+        parts = line.split("\t")
+        if line.startswith("#"):
+            if parts[0] != "#manifest":
+                notes.append((number, parts))
+        elif line.strip():
+            if len(parts) != 3:
+                return None, notes, number
+            records.append((number, parts))
+    return records, notes, None
+
+
+def read_outcome(read):
+    """What ``read(on_note)`` gives, in the form of :func:`line_rules`."""
+    notes = []
+    try:
+        records = read(lambda number, parts: notes.append((number, parts)))
+    except ParseError as err:
+        assert str(err).endswith(": expected target<TAB>feature<TAB>count")
+        return None, notes, err.line_number
+    return records, notes, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(body_lines, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.sampled_from([1, 2, 3, 4096]))
+def test_tagged_and_record_files_follow_one_rule_set(body, newline, last_newline, block):
+    text = newline.join(body) + newline * last_newline
+    columns = {"target": str, "feature": str, "count": str}
+    with tempfile.TemporaryDirectory() as tmp:
+        tagged, plain = Path(tmp) / "counts.tsv", Path(tmp) / "records.tsv"
+        tagged.write_bytes(("#counts\ttotal_tokens=0" + newline + text).encode("utf-8"))
+        plain.write_bytes(text.encode("utf-8"))
+
+        def read_tagged(note):
+            with mock.patch.object(corpus, "_BLOCK_LINES", block):
+                blocks = read_tagged_tsv(tagged, "counts", columns, on_note=note)[2]
+                return [(int(n), list(f)) for numbers, cols in blocks for n, *f in zip(numbers, *cols)]
+
+        def read_plain(note):
+            return list(read_records(plain, "target<TAB>feature<TAB>count", on_note=note))
+
+        # line numbers, notes and the first error as the rules give them, so none
+        # moved by a character such as \x85 or \u2028 that splitlines breaks at
+        assert read_outcome(read_plain) == line_rules(body, 1)
+        assert read_outcome(read_tagged) == line_rules(body, 2)  # after the header
 
 
 class TestSerialization:

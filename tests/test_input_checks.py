@@ -8,10 +8,12 @@ import pytest
 
 from distsem import (
     CooccurrenceCounts,
+    CorpusConfig,
     MeasureConfig,
     SoAKind,
     build_base_wccm,
     build_profile,
+    hirst_stonge,
     ic_from_counts,
     leacock_chodorow,
     load_benchmark,
@@ -710,6 +712,15 @@ class TestTaggedFileLines:
             load(path)
         assert err.value.line_number == (4 if at_end else 3)
 
+    def test_header_is_read_alone(self, tmp_path):
+        """The header scan stops at the header, so a bad header is named before later bad bytes."""
+        body = "".join(f"t{i}\tf\t1\n" for i in range(2000))  # past the first decoded chunk
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(b"#counts\ttotal_tokens=abc\n" + body.encode() + b"\xff\n")
+        with pytest.raises(ParseError, match="bad total_tokens") as err:
+            load_counts(path)
+        assert err.value.line_number == 1
+
     def test_whitespace_line_in_a_later_block(self, tmp_path):
         body = [f"t{i // 50}\tf{i % 50}\t1" for i in range(_BLOCK_LINES + 100)]
         body.insert(_BLOCK_LINES + 50, "  ")
@@ -742,3 +753,127 @@ class TestHugeWindow:
 
         for name in ("c", "s"):
             assert cells(name, self.HUGE) == cells(name, 1000)
+
+
+class TestHeaderCorpusSettings:
+    """Corpus settings in a file header are ones the writer could have written."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("lowercase=true", "lowercase=yes"), ("lowercase=true", "lowercase=TRUE"),
+         ("window=3", "window=0"), ("window=3", "window=-2")],
+    )
+    @pytest.mark.parametrize("kind", ["counts", "wccm"])
+    def test_refused_at_the_header(self, toy_counts, toy_thesaurus, tmp_path, kind, old, new):
+        path = tmp_path / f"{kind}.tsv"
+        if kind == "counts":
+            save_counts(toy_counts, path, extra_header=["#manifest\ttool=test"])
+        else:
+            save_wccm(build_base_wccm(toy_counts, toy_thesaurus), path,
+                      extra_header=["#manifest\ttool=test"])
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ParseError, match="bad corpus settings") as err:
+            (load_counts if kind == "counts" else load_wccm)(path)
+        assert (err.value.source, err.value.line_number) == (str(path), 2)
+
+    def test_through_the_cli(self, toy_counts, toy_thesaurus, tmp_path, fixtures_dir):
+        wccm = tmp_path / "wccm.tsv"
+        save_wccm(build_base_wccm(toy_counts, toy_thesaurus), wccm)
+        wccm.write_text(wccm.read_text().replace("lowercase=true", "lowercase=yes"))
+        code, out, err = run_cli(
+            ["rank", "--wccm", wccm, "--thesaurus", fixtures_dir / "toy_thesaurus.tsv",
+             "--benchmark", fixtures_dir / "toy_benchmark.csv"]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"{wccm}:1: bad corpus settings" in err
+
+    def test_written_settings_load(self, toy_counts, tmp_path):
+        path = tmp_path / "counts.tsv"
+        for config in (CorpusConfig(lowercase=False), CorpusConfig(window_radius=1)):
+            counts = CooccurrenceCounts.from_pairs({("a", "b"): 1}, config=config)
+            save_counts(counts, path)
+            assert load_counts(path).config == config
+
+
+class TestHirstStOngeConstants:
+    """The constants of the Hirst-St-Onge measure are finite and not negative."""
+
+    BAD = [float("inf"), float("nan"), -1.0, float("-inf")]
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("which", ["c_const", "k"])
+    def test_library(self, toy_taxonomy, which, value):
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            hirst_stonge(toy_taxonomy, "dog", "cat", **{which: value})
+
+    def test_usable_constants_pass(self, toy_taxonomy):
+        assert hirst_stonge(toy_taxonomy, "dog", "cat", c_const=0.0, k=0.0) == 0.0
+        assert hirst_stonge(toy_taxonomy, "dog", "cat", c_const=8.0, k=0.5) > 0.0
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("flag", ["--hs-c", "--hs-k"])
+    def test_cli_before_any_input(self, tmp_path, flag, value):
+        missing = tmp_path / "missing.tsv"  # never opened: the flag is refused first
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", missing, "--c1", "dog", "--c2", "cat",
+             "--taxo-measure", "hs", f"{flag}={value}"]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"{flag} must be finite and >= 0" in err
+
+
+class TestUnreadFlags:
+    """A flag the chosen mode never reads is refused (exit 2) unless left at its default."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--window", "3"], ["--boundaries", "sentence"], ["--no-lowercase"], ["--docs", "line"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_window_flags_with_triples(self, tmp_path, flags):
+        out = tmp_path / "c.tsv"
+        code, stdout, err = run_cli(
+            ["count", "--corpus", tmp_path / "missing.triples", "--triples", *flags, "--out", out]
+        )
+        assert (code, stdout) == (2, ""), err
+        assert f"{flags[0]} is not used with --triples" in err
+        assert not out.exists()
+
+    def test_defaults_with_triples(self, fixtures_dir, tmp_path):
+        plain, spelled = tmp_path / "plain.tsv", tmp_path / "spelled.tsv"
+        corpus = fixtures_dir / "toy.triples"
+        assert run_cli(["count", "--corpus", corpus, "--triples", "--out", plain])[0] == 0
+        code, _, err = run_cli(
+            ["count", "--corpus", corpus, "--triples", "--window", "5", "--boundaries", "document",
+             "--docs", "file", "--out", spelled]
+        )
+        assert code == 0, err
+        assert spelled.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "measure, flags",
+        [("path", ["--log-base", "10"]), ("hs", ["--log-base", "10"]),
+         ("path", ["--hs-c", "3"]), ("lc", ["--hs-k", "2"]), ("path", ["--hs-c", "nan"])],
+    )
+    def test_taxonomy_constants(self, tmp_path, measure, flags):
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", tmp_path / "missing.tsv", "--c1", "dog", "--c2", "cat",
+             "--taxo-measure", measure, *flags]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"{flags[0]} is not used with --taxo-measure {measure}" in err
+
+    @pytest.mark.parametrize(
+        "measure, flags",
+        [("lc", ["--log-base", "10"]), ("hs", ["--hs-c", "3", "--hs-k", "2"]),
+         ("path", ["--log-base", "2", "--hs-c", "8"])],
+    )
+    def test_taxonomy_constants_where_read(self, fixtures_dir, measure, flags):
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", fixtures_dir / "toy_taxonomy.tsv", "--c1", "dog",
+             "--c2", "cat", "--taxo-measure", measure, *flags]
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith(f"dog\tcat\t{measure}\t")
