@@ -17,6 +17,7 @@ import hashlib
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -51,6 +52,7 @@ from .errors import (
     ConfigurationError,
     CorpusDecodeError,
     DistSemError,
+    DistSemWarning,
     ParseError,
     ValidationError,
 )
@@ -657,15 +659,30 @@ def _validate_combinations(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _validate_combinations(args)
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"distsem: {exc}", file=sys.stderr)
-        return 2
-    except DistSemError as exc:
-        print(f"distsem: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_printer(warnings.showwarning)
+        try:
+            _validate_combinations(args)
+            return args.func(args)
+        except _USAGE_ERRORS as exc:
+            print(f"distsem: {exc}", file=sys.stderr)
+            return 2
+        except DistSemError as exc:
+            print(f"distsem: {exc}", file=sys.stderr)
+            return 1
+
+
+def _warning_printer(show):
+    """A ``warnings.showwarning`` that prints each package warning as one
+    ``distsem: warning: <message>`` line and passes others on to ``show``."""
+
+    def printer(message, category, *where):
+        if issubclass(category, DistSemWarning):
+            print(f"distsem: warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+
+    return printer
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat, takewhile
+from itertools import chain, repeat, takewhile
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -48,8 +48,11 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 #: Positions the token-id buffers hold before they first grow.
 _FIRST_BUFFER = 1 << 12
 
-#: Lines a tagged-TSV reader takes from a file at a time.
+#: Lines a tagged-TSV writer joins into one piece.
 _BLOCK_LINES = 1 << 12
+
+#: Characters a tagged-TSV reader takes from a file at a time.
+_BLOCK_CHARS = 1 << 15
 
 #: A line after the first of a piece of text that may be blank or a ``#`` line.
 _LINE_MARK = re.compile(r"\n[#\s]")
@@ -720,12 +723,25 @@ def read_tagged_tsv(
 
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
         with open_text(path) as handle:
-            lines = islice(handle, header_line, None)
-            pieces = iter(lambda: "".join(islice(lines, _BLOCK_LINES)), "")
-            for first, run in _runs(pieces, header_line + 1, "\t", note):
+            for _ in range(header_line):
+                handle.readline()
+            for first, run in _runs(_whole_lines(handle), header_line + 1, "\t", note):
                 yield _split_lines(path, run, first, columns, bad_value)
 
     return fields, config, blocks()
+
+
+def _whole_lines(handle: TextIO) -> Iterator[str]:
+    """The rest of ``handle`` in pieces of about ``_BLOCK_CHARS``, each cut after its last ``\\n``."""
+    rest = ""
+    while block := handle.read(_BLOCK_CHARS):
+        text = rest + block
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
 
 
 def _split_lines(

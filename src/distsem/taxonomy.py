@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .assoc import check_log_base
 from .corpus import read_records, read_tagged_tsv, write_tagged_tsv
@@ -31,6 +34,12 @@ from .errors import (
     ZeroCreditWarning,
 )
 
+#: Bytes the (word, concept) pairs of one chunk of words may take in the IC build.
+_CHUNK_BYTES = 1 << 21
+
+#: Bytes one pair takes while it goes up a level: its key, its level and their copies.
+_PAIR_BYTES = 48
+
 
 @dataclass
 class Taxonomy:
@@ -40,75 +49,112 @@ class Taxonomy:
     hypernym_relation: str = "isa"
 
     def __post_init__(self):
-        for child, parent, _ in self.edges:
-            if child not in self.nodes or parent not in self.nodes:
-                raise ValidationError(f"edge {child!r} -> {parent!r} uses unknown node")
-        for word, concepts in self.word_map.items():
-            for concept in concepts:
-                if concept not in self.nodes:
-                    raise ValidationError(f"word {word!r} maps to unknown concept {concept!r}")
-        self._neighbors: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
-        self._hyper_parents: dict[str, list[str]] = {n: [] for n in self.nodes}
-        self._hyper_children: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for child, parent, relation in self.edges:
-            self._neighbors[child].append((parent, relation))
-            self._neighbors[parent].append((child, relation))
-            if relation == self.hypernym_relation:
-                self._hyper_parents[child].append(parent)
-                self._hyper_children[parent].append(child)
-        self.roots = sorted(
-            n for n in self.nodes if not self._hyper_parents[n]
+        known = self.nodes.keys()
+        children, parents, relations = zip(*self.edges) if self.edges else ((), (), ())
+        if not known >= {*children, *parents}:
+            child, parent, _ = next(e for e in self.edges if e[0] not in known or e[1] not in known)
+            raise ValidationError(f"edge {child!r} -> {parent!r} uses unknown node")
+        if not known >= set().union(*self.word_map.values()):
+            for word, concepts in self.word_map.items():
+                for concept in concepts:
+                    if concept not in known:
+                        raise ValidationError(f"word {word!r} maps to unknown concept {concept!r}")
+        # concepts are numbered in insertion order
+        self._names = list(self.nodes)
+        self._ids = dict(zip(self._names, range(len(self._names))))
+        hyper = np.fromiter(map(self.hypernym_relation.__eq__, relations), dtype=bool)
+        child, parent = (
+            np.fromiter(map(self._ids.__getitem__, ends), dtype=np.int64, count=len(ends))[hyper]
+            for ends in (children, parents)
         )
+        n = len(self._names)
+        # each concept's hypernyms in edge order, and its hyponyms
+        self._up_ptr, self._up = _csr(child, parent, n)
+        self._down_ptr, self._down = _csr(parent, child, n)
         self._depths = self._compute_depths()
-        self.depth = max(self._depths.values()) if self._depths else 0
+        self.roots = sorted(self._names[i] for i in np.flatnonzero(self._depths == 0).tolist())
+        self.depth = int(self._depths.max()) if n else 0
         if self.nodes and self.depth < 1 and len(self.nodes) > 1:
             raise ValidationError("hypernymy subgraph has no edges")
 
-    def _compute_depths(self) -> dict[str, int]:
-        """Longest hypernym chain from any root, by one topological pass (Kahn).
+    @cached_property
+    def _neighbors(self) -> dict[str, list[tuple[str, str]]]:
+        """Each concept's (neighbor, label) over edges of every label, both directions."""
+        neighbors: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
+        for child, parent, relation in self.edges:
+            neighbors[child].append((parent, relation))
+            neighbors[parent].append((child, relation))
+        return neighbors
 
-        A concept is reached once all its hypernyms are; concepts never
-        reached lie on or below a cycle.
+    def _compute_depths(self) -> np.ndarray:
+        """Longest hypernym chain from any root, by one level-synchronous Kahn pass.
+
+        A concept joins the level after the last of its hypernyms; concepts
+        never reached lie on or below a cycle.
         """
-        waiting = {n: len(parents) for n, parents in self._hyper_parents.items()}
-        depths = {n: 0 for n, count in waiting.items() if count == 0}
-        queue = deque(depths)
-        while queue:
-            node = queue.popleft()
-            for child in self._hyper_children[node]:
-                depths[child] = max(depths.get(child, 0), depths[node] + 1)
-                waiting[child] -= 1
-                if waiting[child] == 0:
-                    queue.append(child)
-        if any(waiting.values()):
+        waiting = np.diff(self._up_ptr)
+        depths = np.zeros(len(waiting), dtype=np.int64)
+        level, depth = np.flatnonzero(waiting == 0), 0
+        while level.size:
+            depths[level] = depth
+            below = _rows(self._down_ptr, self._down, level)[0]
+            np.subtract.at(waiting, below, 1)
+            level, depth = _distinct(below[waiting[below] == 0]), depth + 1
+        if waiting.any():
             # walk up through unreached hypernyms until a concept repeats
-            node, seen = next(n for n in self.nodes if waiting[n]), set()
+            node, seen = int(np.flatnonzero(waiting)[0]), set()
             while node not in seen:
                 seen.add(node)
-                node = next(p for p in self._hyper_parents[node] if waiting[p])
-            raise ValidationError(f"hypernymy cycle through {node!r}")
+                parents = self._up[self._up_ptr[node] : self._up_ptr[node + 1]]
+                node = int(parents[waiting[parents] > 0][0])
+            raise ValidationError(f"hypernymy cycle through {self._names[node]!r}")
         return depths
 
     def node_depth(self, concept: str) -> int:
         self._require(concept)
-        return self._depths[concept]
+        return int(self._depths[self._ids[concept]])
 
     def ancestors(self, concept: str) -> frozenset:
         """Hypernym closure of a concept, including itself."""
         self._require(concept)
-        seen = {concept}
-        queue = deque([concept])
-        while queue:
-            node = queue.popleft()
-            for parent in self._hyper_parents[node]:
+        return frozenset(map(self._names.__getitem__, self._closure(self._ids[concept])))
+
+    def _closure(self, node: int) -> set[int]:
+        """Numbers of the concepts in the hypernym closure of concept number ``node``."""
+        ptr, up = self._up_lists
+        seen, stack = {node}, [node]
+        while stack:
+            below = stack.pop()
+            for parent in up[ptr[below] : ptr[below + 1]]:
                 if parent not in seen:
                     seen.add(parent)
-                    queue.append(parent)
-        return frozenset(seen)
+                    stack.append(parent)
+        return seen
+
+    @cached_property
+    def _up_lists(self) -> tuple[list[int], list[int]]:
+        """The hypernym rows as lists, which a walk from one concept reads fastest."""
+        return self._up_ptr.tolist(), self._up.tolist()
 
     def _require(self, concept: str) -> None:
         if concept not in self.nodes:
             raise MissingWordError(f"concept {concept!r} is not in the taxonomy")
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and ``cols`` grouped by row, each row's in their given order."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr, cols[np.argsort(rows, kind="stable")]
+
+
+def _rows(ptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows`` joined in that order, and each row's length."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    picks = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    picks += np.arange(picks.size)
+    return values[picks], lengths
 
 
 def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
@@ -269,43 +315,35 @@ def ic_from_counts(
     """Propagate word-occurrence credit up the hierarchy and take negative logs.
 
     Requires a single root.  Concepts left with zero credit are floored to
-    half of one occurrence's share and flagged with a warning.
+    half of one occurrence's share and flagged with a warning.  The mapped
+    frequencies may total at most 2**53, so that every credit is a sum of
+    integers float64 holds exactly, whatever the order of addition.
     """
     check_log_base(log_base)
     if len(taxonomy.roots) != 1:
         raise ConfigurationError("information content needs a single-root taxonomy")
-    root = taxonomy.roots[0]
-    credit: dict[str, float] = {node: 0.0 for node in taxonomy.nodes}
-    total_mapped = 0
-    for word in sorted(word_frequencies):
-        freq = word_frequencies[word]
-        if freq < 0:
-            raise ValidationError(f"negative frequency for {word!r}")
-        concepts = taxonomy.word_map.get(word)
-        if not concepts or freq == 0:
-            continue
-        credited: set = set()
-        for concept in concepts:
-            credited.update(taxonomy.ancestors(concept))
-        for node in credited:
-            credit[node] += freq
-        total_mapped += freq
-    if total_mapped == 0 or credit[root] == 0:
+    negative = [word for word, freq in word_frequencies.items() if freq < 0]
+    if negative:
+        raise ValidationError(f"negative frequency for {min(negative)!r}")
+    words = [w for w, freq in word_frequencies.items() if freq and taxonomy.word_map.get(w)]
+    total = sum(word_frequencies[w] for w in words)
+    if total == 0:
         raise ConfigurationError("no word occurrences mapped into the taxonomy")
+    if total > 2**53:
+        raise ValidationError(
+            "word frequencies mapped into the taxonomy total more than 2**53, "
+            "which float64 cannot add exactly"
+        )
+    credit = _credit(taxonomy, words, word_frequencies)
 
-    root_credit = credit[root]
+    root = taxonomy.roots[0]
+    root_credit = credit[taxonomy._ids[root]]
     floor = 1.0 / (2.0 * root_credit)
-    prob: dict[str, float] = {}
-    floored = []
-    for node in taxonomy.nodes:
-        if credit[node] > 0:
-            prob[node] = credit[node] / root_credit
-        else:
-            prob[node] = floor
-            floored.append(node)
-    if floored:
+    prob = dict(zip(taxonomy._names, np.where(credit > 0, credit / root_credit, floor).tolist()))
+    floored = np.flatnonzero(credit == 0)
+    if floored.size:
         warnings.warn(
-            f"concepts with zero corpus credit floored: {sorted(floored)}",
+            f"concepts with zero corpus credit floored: {sorted(taxonomy._names[i] for i in floored)}",
             ZeroCreditWarning,
             stacklevel=2,
         )
@@ -313,6 +351,54 @@ def ic_from_counts(
     ic = {node: -math.log(p) / log_norm for node, p in prob.items()}
     ic[root] = 0.0
     return ICTable(prob=prob, ic=ic, log_base=log_base)
+
+
+def _credit(taxonomy: Taxonomy, words: list[str], word_frequencies: dict[str, int]) -> np.ndarray:
+    """Each concept's credit: the frequencies of the ``words`` whose senses it subsumes.
+
+    The (word, concept) pairs of a chunk of words go up the hierarchy one
+    depth level at a time, deepest first.  Every hyponym of a concept lies
+    deeper, so a concept's pairs are all found when its level comes, and one
+    sort drops the repeats of a word that reaches it along several paths.
+    A chunk's words reach about ``_CHUNK_BYTES / _PAIR_BYTES`` pairs,
+    counting ``depth + 1`` per sense.
+    """
+    n, depths = len(taxonomy._names), taxonomy._depths
+    sense_sets = list(map(taxonomy.word_map.__getitem__, words))
+    sizes = list(map(len, sense_sets))
+    senses = np.fromiter(
+        map(taxonomy._ids.__getitem__, chain.from_iterable(sense_sets)), dtype=np.int64, count=sum(sizes)
+    )
+    owners = np.repeat(np.arange(len(words), dtype=np.int64), sizes)
+    weights = np.array(list(map(word_frequencies.__getitem__, words)), dtype=np.float64)
+    ends = np.cumsum(sizes)
+    reach = np.cumsum(depths[senses] + 1)[ends - 1]
+    step = _CHUNK_BYTES // _PAIR_BYTES
+    cuts = ends[np.searchsorted(reach, np.arange(step, reach[-1], step))]
+    bounds = _distinct(np.concatenate([[0], cuts, [senses.size]])).tolist()
+    credit = np.zeros(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        keys, levels = owners[lo:hi] * n + senses[lo:hi], depths[senses[lo:hi]]
+        found = []
+        while keys.size:
+            deepest = levels == levels.max()
+            pairs = _distinct(keys[deepest])
+            found.append(pairs)
+            owner, concept = np.divmod(pairs, n)
+            parents, fanout = _rows(taxonomy._up_ptr, taxonomy._up, concept)
+            keys = np.concatenate([keys[~deepest], owner.repeat(fanout) * n + parents])
+            levels = np.concatenate([levels[~deepest], depths[parents]])
+        owner, concept = np.divmod(np.concatenate(found), n)
+        credit += np.bincount(concept, weights=weights[owner], minlength=n)
+    return credit
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted (by a sort: numpy's hashing ``unique`` is slower here)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def lso(
@@ -323,15 +409,20 @@ def lso(
     Depth ties break by higher information content when a table is supplied,
     then by lexicographic id.
     """
-    common = taxonomy.ancestors(c1) & taxonomy.ancestors(c2)
+    taxonomy._require(c1)
+    taxonomy._require(c2)
+    ids = taxonomy._ids
+    common = list(taxonomy._closure(ids[c1]) & taxonomy._closure(ids[c2]))
     if not common:
         raise NoPathError(f"{c1!r} and {c2!r} share no hypernym ancestor")
+    depths = taxonomy._depths[common].tolist()
+    top = max(depths)
+    deepest = [taxonomy._names[i] for i, depth in zip(common, depths) if depth == top]
 
     def sort_key(node: str):
-        ic_value = ic.ic.get(node, 0.0) if ic is not None else 0.0
-        return (-taxonomy.node_depth(node), -ic_value, node)
+        return (-(ic.ic.get(node, 0.0) if ic is not None else 0.0), node)
 
-    return min(common, key=sort_key)
+    return min(deepest, key=sort_key)
 
 
 def resnik(taxonomy: Taxonomy, c1: str, c2: str, ic: ICTable) -> float:

@@ -424,6 +424,65 @@ def dijkstra_with_changes(neighbors, start, goal):
     return None
 
 
+def hypernym_parents(nodes, edges, relation="isa"):
+    """Each node's hypernyms in edge order, duplicates kept."""
+    parents = {node: [] for node in nodes}
+    for child, parent, label in edges:
+        if label == relation:
+            parents[child].append(parent)
+    return parents
+
+
+def hypernym_closure(parents, concept):
+    """The concept and every hypernym above it, by breadth-first search."""
+    seen, queue = {concept}, [concept]
+    while queue:
+        for parent in parents[queue.pop()]:
+            if parent not in seen:
+                seen.add(parent)
+                queue.append(parent)
+    return seen
+
+
+def longest_depths(parents):
+    """Longest hypernym chain from a root to each node of an acyclic ``parents``."""
+    depths = {}
+
+    def depth(node):
+        if node not in depths:
+            depths[node] = max((depth(p) + 1 for p in parents[node]), default=0)
+        return depths[node]
+
+    for node in parents:
+        depth(node)
+    return depths
+
+
+def ic_by_word(nodes, parents, word_map, freqs, log_base=2.0):
+    """(prob, ic, floored) with one closure search per (word, sense).
+
+    Each occurrence of a word credits once every concept in the union of its
+    senses' closures; words in sorted order, each credit added in turn.  A
+    concept with no credit gets half of one occurrence's share, and the root
+    an information content of 0.
+    """
+    (root,) = [node for node in nodes if not parents[node]]
+    credit = {node: 0.0 for node in nodes}
+    for word in sorted(freqs):
+        if not word_map.get(word) or freqs[word] == 0:
+            continue
+        credited = set()
+        for concept in word_map[word]:
+            credited |= hypernym_closure(parents, concept)
+        for node in credited:
+            credit[node] += freqs[word]
+    floor = 1.0 / (2.0 * credit[root])
+    prob = {node: credit[node] / credit[root] if credit[node] > 0 else floor for node in nodes}
+    ic = {node: -math.log(p) / math.log(log_base) for node, p in prob.items()}
+    ic[root] = 0.0
+    return prob, ic, sorted(node for node in nodes if credit[node] == 0)
+
+
 # ---------------------------------------------------------------------------
 # tagged TSV files, read one line at a time
 #

@@ -361,7 +361,7 @@ def test_tagged_and_record_files_follow_one_rule_set(body, newline, last_newline
         plain.write_bytes(text.encode("utf-8"))
 
         def read_tagged(note):
-            with mock.patch.object(corpus, "_BLOCK_LINES", block):
+            with mock.patch.object(corpus, "_BLOCK_CHARS", block):
                 blocks = read_tagged_tsv(tagged, "counts", columns, on_note=note)[2]
                 return [(int(n), list(f)) for numbers, cols in blocks for n, *f in zip(numbers, *cols)]
 

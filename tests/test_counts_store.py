@@ -106,6 +106,24 @@ class TestBlockBoundaries:
         else:
             assert expected[0] == "loaded"
 
+    @pytest.mark.parametrize("chars", [10, 7, 25], ids=["after-line-ends", "inside-lines", "both"])
+    @pytest.mark.parametrize("bad", [None, "fields", "value"])
+    def test_pieces_cut_anywhere(self, tmp_path, chars, bad):
+        """A piece of the file may end right after a line end or inside a line."""
+        body = [f"t{i}\tf{i}\t{i % 7 + 1}" for i in range(10, 99)]  # ten characters a line
+        if bad:
+            body.insert(40, BAD_LINES[bad]["counts"])
+        path = tmp_path / "counts.tsv"
+        path.write_text(LOADERS["counts"][2] + "\n" + "\n".join(body) + "\n", encoding="utf-8")
+        expected = outcome(oracles.counts_file, path)
+        assert outcome(load_counts, path) == expected
+        with mock.patch.object(corpus, "_BLOCK_CHARS", chars):
+            assert outcome(load_counts, path) == expected
+        if bad:
+            assert expected[0] == "ParseError" and f"{path}:42: " in expected[1]
+        else:
+            assert expected[0] == "loaded"
+
     def test_repeat_in_a_later_block(self, tmp_path):
         body = [data_line("counts", i) for i in range(BLOCK + 10)]
         body.append(data_line("counts", 3))
@@ -147,7 +165,7 @@ ic_lines = st.one_of(
                      max_size=14),
         )
     ),
-    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([1, 2, 3, 5, 64]),
     st.sampled_from(["\n", "\r\n"]),
     st.booleans(),
 )
@@ -158,7 +176,7 @@ def test_small_blocks_read_as_one_line_at_a_time(kind_and_lines, block, newline,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.tsv"
         path.write_bytes((text + newline * last_newline).encode("utf-8"))
-        with mock.patch.object(corpus, "_BLOCK_LINES", block):
+        with mock.patch.object(corpus, "_BLOCK_CHARS", block):
             assert outcome(load, path) == outcome(oracle, path)
 
 

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,12 +33,13 @@ from distsem import (
     save_profile,
     save_wccm,
 )
+import distsem.cli
 from distsem.cli import main
-from distsem.corpus import _BLOCK_LINES
-from distsem.errors import ConfigurationError, ParseError, ValidationError
+from distsem.corpus import _BLOCK_CHARS, _BLOCK_LINES
+from distsem.errors import ConfigurationError, ParseError, ValidationError, ZeroCreditWarning
 from distsem.taxonomy import load_word_frequencies
 
-from test_cli import run_cli
+from test_cli import SRC, run_cli
 from test_counts_store import outcome
 
 
@@ -722,11 +726,12 @@ class TestTaggedFileLines:
         assert err.value.line_number == 1
 
     def test_whitespace_line_in_a_later_block(self, tmp_path):
-        body = [f"t{i // 50}\tf{i % 50}\t1" for i in range(_BLOCK_LINES + 100)]
-        body.insert(_BLOCK_LINES + 50, "  ")
+        lines = _BLOCK_CHARS // 8  # over eight characters a line, so past the first piece
+        body = [f"t{i // 50}\tf{i % 50}\t1" for i in range(lines + 100)]
+        body.insert(lines + 50, "  ")
         path = tmp_path / "counts.tsv"
         path.write_text("#counts\ttotal_tokens=0\n" + "\n".join(body) + "\n")
-        assert load_counts(path).total_pairs == _BLOCK_LINES + 100
+        assert load_counts(path).total_pairs == lines + 100
 
 
 class TestHugeWindow:
@@ -877,3 +882,72 @@ class TestUnreadFlags:
         )
         assert code == 0, err
         assert out.splitlines()[-1].startswith(f"dog\tcat\t{measure}\t")
+
+
+class TestFrequencyTotalAbove2To53:
+    """A total float64 cannot add exactly ended in an OverflowError traceback
+    (``10**400``) or in a root credit silently rounded (``2**53 + 3``)."""
+
+    def run(self, fixtures_dir, tmp_path, source, lines):
+        path = tmp_path / "input.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ic.tsv"
+        code, stdout, err = run_cli(
+            ["ic-build", "--taxonomy", fixtures_dir / "toy_taxonomy.tsv", source, path, "--out", out]
+        )
+        assert (code, stdout) == (2, ""), err
+        assert "more than 2**53" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["dog\t1" + "0" * 400], ["dog\t9007199254740992", "cat\t3"]],
+        ids=["10**400", "2**53+3"],
+    )
+    def test_freqs(self, fixtures_dir, tmp_path, lines):
+        self.run(fixtures_dir, tmp_path, "--freqs", lines)
+
+    def test_counts(self, fixtures_dir, tmp_path):
+        lines = [
+            "#counts\ttotal_tokens=9007199254740995",
+            "#unigram\tcat\t3",
+            "#unigram\tdog\t9007199254740992",
+            "cat\tdog\t1",
+            "dog\tcat\t1",
+        ]
+        self.run(fixtures_dir, tmp_path, "--counts", lines)
+
+
+class TestWarningLine:
+    """A package warning used to reach stderr as Python prints it: the path and
+    line of ``cli.py``, then that source line."""
+
+    def test_one_distsem_line(self, fixtures_dir, tmp_path):
+        freqs = tmp_path / "freqs.tsv"
+        freqs.write_text("dog\t1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "distsem", "ic-build", "--taxonomy",
+             str(fixtures_dir / "toy_taxonomy.tsv"), "--freqs", str(freqs), "--out", "ic.tsv"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "distsem: warning: concepts with zero corpus credit floored: "
+            "['artifact', 'cat', 'hammer', 'tool']\n"
+        )
+        assert (tmp_path / "ic.tsv").exists()
+
+    def test_other_warnings_pass_through(self, capsys):
+        """Python's own warnings keep their usual form and go where they went."""
+        shown = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda *args: shown.append(args[:2])
+            printer = distsem.cli._warning_printer(warnings.showwarning)
+            printer(DeprecationWarning("old"), DeprecationWarning, "f.py", 1)
+            printer(ZeroCreditWarning("floored"), ZeroCreditWarning, "f.py", 1)
+        assert [category for _, category in shown] == [DeprecationWarning]
+        assert capsys.readouterr().err == "distsem: warning: floored\n"

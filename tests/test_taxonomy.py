@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
+import warnings
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,14 @@ from distsem.errors import (
 )
 
 import distsem.taxonomy as taxonomy_module
-from oracles import dijkstra_with_changes, shortest_with_changes
+from oracles import (
+    dijkstra_with_changes,
+    hypernym_closure,
+    hypernym_parents,
+    ic_by_word,
+    longest_depths,
+    shortest_with_changes,
+)
 
 # hand-derived corpus frequencies for the 7-node fixture
 TOY_FREQS = {
@@ -538,3 +548,161 @@ class TestICMeasures:
         partial = ICTable(prob={"dog": 0.3}, ic={"dog": 1.7})
         with pytest.raises(MissingICError):
             resnik(toy_taxonomy, "dog", "cat", partial)
+
+
+@st.composite
+def random_dags(draw):
+    """Up to 12 concepts in a shuffled order, and word frequencies.
+
+    Each concept after the first takes up to three hypernyms among those made
+    before it, repeats allowed; with ``single_root`` each takes at least one.
+    ``partof`` edges join any two concepts.  Words map to one to three senses
+    (one word to a sense and a hypernym of it), some words are in no sense,
+    and some frequencies are zero.
+    """
+    made = [f"n{i}" for i in range(draw(st.integers(2, 12)))]
+    single_root = draw(st.booleans())
+    edges = []
+    for i in range(1, len(made)):
+        low = 1 if single_root or i == 1 else 0
+        for parent in draw(st.lists(st.integers(0, i - 1), min_size=low, max_size=3)):
+            edges.append((made[i], made[parent], "isa"))
+    index = st.integers(0, len(made) - 1)
+    edges += [(made[a], made[b], "partof") for a, b in draw(st.lists(st.tuples(index, index), max_size=4))]
+    senses = st.frozensets(st.sampled_from(made), min_size=1, max_size=3)
+    word_map = {f"w{j}": draw(senses) for j in range(draw(st.integers(0, 6)))}
+    child, parent, _ = edges[0]
+    word_map["both"] = frozenset({child, parent})
+    frequency = st.one_of(st.integers(0, 50), st.integers(0, 2**40))
+    freqs = {word: draw(frequency) for word in [*word_map, "unmapped", "absent"]}
+    taxo = Taxonomy(
+        nodes={n: n.upper() for n in draw(st.permutations(made))},
+        edges=draw(st.permutations(edges)),
+        word_map=word_map,
+    )
+    return taxo, freqs
+
+
+def _bits(values):
+    return {key: value.hex() for key, value in values.items()}  # -0.0 and 0.0 differ
+
+
+class TestArrayStructureAndIC:
+    """Integer-id structure and the level-wise IC build against per-concept oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_dags(), st.sampled_from([2.0, 10.0, 0.5]), st.sampled_from([1, 3, None]))
+    def test_matches_oracles(self, case, log_base, chunk_pairs):
+        taxo, freqs = case
+        parents = hypernym_parents(taxo.nodes, taxo.edges)
+        depths = longest_depths(parents)
+        assert {node: taxo.node_depth(node) for node in taxo.nodes} == depths
+        assert taxo.depth == max(depths.values())
+        assert taxo.roots == sorted(node for node in taxo.nodes if not parents[node])
+        for node in taxo.nodes:
+            assert taxo.ancestors(node) == hypernym_closure(parents, node)
+        if len(taxo.roots) != 1:
+            with pytest.raises(ConfigurationError, match="single-root"):
+                ic_from_counts(taxo, freqs, log_base)
+            return
+        budget = taxonomy_module._CHUNK_BYTES
+        if chunk_pairs is not None:  # a few pairs a chunk, so most words are chunks of their own
+            budget = chunk_pairs * taxonomy_module._PAIR_BYTES
+        if not any(freqs[word] for word in taxo.word_map):
+            with pytest.raises(ConfigurationError, match="no word occurrences"):
+                ic_from_counts(taxo, freqs, log_base)
+            return
+        with mock.patch.object(taxonomy_module, "_CHUNK_BYTES", budget):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = ic_from_counts(taxo, freqs, log_base)
+        prob, ic, floored = ic_by_word(taxo.nodes, parents, taxo.word_map, freqs, log_base)
+        assert list(table.prob) == list(taxo.nodes)
+        assert _bits(table.prob) == _bits(prob)
+        assert _bits(table.ic) == _bits(ic)
+        messages = [str(w.message) for w in caught if w.category is ZeroCreditWarning]
+        assert messages == ([f"concepts with zero corpus credit floored: {floored}"] if floored else [])
+        for c1 in taxo.nodes:
+            for c2 in taxo.nodes:
+                common = hypernym_closure(parents, c1) & hypernym_closure(parents, c2)
+                want = min(common, key=lambda n: (-depths[n], -table.ic[n], n))
+                assert lso(taxo, c1, c2, table) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.permutations([f"n{i}" for i in range(n)]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=10),
+    )))
+    def test_cycle_names_the_concept_the_walk_repeats(self, case):
+        order, pairs = case
+        edges = [(f"n{a}", f"n{b}", "isa") for a, b in pairs]
+        parents = hypernym_parents(order, edges)
+        reached = set()  # concepts every one of whose hypernyms is reached, to a fixed point
+        while grown := {n for n in order if n not in reached and set(parents[n]) <= reached}:
+            reached |= grown
+        if len(reached) == len(order):
+            return
+        # the first concept not reached, then up by its first unreached hypernym until one repeats
+        node, seen = next(n for n in order if n not in reached), set()
+        while node not in seen:
+            seen.add(node)
+            node = next(p for p in parents[node] if p not in reached)
+        with pytest.raises(ValidationError, match=f"hypernymy cycle through '{node}'$"):
+            Taxonomy(nodes={n: n for n in order}, edges=edges)
+
+
+def wordnet_sized(seed, size=25_000):
+    """A single-root hierarchy the size of the benchmark's, one word per concept.
+
+    Concept ``i`` takes its hypernym at ``floor(i * u**1.5)`` for a uniform
+    ``u``, which makes the hierarchy about 17 deep; three percent take a
+    second, earlier hypernym.  A tenth of the words also name one or two other
+    concepts, and frequencies fall with a Zipf rank.
+    """
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(size)]
+    edges = [(names[i], names[int(i * rng.random() ** 1.5)], "isa") for i in range(1, size)]
+    edges += [(names[i], names[rng.randrange(i)], "isa") for i in range(2, size) if rng.random() < 0.03]
+    word_map, freqs = {}, {}
+    for i, name in enumerate(names):
+        extra = rng.randint(1, 2) if rng.random() < 0.1 else 0
+        word_map[f"w{i}"] = frozenset([name, *(rng.choice(names) for _ in range(extra))])
+        freqs[f"w{i}"] = 1_000_000 // rng.randint(1, size)
+    return Taxonomy(nodes={n: n for n in names}, edges=edges, word_map=word_map), freqs
+
+
+class TestICMemory:
+    def test_ic_pass_holds_its_budget(self, monkeypatch):
+        taxo, freqs = wordnet_sized(0)
+
+        def transient():
+            """Traced bytes the pass held at its peak beyond the table it returns."""
+            tracemalloc.start()
+            try:
+                table = ic_from_counts(taxo, freqs)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(table.ic) == len(taxo.nodes)
+            return peak - held
+
+        budget = taxonomy_module._CHUNK_BYTES
+        assert transient() <= budget
+        monkeypatch.setattr(taxonomy_module, "_CHUNK_BYTES", 1 << 40)  # one chunk
+        assert transient() > 2 * budget
+
+
+class TestFrequencyTotal:
+    """Credit is added in float64, which holds every integer up to 2**53 exactly."""
+
+    def test_total_above_2_53_refused(self, toy_taxonomy):
+        with pytest.raises(ValidationError, match="2\\*\\*53"):
+            ic_from_counts(toy_taxonomy, {"dog": 2**53, "cat": 3})
+        with pytest.raises(ValidationError, match="2\\*\\*53"):
+            ic_from_counts(toy_taxonomy, {"dog": 10**400})
+
+    def test_total_of_2_53_is_exact(self, toy_taxonomy):
+        with pytest.warns(ZeroCreditWarning):
+            table = ic_from_counts(toy_taxonomy, {"dog": 2**53 - 3, "cat": 3, "unmapped": 10**400})
+        assert table.prob["animal"] == 1.0
+        assert table.prob["dog"] == (2**53 - 3) / 2**53
