@@ -35,9 +35,10 @@ from .concept import (
     save_wccm,
 )
 from .corpus import (
-    BOUNDARY,
     Boundaries,
     CorpusConfig,
+    _document_lines,
+    _Documents,
     config_fields,
     count_cooccurrences,
     ingest_triples,
@@ -46,7 +47,6 @@ from .corpus import (
     open_text,
     read_documents,
     save_counts,
-    tokenize_documents,
 )
 from .errors import (
     ConfigurationError,
@@ -170,19 +170,19 @@ def _measure_settings(args) -> dict:
     }
 
 
-def _chained_tokens(args, config: CorpusConfig):
-    """All ``--corpus`` files as one token stream, with a boundary where a file ends."""
-    for path in args.corpus:
-        documents = read_documents(path, one_doc_per_line=args.docs == "line")
-        yield from tokenize_documents(documents, config)
-        yield BOUNDARY
+def _corpus_documents(args) -> _Documents:
+    """The ``--corpus`` files' documents, tokenized one at a time; ``--docs line`` reads lines."""
+    return _Documents(
+        _document_lines(path) if args.docs == "line" else read_documents(path)
+        for path in args.corpus
+    )
 
 
 def _count_corpus(args):
     """Count the windows of all input files, or each file's ``--triples`` and merge them."""
     if not args.triples:
         config = _corpus_config(args)
-        return count_cooccurrences(_chained_tokens(args, config), config)
+        return count_cooccurrences(_corpus_documents(args), config)
     relations = set(args.relations.split(",")) if args.relations else None
     parts = []
     for path in args.corpus:
@@ -399,9 +399,9 @@ def cmd_wccm_bootstrap(args) -> int:
         senses = crosslingual_sense_index(lexicon, thesaurus)
     else:
         senses = thesaurus.index
-    tokens = _chained_tokens(args, config)
+    documents = _corpus_documents(args)
     wccm = bootstrap_wccm(
-        tokens, base, senses, config, log_base=args.log_base, iterations=args.iterations
+        documents, base, senses, config, log_base=args.log_base, iterations=args.iterations
     )
     inputs = args.corpus + [args.base, args.thesaurus]
     if args.lexicon:

@@ -37,6 +37,7 @@ from .corpus import (
     _id_chunks,
     _indptr_from_sorted_rows,
     _tally,
+    _token_pieces,
     _window_pairs,
     config_fields,
     read_records,
@@ -302,6 +303,10 @@ def bootstrap_wccm(
     the farthest right) wins; ties go to the smallest category id.
     Monosemous occurrences attribute directly.  An occurrence gives its
     category one event per neighbor; words without candidates give none.
+
+    ``tokens`` are read as :func:`count_cooccurrences` reads them, in bounded
+    batches or (from the command line) a document at a time, as word id
+    arrays; the pass walks chunks of ``_BOOTSTRAP_CHUNK`` positions.
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
@@ -315,7 +320,7 @@ def bootstrap_wccm(
     words = _FirstSeenIds({w: i for i, w in enumerate(index)})  # sensed words first
     # with 2 * radius positions carried, each occurrence is decided in the one
     # chunk where its whole window lies between lo and hi
-    chunks = _id_chunks(tokens, words, 2 * radius, _BOOTSTRAP_CHUNK)
+    chunks = _id_chunks(_token_pieces(tokens, words, config), 2 * radius, _BOOTSTRAP_CHUNK)
     if iterations > 1:
         chunks = [(ids.copy(), segs.copy(), carried, last) for ids, segs, carried, last in chunks]
 

@@ -4,11 +4,12 @@ Tokens are maximal runs of letters and digits; everything else is stripped.
 Boundary markers (the module constant ``BOUNDARY``) are interleaved into token
 streams between documents or sentences, and windows never cross them.
 
-Counting is streaming: tokens are consumed once, buffered in fixed-size numpy
-chunks, and aggregated as sorted (target id, feature id) key arrays, so memory
-scales with the observed vocabulary and pair inventory rather than corpus
-length.  Counts over disjoint document shards can be merged additively with
-:func:`merge_counts`.
+Counting is streaming: each document's tokens become one array of word ids,
+the arrays are copied into bounded numpy chunks, and the pairs of each chunk
+are aggregated as sorted (target id, feature id) key arrays, so memory scales
+with the observed vocabulary and pair inventory rather than corpus length.  A
+flat token stream is taken in bounded batches the same way.  Counts over
+disjoint document shards can be merged additively with :func:`merge_counts`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat, takewhile
+from itertools import chain, islice, repeat, takewhile
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -41,12 +42,16 @@ BOUNDARY = None
 Feature = Union[str, tuple[str, str]]
 
 _TOKEN_OR_STOP = re.compile(r"[^\W_]+|[.!?]", re.UNICODE)
+_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 _KEY_BITS = 32
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
 #: Positions the token-id buffers hold before they first grow.
 _FIRST_BUFFER = 1 << 12
+
+#: Tokens taken from a flat token stream at a time.
+_TOKEN_BATCH = 1 << 12
 
 #: Lines a tagged-TSV writer joins into one piece.
 _BLOCK_LINES = 1 << 12
@@ -88,17 +93,20 @@ def tokenize(text: str, config: CorpusConfig = CorpusConfig()) -> list:
 
     Returns a list of strings with ``BOUNDARY`` markers between sentences when
     ``respect_boundaries`` is ``sentence``.  A single document never starts or
-    ends with a marker.
+    ends with a marker.  Each token is lowercased on its own: lowercasing can
+    give a letter a mark that is not a word character (``İ`` gives ``i`` and
+    U+0307), so the text is never lowercased before it is split.
     """
+    if config.respect_boundaries is not Boundaries.SENTENCE:
+        tokens = _TOKEN.findall(text)
+        return list(map(str.lower, tokens)) if config.lowercase else tokens
     tokens: list = []
-    sentence_mode = config.respect_boundaries is Boundaries.SENTENCE
     pending_break = False
-    for match in _TOKEN_OR_STOP.finditer(text):
-        piece = match.group(0)
+    for piece in _TOKEN_OR_STOP.findall(text):
         if piece in (".", "!", "?"):
             pending_break = True
             continue
-        if pending_break and sentence_mode and tokens:
+        if pending_break and tokens:
             tokens.append(BOUNDARY)
         pending_break = False
         tokens.append(piece.lower() if config.lowercase else piece)
@@ -132,15 +140,33 @@ def read_documents(path, one_doc_per_line: bool = False) -> list[str]:
     file is one document.  Invalid bytes raise :class:`CorpusDecodeError`
     carrying the byte offset.
     """
+    if one_doc_per_line:
+        return list(_document_lines(path))
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusDecodeError(str(path), exc.start) from None
-    if one_doc_per_line:
-        return [line for line in text.split("\n") if line.strip()]
     return [text] if text.strip() else []
+
+
+def _document_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 corpus file that hold more than whitespace, read one at a time.
+
+    Lines end at ``\\n`` only.  Invalid bytes raise :class:`CorpusDecodeError`
+    carrying their byte offset in the file.
+    """
+    with open(path, "rb") as handle:
+        offset = 0
+        for raw in handle:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusDecodeError(str(path), offset + exc.start) from None
+            offset += len(raw)
+            if line.strip():
+                yield line.removesuffix("\n")
 
 
 @contextmanager
@@ -433,39 +459,89 @@ def _sum_by_key(
     return keys[starts], np.add.reduceat(counts, starts)
 
 
-def _id_chunks(
-    tokens: Iterable, index: _FirstSeenIds, carry: int, size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, int, bool]]:
-    """(word ids, segment numbers, carried positions, last?) of a token stream, chunk by chunk.
+@dataclass(frozen=True)
+class _Documents:
+    """A corpus that counting and the bootstrap pass tokenize a document at a time.
 
-    ``index`` gives a new word the next id; a boundary marker starts the next
-    segment.  A chunk begins with the last ``carry`` positions of the one
-    before.  The arrays are views of buffers that the next chunk reuses.  The
-    buffers grow to their full size as tokens arrive, so a stream shorter
-    than a chunk takes only the memory of its tokens, whatever ``carry`` is.
+    ``files`` gives each file's documents.  It stands for the token stream of
+    :func:`tokenize_documents` over each file, each followed by a marker.
+    """
+
+    files: Iterable[Iterable[str]]
+
+
+def _token_pieces(tokens: Iterable, index: _FirstSeenIds, config: CorpusConfig) -> Iterator:
+    """(word ids, segment numbers) pieces of a token stream or of :class:`_Documents`.
+
+    ``index`` gives a new word the next id.  A token stream is taken in
+    batches of ``_TOKEN_BATCH``, and a boundary marker starts a new segment.
+    :class:`_Documents` give a piece per document that holds a token; a file,
+    and a document except in ``none`` mode, starts a new segment.
+    """
+    segment = 0
+    if not isinstance(tokens, _Documents):
+        tokens = iter(tokens)
+        while batch := list(islice(tokens, _TOKEN_BATCH)):
+            ids, segs, segment = _ids_and_segments(batch, index, segment)
+            yield ids, segs
+        return
+    for documents in tokens.files:
+        for doc in documents:
+            if doc_tokens := tokenize(doc, config):
+                ids, segs, segment = _ids_and_segments(doc_tokens, index, segment)
+                yield ids, segs
+                if config.respect_boundaries is not Boundaries.NONE:
+                    segment += 1
+        segment += 1
+
+
+def _ids_and_segments(tokens: list, index: _FirstSeenIds, segment: int) -> tuple:
+    """Ids and segment numbers of ``tokens``, from ``segment`` on; and the last segment number."""
+    if BOUNDARY not in tokens:
+        ids = index.ids(tokens)
+        return ids, np.broadcast_to(segment, ids.shape), segment  # a view, not a copy
+    marks = np.array([i for i, t in enumerate(tokens) if t is BOUNDARY], dtype=np.int64)
+    ids = index.ids([t for t in tokens if t is not BOUNDARY])
+    # the words before each marker; a word's segment counts the markers it follows
+    before = marks - np.arange(marks.size)
+    segs = segment + np.searchsorted(before, np.arange(ids.size), side="right")
+    return ids, segs, segment + marks.size
+
+
+def _id_chunks(
+    pieces: Iterable, carry: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, int, bool]]:
+    """(word ids, segment numbers, carried positions, last?) of :func:`_token_pieces`, by chunk.
+
+    A chunk holds up to ``size`` positions and begins with the last
+    ``carry`` positions of the one before.  Pieces are copied in as array
+    slices.  The arrays are views of buffers that the next chunk reuses.
+    The buffers grow to their full size as tokens arrive, so a stream
+    shorter than a chunk takes only the memory of its tokens, whatever
+    ``carry`` is.
     """
     size = max(size, 2 * carry + 2)
     held = min(size, _FIRST_BUFFER)
     ids = np.empty(held, dtype=np.int64)
     segs = np.empty(held, dtype=np.int64)
-    pos = kept = segment = 0
-    for token in tokens:
-        if token is BOUNDARY:
-            segment += 1
-            continue
-        ids[pos] = index[token]
-        segs[pos] = segment
-        pos += 1
-        if pos == held:
-            if held < size:
+    pos = kept = 0
+    for piece, piece_segs in pieces:
+        done = 0
+        while done < piece.size:
+            if pos == held and held < size:
                 held = min(2 * held, size)
                 ids, segs = np.resize(ids, held), np.resize(segs, held)
-                continue
-            yield ids, segs, kept, False
-            kept = carry
-            ids[:kept] = ids[pos - kept : pos]
-            segs[:kept] = segs[pos - kept : pos]
-            pos = kept
+            elif pos == held:
+                yield ids, segs, kept, False
+                kept = carry
+                ids[:kept] = ids[pos - kept : pos]
+                segs[:kept] = segs[pos - kept : pos]
+                pos = kept
+            n = min(held - pos, piece.size - done)
+            ids[pos : pos + n] = piece[done : done + n]
+            segs[pos : pos + n] = piece_segs[done : done + n]
+            pos += n
+            done += n
     yield ids[:pos], segs[:pos], kept, True
 
 
@@ -512,13 +588,19 @@ def count_cooccurrences(
     ``window_radius`` positions on either side, without crossing a boundary
     marker.  A neighbor identical to the target still counts, and a word
     appearing twice inside one window contributes two events.
+
+    The stream is taken in bounded batches, each made one array of word ids,
+    and counted in chunks of up to ``chunk_size`` positions.  The command
+    line passes a corpus whose documents are tokenized one at a time
+    straight into id arrays instead.
     """
     radius = config.window_radius
     index = _FirstSeenIds()
     tally = _NO_EVENTS
     unigrams = np.empty(0, dtype=np.int64)
     total_tokens = 0
-    for ids, segs, carried, _ in _id_chunks(tokens, index, radius, chunk_size):
+    pieces = _token_pieces(tokens, index, config)
+    for ids, segs, carried, _ in _id_chunks(pieces, radius, chunk_size):
         total_tokens += ids.size - carried
         grown = np.bincount(ids[carried:], minlength=len(index))
         grown[: unigrams.size] += unigrams
@@ -892,7 +974,8 @@ def load_counts(path) -> CooccurrenceCounts:
 
     The cells must add up to the header's ``total_pairs``, so a file that was
     cut short is refused; a cell given twice is refused too, and so is a
-    negative count, once every line has been read.
+    negative count or, with ``feature_kind=relation``, a feature that is not
+    ``relation:word``, once every line has been read.
     """
     unigram: dict[str, int] = {}
 
@@ -913,12 +996,19 @@ def load_counts(path) -> CooccurrenceCounts:
         on_note=note,
     )
     cells = _collect_cells(blocks, target=0, feature=1)
-    data, lines = cells[4:]
+    _, features, _, cols, data, lines = cells
     negative = np.flatnonzero(data < 0)
     if negative.size:
         at = negative[0]
         raise ParseError(str(path), int(lines[at]), f"negative count {data[at]}")
     feature_kind = fields.get("feature_kind", "word")
+    if feature_kind == "relation":
+        plain = np.array([":" not in f for f in features], dtype=bool)
+        bad = np.flatnonzero(plain[cols])
+        if bad.size:
+            at = bad[0]
+            feature = features[cols[at]]
+            raise ParseError(str(path), int(lines[at]), f"feature {feature!r} is not relation:word")
     counts = _build_counts(
         path,
         cells,

@@ -666,3 +666,29 @@ def test_criterion_8_throughput_and_memory():
         f"counted {n_tokens:,} tokens in {elapsed:.0f}s; "
         f"peak memory x{peak_large / peak_small:.2f} for x4 corpus; shard merge exact",
     )
+
+
+def test_cli_count_memory_follows_the_pairs_not_the_file(tmp_path, monkeypatch):
+    """``count --docs line`` reads a line at a time, so a 4x corpus takes under 2x the memory."""
+    from distsem import cli, corpus
+
+    # with 4,096-position chunks the id buffers stop growing well inside the smaller
+    # corpus (at the default 2**20, only millions of tokens would show the file's share)
+    monkeypatch.setattr(
+        corpus.count_cooccurrences, "__defaults__", (CorpusConfig(), corpus._FIRST_BUFFER)
+    )
+
+    def traced_peak(n_tokens):
+        path = tmp_path / f"corpus_{n_tokens}.txt"
+        write_topic_corpus(path, n_tokens)
+        tracemalloc.start()
+        code = cli.main(["count", "--corpus", str(path), "--docs", "line",
+                         "--out", str(tmp_path / "counts.tsv")])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    peak_small = traced_peak(100_000)
+    peak_large = traced_peak(400_000)
+    assert peak_large < 2.0 * peak_small

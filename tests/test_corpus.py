@@ -13,6 +13,9 @@ from distsem import (
     Boundaries,
     CooccurrenceCounts,
     CorpusConfig,
+    Thesaurus,
+    bootstrap_wccm,
+    build_base_wccm,
     count_cooccurrences,
     counts_equal,
     ingest_triples,
@@ -25,6 +28,7 @@ from distsem import (
     tokenize_documents,
 )
 from distsem import corpus
+from distsem.concept import Category
 from distsem.corpus import line_records, read_records, read_tagged_tsv
 from distsem.errors import (
     ConfigurationError,
@@ -34,6 +38,7 @@ from distsem.errors import (
 )
 
 from oracles import triple_pairs, window_pairs
+from test_cli import run_cli
 
 
 def pairs_of(counts):
@@ -66,6 +71,14 @@ class TestTokenize:
         cfg = CorpusConfig(respect_boundaries=Boundaries.SENTENCE)
         assert tokenize("... a b...", cfg) == ["a", "b"]
 
+    def test_case_is_mapped_per_token(self):
+        # "İ" lowercases to "i" and U+0307, which is no word character: lowercasing
+        # the text before splitting it would cut "İstanbul" in two
+        assert tokenize("İstanbul Straße") == ["i\u0307stanbul", "straße"]
+        assert tokenize("İstanbul. Straße", CorpusConfig(respect_boundaries="sentence")) == [
+            "i\u0307stanbul", BOUNDARY, "straße"
+        ]
+
     def test_document_stream_markers(self):
         cfg = CorpusConfig()
         stream = list(tokenize_documents(["a b", "c"], cfg))
@@ -92,6 +105,28 @@ class TestReadDocuments:
         with pytest.raises(CorpusDecodeError) as err:
             read_documents(bad)
         assert err.value.byte_offset == 10
+
+    def test_lines_are_read_one_at_a_time(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a b\n \n\nc\r\nd é".encode())
+        assert read_documents(path, one_doc_per_line=True) == ["a b", "c\r", "d é"]
+        assert list(corpus._document_lines(path)) == ["a b", "c\r", "d é"]
+
+    @pytest.mark.parametrize("per_line", [False, True])
+    def test_decode_error_offset_on_a_later_line(self, tmp_path, per_line):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xc3\xa9 line\nsecond \xe2\nthird\n")
+        with pytest.raises(CorpusDecodeError) as err:
+            read_documents(bad, one_doc_per_line=per_line)
+        assert err.value.byte_offset == 15
+
+    def test_decode_error_offset_through_the_cli(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"good line\nbad \xff line\n")
+        code, out, err = run_cli(["count", "--corpus", bad, "--docs", "line", "--out",
+                                  tmp_path / "c.tsv"])
+        assert (code, out) == (2, ""), err
+        assert "invalid utf-8 byte sequence at offset 14" in err
 
 
 class TestCounting:
@@ -228,6 +263,52 @@ class TestShardMerge:
     def test_merge_nothing(self):
         with pytest.raises(ConfigurationError):
             merge_counts([])
+
+
+#: What generated documents are made of: words in several cases, non-ASCII
+#: letters, digits, stops and punctuation.
+FEED_PIECES = ["a", "B", "cat", "Cat", "İstanbul", "STRASSE", "straße", "Été", "x1",
+               "...", "!?", "-", " ", "?"]
+FEED_THESAURUS = Thesaurus({
+    "X": Category("x", frozenset({"a", "cat", "straße", "été"})),
+    "Y": Category("y", frozenset({"a", "b", "Cat", "straße"})),
+    "Z": Category("z", frozenset({"cat", "i\u0307stanbul", "Été", "x1"})),
+})
+feed_documents = st.lists(st.sampled_from(FEED_PIECES), max_size=12).map(" ".join)
+
+
+class TestDocumentFeed:
+    """A corpus tokenized a document at a time counts and bootstraps as its flat token stream."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        files=st.lists(st.lists(feed_documents, max_size=4), min_size=1, max_size=3),
+        boundaries=st.sampled_from(list(Boundaries)),
+        lowercase=st.booleans(),
+        radius=st.sampled_from([1, 2, 3, 10**6]),  # the last is wider than any corpus here
+        chunk=st.integers(1, 12),  # a document holds up to 12 tokens
+        batch=st.integers(1, 5),
+        iterations=st.integers(1, 2),
+    )
+    def test_feed_matches_flat_stream(
+        self, files, boundaries, lowercase, radius, chunk, batch, iterations
+    ):
+        config = CorpusConfig(radius, lowercase, boundaries)
+        # the token stream a _Documents stands for: each file's documents, then a marker
+        flat = [t for docs in files for t in [*tokenize_documents(docs, config), BOUNDARY]]
+        senses = FEED_THESAURUS.index
+        # the reference takes the whole stream as one batch and one chunk
+        counts = count_cooccurrences(flat, config, chunk_size=len(flat) + 1)
+        base = build_base_wccm(counts, FEED_THESAURUS)
+        with mock.patch("distsem.concept._BOOTSTRAP_CHUNK", len(flat) + 1):
+            want = bootstrap_wccm(flat, base, senses, config, iterations=iterations)
+        with mock.patch("distsem.corpus._TOKEN_BATCH", batch), \
+                mock.patch("distsem.concept._BOOTSTRAP_CHUNK", chunk):
+            for tokens in (iter(flat), corpus._Documents(files)):
+                assert counts_equal(count_cooccurrences(tokens, config, chunk_size=chunk), counts)
+            for tokens in (iter(flat), corpus._Documents(files)):
+                boot = bootstrap_wccm(tokens, base, senses, config, iterations=iterations)
+                assert counts_equal(boot.matrix, want.matrix)
 
 
 class TestTriples:

@@ -644,8 +644,14 @@ class TestCountsValues:
             ("#counts\tfeature_kind=bogus\na\tb\t2\n", 1, "bad feature_kind 'bogus'"),
             ("#counts\ttotal_tokens=4\na\tb\t2\na\tc\t-2\nb\t\t\n", 4, "bad count ''"),
             ("#counts\ttotal_tokens=4\na\tb\t2\na\tc\t-2\nb\ta\t1\n", 3, "negative count -2"),
+            (
+                "#counts\ttotal_tokens=4\tfeature_kind=relation\nb\tobj:a\t1\na\tc\t2\na\td\t1\n",
+                3,
+                "feature 'c' is not relation:word",
+            ),
         ],
-        ids=["unigram", "total_tokens", "feature_kind", "bad-line-first", "negative-cell"],
+        ids=["unigram", "total_tokens", "feature_kind", "bad-line-first", "negative-cell",
+             "plain-relation-feature"],
     )
     def test_refused(self, tmp_path, text, line, message):
         path = tmp_path / "counts.tsv"
@@ -667,6 +673,19 @@ class TestCountsValues:
         )
         assert (code, out) == (2, ""), err
         assert "counts.tsv:2: negative count -2" in err
+
+    def test_relation_kind_on_word_features(self, toy_counts, tmp_path, fixtures_dir):
+        # a word-feature file whose header says relation once loaded and ranked with exit 0
+        path = tmp_path / "counts.tsv"
+        save_counts(toy_counts, path)
+        text = path.read_text()
+        path.write_text(text.replace("feature_kind=word", "feature_kind=relation"))
+        first = next(i for i, line in enumerate(text.splitlines(), 1) if line[:1] != "#")
+        code, out, err = run_cli(
+            ["rank", "--counts", path, "--benchmark", fixtures_dir / "toy_benchmark.csv"]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"counts.tsv:{first}: feature " in err and "is not relation:word" in err
 
     def test_library_constructors_refuse_negative_counts(self):
         # the file readers' rule: a row total of 0 for "a" would make its PMI undefined
