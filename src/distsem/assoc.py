@@ -52,10 +52,11 @@ class ContingencyTable:
         return self.n_wc + self.n_w_nc + self.n_nw_c + self.n_nw_nc
 
 
-def check_log_base(log_base: float, name: str = "log base") -> None:
-    """Refuse a log base that is not positive and finite, or is 1 (:class:`ConfigurationError`)."""
+def check_log_base(log_base: float, name: str = "log base") -> float:
+    """``log_base``, refused if it is not positive and finite, or is 1 (:class:`ConfigurationError`)."""
     if not (0.0 < log_base < math.inf and log_base != 1.0):
         raise ConfigurationError(f"{name} must be positive, finite and not 1, not {log_base}")
+    return log_base
 
 
 def contingency(

@@ -17,7 +17,7 @@ data.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Union
@@ -100,6 +100,8 @@ def load_thesaurus(path, lowercase: bool = True) -> Thesaurus:
     """Read ``category_id<TAB>label<TAB>word word ...`` lines."""
     categories: dict[str, Category] = {}
     for line_number, (cat_id, label, words) in read_records(path, "id<TAB>label<TAB>words"):
+        if not cat_id:
+            raise ParseError(str(path), line_number, "empty category id")
         if cat_id in categories:
             raise ParseError(str(path), line_number, f"duplicate category {cat_id!r}")
         tokens = words.split()
@@ -326,12 +328,12 @@ def bootstrap_wccm(
 
     reference = base
     for _ in range(iterations):
-        table = _positive_pmi(reference.matrix, fan.categories, words, log_base)
+        pmi = _positive_pmi(reference.matrix, fan.categories, words, log_base)
         tally = _NO_EVENTS
         for ids, segs, carried, last in chunks:
             lo = max(carried - radius, 0)
             hi = ids.size if last else ids.size - radius
-            chosen = _choose(ids, segs, lo, hi, fan, table, radius)
+            chosen = _choose(ids, segs, lo, hi, fan, pmi, radius)
             pairs = _window_pairs(chosen, ids, segs, 0, radius)
             tally = _tally(tally, ((rows[rows >= 0], cols[rows >= 0]) for rows, cols in pairs))
         keys, counts = tally
@@ -350,30 +352,42 @@ def bootstrap_wccm(
 
 def _positive_pmi(
     matrix: CooccurrenceCounts, categories: list[str], words: _FirstSeenIds, log_base: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (category id, word id) keys of the positive PMI cells, and their values.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Lookup of the positive PMI of (category id, word id) keys, 0 where the reference has none.
 
-    Cells of a category outside ``categories`` are left out.  A sentinel key
-    that no lookup matches ends the keys.
+    Cells of a category outside ``categories`` are left out.  Within
+    ``_TABLE_BYTES`` the values sit in a dense category-by-word table whose
+    trailing column of zeros serves words first seen later; above it, the
+    keys are searched in sorted order, ended by a sentinel no key matches.
     """
     rows, cols, _ = matrix.coo()
     values = cell_strengths(matrix, SoAKind.PMI, log_base)
     cat_id = {c: i for i, c in enumerate(categories)}
     cats = np.array([cat_id.get(c, -1) for c in matrix.targets], dtype=np.int64)[rows]
     keep = (values > 0.0) & (cats >= 0)
-    keys = (cats[keep] << _KEY_BITS) | words.ids(matrix.features)[cols[keep]]
+    cats, ids, values = cats[keep], words.ids(matrix.features)[cols[keep]], values[keep]
+    width = len(words)
+    if len(categories) * (width + 1) * 8 <= _TABLE_BYTES:
+        table = np.zeros((len(categories), width + 1))
+        table[cats, ids] = values
+        return lambda cats, ids: table[cats, np.minimum(ids, width)]
+    keys = (cats << _KEY_BITS) | ids
     order = np.argsort(keys)
-    return (
-        np.append(keys[order], np.iinfo(np.int64).max),
-        np.append(values[keep][order], 0.0),
-    )
+    keys, values = np.append(keys[order], np.iinfo(np.int64).max), np.append(values[order], 0.0)
+
+    def search(cats: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        want = (cats << _KEY_BITS) | ids
+        found = np.searchsorted(keys, want)
+        return np.where(keys[found] == want, values[found], 0.0)
+
+    return search
 
 
-def _choose(ids, segs, lo: int, hi: int, fan: _SenseFan, table, radius: int) -> np.ndarray:
+def _choose(ids, segs, lo: int, hi: int, fan: _SenseFan, pmi, radius: int) -> np.ndarray:
     """Category id of each occurrence at positions ``lo`` to ``hi`` of a chunk, else -1.
 
-    A candidate's score adds the ``table`` values (0 if missing) of the
-    neighbors at offsets -radius to -1, then 1 to radius.
+    A candidate's score adds the ``pmi`` values (see :func:`_positive_pmi`)
+    of the neighbors at offsets -radius to -1, then 1 to radius.
     """
     chosen = np.full(ids.size, -1, dtype=np.int64)
     at = lo + np.flatnonzero(ids[lo:hi] < fan.counts.size)
@@ -383,15 +397,12 @@ def _choose(ids, segs, lo: int, hi: int, fan: _SenseFan, table, radius: int) -> 
         return chosen
     item, cats = fan.fan_out(ids[at])
     centre = at[item]
-    keys, values = table
     totals = np.zeros(item.size)
     reach = min(radius, ids.size - 1)  # no neighbor lies farther in the chunk
     for offset in chain(range(-reach, 0), range(1, reach + 1)):
         near = np.clip(centre + offset, 0, ids.size - 1)
-        want = (cats << _KEY_BITS) | ids[near]
-        found = np.searchsorted(keys, want)
-        hit = (near == centre + offset) & (segs[near] == segs[centre]) & (keys[found] == want)
-        totals += np.where(hit, values[found], 0.0)
+        hit = (near == centre + offset) & (segs[near] == segs[centre])
+        totals += np.where(hit, pmi(cats, ids[near]), 0.0)
     first = np.cumsum(n) - n
     best = np.repeat(np.maximum.reduceat(totals, first), n)
     # an occurrence's candidates ascend, so the least rank among its best is the tie winner
@@ -423,6 +434,9 @@ def concept_distance(
     return score(measure, dp1, dp2, config)
 
 
+#: Bytes the bootstrap's dense table of positive PMI may take, categories
+#: times words (plus one) times 8; a larger reference is searched instead.
+_TABLE_BYTES = 1 << 26
 #: Memory that scoring one block of aligned concept profiles may take, in
 #: bytes.  Bigger blocks take fewer calls but pad sparse profiles with more
 #: zeros.

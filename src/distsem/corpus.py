@@ -762,7 +762,8 @@ def read_tagged_tsv(
     if they record none) and the data lines after the header in blocks of
     (line numbers, one value list per entry of ``columns``).  Header fields
     named in ``converters`` are converted with the function given there, and
-    a ``ValueError`` from it ends in :class:`ParseError` at the header.
+    a ``ValueError`` or :class:`ConfigurationError` from it ends in
+    :class:`ParseError` at the header.
     Columns are converted with their type: ``str`` keeps the text, ``int``
     or ``float`` gives a numpy array.
 
@@ -790,7 +791,7 @@ def read_tagged_tsv(
         if key in fields:
             try:
                 fields[key] = convert(fields[key])
-            except ValueError:
+            except (ValueError, ConfigurationError):
                 raise ParseError(str(path), header_line, f"bad {key} {fields[key]!r}") from None
     try:
         config = _corpus_config(fields)

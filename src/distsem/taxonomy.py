@@ -165,10 +165,14 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     for line_number, parts in read_records(path):
         record = parts[0]
         if record == "NODE" and len(parts) == 3:
+            if not parts[1]:
+                raise ParseError(str(path), line_number, "empty concept name")
             if parts[1] in nodes:
                 raise ParseError(str(path), line_number, f"duplicate node {parts[1]!r}")
             nodes[parts[1]] = parts[2]
         elif record == "EDGE" and len(parts) == 4:
+            if not parts[3]:
+                raise ParseError(str(path), line_number, "empty relation")
             edges.append((parts[1], parts[2], parts[3]))
         elif record == "WORD" and len(parts) == 3:
             word_map.setdefault(parts[1], set()).add(parts[2])
@@ -455,21 +459,47 @@ def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
 
 
 def load_ic_table(path) -> ICTable:
+    """Read a table written by :func:`save_ic_table`.
+
+    Each concept comes once, with a ``prob`` in (0, 1] and a finite ``ic``
+    of the sign its log base gives: at least 0 (the root's value) for a base
+    above 1.  As in a counts file, the first line with a bad value, and then
+    the first repeated concept, ends in :class:`ParseError`; so does a
+    header ``log_base`` that :func:`check_log_base` refuses.
+    """
     fields, _, blocks = read_tagged_tsv(
         path,
         "ic",
         {"concept": str, "prob": float, "ic": float},
-        {"log_base": float},
+        {"log_base": lambda text: check_log_base(float(text))},
         bad_value="non-numeric prob or ic",
     )
     prob: dict[str, float] = {}
     ic: dict[str, float] = {}
-    for _, (concepts, probs, ics) in blocks:
+    parts: list[tuple] = []
+    for numbers, (concepts, probs, ics) in blocks:
+        parts.append((numbers, probs, ics, concepts))
         prob.update(zip(concepts, probs.tolist()))
         ic.update(zip(concepts, ics.tolist()))
     if not prob:
         raise ValidationError(f"{path}: empty information-content table")
-    return ICTable(prob=prob, ic=ic, log_base=fields.get("log_base", 2.0))
+    log_base = fields.get("log_base", 2.0)
+    numbers, probs, ics = (np.concatenate(column) for column in list(zip(*parts))[:3])
+    sign = 1.0 if log_base > 1.0 else -1.0
+    bad = ~((probs > 0.0) & (probs <= 1.0) & np.isfinite(ics) & (ics * sign >= 0.0))
+    if bad.any():
+        at = np.flatnonzero(bad)[0]
+        p, value = probs[at].item(), ics[at].item()
+        rule = f"prob {p!r} is outside (0, 1]" if not 0.0 < p <= 1.0 else (
+            f"ic {value!r} must be finite and {'>=' if sign > 0 else '<='} 0"
+        )
+        raise ParseError(str(path), int(numbers[at]), rule)
+    if len(prob) < numbers.size:
+        first: dict[str, int] = {}
+        for number, concept in zip(numbers.tolist(), chain.from_iterable(part[3] for part in parts)):
+            if first.setdefault(concept, number) != number:
+                raise ParseError(str(path), number, f"repeats the concept of line {first[concept]}")
+    return ICTable(prob=prob, ic=ic, log_base=log_base)
 
 
 def load_word_frequencies(path) -> dict[str, int]:

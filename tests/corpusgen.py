@@ -2,7 +2,9 @@
 
 The narrative generator writes topic-coherent sentences covering all words of
 the 30-pair noun benchmark, so ranking has co-occurrence signal to work with;
-the flat generator just produces a long Zipf-distributed token stream.
+the flat generator just produces a long Zipf-distributed token stream; the
+thesaurus-scale generator gives the cells of a word-by-category matrix with
+as many categories and words as a real thesaurus has.
 """
 
 import numpy as np
@@ -77,3 +79,21 @@ def flat_token_stream(n_tokens: int, vocab_size: int, seed: int = 99, doc_len: i
 
 def flat_token_list(n_tokens: int, vocab_size: int, seed: int = 99, doc_len: int = 1000):
     return list(flat_token_stream(n_tokens, vocab_size, seed, doc_len))
+
+
+def thesaurus_cells(n_categories: int, words_per_category: int, vocab_size: int, seed: int = 7):
+    """Cells of a word-by-category matrix for ``CooccurrenceCounts.from_ids``.
+
+    Each category lists ``words_per_category`` distinct words drawn from a
+    ``vocab_size`` vocabulary, each with a count of 1 to 8; a category's
+    words double as its thesaurus entry.  Returns (category names,
+    vocabulary, category ids, word ids, counts).
+    """
+    rng = np.random.default_rng(seed)
+    categories = [f"c{i:05d}" for i in range(n_categories)]
+    vocabulary = [f"w{j:06d}" for j in range(vocab_size)]
+    rows = np.repeat(np.arange(n_categories), words_per_category)
+    cols = np.concatenate(
+        [rng.choice(vocab_size, words_per_category, replace=False) for _ in range(n_categories)]
+    )
+    return categories, vocabulary, rows, cols, rng.integers(1, 9, rows.size)

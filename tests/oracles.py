@@ -517,11 +517,11 @@ def _tagged_body(path, tag):
                 yield number, line.split("\t")
 
 
-def _first_repeat(path, keyed_lines):
+def _first_repeat(path, keyed_lines, what="cell"):
     first = {}
     for number, key in keyed_lines:
         if key in first:
-            raise _parse_error(path, number, f"repeats the cell of line {first[key]}")
+            raise _parse_error(path, number, f"repeats the {what} of line {first[key]}")
         first[key] = number
 
 
@@ -580,17 +580,33 @@ def wccm_file(path):
 
 
 def ic_file(path):
-    """(prob, ic) dicts of an information-content file; a later line wins."""
-    prob, ic = {}, {}
+    """(prob, ic) dicts of an information-content file.
+
+    A prob must lie in (0, 1] and an ic be finite, at least 0 under the
+    header's log base above 1 and at most 0 under one below 1; then a concept
+    may come only once.
+    """
+    with open(path, encoding="utf-8") as handle:
+        header = next(line for line in handle if line.split("\t")[0].rstrip() == "#ic")
+    fields = dict(f.partition("=")[::2] for f in header.rstrip().split("\t")[1:])
+    sign = 1.0 if float(fields.get("log_base", 2.0)) > 1.0 else -1.0
+    lines = []
     for number, parts in _tagged_body(path, "ic"):
         if parts[0].startswith("#"):
             continue
         if len(parts) != 3:
             raise _parse_error(path, number, "expected concept<TAB>prob<TAB>ic")
         try:
-            prob[parts[0]], ic[parts[0]] = float(parts[1]), float(parts[2])
+            lines.append((number, parts[0], float(parts[1]), float(parts[2])))
         except ValueError:
             raise _parse_error(path, number, "non-numeric prob or ic") from None
-    if not prob:
+    if not lines:
         raise Refused("ValidationError", f"{path}: empty information-content table")
-    return prob, ic
+    for number, _, p, ic in lines:
+        if not 0.0 < p <= 1.0:
+            raise _parse_error(path, number, f"prob {p!r} is outside (0, 1]")
+        if not (math.isfinite(ic) and ic * sign >= 0.0):
+            bound = ">=" if sign > 0 else "<="
+            raise _parse_error(path, number, f"ic {ic!r} must be finite and {bound} 0")
+    _first_repeat(path, [(number, concept) for number, concept, _, _ in lines], "concept")
+    return {c: p for _, c, p, _ in lines}, {c: ic for _, c, _, ic in lines}

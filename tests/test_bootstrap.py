@@ -16,7 +16,7 @@ from distsem import (
     count_cooccurrences,
     tokenize_documents,
 )
-from distsem.concept import WCCM, Category, crosslingual_sense_index
+from distsem.concept import _TABLE_BYTES, WCCM, Category, crosslingual_sense_index
 from distsem.corpus import BOUNDARY
 from distsem.errors import EmptyProfileError
 
@@ -75,9 +75,11 @@ def positive_rows(matrix, log_base):
     one_shot=st.booleans(),
     chunk=st.sampled_from([1, 5, 9, 1 << 12]),
     log_base=st.sampled_from([2.0, 10.0]),
+    table_bytes=st.sampled_from([_TABLE_BYTES, 0]),  # the dense table, or the sorted-key search
 )
 def test_bootstrap_equals_reference(
-    docs, radius, boundaries, thesaurus, lexicon, cells, iterations, one_shot, chunk, log_base
+    docs, radius, boundaries, thesaurus, lexicon, cells, iterations, one_shot, chunk, log_base,
+    table_bytes,
 ):
     config = CorpusConfig(window_radius=radius, respect_boundaries=boundaries)
     tokens = list(tokenize_documents(docs, config))
@@ -93,7 +95,8 @@ def test_bootstrap_equals_reference(
         base = WCCM({w: {c: float(n) for c, n in row.items()} for w, row in cells.items()})
 
     stream = iter(tokens) if one_shot else tokens
-    with mock.patch("distsem.concept._BOOTSTRAP_CHUNK", chunk):
+    with mock.patch("distsem.concept._BOOTSTRAP_CHUNK", chunk), \
+            mock.patch("distsem.concept._TABLE_BYTES", table_bytes):
         boot = bootstrap_wccm(
             stream, base, senses, config, log_base=log_base, iterations=iterations
         )
@@ -117,6 +120,16 @@ def test_tie_goes_to_the_first_category():
     assert positive_rows(base.matrix, 2.0)["A"] == positive_rows(base.matrix, 2.0)["B"]
     assert positive_rows(base.matrix, 2.0)["A"]["ctx"] > 0.0
     assert matrix_cells(boot.matrix) == {"ctx": {"A": 2}}
+
+
+def test_word_first_seen_in_the_pass_scores_zero():
+    # "new" gets an id after the lookup is built, past every word the reference
+    # holds; it must score 0 for both candidates, not borrow the last word's value
+    base = WCCM({"ctx": {"A": 2.0, "B": 2.0}, "z": {"B": 5.0, "C": 1.0}})
+    senses = {"jam": frozenset({"A", "B"})}
+    assert positive_rows(base.matrix, 2.0)["B"]["z"] > 0.0
+    boot = bootstrap_wccm(["new", "jam"], base, senses, CorpusConfig(window_radius=1))
+    assert matrix_cells(boot.matrix) == {"new": {"A": 1}}
 
 
 def test_scores_add_from_the_farthest_left_neighbor():

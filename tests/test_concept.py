@@ -27,8 +27,17 @@ from distsem import (
     tokenize_documents,
 )
 from distsem.assoc import contingency
-from distsem.concept import _BLOCK_BYTES, Category, WCCM, crosslingual_sense_index
-from distsem.corpus import BOUNDARY
+from distsem.concept import (
+    _BLOCK_BYTES,
+    _TABLE_BYTES,
+    Category,
+    WCCM,
+    _choose,
+    _positive_pmi,
+    _SenseFan,
+    crosslingual_sense_index,
+)
+from distsem.corpus import BOUNDARY, _FirstSeenIds
 from distsem.errors import (
     ConfigurationError,
     DistSemError,
@@ -41,6 +50,7 @@ from distsem.errors import (
 )
 from distsem.measures import CrmKind, CrmPenalty
 
+from corpusgen import thesaurus_cells
 from oracles import (
     bootstrap_cells,
     contingency_from_pairs,
@@ -240,6 +250,27 @@ class TestBootstrap:
     def test_kind_is_bootstrapped(self, toy_tokens, base_wccm, toy_thesaurus, toy_config):
         boot = bootstrap_wccm(toy_tokens, base_wccm, toy_thesaurus, toy_config)
         assert boot.kind == "bootstrapped"
+
+    def test_lookup_stays_bounded(self):
+        categories, vocabulary, rows, cols, counts = thesaurus_cells(1_000, 30, 12_000)
+        reference = CooccurrenceCounts.from_ids(categories, vocabulary, rows, cols, counts)
+        index = {}
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            index.setdefault(vocabulary[col], set()).add(categories[row])
+        fan = _SenseFan(index, list(index))
+        words = _FirstSeenIds({w: i for i, w in enumerate(index)})
+        dense = len(fan.categories) * len(index) * 8
+        assert dense > _TABLE_BYTES  # a dense table would exceed the budget
+        ids = np.random.default_rng(3).integers(0, len(index), 1 << 12)  # one chunk
+        tracemalloc.start()
+        try:
+            pmi = _positive_pmi(reference, fan.categories, words, 2.0)
+            chosen = _choose(ids, np.zeros_like(ids), 0, ids.size, fan, pmi, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense / 16
+        assert (chosen >= 0).all()  # every position holds a word with candidates
 
 
 class TestConceptProfiles:

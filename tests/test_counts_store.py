@@ -150,8 +150,8 @@ wccm_lines = st.one_of(
     st.sampled_from(["", " ", "#manifest\tx=1", "#note", "a\tb", "a\tb\t1\t2", "#wccm"]),
 )
 ic_lines = st.one_of(
-    st.builds("{}\t{}\t{}".format, words, st.sampled_from(["0.5", "1e-3", "x"]),
-              st.sampled_from(["1.0", "2", "y"])),
+    st.builds("{}\t{}\t{}".format, words, st.sampled_from(["0.5", "1e-3", "x", "2.0", "0"]),
+              st.sampled_from(["1.0", "2", "y", "nan", "-3"])),
     st.sampled_from(["", " \t", "#manifest\tx=1", "#note", "a\t0.5", "a\t0.5\t1\t2", "#ic"]),
 )
 

@@ -970,3 +970,124 @@ class TestWarningLine:
             printer(ZeroCreditWarning("floored"), ZeroCreditWarning, "f.py", 1)
         assert [category for _, category in shown] == [DeprecationWarning]
         assert capsys.readouterr().err == "distsem: warning: floored\n"
+
+
+class TestICValues:
+    """An IC table value no IC build makes is an input error at its line (exit 2), not a printed score."""
+
+    def write(self, toy_taxonomy, path, log_base=2.0):
+        table = ic_from_counts(toy_taxonomy, {"dog": 3, "cat": 2, "hammer": 4}, log_base=log_base)
+        save_ic_table(table, path)
+        return path.read_text().splitlines()
+
+    def res(self, path, fixtures_dir):
+        return run_cli(
+            ["taxo-distance", "--taxonomy", fixtures_dir / "toy_taxonomy.tsv", "--c1", "dog",
+             "--c2", "cat", "--taxo-measure", "res", "--ic", path]
+        )
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("ic", "nan", "ic nan must be finite and >= 0"),
+        ("ic", "inf", "ic inf must be finite and >= 0"),
+        ("ic", "-3", "ic -3.0 must be finite and >= 0"),
+        ("prob", "2.0", r"prob 2.0 is outside \(0, 1\]"),
+        ("prob", "0.0", r"prob 0.0 is outside \(0, 1\]"),
+    ])
+    def test_bad_value(self, toy_taxonomy, tmp_path, fixtures_dir, column, value, message):
+        path = tmp_path / "ic.tsv"
+        lines = self.write(toy_taxonomy, path)
+        parts = lines[3].split("\t")
+        parts[1 if column == "prob" else 2] = value
+        lines[3] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as err:
+            load_ic_table(path)
+        assert err.value.line_number == 4
+        code, out, stderr = self.res(path, fixtures_dir)
+        assert code == 2 and not out
+        assert "ic.tsv:4:" in stderr
+
+    def test_sign_follows_the_log_base(self, toy_taxonomy, tmp_path):
+        path = tmp_path / "ic.tsv"
+        lines = self.write(toy_taxonomy, path, log_base=0.5)
+        assert load_ic_table(path).ic["dog"] < 0.0  # a base below 1 gives ic <= 0
+        lines[3] = lines[3].rsplit("\t", 1)[0] + "\t3.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="ic 3.0 must be finite and <= 0") as err:
+            load_ic_table(path)
+        assert err.value.line_number == 4
+
+    def test_repeated_concept(self, toy_taxonomy, tmp_path, fixtures_dir):
+        path = tmp_path / "ic.tsv"
+        lines = self.write(toy_taxonomy, path)
+        lines.insert(6, lines[3].split("\t")[0] + "\t0.5\t1.0")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="repeats the concept of line 4") as err:
+            load_ic_table(path)
+        assert err.value.line_number == 7
+        code, _, stderr = self.res(path, fixtures_dir)
+        assert code == 2 and "ic.tsv:7: repeats the concept of line 4" in stderr
+
+    def test_repeat_in_a_later_block(self, tmp_path):
+        body = [f"c{i}\t0.5\t1.0" for i in range(_BLOCK_CHARS // 8)]  # past the first piece
+        path = tmp_path / "ic.tsv"
+        path.write_text("#ic\tlog_base=2.0\n" + "\n".join(body + ["c7\t0.5\t1.0"]) + "\n")
+        with pytest.raises(ParseError, match="repeats the concept of line 9") as err:
+            load_ic_table(path)
+        assert err.value.line_number == len(body) + 2
+        # as in a counts file, a bad value anywhere is named before a repeat
+        path.write_text(path.read_text() + "c8\t0.5\tnan\n")
+        with pytest.raises(ParseError, match="ic nan must be finite") as err:
+            load_ic_table(path)
+        assert err.value.line_number == len(body) + 3
+
+    @pytest.mark.parametrize("log_base", ["1.0", "-2", "0", "inf", "nan"])
+    def test_bad_header_log_base(self, toy_taxonomy, tmp_path, fixtures_dir, log_base):
+        path = tmp_path / "ic.tsv"
+        lines = self.write(toy_taxonomy, path)
+        lines[0] = lines[0].replace("log_base=2.0", f"log_base={log_base}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"bad log_base '{log_base}'") as err:
+            load_ic_table(path)
+        assert err.value.line_number == 1
+        code, out, stderr = self.res(path, fixtures_dir)
+        assert code == 2 and not out
+        assert "ic.tsv:1:" in stderr
+
+
+class TestEmptyNames:
+    """A concept, relation or category named by the empty string is refused at its line (exit 2)."""
+
+    @pytest.mark.parametrize("record, message", [
+        ("NODE\t\tEmpty", "empty concept name"),
+        ("EDGE\thammer\tdog\t", "empty relation"),
+    ])
+    def test_taxonomy(self, tmp_path, fixtures_dir, record, message):
+        path = tmp_path / "taxonomy.tsv"
+        lines = (fixtures_dir / "toy_taxonomy.tsv").read_text().splitlines()
+        lines.insert(9, record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as err:
+            load_taxonomy(path)
+        assert err.value.line_number == 10
+        code, _, stderr = run_cli(
+            ["taxo-distance", "--taxonomy", path, "--c1", "dog", "--c2", "cat",
+             "--taxo-measure", "path"]
+        )
+        assert code == 2 and "taxonomy.tsv:10: " + message in stderr
+
+    def test_thesaurus_category_id(self, toy_counts, tmp_path, fixtures_dir):
+        thesaurus, counts = tmp_path / "thesaurus.tsv", tmp_path / "counts.tsv"
+        lines = (fixtures_dir / "toy_thesaurus.tsv").read_text().splitlines()
+        lines.insert(1, "\tNameless\tband song")
+        thesaurus.write_text("\n".join(lines) + "\n")
+        save_counts(toy_counts, counts)
+        with pytest.raises(ParseError, match="empty category id") as err:
+            load_thesaurus(thesaurus)
+        assert err.value.line_number == 2
+        out = tmp_path / "base.tsv"
+        code, _, stderr = run_cli(
+            ["wccm-build", "--counts", counts, "--thesaurus", thesaurus, "--out", out]
+        )
+        assert code == 2 and "thesaurus.tsv:2: empty category id" in stderr
+        assert not out.exists()
