@@ -132,7 +132,10 @@ class BilingualLexicon:
 def load_lexicon(path, lowercase: bool = True) -> BilingualLexicon:
     """Read ``source_word<TAB>target_word`` lines, merging repeated sources."""
     table: dict[str, set] = {}
-    for _, (src, tgt) in read_records(path, "source<TAB>target"):
+    for line_number, (src, tgt) in read_records(path, "source<TAB>target"):
+        if not src or not tgt:
+            side = "target" if src else "source"
+            raise ParseError(str(path), line_number, f"empty {side} word")
         if lowercase:
             src, tgt = src.lower(), tgt.lower()
         table.setdefault(src, set()).add(tgt)

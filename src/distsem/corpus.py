@@ -14,6 +14,7 @@ disjoint document shards can be merged additively with :func:`merge_counts`.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat, takewhile
+from itertools import chain, groupby, islice, takewhile
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -61,6 +62,9 @@ _BLOCK_CHARS = 1 << 15
 
 #: A line after the first of a piece of text that may be blank or a ``#`` line.
 _LINE_MARK = re.compile(r"\n[#\s]")
+
+#: The bytes such a line may start with: ``#``, ASCII whitespace and any non-ASCII byte.
+_MARK_HEADS = np.array([c == "#" or c.isspace() or c > "\x7f" for c in map(chr, range(256))])
 
 
 class Boundaries(str, Enum):
@@ -206,47 +210,69 @@ def line_records(
 ) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields split on ``sep``) of each data line in ``lines``; see :func:`_runs`.
 
-    ``lines`` are pieces of text, each one or more whole lines.  With
-    ``expect``, the field names joined by ``<TAB>`` or ``sep``, a line with
-    another field count ends in :class:`ParseError` ("expected ..." and the
-    field names) from ``source``.
+    ``lines`` are pieces of text, each one or more whole lines.  A ``#``
+    line goes to ``on_note`` as (line number, fields split on ``sep``).
+    With ``expect``, the field names joined by ``<TAB>`` or ``sep``, a line
+    with another field count ends in :class:`ParseError` ("expected ..." and
+    the field names) from ``source``.
     """
     width = None if expect is None else len(expect.replace("<TAB>", "\t").split(sep))
-    for first, run in _runs(lines, 1, sep, on_note):
-        for number, line in enumerate(run, first):
+    for first, run, note in _runs(lines, 1, sep):
+        if note and on_note is None:
+            continue
+        for number, line in enumerate(run.split("\n"), first):
             fields = line.split(sep)
-            if width is not None and len(fields) != width:
+            if note:
+                on_note(number, fields)
+            elif width is not None and len(fields) != width:
                 raise ParseError(source, number, "expected " + expect)
-            yield number, fields
+            else:
+                yield number, fields
 
 
-def _runs(
-    pieces: Iterable[str], first: int, sep: str, on_note: Optional[Callable]
-) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines) of each run of data lines in ``pieces``.
+def _runs(pieces: Iterable[str], first: int, sep: str) -> Iterator[tuple[int, str, bool]]:
+    """(number of the first line, text, notes?) of each run of lines in ``pieces``.
 
     The line rules of every data file: each piece of text holds whole lines,
-    split at ``\\n`` only, numbered on from ``first`` and given without
-    their line ends.  Blank lines (of only whitespace) are skipped, and a
-    ``#`` line goes to ``on_note`` as (line number, fields split on ``sep``)
-    unless its first field is ``#manifest``.  One search finds a piece whose
-    lines are all data lines.
+    split at ``\\n`` only and numbered on from ``first``.  Blank lines (of
+    only whitespace) are skipped, and so is a ``#`` line whose first field,
+    split on ``sep``, is ``#manifest``.  A run is the longest stretch of a
+    piece's other lines that are all ``#`` lines (notes) or all data lines,
+    joined by ``\\n``.  A piece of data lines only (the first byte of each
+    line shows it, or ``_LINE_MARK`` where a byte is not ASCII) or of notes
+    only is one run as it stands.
     """
     for text in pieces:
-        lines = text.removesuffix("\n").split("\n")
-        marks = []
-        if not text or text[0] == "#" or text[0].isspace() or _LINE_MARK.search(text):
-            marks = [i for i, line in enumerate(lines) if line[:1] == "#" or not line.strip()]
-        start = 0
-        for end in marks + [len(lines)]:
-            if end > start:
-                yield first + start, lines[start:end]
-            if end < len(lines) and on_note is not None and lines[end][:1] == "#":
-                fields = lines[end].split(sep)
-                if fields[0] != "#manifest":
-                    on_note(first + end, fields)
-            start = end + 1
-        first += len(lines)
+        body = text.removesuffix("\n")
+        count, unmarked = _line_heads(body)
+        if unmarked or (
+            text and text[0] != "#" and not text[0].isspace() and not _LINE_MARK.search(text)
+        ):
+            yield first, body, False
+        elif body[:1] == "#" and body.count("\n#") == body.count("\n") and "#manifest" not in body:
+            yield first, body, True
+        else:
+            lines = body.split("\n")
+            # per line: True for a note, False for a data line, None for one skipped
+            kinds = [
+                line[:1] == "#" and (line.split(sep, 1)[0] != "#manifest" or None)
+                if line.strip() else None
+                for line in lines
+            ]
+            start = 0
+            for kind, group in groupby(kinds):
+                end = start + len(list(group))
+                if kind is not None:
+                    yield first + start, "\n".join(lines[start:end]), kind
+                start = end
+        first += count
+
+
+def _line_heads(body: str) -> tuple[int, bool]:
+    """The number of lines of ``body``, and whether none starts with one of ``_MARK_HEADS``."""
+    raw = np.frombuffer((body + "\n").encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    return ends.size, not _MARK_HEADS[raw[np.append(0, ends[:-1] + 1)]].any()
 
 
 def _first_undecodable_line(path) -> int:
@@ -302,8 +328,8 @@ class CooccurrenceCounts:
     ):
         self.targets = targets
         self.features = features
-        self._target_index = {w: i for i, w in enumerate(targets)}
-        self._feature_index = {f: i for i, f in enumerate(features)}
+        self._target_index = dict(zip(targets, range(len(targets))))
+        self._feature_index = dict(zip(features, range(len(features))))
         self._indptr = indptr
         self._indices = indices
         self._data = data
@@ -336,8 +362,12 @@ class CooccurrenceCounts:
         Counts of a repeated cell add up.  Zero cells are not stored, and
         targets and features left without a cell are dropped.  The others are
         held in sorted order, whatever order they come in: targets by name,
-        features by rendered form.  A negative count ends in
-        :class:`ValidationError`.  ``meta`` goes to the constructor.
+        features by rendered form.  Sorted input does no sort work: names
+        already in that order, and cells already in strictly increasing
+        (target, feature) order, are taken as they come.  A negative count,
+        or counts that add up to more than 2**53, end in
+        :class:`ValidationError`; below that bound float64 holds every sum
+        of counts exactly.  ``meta`` goes to the constructor.
         """
         data = np.asarray(data)
         negative = np.flatnonzero(data < 0)
@@ -347,18 +377,24 @@ class CooccurrenceCounts:
                 f"negative count {data[at].item()} for cell "
                 f"({targets[rows[at]]!r}, {features[cols[at]]!r})"
             )
+        # added in two halves, whose int64 sums cannot wrap
+        total = (int((data >> _KEY_BITS).sum()) << _KEY_BITS) + int((data & _KEY_MASK).sum())
+        if total > 2**53:
+            raise ValidationError(
+                f"counts add up to {total}, more than 2**53, which float64 cannot add exactly"
+            )
         target_ranks, targets = _sort_ranks(targets)
         feature_ranks, features = _sort_ranks(features, key=render_feature)
         keys, data = _sum_by_key((target_ranks[rows] << _KEY_BITS) | feature_ranks[cols], data)
         stored = data != 0
         keys, data = keys[stored], data[stored]
-        row_ids, rows = np.unique(keys >> _KEY_BITS, return_inverse=True)
-        col_ids, cols = np.unique(keys & _KEY_MASK, return_inverse=True)
+        row_ids, rows = _renumber(keys >> _KEY_BITS, len(targets))
+        col_ids, cols = _renumber(keys & _KEY_MASK, len(features))
         return cls(
-            [targets[i] for i in row_ids],
-            [features[i] for i in col_ids],
+            [targets[i] for i in row_ids.tolist()],
+            [features[i] for i in col_ids.tolist()],
             _indptr_from_sorted_rows(rows, row_ids.size),
-            cols.astype(np.int64),
+            cols,
             data,
             **meta,
         )
@@ -443,20 +479,32 @@ def _sum_by_key(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort (key, count) pairs by key and add up the counts of equal keys.
 
-    ``kind`` is numpy's sort kind, its default sort if None.  Counts are
-    integers, so the order in which equal keys' counts are added cannot
-    change a sum.
+    Keys already in order are not sorted, and strictly increasing ones are
+    returned as they are.  ``kind`` is numpy's sort kind, its default sort
+    if None.  Counts are integers, so the order in which equal keys' counts
+    are added cannot change a sum.
     """
     if keys.size == 0:
         return keys, counts
-    order = np.argsort(keys, kind=kind)
-    keys = keys[order]
-    counts = counts[order]
+    if (keys[1:] < keys[:-1]).any():
+        order = np.argsort(keys, kind=kind)
+        keys, counts = keys[order], counts[order]
     fresh = np.empty(keys.size, dtype=bool)
     fresh[0] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    if fresh.all():
+        return keys, counts
     starts = np.flatnonzero(fresh)
     return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids``, all in ``range(size)``, ascending; and each id's place among them."""
+    used = np.zeros(size, dtype=bool)
+    used[ids] = True
+    if used.all():
+        return np.arange(size), ids
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
 
 
 @dataclass(frozen=True)
@@ -751,10 +799,10 @@ def _corpus_config(fields: Mapping[str, str]) -> Optional[CorpusConfig]:
 def read_tagged_tsv(
     path,
     tag: str,
-    columns: Mapping[str, type],
+    columns: Mapping[str, Callable[[str], object]],
     converters: Mapping[str, Callable[[str], object]] = {},
     bad_value: str = "bad {} {!r}",
-    on_note: Optional[Callable[[int, list[str]], None]] = None,
+    on_note: Optional[Callable[[int, str], None]] = None,
 ) -> tuple[dict, Optional[CorpusConfig], Iterator[tuple[np.ndarray, list]]]:
     """Read a file written by :func:`write_tagged_tsv`.
 
@@ -764,15 +812,17 @@ def read_tagged_tsv(
     named in ``converters`` are converted with the function given there, and
     a ``ValueError`` or :class:`ConfigurationError` from it ends in
     :class:`ParseError` at the header.
-    Columns are converted with their type: ``str`` keeps the text, ``int``
-    or ``float`` gives a numpy array.
+    Columns are converted with their type, a key of ``_DTYPES``: ``str``
+    keeps the text, the others give a numpy array.
 
     A data line must have one tab-separated field per column; a value its
     column's type refuses ends in :class:`ParseError` with ``bad_value``,
     formatted with the column's name and the value.  The lines follow the
-    rules of :func:`_runs`: a second ``#tag`` header is refused, and other
-    ``#`` lines go to ``on_note`` as (line number, tab-separated fields).
-    Lines are checked in file order, so the error raised is the first line's.
+    rules of :func:`_runs`: a second ``#tag`` header is refused, and each run
+    of other ``#`` lines goes to ``on_note`` as (number of its first line,
+    its text).  The file is read in pieces of about ``_BLOCK_CHARS``
+    characters, each checked at once (see :func:`_split_lines`), and the
+    error raised is the first bad line's.
     """
     headers = []
 
@@ -797,19 +847,23 @@ def read_tagged_tsv(
         config = _corpus_config(fields)
     except (ValueError, ConfigurationError):
         raise ParseError(str(path), header_line, "bad corpus settings") from None
-
-    def note(line_number: int, parts: list[str]) -> None:
-        if parts[0] == f"#{tag}":
-            raise ParseError(str(path), line_number, f"repeats the header of line {header_line}")
-        if on_note is not None:
-            on_note(line_number, parts)
+    repeat = re.compile(f"^#{re.escape(tag)}(?:\t|$)", re.MULTILINE)
 
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
         with open_text(path) as handle:
             for _ in range(header_line):
                 handle.readline()
-            for first, run in _runs(_whole_lines(handle), header_line + 1, "\t", note):
-                yield _split_lines(path, run, first, columns, bad_value)
+            for first, text, notes in _runs(_whole_lines(handle), header_line + 1, "\t"):
+                if not notes:
+                    yield _split_lines(path, text, first, columns, bad_value)
+                    continue
+                again = repeat.search(text)
+                cut = len(text) + 1 if again is None else again.start()  # the notes before it
+                if cut and on_note is not None:
+                    on_note(first, text[: cut - 1])
+                if again is not None:
+                    number = first + text.count("\n", 0, cut)
+                    raise ParseError(str(path), number, f"repeats the header of line {header_line}")
 
     return fields, config, blocks()
 
@@ -828,39 +882,67 @@ def _whole_lines(handle: TextIO) -> Iterator[str]:
 
 
 def _split_lines(
-    path, lines: list[str], first: int, columns: Mapping[str, type], bad_value: str
+    path, text: str, first: int, columns: Mapping[str, Callable], bad_value: str, expect: str = ""
 ) -> tuple[np.ndarray, list]:
-    """Line numbers and columns of data lines numbered from ``first``.
+    """Line numbers and columns of the lines of ``text``, numbered from ``first``.
 
-    See :func:`read_tagged_tsv` for the checks.
+    The tabs and line ends are found in the UTF-8 bytes of ``text`` at once,
+    and so are the values of an integer column whose fields are all 1 to 18
+    ASCII digits.  If a line has the wrong field count, or a value is
+    refused, the lines are checked again one at a time, as the column types
+    read them, and the first bad one ends in :class:`ParseError` with
+    ``expect`` ("expected" and the column names if empty) or ``bad_value``.
     """
-    kinds = list(columns.values())
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
-    wrong = np.flatnonzero(tabs != len(kinds) - 1)
-    good = int(wrong[0]) if wrong.size else len(lines)
-    cells = "\t".join(lines[:good]).split("\t") if good else []
-    split = [cells[i :: len(kinds)] for i in range(len(kinds))]
-    try:
-        split = [
-            values if kind is str else np.fromiter(map(kind, values), dtype=kind, count=good)
-            for kind, values in zip(kinds, split)
-        ]
-    except (ValueError, OverflowError):  # find the first value refused, line by line
-        for number, row in enumerate(zip(*split), first):
-            for name, kind, value in zip(columns, kinds, row):
-                try:
-                    np.array(kind(value), dtype=kind)
-                except (ValueError, OverflowError):
-                    raise ParseError(str(path), number, bad_value.format(name, value)) from None
-        raise
-    if good < len(lines):
-        raise ParseError(str(path), first + good, "expected " + "<TAB>".join(columns))
-    return np.arange(first, first + good, dtype=np.int64), split
+    k = len(columns)
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero((raw == 9) | (raw == 10)), raw.size)  # of each field
+    breaks = raw[ends[:-1]] == 10
+    # each line has k fields: a line end after every k-th field and nowhere else
+    if ends.size % k == 0 and breaks[k - 1 :: k].all() and breaks.sum() == ends.size // k - 1:
+        cells = text.replace("\n", "\t").split("\t")
+        starts = np.append(0, ends[:-1] + 1)
+        try:
+            split = [
+                _column(kind, cells[i::k], raw, starts[i::k], ends[i::k])
+                for i, kind in enumerate(columns.values())
+            ]
+            return np.arange(first, first + ends.size // k), split
+        except (ValueError, OverflowError):
+            pass
+    for number, line in enumerate(text.split("\n"), first):  # name the first bad line
+        values = line.split("\t")
+        if len(values) != k:
+            raise ParseError(str(path), number, expect or "expected " + "<TAB>".join(columns))
+        for name, kind, value in zip(columns, columns.values(), values):
+            try:
+                np.array(kind(value), dtype=_DTYPES[kind])
+            except (ValueError, OverflowError):
+                raise ParseError(str(path), number, bad_value.format(name, value)) from None
+    raise AssertionError(f"{path}: no bad line among lines {first} on")
+
+
+def _column(kind: Callable, values: list[str], raw: np.ndarray, starts, ends):
+    """``values``, the fields ``raw[starts:ends]``, converted with ``kind``."""
+    if kind is str:
+        return values
+    widths = ends - starts
+    if kind is not float and widths.min(initial=1) > 0 and widths.max(initial=1) <= 18:
+        places = np.arange(widths.max(initial=1), 0, -1)[:, None]
+        digits = raw[np.maximum(ends - places, 0)] - np.uint8(ord("0"))  # below "0" wraps above 9
+        digits[places > widths] = 0  # bytes before a field read as leading zeros
+        if (digits <= 9).all():
+            return 10 ** (places[:, 0] - 1) @ digits
+    return np.fromiter(map(kind, values), dtype=_DTYPES[kind], count=len(values))
 
 
 def _sort_ranks(names: list, key: Optional[Callable] = None) -> tuple[np.ndarray, list]:
-    """Each name's rank in sorted order (by ``key`` if given), and the names sorted."""
+    """Each name's rank in sorted order (by ``key`` if given), and the names sorted.
+
+    Names already strictly increasing keep their places, with no sort.
+    """
     sort_keys = names if key is None else list(map(key, names))
+    if all(map(operator.lt, sort_keys, islice(sort_keys, 1, None))):
+        return np.arange(len(names), dtype=np.int64), names
     order = sorted(range(len(names)), key=sort_keys.__getitem__)
     ranks = np.empty(len(names), dtype=np.int64)
     ranks[order] = np.arange(len(names), dtype=np.int64)
@@ -970,6 +1052,12 @@ def _feature_kind(text: str) -> str:
     return text
 
 
+#: The numpy type of each column type's values; a unigram count may have any size.
+_DTYPES = {str: object, int: np.int64, float: np.float64, _count: object}
+
+_UNIGRAM_COLUMNS = {"#unigram": str, "word": str, "count": _count}
+
+
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`.
 
@@ -980,14 +1068,17 @@ def load_counts(path) -> CooccurrenceCounts:
     """
     unigram: dict[str, int] = {}
 
-    def note(line_number: int, parts: list[str]) -> None:
-        if parts[0] == "#unigram":
-            if len(parts) != 3:
-                raise ParseError(str(path), line_number, "malformed unigram line")
-            try:
-                unigram[parts[1]] = _count(parts[2])
-            except ValueError:
-                raise ParseError(str(path), line_number, f"bad count {parts[2]!r}") from None
+    def note(first: int, text: str) -> None:
+        if text.startswith("#unigram\t") and text.count("\n#unigram\t") == text.count("\n"):
+            runs = [(first, text)]  # unigram lines only, read as columns
+        else:
+            lines = enumerate(text.split("\n"), first)
+            runs = [(n, line) for n, line in lines if line.split("\t", 1)[0] == "#unigram"]
+        for number, run in runs:
+            _, (_, words, counts) = _split_lines(
+                path, run, number, _UNIGRAM_COLUMNS, "bad {} {!r}", "malformed unigram line"
+            )
+            unigram.update(zip(words, counts.tolist()))
 
     fields, config, blocks = read_tagged_tsv(
         path,

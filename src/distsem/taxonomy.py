@@ -171,10 +171,16 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
                 raise ParseError(str(path), line_number, f"duplicate node {parts[1]!r}")
             nodes[parts[1]] = parts[2]
         elif record == "EDGE" and len(parts) == 4:
+            if not parts[1] or not parts[2]:
+                raise ParseError(str(path), line_number, "empty concept name")
             if not parts[3]:
                 raise ParseError(str(path), line_number, "empty relation")
             edges.append((parts[1], parts[2], parts[3]))
         elif record == "WORD" and len(parts) == 3:
+            if not parts[1]:
+                raise ParseError(str(path), line_number, "empty word")
+            if not parts[2]:
+                raise ParseError(str(path), line_number, "empty concept name")
             word_map.setdefault(parts[1], set()).add(parts[2])
         else:
             line = "\t".join(parts)

@@ -553,6 +553,12 @@ def counts_file(path):
         if n < 0:
             raise _parse_error(path, number, f"negative count {n}")
     _first_repeat(path, [(number, key) for number, key, _ in cells])
+    total = sum(n for _, _, n in cells)
+    if total > 2**53:
+        raise Refused(
+            "ValidationError",
+            f"counts add up to {total}, more than 2**53, which float64 cannot add exactly",
+        )
     return {key: n for _, key, n in cells if n != 0}, unigrams
 
 

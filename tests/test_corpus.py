@@ -442,8 +442,12 @@ def test_tagged_and_record_files_follow_one_rule_set(body, newline, last_newline
         plain.write_bytes(text.encode("utf-8"))
 
         def read_tagged(note):
+            def note_lines(first, text):  # a run of notes, a line at a time
+                for number, line in enumerate(text.split("\n"), first):
+                    note(number, line.split("\t"))
+
             with mock.patch.object(corpus, "_BLOCK_CHARS", block):
-                blocks = read_tagged_tsv(tagged, "counts", columns, on_note=note)[2]
+                blocks = read_tagged_tsv(tagged, "counts", columns, on_note=note_lines)[2]
                 return [(int(n), list(f)) for numbers, cols in blocks for n, *f in zip(numbers, *cols)]
 
         def read_plain(note):

@@ -1,6 +1,7 @@
 """Counts storage: the block reader of tagged TSV files, repeated cells and the count cache."""
 
 import tempfile
+import tracemalloc
 from hashlib import sha256
 from pathlib import Path
 from unittest import mock
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 import distsem.cli
 import oracles
 from distsem import (
+    CooccurrenceCounts,
     CorpusConfig,
     load_counts,
     load_ic_table,
     load_wccm,
+    save_counts,
 )
 from distsem import corpus
 from distsem.concept import WCCM
@@ -134,10 +137,18 @@ class TestBlockBoundaries:
 
 
 words = st.sampled_from(["a", "b", "é", "ü", "a:b"])
+# counts at the edges of the byte reader: 18 and 19 digits (the last past int64), leading
+# zeros, a digit int() reads that is not ASCII, one it refuses, empty, and a \r after 7
+odd_counts = st.sampled_from(
+    ["123456789012345678", "1234567890123456789", "9999999999999999999", "007", "٣", "²",
+     "", "7\r"]
+)
 count_lines = st.one_of(
     st.builds("{}\t{}\t{}".format, words, words, st.integers(-2, 9)),
     st.builds("{}\t{}\t{}".format, words, words, st.sampled_from([" 7", "+3", "1_0", "x", "2.5"])),
+    st.builds("{}\t{}\t{}".format, words, words, odd_counts),
     st.builds("#unigram\t{}\t{}".format, words, st.sampled_from(["1", "4", "y"])),
+    st.builds("#unigram\t{}\t{}".format, words, odd_counts),
     st.sampled_from(
         ["", " ", "\t\t", "#manifest\tx=1", "#manifestation", "#note", "#unigram\tw",
          "a\tb", "a\tb\t1\t2", "a\tb\t99999999999999999999", "\t\t1",
@@ -178,6 +189,47 @@ def test_small_blocks_read_as_one_line_at_a_time(kind_and_lines, block, newline,
         path.write_bytes((text + newline * last_newline).encode("utf-8"))
         with mock.patch.object(corpus, "_BLOCK_CHARS", block):
             assert outcome(load, path) == outcome(oracle, path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8000), count_lines), max_size=6))
+def test_whole_pieces_read_as_one_line_at_a_time(inserts):
+    """At the default piece size, runs of many lines meet the byte checks at once."""
+    body = [f"t{i // 40}\tf{i % 40}\t{i % 7 + 1}" for i in range(8000)]
+    for at in (6000, 1500, 1499):  # notes inside a piece
+        body.insert(at, f"#unigram\tt{at}\t{at}")
+    for at, line in sorted(inserts, key=lambda insert: -insert[0]):
+        body.insert(at, line)
+    text = "\n".join(["#manifest\ttool=test", LOADERS["counts"][2], *body]) + "\n"
+    assert len(text) > 2 * corpus._BLOCK_CHARS
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_counts, path) == outcome(oracles.counts_file, path)
+
+
+def test_load_memory_follows_the_cells_not_the_file(tmp_path):
+    """A load holds one piece of the file at a time besides the arrays it builds."""
+    targets, features, per_target = 5000, 9000, 50
+    rows = np.repeat(np.arange(targets), per_target)
+    cols = (7 * rows + np.tile(13 * np.arange(per_target), targets)) % features  # all distinct
+    words = [f"w{i}" for i in range(features)]
+    counts = np.random.default_rng(11).integers(1, 50, rows.size)
+    path = tmp_path / "counts.tsv"
+    save_counts(
+        CooccurrenceCounts.from_ids(words[:targets], words, rows, cols, counts,
+                                    unigram_counts=dict(zip(words, range(1, features + 1)))),
+        path,
+    )
+    tracemalloc.start()
+    try:
+        loaded = load_counts(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.nnz() == rows.size
+    # a 3.6 MiB file; streamed, loads have peaked at 24 to 29 MiB, split whole at 76 MiB or more
+    assert peak < 36 * 2**20
 
 
 class TestRepeatedCells:

@@ -937,6 +937,35 @@ class TestFrequencyTotalAbove2To53:
         self.run(fixtures_dir, tmp_path, "--counts", lines)
 
 
+class TestCellTotalAbove2To53:
+    """Cells whose counts add up to more than 2**53 loaded with wrapped totals
+    (two cells of 2**63 - 1 gave total_pairs -2) or rounded ones (a feature
+    total of 9007199254740994 read 9007199254740992)."""
+
+    @pytest.mark.parametrize(
+        "cells",
+        [["a\tx\t9223372036854775807", "b\tx\t9223372036854775807"],
+         ["a\tx\t9007199254740993", "b\tx\t1", "a\ty\t2"]],
+        ids=["wraps", "rounds"],
+    )
+    def test_counts_file(self, tmp_path, cells):
+        path = tmp_path / "counts.tsv"
+        path.write_text("\n".join(["#counts\ttotal_tokens=9", *cells]) + "\n")
+        with pytest.raises(ValidationError, match=r"more than 2\*\*53"):
+            load_counts(path)
+        code, out, err = run_cli(["profile", "--counts", path, "--target", "a"])
+        assert (code, out) == (2, ""), err
+        assert "more than 2**53" in err
+
+    def test_library(self):
+        rows, cols = np.array([0, 1]), np.array([0, 0])
+        counts = CooccurrenceCounts.from_ids(["a", "b"], ["x"], rows, cols, [2**53 - 1, 1])
+        assert counts.feature_total("x") == counts.total_pairs == 2**53
+        assert counts.target_total("a") == 2**53 - 1
+        with pytest.raises(ValidationError, match=r"add up to 9007199254740993, more than 2\*\*53"):
+            CooccurrenceCounts.from_ids(["a", "b"], ["x"], rows, cols, [2**53 - 1, 2])
+
+
 class TestWarningLine:
     """A package warning used to reach stderr as Python prints it: the path and
     line of ``cli.py``, then that source line."""
@@ -1061,6 +1090,11 @@ class TestEmptyNames:
     @pytest.mark.parametrize("record, message", [
         ("NODE\t\tEmpty", "empty concept name"),
         ("EDGE\thammer\tdog\t", "empty relation"),
+        # an empty child gave "edge '' -> 'entity' uses unknown node", with no line
+        ("EDGE\t\tentity\tisa", "empty concept name"),
+        ("EDGE\tdog\t\tisa", "empty concept name"),
+        ("WORD\t\tdog", "empty word"),  # loaded, as a word named ""
+        ("WORD\tdog\t", "empty concept name"),
     ])
     def test_taxonomy(self, tmp_path, fixtures_dir, record, message):
         path = tmp_path / "taxonomy.tsv"
@@ -1090,4 +1124,21 @@ class TestEmptyNames:
             ["wccm-build", "--counts", counts, "--thesaurus", thesaurus, "--out", out]
         )
         assert code == 2 and "thesaurus.tsv:2: empty category id" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, side", [("bass\t", "target"), ("\tbass", "source")])
+    def test_lexicon_word(self, toy_counts, tmp_path, fixtures_dir, line, side):
+        # these loaded as a translation "" of "bass" and as a source word ""
+        lexicon, counts = tmp_path / "lexicon.tsv", tmp_path / "counts.tsv"
+        lexicon.write_text(f"guitar\tguitar\n{line}\n")
+        save_counts(toy_counts, counts)
+        with pytest.raises(ParseError, match=f"empty {side} word") as err:
+            load_lexicon(lexicon)
+        assert err.value.line_number == 2
+        out = tmp_path / "xling.tsv"
+        code, _, stderr = run_cli(
+            ["xling-wccm", "--counts", counts, "--lexicon", lexicon,
+             "--thesaurus", fixtures_dir / "toy_thesaurus.tsv", "--out", out]
+        )
+        assert code == 2 and f"lexicon.tsv:2: empty {side} word" in stderr
         assert not out.exists()
