@@ -230,6 +230,26 @@ def line_records(
                 yield number, fields
 
 
+def data_runs(path) -> Iterator[tuple[int, str]]:
+    """(number of the first line, text) of each run of data lines of a record file; see :func:`_runs`.
+
+    The file is decoded whole first, so invalid UTF-8 is refused before any
+    line is, and then taken in pieces of about ``_BLOCK_CHARS`` characters.
+    """
+    with open_text(path) as handle:
+        text = handle.read()
+    return ((first, run) for first, run, notes in _runs(_pieces(text), 1, "\t") if not notes)
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, each cut after a ``\\n``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _runs(pieces: Iterable[str], first: int, sep: str) -> Iterator[tuple[int, str, bool]]:
     """(number of the first line, text, notes?) of each run of lines in ``pieces``.
 
@@ -921,6 +941,35 @@ def _split_lines(
     raise AssertionError(f"{path}: no bad line among lines {first} on")
 
 
+def _record_columns(text: str, shapes: Iterable[tuple[str, int]]) -> Optional[list[tuple]]:
+    """Where the records of each shape lie in the lines of ``text``, and their fields as columns.
+
+    A shape is a record's tag, its first field, and its field count.  Per
+    shape, in order: the offsets of its lines among the lines of ``text``,
+    and one list per field after the tag.  None if a line is of no shape.
+    The tabs and line ends are found in the UTF-8 bytes of ``text`` at once,
+    and so are the tags.
+    """
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero((raw == 9) | (raw == 10)), raw.size)  # of each field
+    heads = np.append(0, np.flatnonzero(raw[ends[:-1]] == 10) + 1)  # each line's first field
+    starts = np.append(0, ends[heads[1:] - 1] + 1)  # and its first byte
+    widths = np.diff(np.append(heads, ends.size))
+    cells = text.replace("\n", "\t").split("\t")
+    found = []
+    for tag, width in shapes:
+        code = np.frombuffer(tag.encode("utf-8"), dtype=np.uint8)
+        lines = np.flatnonzero((widths == width) & (ends[heads] - starts == code.size))
+        lines = lines[(raw[starts[lines, None] + np.arange(code.size)] == code).all(axis=1)]
+        at = heads[lines]
+        if lines.size and lines[-1] - lines[0] == lines.size - 1:  # one stretch of lines
+            fields = [cells[at[0] + i : at[-1] + width : width] for i in range(1, width)]
+        else:
+            fields = [list(map(cells.__getitem__, (at + i).tolist())) for i in range(1, width)]
+        found.append((lines, fields))
+    return found if sum(lines.size for lines, _ in found) == heads.size else None
+
+
 def _column(kind: Callable, values: list[str], raw: np.ndarray, starts, ends):
     """``values``, the fields ``raw[starts:ends]``, converted with ``kind``."""
     if kind is str:
@@ -983,8 +1032,9 @@ def _build_counts(
     """Counts from :func:`_collect_cells`.
 
     Values become int64 counts.  A cell given twice ends in
-    :class:`ParseError` at its second line.  ``parse`` turns feature text
-    into features; ``meta`` goes to the constructor.
+    :class:`ParseError` at its second line, and a :class:`ValidationError`
+    of the constructor (counts past 2**53) names ``path``.  ``parse`` turns
+    feature text into features; ``meta`` goes to the constructor.
     """
     targets, features, rows, cols, data, lines = cells
     keys = (rows << _KEY_BITS) | cols
@@ -998,7 +1048,10 @@ def _build_counts(
     if parse is not None:
         features = [parse(f) for f in features]
     data = data.astype(np.int64, copy=False)
-    return CooccurrenceCounts.from_ids(targets, features, rows, cols, data, **meta)
+    try:
+        return CooccurrenceCounts.from_ids(targets, features, rows, cols, data, **meta)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _counts_fields(counts: CooccurrenceCounts) -> dict:
@@ -1046,14 +1099,19 @@ def _count(text: str) -> int:
     return n
 
 
+def _integer(text: str) -> int:
+    """A count's text as an integer of any size and sign."""
+    return int(text)
+
+
 def _feature_kind(text: str) -> str:
     if text not in ("word", "relation"):
         raise ValueError(text)
     return text
 
 
-#: The numpy type of each column type's values; a unigram count may have any size.
-_DTYPES = {str: object, int: np.int64, float: np.float64, _count: object}
+#: The numpy type of each column type's values; a unigram or word count may have any size.
+_DTYPES = {str: object, int: np.int64, float: np.float64, _count: object, _integer: object}
 
 _UNIGRAM_COLUMNS = {"#unigram": str, "word": str, "count": _count}
 

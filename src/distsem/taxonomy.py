@@ -15,15 +15,22 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, islice, repeat
 from typing import Optional
 
 import numpy as np
 
 from .assoc import check_log_base
-from .corpus import read_records, read_tagged_tsv, write_tagged_tsv
+from .corpus import (
+    _integer,
+    _record_columns,
+    _split_lines,
+    data_runs,
+    read_tagged_tsv,
+    write_tagged_tsv,
+)
 from .errors import (
     ConfigurationError,
     MissingICError,
@@ -41,46 +48,86 @@ _CHUNK_BYTES = 1 << 21
 _PAIR_BYTES = 48
 
 
-@dataclass
 class Taxonomy:
-    nodes: dict[str, str]  # concept id -> label
-    edges: list[tuple[str, str, str]]  # (child, parent, relation)
-    word_map: dict[str, frozenset] = field(default_factory=dict)
-    hypernym_relation: str = "isa"
+    """A concept hierarchy held on integer ids: concepts, relation labels and
+    words are numbered, and edges and word senses are id arrays.  The name
+    views ``nodes``, ``edges`` and ``word_map`` are built on first use."""
 
-    def __post_init__(self):
-        known = self.nodes.keys()
-        children, parents, relations = zip(*self.edges) if self.edges else ((), (), ())
-        if not known >= {*children, *parents}:
-            child, parent, _ = next(e for e in self.edges if e[0] not in known or e[1] not in known)
-            raise ValidationError(f"edge {child!r} -> {parent!r} uses unknown node")
-        if not known >= set().union(*self.word_map.values()):
-            for word, concepts in self.word_map.items():
-                for concept in concepts:
-                    if concept not in known:
-                        raise ValidationError(f"word {word!r} maps to unknown concept {concept!r}")
-        # concepts are numbered in insertion order
-        self._names = list(self.nodes)
-        self._ids = dict(zip(self._names, range(len(self._names))))
-        hyper = np.fromiter(map(self.hypernym_relation.__eq__, relations), dtype=bool)
-        child, parent = (
-            np.fromiter(map(self._ids.__getitem__, ends), dtype=np.int64, count=len(ends))[hyper]
-            for ends in (children, parents)
-        )
-        n = len(self._names)
+    def __init__(
+        self, nodes: dict[str, str], edges: list[tuple[str, str, str]],
+        word_map: Optional[dict[str, frozenset]] = None, hypernym_relation: str = "isa",
+    ):
+        """From name-keyed views, turned into ids for :meth:`from_ids`; a word
+        with no sense is left out.  An edge end or word sense that is not a
+        node ends in :class:`ValidationError`."""
+        senses = [(word, concept) for word, concepts in (word_map or {}).items() for concept in concepts]
+        edge_columns, sense_columns = tuple(zip(*edges)) or ((), (), ()), tuple(zip(*senses)) or ((), ())
+        index, labels = _numbered(nodes), list(nodes.values())
+        self._build(*_id_columns(index, labels, edge_columns, sense_columns, _invalid), hypernym_relation)
+
+    @classmethod
+    def from_ids(cls, names, labels, edges, relations, words, senses, hypernym_relation="isa"):
+        """A taxonomy of the concepts ``names``, with their ``labels``, from id arrays.
+
+        ``edges`` holds each edge's child, parent and relation ids, a relation
+        id indexing ``relations``; ``senses`` holds (word id, concept id)
+        pairs, a word id indexing ``words``.  Ids must be in range, each word
+        must have a pair, and a repeated pair counts once.  A cycle of
+        ``hypernym_relation`` edges ends in :class:`ValidationError`.  The
+        name views are built on first use.
+        """
+        taxonomy = cls.__new__(cls)
+        taxonomy._build(names, labels, edges, relations, words, senses, hypernym_relation)
+        return taxonomy
+
+    def _build(self, names, labels, edges, relations, words, senses, hypernym_relation) -> None:
+        n = len(names)
+        self._names, self._labels, self._relations, self._words = names, labels, relations, words
+        self._child, self._parent, self._relation = (np.asarray(ids, dtype=np.int64) for ids in edges)
+        self.hypernym_relation = hypernym_relation
+        # each word's senses, once each
+        owner, concept = np.divmod(_distinct(np.multiply(senses[0], n) + senses[1]), max(n, 1))
+        self._sense_ptr, self._senses = _csr(owner, concept, len(words))
+        hyper = np.array([label == hypernym_relation for label in relations], dtype=bool)[self._relation]
+        child, parent = self._child[hyper], self._parent[hyper]
         # each concept's hypernyms in edge order, and its hyponyms
         self._up_ptr, self._up = _csr(child, parent, n)
         self._down_ptr, self._down = _csr(parent, child, n)
         self._depths = self._compute_depths()
         self.roots = sorted(self._names[i] for i in np.flatnonzero(self._depths == 0).tolist())
         self.depth = int(self._depths.max()) if n else 0
-        if self.nodes and self.depth < 1 and len(self.nodes) > 1:
+        if n > 1 and self.depth < 1:
             raise ValidationError("hypernymy subgraph has no edges")
+
+    @cached_property
+    def nodes(self) -> dict[str, str]:
+        """Concept name -> label, in id order."""
+        return dict(zip(self._names, self._labels))
+
+    @cached_property
+    def edges(self) -> list[tuple[str, str, str]]:
+        """(child, parent, relation) of each edge, in edge order."""
+        names, relations, ids = self._names, self._relations, (self._child, self._parent, self._relation)
+        return [(names[c], names[p], relations[r]) for c, p, r in zip(*(a.tolist() for a in ids))]
+
+    @cached_property
+    def word_map(self) -> dict[str, frozenset]:
+        """Word -> the names of its senses."""
+        ptr, senses = self._sense_ptr.tolist(), list(map(self._names.__getitem__, self._senses.tolist()))
+        return {word: frozenset(senses[ptr[i] : ptr[i + 1]]) for i, word in enumerate(self._words)}
+
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return _numbered(self._names)
+
+    @cached_property
+    def _word_ids(self) -> dict[str, int]:
+        return _numbered(self._words)
 
     @cached_property
     def _neighbors(self) -> dict[str, list[tuple[str, str]]]:
         """Each concept's (neighbor, label) over edges of every label, both directions."""
-        neighbors: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
+        neighbors: dict[str, list[tuple[str, str]]] = {n: [] for n in self._names}
         for child, parent, relation in self.edges:
             neighbors[child].append((parent, relation))
             neighbors[parent].append((child, relation))
@@ -137,7 +184,7 @@ class Taxonomy:
         return self._up_ptr.tolist(), self._up.tolist()
 
     def _require(self, concept: str) -> None:
-        if concept not in self.nodes:
+        if concept not in self._ids:
             raise MissingWordError(f"concept {concept!r} is not in the taxonomy")
 
 
@@ -157,42 +204,102 @@ def _rows(ptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tuple[np.nda
     return values[picks], lengths
 
 
+def _lookup(ids: dict[str, int], names) -> np.ndarray:
+    """The id of each of ``names``, -1 for a name not in ``ids``."""
+    return np.fromiter(map(ids.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+
+
+def _numbered(keys) -> dict[str, int]:
+    """Each distinct key of ``keys`` -> its number, in first-seen order."""
+    return dict(zip(dict.fromkeys(keys), count()))
+
+
+#: Each record of a taxonomy file, as (tag, field count) -> field that may not be empty -> message.
+_RECORDS = {
+    ("NODE", 3): {1: "empty concept name"},
+    ("EDGE", 4): {1: "empty concept name", 2: "empty concept name", 3: "empty relation"},
+    ("WORD", 3): {1: "empty word", 2: "empty concept name"},
+}
+
+
 def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
-    """Read ``NODE``, ``EDGE``, and ``WORD`` tab-separated record lines."""
-    nodes: dict[str, str] = {}
-    edges: list[tuple[str, str, str]] = []
-    word_map: dict[str, set] = {}
-    for line_number, parts in read_records(path):
-        record = parts[0]
-        if record == "NODE" and len(parts) == 3:
-            if not parts[1]:
-                raise ParseError(str(path), line_number, "empty concept name")
-            if parts[1] in nodes:
-                raise ParseError(str(path), line_number, f"duplicate node {parts[1]!r}")
-            nodes[parts[1]] = parts[2]
-        elif record == "EDGE" and len(parts) == 4:
-            if not parts[1] or not parts[2]:
-                raise ParseError(str(path), line_number, "empty concept name")
-            if not parts[3]:
-                raise ParseError(str(path), line_number, "empty relation")
-            edges.append((parts[1], parts[2], parts[3]))
-        elif record == "WORD" and len(parts) == 3:
-            if not parts[1]:
-                raise ParseError(str(path), line_number, "empty word")
-            if not parts[2]:
-                raise ParseError(str(path), line_number, "empty concept name")
-            word_map.setdefault(parts[1], set()).add(parts[2])
-        else:
-            line = "\t".join(parts)
-            raise ParseError(str(path), line_number, f"unrecognized record {line!r}")
-    if not nodes:
+    """Read ``NODE``, ``EDGE``, and ``WORD`` tab-separated record lines.
+
+    The lines follow the rules of :func:`~distsem.corpus._runs`.  Each run of
+    data lines is taken apart as columns and checked as a whole; a run with
+    a bad line is walked again one line at a time, so the first bad line
+    ends in :class:`ParseError`.  Then the first edge, and then the first
+    ``WORD`` line, naming a concept that no ``NODE`` line declares ends in
+    :class:`ParseError` at its line.  The taxonomy is built from id arrays
+    (:meth:`Taxonomy.from_ids`); its name views are built on first use.
+    """
+    index: dict[str, int] = {}  # node name -> id, in NODE line order
+    lines = [[np.empty(0, dtype=np.int64)] for _ in _RECORDS]  # each record kind's line numbers
+    fields = [[[] for _ in range(width - 1)] for _, width in _RECORDS]  # and fields after the tag
+    for first, text in data_runs(path):
+        known, found = len(index), _record_columns(text, _RECORDS)
+        names = found[0][1][0] if found else []
+        index.update(zip(names, count(known)))
+        if found is None or len(index) < known + len(names) or not all(
+            all(columns[f - 1]) for (_, columns), checks in zip(found, _RECORDS.values()) for f in checks
+        ):
+            _first_bad_record(path, first, text, set(islice(index, known)))
+        for kind, (at, columns) in enumerate(found):
+            lines[kind].append(first + at)
+            for column, values in zip(fields[kind], columns):
+                column += values
+    if not index:
         raise ConfigurationError(f"{path}: taxonomy file has no nodes")
-    return Taxonomy(
-        nodes=nodes,
-        edges=edges,
-        word_map={w: frozenset(c) for w, c in word_map.items()},
-        hypernym_relation=hypernym_relation,
-    )
+
+    def refuse(kind: int, at: int, message: str):
+        raise ParseError(str(path), int(np.concatenate(lines[kind])[at]), message)
+
+    labels, edges, senses = fields[0][1], fields[1], fields[2]
+    return Taxonomy.from_ids(*_id_columns(index, labels, edges, senses, refuse), hypernym_relation)
+
+
+def _id_columns(index: dict[str, int], labels, edges, senses, refuse) -> tuple:
+    """The concept names, labels and id arrays :meth:`Taxonomy.from_ids` takes, from names.
+
+    ``index`` numbers the concepts; ``edges`` holds the child, parent and
+    relation of each edge, and ``senses`` the word and concept of each
+    (word, sense) pair.  Words and relations are numbered in first-seen
+    order.  The first edge, and then the first pair, naming a concept not in
+    ``index`` goes to ``refuse(kind, position, message)``, with kind 1 for
+    an edge and 2 for a pair.
+    """
+    (children, parents, relations), (words, concepts) = edges, senses
+    child, parent, sense = (_lookup(index, column) for column in (children, parents, concepts))
+    if (bad := np.flatnonzero((child < 0) | (parent < 0))).size:
+        refuse(1, bad[0], f"edge {children[bad[0]]!r} -> {parents[bad[0]]!r} uses unknown node")
+    if (bad := np.flatnonzero(sense < 0)).size:
+        refuse(2, bad[0], f"word {words[bad[0]]!r} maps to unknown concept {concepts[bad[0]]!r}")
+    relation_ids, word_ids = _numbered(relations), _numbered(words)
+    edge_ids = (child, parent, _lookup(relation_ids, relations))
+    sense_ids = (_lookup(word_ids, words), sense)
+    return list(index), labels, edge_ids, list(relation_ids), list(word_ids), sense_ids
+
+
+def _invalid(kind: int, at: int, message: str):
+    raise ValidationError(message)
+
+
+def _first_bad_record(path, first: int, text: str, seen: set[str]):
+    """Raise the :class:`ParseError` of the first bad line of ``text``, lines
+    numbered from ``first``; ``seen`` holds the nodes of the lines before."""
+    for number, line in enumerate(text.split("\n"), first):
+        parts = line.split("\t")
+        checks = _RECORDS.get((parts[0], len(parts)))
+        if checks is None:
+            raise ParseError(str(path), number, f"unrecognized record {line!r}")
+        for field, message in checks.items():
+            if not parts[field]:
+                raise ParseError(str(path), number, message)
+        if parts[0] == "NODE":
+            if parts[1] in seen:
+                raise ParseError(str(path), number, f"duplicate node {parts[1]!r}")
+            seen.add(parts[1])
+    raise AssertionError(f"{path}: no bad line among lines {first} on")
 
 
 def _layered_search(
@@ -335,8 +442,9 @@ def ic_from_counts(
     negative = [word for word, freq in word_frequencies.items() if freq < 0]
     if negative:
         raise ValidationError(f"negative frequency for {min(negative)!r}")
-    words = [w for w, freq in word_frequencies.items() if freq and taxonomy.word_map.get(w)]
-    total = sum(word_frequencies[w] for w in words)
+    index = taxonomy._word_ids
+    words = [w for w, freq in word_frequencies.items() if freq and w in index]
+    total = sum(map(word_frequencies.__getitem__, words))
     if total == 0:
         raise ConfigurationError("no word occurrences mapped into the taxonomy")
     if total > 2**53:
@@ -344,7 +452,11 @@ def ic_from_counts(
             "word frequencies mapped into the taxonomy total more than 2**53, "
             "which float64 cannot add exactly"
         )
-    credit = _credit(taxonomy, words, word_frequencies)
+    credit = _credit(
+        taxonomy,
+        np.fromiter(map(index.__getitem__, words), dtype=np.int64, count=len(words)),
+        np.fromiter(map(word_frequencies.__getitem__, words), dtype=np.float64, count=len(words)),
+    )
 
     root = taxonomy.roots[0]
     root_credit = credit[taxonomy._ids[root]]
@@ -363,8 +475,8 @@ def ic_from_counts(
     return ICTable(prob=prob, ic=ic, log_base=log_base)
 
 
-def _credit(taxonomy: Taxonomy, words: list[str], word_frequencies: dict[str, int]) -> np.ndarray:
-    """Each concept's credit: the frequencies of the ``words`` whose senses it subsumes.
+def _credit(taxonomy: Taxonomy, words: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each concept's credit: the ``weights`` of the ``words`` (ids) whose senses it subsumes.
 
     The (word, concept) pairs of a chunk of words go up the hierarchy one
     depth level at a time, deepest first.  Every hyponym of a concept lies
@@ -374,13 +486,8 @@ def _credit(taxonomy: Taxonomy, words: list[str], word_frequencies: dict[str, in
     counting ``depth + 1`` per sense.
     """
     n, depths = len(taxonomy._names), taxonomy._depths
-    sense_sets = list(map(taxonomy.word_map.__getitem__, words))
-    sizes = list(map(len, sense_sets))
-    senses = np.fromiter(
-        map(taxonomy._ids.__getitem__, chain.from_iterable(sense_sets)), dtype=np.int64, count=sum(sizes)
-    )
-    owners = np.repeat(np.arange(len(words), dtype=np.int64), sizes)
-    weights = np.array(list(map(word_frequencies.__getitem__, words)), dtype=np.float64)
+    senses, sizes = _rows(taxonomy._sense_ptr, taxonomy._senses, words)
+    owners = np.repeat(np.arange(words.size, dtype=np.int64), sizes)
     ends = np.cumsum(sizes)
     reach = np.cumsum(depths[senses] + 1)[ends - 1]
     step = _CHUNK_BYTES // _PAIR_BYTES
@@ -508,12 +615,33 @@ def load_ic_table(path) -> ICTable:
     return ICTable(prob=prob, ic=ic, log_base=log_base)
 
 
+#: The columns of a word frequency table.
+_FREQUENCY_COLUMNS = {"word": str, "count": _integer}
+
+
 def load_word_frequencies(path) -> dict[str, int]:
-    """Read a ``word<TAB>count`` frequency table."""
-    freqs: dict[str, int] = {}
-    for line_number, (word, count) in read_records(path, "word<TAB>count"):
-        try:
-            freqs[word] = freqs.get(word, 0) + int(count)
-        except ValueError:
-            raise ParseError(str(path), line_number, f"bad count {count!r}") from None
+    """Read a ``word<TAB>count`` frequency table; the counts of a repeated word add up.
+
+    The lines follow the rules of :func:`~distsem.corpus._runs` and are read
+    as columns (:func:`~distsem.corpus._split_lines`).  The first line that
+    is not two fields or whose count ``int`` refuses, and then the first
+    negative count, ends in :class:`ParseError` at its line.
+    """
+    words, counts, negative = [], [], None
+    for first, text in data_runs(path):
+        numbers, (run_words, run_counts) = _split_lines(
+            path, text, first, _FREQUENCY_COLUMNS, "bad {} {!r}"
+        )
+        if negative is None and (below := np.flatnonzero(run_counts < 0)).size:
+            at = below[0]
+            negative = ParseError(str(path), int(numbers[at]), f"negative count {run_counts[at]}")
+        words += run_words
+        counts += run_counts.tolist()
+    if negative is not None:
+        raise negative
+    freqs = dict(zip(words, counts))
+    if len(freqs) < len(words):  # a repeated word: add up its counts
+        freqs = dict.fromkeys(words, 0)
+        for word, n in zip(words, counts):
+            freqs[word] += n
     return freqs

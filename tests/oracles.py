@@ -557,7 +557,7 @@ def counts_file(path):
     if total > 2**53:
         raise Refused(
             "ValidationError",
-            f"counts add up to {total}, more than 2**53, which float64 cannot add exactly",
+            f"{path}: counts add up to {total}, more than 2**53, which float64 cannot add exactly",
         )
     return {key: n for _, key, n in cells if n != 0}, unigrams
 
@@ -616,3 +616,89 @@ def ic_file(path):
             raise _parse_error(path, number, f"ic {ic!r} must be finite and {bound} 0")
     _first_repeat(path, [(number, concept) for number, concept, _, _ in lines], "concept")
     return {c: p for _, c, p, _ in lines}, {c: ic for _, c, _, ic in lines}
+
+
+# ---------------------------------------------------------------------------
+# record files, read one line at a time
+
+
+def _data_lines(path):
+    """(line number, line) of each line of ``path`` that is not blank and not a ``#`` line.
+
+    The file is read in text mode, which ends a line at ``\\n``, ``\\r\\n`` or ``\\r``.
+    """
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip() and not line.startswith("#"):
+            yield number, line
+
+
+def taxonomy_file(path):
+    """(nodes, edges, word_map) of a taxonomy file.
+
+    The first bad line is refused; once every line reads, a file of no
+    nodes; then the first edge, and then the first ``WORD`` line, naming a
+    concept that no ``NODE`` line declares; then a file of several nodes but
+    no ``isa`` edge.
+    """
+    nodes, edges, words = {}, [], []
+    for number, line in _data_lines(path):
+        parts = line.split("\t")
+        shape = (parts[0], len(parts))
+        if shape == ("NODE", 3):
+            if parts[1] == "":
+                raise _parse_error(path, number, "empty concept name")
+            if parts[1] in nodes:
+                raise _parse_error(path, number, f"duplicate node {parts[1]!r}")
+            nodes[parts[1]] = parts[2]
+        elif shape == ("EDGE", 4):
+            if parts[1] == "" or parts[2] == "":
+                raise _parse_error(path, number, "empty concept name")
+            if parts[3] == "":
+                raise _parse_error(path, number, "empty relation")
+            edges.append((number, parts[1], parts[2], parts[3]))
+        elif shape == ("WORD", 3):
+            if parts[1] == "":
+                raise _parse_error(path, number, "empty word")
+            if parts[2] == "":
+                raise _parse_error(path, number, "empty concept name")
+            words.append((number, parts[1], parts[2]))
+        else:
+            raise _parse_error(path, number, f"unrecognized record {line!r}")
+    if not nodes:
+        raise Refused("ConfigurationError", f"{path}: taxonomy file has no nodes")
+    for number, child, parent, _ in edges:
+        if child not in nodes or parent not in nodes:
+            raise _parse_error(path, number, f"edge {child!r} -> {parent!r} uses unknown node")
+    word_map = {}
+    for number, word, concept in words:
+        if concept not in nodes:
+            raise _parse_error(path, number, f"word {word!r} maps to unknown concept {concept!r}")
+        word_map.setdefault(word, set()).add(concept)
+    edges = [edge[1:] for edge in edges]
+    if len(nodes) > 1 and not any(label == "isa" for _, _, label in edges):
+        raise Refused("ValidationError", "hypernymy subgraph has no edges")
+    return nodes, edges, {word: frozenset(concepts) for word, concepts in word_map.items()}
+
+
+def frequency_file(path):
+    """{word: count} of a ``word<TAB>count`` file, the counts of a repeated word added up.
+
+    The first bad line is refused, and then the first negative count.
+    """
+    freqs, negative = {}, None
+    for number, line in _data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise _parse_error(path, number, "expected word<TAB>count")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise _parse_error(path, number, f"bad count {parts[1]!r}") from None
+        if n < 0 and negative is None:
+            negative = _parse_error(path, number, f"negative count {n}")
+        freqs[parts[0]] = freqs.get(parts[0], 0) + n
+    if negative is not None:
+        raise negative
+    return freqs

@@ -14,6 +14,7 @@ from distsem import (
     CorpusConfig,
     MeasureConfig,
     SoAKind,
+    Taxonomy,
     build_base_wccm,
     build_profile,
     hirst_stonge,
@@ -964,6 +965,110 @@ class TestCellTotalAbove2To53:
         assert counts.target_total("a") == 2**53 - 1
         with pytest.raises(ValidationError, match=r"add up to 9007199254740993, more than 2\*\*53"):
             CooccurrenceCounts.from_ids(["a", "b"], ["x"], rows, cols, [2**53 - 1, 2])
+
+
+class TestTotalAbove2To53NamesItsFile:
+    """The refusal of cells past 2**53 named no file, so with several inputs
+    (``xling-wccm``, ``ic-build --counts``) the user could not tell which one."""
+
+    @pytest.mark.parametrize("kind", ["counts", "wccm"])
+    def test_reader(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.tsv"
+        header = {"counts": "#counts\ttotal_tokens=9",
+                  "wccm": "#wccm\tkind=base\tlanguage_mode=monolingual"}[kind]
+        cells = ["a\tx\t9007199254740992", "b\tx\t2"]
+        if kind == "wccm":
+            cells = [cell + ".0" for cell in cells]
+        path.write_text("\n".join([header, *cells]) + "\n")
+        load = {"counts": load_counts, "wccm": load_wccm}[kind]
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert str(err.value) == (
+            f"{path}: counts add up to 9007199254740994, more than 2**53, "
+            "which float64 cannot add exactly"
+        )
+
+
+class TestUnknownNodeLine:
+    """An ``EDGE`` end or ``WORD`` concept that no ``NODE`` line declares ended
+    in a ValidationError that named no file and no line."""
+
+    def write(self, tmp_path, fixtures_dir, *records, at=9):
+        lines = (fixtures_dir / "toy_taxonomy.tsv").read_text().splitlines()
+        lines[at:at] = records
+        path = tmp_path / "taxonomy.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("record, message", [
+        ("EDGE\tcat\tzz\tisa", "edge 'cat' -> 'zz' uses unknown node"),
+        ("EDGE\tzz\tcat\tpartof", "edge 'zz' -> 'cat' uses unknown node"),
+        ("WORD\tw\tzz", "word 'w' maps to unknown concept 'zz'"),
+    ])
+    def test_named_at_its_line(self, tmp_path, fixtures_dir, record, message):
+        path = self.write(tmp_path, fixtures_dir, record)
+        with pytest.raises(ParseError) as err:
+            load_taxonomy(path)
+        assert str(err.value) == f"{path}:10: {message}"
+        out = tmp_path / "ic.tsv"
+        code, _, stderr = run_cli(
+            ["ic-build", "--taxonomy", path, "--freqs", fixtures_dir / "toy_taxonomy.tsv",
+             "--out", out]
+        )
+        assert code == 2 and stderr == f"distsem: {path}:10: {message}\n"
+        assert not out.exists()
+
+    def test_line_errors_then_edges_then_words(self, tmp_path, fixtures_dir):
+        records = ["WORD\tw\tzz", "EDGE\tzz\tcat\tisa", "EDGE\tcat\tyy\tisa"]
+        path = self.write(tmp_path, fixtures_dir, *records, "NODE\tdog\tDog")
+        with pytest.raises(ParseError, match=":13: duplicate node 'dog'$"):
+            load_taxonomy(path)
+        path = self.write(tmp_path, fixtures_dir, *records)
+        with pytest.raises(ParseError, match=":11: edge 'zz' -> 'cat' uses unknown node$"):
+            load_taxonomy(path)
+
+    def test_declared_after_use(self, tmp_path, fixtures_dir):
+        path = self.write(tmp_path, fixtures_dir, "EDGE\tzz\tcat\tisa", "WORD\tw\tzz", at=0)
+        path.write_text(path.read_text() + "NODE\tzz\tZZ\n")
+        taxonomy = load_taxonomy(path)
+        assert taxonomy.word_map["w"] == frozenset({"zz"})
+        assert taxonomy.node_depth("zz") == 3
+
+    def test_name_keyed_constructor_keeps_validation_error(self):
+        with pytest.raises(ValidationError, match="^edge 'a' -> 'b' uses unknown node$"):
+            Taxonomy(nodes={"a": "A"}, edges=[("a", "b", "isa")])
+        with pytest.raises(ValidationError, match="^word 'w' maps to unknown concept 'b'$"):
+            Taxonomy(nodes={"a": "A"}, edges=[], word_map={"w": frozenset({"b"})})
+
+
+class TestNegativeFrequency:
+    """A negative count in a frequency table was hidden by the sum of a repeated
+    word (``w`` 5 and -3 built an IC table with ``w`` = 2, exit 0)."""
+
+    def test_refused_at_its_line(self, tmp_path, fixtures_dir):
+        path = tmp_path / "freqs.tsv"
+        path.write_text("w\t5\nw\t-3\nx\t 7\n")
+        with pytest.raises(ParseError) as err:
+            load_word_frequencies(path)
+        assert str(err.value) == f"{path}:2: negative count -3"
+        out = tmp_path / "ic.tsv"
+        code, _, stderr = run_cli(
+            ["ic-build", "--taxonomy", fixtures_dir / "toy_taxonomy.tsv", "--freqs", path,
+             "--out", out]
+        )
+        assert code == 2 and stderr == f"distsem: {path}:2: negative count -3\n"
+        assert not out.exists()
+
+    def test_bad_lines_come_first(self, tmp_path):
+        path = tmp_path / "freqs.tsv"
+        path.write_text("w\t-3\nx\tmany\n")
+        with pytest.raises(ParseError, match=":2: bad count 'many'$"):
+            load_word_frequencies(path)
+
+    def test_repeated_words_add_up(self, tmp_path):
+        path = tmp_path / "freqs.tsv"
+        path.write_text("w\t5\n# note\nw\t3\nx\t 7\n\nbig\t1" + "0" * 30 + "\n")
+        assert load_word_frequencies(path) == {"w": 8, "x": 7, "big": 10**30}
 
 
 class TestWarningLine:

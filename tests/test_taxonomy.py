@@ -1,9 +1,11 @@
 import math
 import random
+import tempfile
 import tracemalloc
 import warnings
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,8 +26,10 @@ from distsem import (
     save_ic_table,
     shortest_path,
 )
+from distsem import corpus
 from distsem.errors import (
     ConfigurationError,
+    DistSemError,
     MissingICError,
     MissingWordError,
     NoPathError,
@@ -35,6 +39,8 @@ from distsem.errors import (
 )
 
 import distsem.taxonomy as taxonomy_module
+from distsem.taxonomy import load_word_frequencies
+import oracles
 from oracles import (
     dijkstra_with_changes,
     hypernym_closure,
@@ -128,9 +134,7 @@ class TestShortestPath:
         assert shortest_path(toy_taxonomy, "dog", "hammer") == (2, 1)
 
     def test_fixture_pairs_match_exhaustive_oracle(self, toy_taxonomy):
-        neighbors = {
-            node: list(toy_taxonomy._neighbors[node]) for node in toy_taxonomy.nodes
-        }
+        neighbors = _neighbor_lists(toy_taxonomy)
         names = sorted(toy_taxonomy.nodes)
         for c1 in names:
             for c2 in names:
@@ -706,3 +710,208 @@ class TestFrequencyTotal:
             table = ic_from_counts(toy_taxonomy, {"dog": 2**53 - 3, "cat": 3, "unmapped": 10**400})
         assert table.prob["animal"] == 1.0
         assert table.prob["dog"] == (2**53 - 3) / 2**53
+
+
+# ---------------------------------------------------------------------------
+# the taxonomy file loader against a line-by-line oracle
+
+NAMES = ["a", "b", "dog", "é", "日本", "x y", "n0", "ü"]
+NOTES = ["", " ", "\t", "#note", "#manifest\ttool=test", "# NODE\tq\tQ"]
+
+
+def outcome(load, path):
+    """What loading ``path`` gives: the error's type and message, or the loaded
+    nodes, edges and word map (as item lists, so that order counts), depths and roots."""
+    try:
+        value = load(path)
+    except DistSemError as exc:
+        return type(exc).__name__, str(exc)
+    except oracles.Refused as exc:
+        return exc.args
+    if isinstance(value, Taxonomy):
+        depths = {node: value.node_depth(node) for node in value.nodes}
+        nodes, edges, word_map, roots = value.nodes, value.edges, value.word_map, value.roots
+    else:
+        nodes, edges, word_map = value
+        depths = longest_depths(hypernym_parents(nodes, edges))
+        roots = sorted(node for node, depth in depths.items() if depth == 0)
+    return "loaded", list(nodes.items()), edges, list(word_map.items()), depths, roots
+
+
+@st.composite
+def taxonomy_lines(draw):
+    """The lines of a well-formed taxonomy file, in any order, with notes and blank lines.
+
+    ``isa`` edges run from a concept to one made before it, so the hierarchy
+    is acyclic; other edges join any two concepts.  Edges and ``WORD`` lines
+    may repeat, and a word may have several senses.
+    """
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=len(NAMES), unique=True))
+    labels = st.sampled_from(["", "Label", "ä b", "C"])
+    lines = [f"NODE\t{name}\t{draw(labels)}" for name in names]
+    edges = [(names[1], names[0], "isa")]
+    for i in range(2, len(names)):
+        for parent in draw(st.lists(st.integers(0, i - 1), max_size=2)):
+            edges.append((names[i], names[parent], "isa"))
+    index = st.integers(0, len(names) - 1)
+    relation = st.sampled_from(["partof", "memberof", "isa-like"])
+    for a, b, label in draw(st.lists(st.tuples(index, index, relation), max_size=4)):
+        edges.append((names[a], names[b], label))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))  # repeated edges
+    lines += [f"EDGE\t{child}\t{parent}\t{label}" for child, parent, label in edges]
+    words = draw(st.lists(st.tuples(st.sampled_from(["w", "ẞ", "dog"]), index), max_size=6))
+    lines += [f"WORD\t{word}\t{names[i]}" for word, i in words]
+    lines = draw(st.permutations(lines))
+    notes = st.tuples(st.integers(0, len(lines)), st.sampled_from(NOTES))
+    for at, note in draw(st.lists(notes, max_size=4)):
+        lines.insert(at, note)
+    return lines
+
+
+def defects(names):
+    """A bad line of each kind the loader refuses, given the file's node ``names``."""
+    name = names[0] if names else "a"
+    return st.sampled_from([
+        "NODE\t\tEmpty", f"NODE\t{name}\tAgain", "NODE\tq", "NODE\tq\tQ\textra", "node\tq\tQ",
+        f"EDGE\t\t{name}\tisa", f"EDGE\t{name}\t\tisa", f"EDGE\t{name}\t{name}\t",
+        f"EDGE\t{name}\tzz\tisa", f"EDGE\tzz\t{name}\tpartof", "EDGE\ta\tb",
+        f"WORD\t\t{name}", "WORD\tw\t", "WORD\tw\tzz", "WORD\tw", "JUNK\tx", " NODE\tq\tQ",
+        "NODEX\tq\tQ",
+    ])
+
+
+def write_lines(tmp, lines, newline="\n", last_newline=True):
+    path = Path(tmp) / "taxonomy.tsv"
+    path.write_bytes((newline.join(lines) + newline * last_newline).encode("utf-8"))
+    return path
+
+
+class TestLoaderAgainstOracle:
+    """``load_taxonomy`` reads runs of lines as columns; it must load and refuse
+    exactly what the line-by-line oracle does, at the same line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        taxonomy_lines(), st.sampled_from([1, 7, 64, corpus._BLOCK_CHARS]),
+        st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
+    )
+    def test_well_formed_files(self, lines, block, newline, last_newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, lines, newline, last_newline)
+            with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+                loaded = outcome(load_taxonomy, path)
+            assert loaded == outcome(oracles.taxonomy_file, path)
+        assert loaded[0] == "loaded"
+
+    @settings(max_examples=200, deadline=None)
+    @given(taxonomy_lines(), st.data(), st.sampled_from([1, 7, 64, corpus._BLOCK_CHARS]))
+    def test_defects(self, lines, data, block):
+        names = [line.split("\t")[1] for line in lines if line.startswith("NODE\t")]
+        for _ in range(data.draw(st.integers(1, 2))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(defects(names)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, lines)
+            with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+                loaded = outcome(load_taxonomy, path)
+            assert loaded == outcome(oracles.taxonomy_file, path)
+        assert loaded[0] != "loaded"
+
+    @pytest.mark.parametrize("defect", [
+        None, "NODE\tc000040\tAgain", "EDGE\tc000007\tzz\tisa", "WORD\tw9\tzz", "EDGE\tc000007",
+        "WORD\t\tc000001",
+    ])
+    def test_files_of_many_pieces(self, tmp_path, defect):
+        """At the default piece size, runs of many lines meet the column checks at once."""
+        rng = random.Random(5)
+        lines = wordnet_sized_lines(rng, 3000)
+        rng.shuffle(lines)
+        for at in range(500, len(lines), 1700):  # notes inside pieces
+            lines[at:at] = ["#note", "", "#manifest\tx=1"]
+        at = len(lines) * 2 // 3
+        if defect is not None:
+            lines.insert(at, defect)
+        path = write_lines(tmp_path, lines)
+        assert path.stat().st_size > 3 * corpus._BLOCK_CHARS
+        loaded = outcome(load_taxonomy, path)
+        assert loaded == outcome(oracles.taxonomy_file, path)
+        if defect is None:
+            assert loaded[0] == "loaded"
+        else:
+            # at the defect, or for a duplicate node at whichever of the two comes later
+            assert loaded[0] == "ParseError"
+            assert int(loaded[1].removeprefix(f"{path}:").split(":")[0]) >= at + 1
+
+    def test_no_nodes(self, tmp_path):
+        for lines in (["#manifest\ttool=test", "", "WORD\tw\tzz"], ["#note", ""], []):
+            path = write_lines(tmp_path, lines)
+            assert outcome(load_taxonomy, path) == outcome(oracles.taxonomy_file, path) == (
+                "ConfigurationError", f"{path}: taxonomy file has no nodes"
+            )
+
+
+frequency_lines = st.one_of(
+    st.builds(
+        "{}\t{}".format,
+        st.sampled_from(["w", "é", "x y", ""]),
+        st.sampled_from(["5", "-3", " 7", "+2", "1_0", "٣", "007", "x", "", "2.5", "1" + "0" * 30]),
+    ),
+    st.sampled_from([*NOTES, "w", "w\t1\t2"]),
+)
+
+
+def frequency_outcome(load, path):
+    try:
+        return "loaded", list(load(path).items())
+    except DistSemError as exc:
+        return type(exc).__name__, str(exc)
+    except oracles.Refused as exc:
+        return exc.args
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(frequency_lines, max_size=12), st.sampled_from([1, 7, 64, corpus._BLOCK_CHARS]))
+def test_frequency_files_read_as_one_line_at_a_time(lines, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, lines)
+        with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+            loaded = frequency_outcome(load_word_frequencies, path)
+        assert loaded == frequency_outcome(oracles.frequency_file, path)
+
+
+def wordnet_sized_lines(rng, size):
+    """The lines of a taxonomy file shaped like the benchmark's, ``size`` concepts.
+
+    Concept ``i`` takes its hypernym at ``floor(i * u**1.5)``, three percent
+    a second one and five percent a ``partof`` or ``memberof`` edge; every
+    concept has its word, and a tenth of the words one or two more senses.
+    """
+    name = "c{:06d}".format
+    lines = [f"NODE\t{name(i)}\tconcept {i}" for i in range(size)]
+    for i in range(1, size):
+        lines.append(f"EDGE\t{name(i)}\t{name(int(i * rng.random() ** 1.5))}\tisa")
+        if i > 1 and rng.random() < 0.03:
+            lines.append(f"EDGE\t{name(i)}\t{name(rng.randrange(i))}\tisa")
+    for i in range(size):
+        if rng.random() < 0.05:
+            label = rng.choice(["partof", "memberof"])
+            lines.append(f"EDGE\t{name(i)}\t{name(rng.randrange(size))}\t{label}")
+    for i in range(size):
+        extra = rng.randint(1, 2) if rng.random() < 0.1 else 0
+        lines += [f"WORD\tw{i}\t{name(j)}" for j in [i] + [rng.randrange(size) for _ in range(extra)]]
+    return lines
+
+
+def test_load_memory_stays_at_the_line_loader(tmp_path):
+    """A benchmark-sized load holds one piece of the file at a time besides its columns."""
+    path = write_lines(tmp_path, wordnet_sized_lines(random.Random(1), 25_000))
+    tracemalloc.start()
+    try:
+        taxonomy = load_taxonomy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(taxonomy.nodes) == 25_000
+    # the line-by-line loader peaked at 29.0 MiB on this 1.9 MB file, and so did
+    # a column loader that split the whole text at once; by pieces, about 20 MiB
+    assert peak <= 1.1 * 29.0 * 2**20
