@@ -39,12 +39,12 @@ from .corpus import (
     CorpusConfig,
     _document_lines,
     _Documents,
+    _file_pieces,
     config_fields,
     count_cooccurrences,
     ingest_triples,
     load_counts,
     merge_counts,
-    open_text,
     read_documents,
     save_counts,
 )
@@ -184,10 +184,7 @@ def _count_corpus(args):
         config = _corpus_config(args)
         return count_cooccurrences(_corpus_documents(args), config)
     relations = set(args.relations.split(",")) if args.relations else None
-    parts = []
-    for path in args.corpus:
-        with open_text(path) as handle:
-            parts.append(ingest_triples(handle, relations, source=str(path)))
+    parts = [ingest_triples(_file_pieces(p), relations, source=str(p)) for p in args.corpus]
     return parts[0] if len(parts) == 1 else merge_counts(parts)
 
 
@@ -438,6 +435,23 @@ def cmd_xling_wccm(args) -> int:
     return 0
 
 
+def _path_and_changes(taxonomy, ic, args) -> tuple[float, str]:
+    length, changes = shortest_path(taxonomy, args.c1, args.c2)
+    return float(length), f"\trelation_changes={changes}"
+
+
+#: Each ``--taxo-measure``: whether it reads ``--ic``, and its value and further output
+#: fields from (taxonomy, IC table, args).  The measures are looked up when called.
+_TAXO_MEASURES = {
+    "path": (False, _path_and_changes),
+    "hs": (False, lambda taxonomy, ic, a: (hirst_stonge(taxonomy, a.c1, a.c2, a.hs_c, a.hs_k), "")),
+    "lc": (False, lambda taxonomy, ic, a: (leacock_chodorow(taxonomy, a.c1, a.c2, a.log_base), "")),
+    "res": (True, lambda taxonomy, ic, a: (resnik(taxonomy, a.c1, a.c2, ic), "")),
+    "jc": (True, lambda taxonomy, ic, a: (jiang_conrath(taxonomy, a.c1, a.c2, ic), "")),
+    "lin": (True, lambda taxonomy, ic, a: (lin_taxonomy(taxonomy, a.c1, a.c2, ic), "")),
+}
+
+
 def cmd_taxo_distance(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     ic = None
@@ -445,25 +459,7 @@ def cmd_taxo_distance(args) -> int:
     if args.ic:
         ic = load_ic_table(args.ic)
         inputs.append(args.ic)
-    if args.taxo_measure == "path":
-        length, changes = shortest_path(taxonomy, args.c1, args.c2)
-        value = float(length)
-        extra = f"\trelation_changes={changes}"
-    elif args.taxo_measure == "hs":
-        value = hirst_stonge(taxonomy, args.c1, args.c2, args.hs_c, args.hs_k)
-        extra = ""
-    elif args.taxo_measure == "lc":
-        value = leacock_chodorow(taxonomy, args.c1, args.c2, args.log_base)
-        extra = ""
-    elif args.taxo_measure == "res":
-        value = resnik(taxonomy, args.c1, args.c2, ic)
-        extra = ""
-    elif args.taxo_measure == "jc":
-        value = jiang_conrath(taxonomy, args.c1, args.c2, ic)
-        extra = ""
-    else:
-        value = lin_taxonomy(taxonomy, args.c1, args.c2, ic)
-        extra = ""
+    value, extra = _TAXO_MEASURES[args.taxo_measure][1](taxonomy, ic, args)
     settings = {
         "taxo_measure": args.taxo_measure,
         "log_base": _fmt(args.log_base),
@@ -581,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", required=True)
     p.add_argument(
         "--taxo-measure",
-        choices=("path", "hs", "lc", "res", "jc", "lin"),
+        choices=tuple(_TAXO_MEASURES),
         default="path",
     )
     p.add_argument("--ic", default=None, help="information-content table file")
@@ -644,7 +640,7 @@ def _validate_combinations(args) -> None:
         if bool(args.freqs) == bool(args.counts):
             raise ConfigurationError("need exactly one of --freqs or --counts")
     if args.command == "taxo-distance":
-        needs_ic = args.taxo_measure in ("res", "jc", "lin")
+        needs_ic = _TAXO_MEASURES[args.taxo_measure][0]
         if needs_ic and not args.ic:
             raise ConfigurationError(f"--taxo-measure {args.taxo_measure} needs --ic")
         if args.ic and not needs_ic:

@@ -18,12 +18,11 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby, islice, takewhile
-from typing import Optional, TextIO, Union
+from itertools import chain, groupby, islice
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,7 +56,7 @@ _TOKEN_BATCH = 1 << 12
 #: Lines a tagged-TSV writer joins into one piece.
 _BLOCK_LINES = 1 << 12
 
-#: Characters a tagged-TSV reader takes from a file at a time.
+#: Characters a data file reader takes from a file at a time.
 _BLOCK_CHARS = 1 << 15
 
 #: A line after the first of a piece of text that may be blank or a ``#`` line.
@@ -173,32 +172,14 @@ def _document_lines(path) -> Iterator[str]:
                 yield line.removesuffix("\n")
 
 
-@contextmanager
-def open_text(path) -> Iterator[TextIO]:
-    """Open a UTF-8 data file for reading lines.
-
-    Bytes that are not UTF-8 end in :class:`ParseError` naming the first line
-    that holds them.  The line is looked for only once decoding has failed.
-    """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError:
-            raise ParseError(str(path), _first_undecodable_line(path), "invalid UTF-8") from None
-
-
 def read_records(
     path,
     expect: Optional[str] = None,
     sep: str = "\t",
     on_note: Optional[Callable[[int, list[str]], None]] = None,
 ) -> Iterator[tuple[int, list[str]]]:
-    """The records of a line-oriented data file; see :func:`line_records`.
-
-    The file is decoded whole first, so invalid UTF-8 is refused before any line is.
-    """
-    with open_text(path) as handle:
-        return line_records([handle.read()], str(path), expect, sep, on_note)
+    """The records of a line-oriented data file, read in :func:`_file_pieces`; see :func:`line_records`."""
+    return line_records(_file_pieces(path), str(path), expect, sep, on_note)
 
 
 def line_records(
@@ -217,7 +198,7 @@ def line_records(
     the field names) from ``source``.
     """
     width = None if expect is None else len(expect.replace("<TAB>", "\t").split(sep))
-    for first, run, note in _runs(lines, 1, sep):
+    for first, run, note in _runs(lines, source):
         if note and on_note is None:
             continue
         for number, line in enumerate(run.split("\n"), first):
@@ -231,40 +212,52 @@ def line_records(
 
 
 def data_runs(path) -> Iterator[tuple[int, str]]:
-    """(number of the first line, text) of each run of data lines of a record file; see :func:`_runs`.
+    """(number of the first line, text) of each run of data lines of a record file; see :func:`_runs`."""
+    return ((first, run) for first, run, notes in _runs(_file_pieces(path), str(path)) if not notes)
 
-    The file is decoded whole first, so invalid UTF-8 is refused before any
-    line is, and then taken in pieces of about ``_BLOCK_CHARS`` characters.
+
+def _file_pieces(path) -> Iterator[str]:
+    """The text of a data file in pieces of about ``_BLOCK_CHARS`` characters, each of whole lines.
+
+    The file is opened once, in text mode.  A byte that is not UTF-8 stays in
+    the text as a lone surrogate, and a piece ends before the line holding
+    the first one, so :func:`_runs` refuses that line after every line before it.
     """
-    with open_text(path) as handle:
-        text = handle.read()
-    return ((first, run) for first, run, notes in _runs(_pieces(text), 1, "\t") if not notes)
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        rest = ""
+        while block := handle.read(_BLOCK_CHARS):
+            text = rest + block
+            cut = text.rfind("\n") + 1
+            if not text.isascii() and (bad := re.search("[\udc80-\udcff]", text)):
+                cut = text.rfind("\n", 0, bad.start()) + 1 or cut
+            if cut:
+                yield text[:cut]
+            rest = text[cut:]
+        if rest:
+            yield rest
 
 
-def _pieces(text: str) -> Iterator[str]:
-    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, each cut after a ``\\n``."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _runs(pieces: Iterable[str], first: int, sep: str) -> Iterator[tuple[int, str, bool]]:
+def _runs(pieces: Iterable[str], source: str) -> Iterator[tuple[int, str, bool]]:
     """(number of the first line, text, notes?) of each run of lines in ``pieces``.
 
     The line rules of every data file: each piece of text holds whole lines,
-    split at ``\\n`` only and numbered on from ``first``.  Blank lines (of
-    only whitespace) are skipped, and so is a ``#`` line whose first field,
-    split on ``sep``, is ``#manifest``.  A run is the longest stretch of a
-    piece's other lines that are all ``#`` lines (notes) or all data lines,
-    joined by ``\\n``.  A piece of data lines only (the first byte of each
-    line shows it, or ``_LINE_MARK`` where a byte is not ASCII) or of notes
-    only is one run as it stands.
+    split at ``\\n`` only and numbered from 1.  A line that holds a lone
+    surrogate (a byte that is not UTF-8, see :func:`_file_pieces`) ends in
+    :class:`ParseError` from ``source``.  Blank lines (of only whitespace)
+    are skipped, and so is a ``#`` line whose first tab-separated field is
+    ``#manifest``.  A run is the longest stretch of a piece's other lines
+    that are all ``#`` lines (notes) or all data lines, joined by ``\\n``.
+    A piece of data lines only (the first byte of each line shows it, or
+    ``_LINE_MARK`` where a byte is not ASCII) or of notes only is one run as
+    it stands.
     """
+    first = 1
     for text in pieces:
         body = text.removesuffix("\n")
-        count, unmarked = _line_heads(body)
+        try:
+            count, unmarked = _line_heads(body)
+        except UnicodeEncodeError as exc:
+            raise ParseError(source, first + body.count("\n", 0, exc.start), "invalid UTF-8") from None
         if unmarked or (
             text and text[0] != "#" and not text[0].isspace() and not _LINE_MARK.search(text)
         ):
@@ -275,7 +268,7 @@ def _runs(pieces: Iterable[str], first: int, sep: str) -> Iterator[tuple[int, st
             lines = body.split("\n")
             # per line: True for a note, False for a data line, None for one skipped
             kinds = [
-                line[:1] == "#" and (line.split(sep, 1)[0] != "#manifest" or None)
+                line[:1] == "#" and (line.partition("\t")[0] != "#manifest" or None)
                 if line.strip() else None
                 for line in lines
             ]
@@ -293,17 +286,6 @@ def _line_heads(body: str) -> tuple[int, bool]:
     raw = np.frombuffer((body + "\n").encode("utf-8"), dtype=np.uint8)
     ends = np.flatnonzero(raw == 10)
     return ends.size, not _MARK_HEADS[raw[np.append(0, ends[:-1] + 1)]].any()
-
-
-def _first_undecodable_line(path) -> int:
-    """Number of the first line of ``path`` that is not UTF-8, counting lines as text mode does."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, 1):
-            try:
-                line.encode("utf-8")  # an escaped byte cannot be encoded back
-            except UnicodeEncodeError:
-                return number
-    return 0
 
 
 def inverse_relation(relation: str) -> str:
@@ -840,23 +822,21 @@ def read_tagged_tsv(
     formatted with the column's name and the value.  The lines follow the
     rules of :func:`_runs`: a second ``#tag`` header is refused, and each run
     of other ``#`` lines goes to ``on_note`` as (number of its first line,
-    its text).  The file is read in pieces of about ``_BLOCK_CHARS``
-    characters, each checked at once (see :func:`_split_lines`), and the
-    error raised is the first bad line's.
+    its text).  The file is read once, in :func:`_file_pieces`, and each
+    run checked at once (see :func:`_split_lines`); the error raised is the
+    first bad line's.
     """
-    headers = []
-
-    def header(line_number: int, parts: list[str]) -> None:
-        if parts[0] == f"#{tag}":
-            headers.append((line_number, dict(part.partition("=")[::2] for part in parts[1:])))
-
-    with open_text(path) as handle:
-        # read up to the header, or up to the first data line if none comes before it
-        lines = takewhile(lambda _: not headers, handle)
-        next(line_records(lines, str(path), on_note=header), None)
-    if not headers:
+    runs = _runs(_file_pieces(path), str(path))
+    header = re.compile(f"^#{re.escape(tag)}(?:\t|$)", re.MULTILINE)
+    found = None
+    for first, text, notes in runs:  # up to the header, or to the first data line
+        if not notes or (found := header.search(text)):
+            break
+    if found is None:
         raise ValidationError(f"{path}: missing #{tag} header")
-    header_line, fields = headers[0]
+    header_line = first + text.count("\n", 0, found.start())
+    line, _, rest = text[found.start() :].partition("\n")
+    fields = dict(part.partition("=")[::2] for part in line.split("\t")[1:])
     for key, convert in converters.items():
         if key in fields:
             try:
@@ -867,38 +847,22 @@ def read_tagged_tsv(
         config = _corpus_config(fields)
     except (ValueError, ConfigurationError):
         raise ParseError(str(path), header_line, "bad corpus settings") from None
-    repeat = re.compile(f"^#{re.escape(tag)}(?:\t|$)", re.MULTILINE)
 
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
-        with open_text(path) as handle:
-            for _ in range(header_line):
-                handle.readline()
-            for first, text, notes in _runs(_whole_lines(handle), header_line + 1, "\t"):
-                if not notes:
-                    yield _split_lines(path, text, first, columns, bad_value)
-                    continue
-                again = repeat.search(text)
-                cut = len(text) + 1 if again is None else again.start()  # the notes before it
-                if cut and on_note is not None:
-                    on_note(first, text[: cut - 1])
-                if again is not None:
-                    number = first + text.count("\n", 0, cut)
-                    raise ParseError(str(path), number, f"repeats the header of line {header_line}")
+        # the notes after the header in its run, then the runs after that
+        for first, text, notes in chain([(header_line + 1, rest, True)] if rest else [], runs):
+            if not notes:
+                yield _split_lines(path, text, first, columns, bad_value)
+                continue
+            again = header.search(text)
+            cut = len(text) + 1 if again is None else again.start()  # the notes before it
+            if cut and on_note is not None:
+                on_note(first, text[: cut - 1])
+            if again is not None:
+                number = first + text.count("\n", 0, cut)
+                raise ParseError(str(path), number, f"repeats the header of line {header_line}")
 
     return fields, config, blocks()
-
-
-def _whole_lines(handle: TextIO) -> Iterator[str]:
-    """The rest of ``handle`` in pieces of about ``_BLOCK_CHARS``, each cut after its last ``\\n``."""
-    rest = ""
-    while block := handle.read(_BLOCK_CHARS):
-        text = rest + block
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield text[:cut]
-        rest = text[cut:]
-    if rest:
-        yield rest
 
 
 def _split_lines(

@@ -82,13 +82,15 @@ class Taxonomy:
 
     def _build(self, names, labels, edges, relations, words, senses, hypernym_relation) -> None:
         n = len(names)
-        self._names, self._labels, self._relations, self._words = names, labels, relations, words
-        self._child, self._parent, self._relation = (np.asarray(ids, dtype=np.int64) for ids in edges)
+        self._names, self._labels, self._words = names, labels, words
+        self._child, self._parent, relation = (np.asarray(ids, dtype=np.int64) for ids in edges)
+        distinct = _numbered(relations)  # a label given twice gets one id
+        self._relations, self._relation = list(distinct), _lookup(distinct, relations)[relation]
         self.hypernym_relation = hypernym_relation
         # each word's senses, once each
         owner, concept = np.divmod(_distinct(np.multiply(senses[0], n) + senses[1]), max(n, 1))
         self._sense_ptr, self._senses = _csr(owner, concept, len(words))
-        hyper = np.array([label == hypernym_relation for label in relations], dtype=bool)[self._relation]
+        hyper = np.array([label == hypernym_relation for label in distinct], dtype=bool)[self._relation]
         child, parent = self._child[hyper], self._parent[hyper]
         # each concept's hypernyms in edge order, and its hyponyms
         self._up_ptr, self._up = _csr(child, parent, n)
@@ -125,13 +127,12 @@ class Taxonomy:
         return _numbered(self._words)
 
     @cached_property
-    def _neighbors(self) -> dict[str, list[tuple[str, str]]]:
-        """Each concept's (neighbor, label) over edges of every label, both directions."""
-        neighbors: dict[str, list[tuple[str, str]]] = {n: [] for n in self._names}
-        for child, parent, relation in self.edges:
-            neighbors[child].append((parent, relation))
-            neighbors[parent].append((child, relation))
-        return neighbors
+    def _links(self) -> tuple[list[int], list[int], list[int]]:
+        """Each concept's links over edges of every label, both directions, in
+        edge order: row pointers, and each link's neighbor and relation id."""
+        ends = np.stack([self._child, self._parent], axis=1).ravel()  # link 2e: edge e from its child
+        ptr, links = _csr(ends, np.arange(ends.size), len(self._names))
+        return ptr.tolist(), ends[links ^ 1].tolist(), self._relation[links >> 1].tolist()
 
     def _compute_depths(self) -> np.ndarray:
         """Longest hypernym chain from any root, by one level-synchronous Kahn pass.
@@ -225,13 +226,15 @@ _RECORDS = {
 def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     """Read ``NODE``, ``EDGE``, and ``WORD`` tab-separated record lines.
 
-    The lines follow the rules of :func:`~distsem.corpus._runs`.  Each run of
-    data lines is taken apart as columns and checked as a whole; a run with
-    a bad line is walked again one line at a time, so the first bad line
-    ends in :class:`ParseError`.  Then the first edge, and then the first
-    ``WORD`` line, naming a concept that no ``NODE`` line declares ends in
-    :class:`ParseError` at its line.  The taxonomy is built from id arrays
-    (:meth:`Taxonomy.from_ids`); its name views are built on first use.
+    The lines follow the rules of :func:`~distsem.corpus._runs`, read in
+    pieces by :func:`~distsem.corpus.data_runs`.  Each run of data lines is
+    taken apart as columns and checked as a whole; a run with a bad line is
+    walked again one line at a time, so the first bad line, or line of bytes
+    that are not UTF-8, ends in :class:`ParseError`.  Then the first edge,
+    and then the first ``WORD`` line, naming a concept that no ``NODE`` line
+    declares ends in :class:`ParseError` at its line.  The taxonomy is built
+    from id arrays (:meth:`Taxonomy.from_ids`); its name views are built on
+    first use.
     """
     index: dict[str, int] = {}  # node name -> id, in NODE line order
     lines = [[np.empty(0, dtype=np.int64)] for _ in _RECORDS]  # each record kind's line numbers
@@ -320,15 +323,18 @@ def _layered_search(
     """
     if c1 == c2:
         return 0, 0
-    # per side: concept -> label of the edge toward that side's end -> fewest changes
-    fronts: list[dict[str, dict[str, int]]] = [{c1: {}}, {c2: {}}]
-    seen = [{c1}, {c2}]
-    work = [len(taxonomy._neighbors[c1]), len(taxonomy._neighbors[c2])]
+    ptr = taxonomy._links[0]
+    allowed = [relation is None or label == relation for label in taxonomy._relations]
+    # per side: concept id -> relation id of the edge toward that side's end -> fewest changes
+    ends = [taxonomy._ids[c1], taxonomy._ids[c2]]
+    fronts: list[dict[int, dict[int, int]]] = [{end: {}} for end in ends]
+    seen = [{end} for end in ends]
+    work = [ptr[end + 1] - ptr[end] for end in ends]
     length = 0
     while True:
         side = 0 if work[0] <= work[1] else 1
-        fronts[side] = _next_layer(taxonomy, fronts[side], seen[side], relation)
-        work[side] = sum(len(taxonomy._neighbors[node]) for node in fronts[side])
+        fronts[side] = _next_layer(taxonomy._links, fronts[side], seen[side], allowed)
+        work[side] = sum(ptr[node + 1] - ptr[node] for node in fronts[side])
         length += 1
         if not fronts[side]:
             kind = "path" if relation is None else "hypernymy path"
@@ -340,18 +346,21 @@ def _layered_search(
 
 
 def _next_layer(
-    taxonomy: Taxonomy,
-    layer: dict[str, dict[str, int]],
+    links: tuple[list[int], list[int], list[int]],
+    layer: dict[int, dict[int, int]],
     seen: set,
-    relation: Optional[str],
-) -> dict[str, dict[str, int]]:
-    """The concepts one edge beyond ``layer`` and not yet ``seen``, which it then holds."""
-    next_layer: dict[str, dict[str, int]] = {}
+    allowed: list[bool],
+) -> dict[int, dict[int, int]]:
+    """The concepts one link of an ``allowed`` relation beyond ``layer`` and not yet ``seen``,
+    which it then holds; ``links`` are :attr:`Taxonomy._links`."""
+    ptr, neighbors, labels = links
+    next_layer: dict[int, dict[int, int]] = {}
     for node, costs in layer.items():
         # a new label costs one change over the best path here; an end has none yet
         turn = min(costs.values(), default=-1) + 1
-        for neighbor, label in taxonomy._neighbors[node]:
-            if neighbor in seen or relation is not None and label != relation:
+        lo, hi = ptr[node], ptr[node + 1]
+        for neighbor, label in zip(neighbors[lo:hi], labels[lo:hi]):
+            if neighbor in seen or not allowed[label]:
                 continue
             cost = min(costs.get(label, turn), turn)
             slot = next_layer.setdefault(neighbor, {})

@@ -372,6 +372,11 @@ class TestRecordReader:
         with pytest.raises(ParseError, match=r"^src:2: expected x<TAB>y<TAB>z$"):
             list(line_records(["a\tb\tc\n", "a\tb\n"], "src", "x<TAB>y<TAB>z"))
 
+    def test_undecodable_byte_named_at_its_line(self):
+        # a byte that is not UTF-8, as errors="surrogateescape" reads it, in a piece's second line
+        with pytest.raises(ParseError, match=r"^src:3: invalid UTF-8$"):
+            list(line_records(["a\tb\n", "c\td\n\udcff\te\n"], "src"))
+
     def test_other_separator(self):
         with pytest.raises(ParseError, match="expected x,y"):
             list(line_records(["a,b\n", "a,b,c\n"], "src", "x,y", sep=","))

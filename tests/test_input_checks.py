@@ -5,6 +5,7 @@ import io
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +36,9 @@ from distsem import (
     save_wccm,
 )
 import distsem.cli
+from distsem import corpus
 from distsem.cli import main
-from distsem.corpus import _BLOCK_CHARS, _BLOCK_LINES
+from distsem.corpus import _BLOCK_CHARS, _BLOCK_LINES, counts_equal, ingest_triples
 from distsem.errors import ConfigurationError, ParseError, ValidationError, ZeroCreditWarning
 from distsem.taxonomy import load_word_frequencies
 
@@ -116,9 +118,22 @@ def _spoil(source, path, at=-1):
     return range(1, len(lines) + 1)[at]
 
 
+def _two_defects(source, path, bytes_first):
+    """Copy ``source`` to ``path`` with two defects added after its lines: a one-field
+    line ``x`` and a copy of the last line opened by the bytes ff fe, in that order or,
+    if ``bytes_first``, the other.  Return the number of the first of them."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    defects = [b"x\n", b"\xff\xfe" + lines[-1]]
+    path.write_bytes(b"".join(lines + defects[::-1] if bytes_first else lines + defects))
+    return len(lines) + 1
+
+
 class TestInvalidUtf8:
     """A text input holding bytes that are not UTF-8 ends in ParseError naming
     the first such line (exit 2), not in a UnicodeDecodeError traceback."""
+
+    READERS = ["counts", "wccm", "ic", "profile", "word_frequencies", "lexicon", "taxonomy",
+               "thesaurus", "benchmark", "word_choice"]
 
     @pytest.fixture()
     def readers(self, toy_counts, toy_thesaurus, toy_taxonomy, tmp_path, fixtures_dir):
@@ -143,11 +158,7 @@ class TestInvalidUtf8:
             "word_choice": (load_word_choice, fixtures_dir / "toy_choices.tsv"),
         }
 
-    @pytest.mark.parametrize(
-        "reader",
-        ["counts", "wccm", "ic", "profile", "word_frequencies", "lexicon", "taxonomy",
-         "thesaurus", "benchmark", "word_choice"],
-    )
+    @pytest.mark.parametrize("reader", READERS)
     def test_reader(self, readers, reader, tmp_path):
         load, source = readers[reader]
         bad = tmp_path / f"bad-{source.name}"
@@ -155,6 +166,21 @@ class TestInvalidUtf8:
         with pytest.raises(ParseError, match="invalid UTF-8") as err:
             load(bad)
         assert err.value.line_number == number
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("bytes_first", [False, True], ids=["line-first", "bytes-first"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_first_defect_in_file_order_wins(self, readers, reader, tmp_path, bytes_first, block):
+        """A one-field line and a line of bad bytes: whichever comes first is named,
+        whatever the piece size."""
+        load, source = readers[reader]
+        bad = tmp_path / f"bad-{source.name}"
+        number = _two_defects(source, bad, bytes_first)
+        with mock.patch.object(corpus, "_BLOCK_CHARS", block or _BLOCK_CHARS):
+            with pytest.raises(ParseError) as err:
+                load(bad)
+        assert err.value.line_number == number
+        assert ("invalid UTF-8" in str(err.value)) == bytes_first
 
     @pytest.mark.parametrize("at", ["header", "second block"])
     def test_long_counts_file(self, toy_counts, tmp_path, at):
@@ -188,6 +214,29 @@ class TestInvalidUtf8:
         )
         assert (code, out) == (2, ""), err
         assert f"bad.triples:{number}: invalid UTF-8" in err
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("bytes_first", [False, True], ids=["line-first", "bytes-first"])
+    def test_triples_defect_order_through_cli(self, fixtures_dir, tmp_path, bytes_first, block):
+        bad = tmp_path / "bad.triples"
+        number = _two_defects(fixtures_dir / "toy.triples", bad, bytes_first)
+        with mock.patch.object(corpus, "_BLOCK_CHARS", block or _BLOCK_CHARS):
+            code, out, err = run_cli(
+                ["count", "--corpus", bad, "--triples", "--out", tmp_path / "c.tsv"]
+            )
+        assert (code, out) == (2, ""), err
+        message = "invalid UTF-8" if bytes_first else "expected head<TAB>relation<TAB>dependent"
+        assert f"bad.triples:{number}: {message}" in err
+
+    def test_triples_file_of_many_pieces(self, fixtures_dir, tmp_path):
+        triples = (fixtures_dir / "toy.triples").read_text("utf-8").splitlines()
+        lines = (triples + ["", "#note\tx", "  "]) * 3000
+        path = tmp_path / "many.triples"
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        assert path.stat().st_size > 3 * _BLOCK_CHARS
+        code, _, err = run_cli(["count", "--corpus", path, "--triples", "--out", tmp_path / "c.tsv"])
+        assert code == 0, err
+        assert counts_equal(load_counts(tmp_path / "c.tsv"), ingest_triples(lines))
 
 
 class TestIgnoredInputs:

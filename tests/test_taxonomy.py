@@ -153,6 +153,15 @@ class TestShortestPath:
         taxo = Taxonomy(nodes={n: n for n in "apqrsxg"}, edges=edges)
         assert shortest_path(taxo, "a", "g") == (4, 1)
 
+    def test_a_relation_label_given_twice_is_one_relation(self):
+        # the edges of one chain, their "isa" given under two relation ids
+        names, edges = ["a", "b", "c", "d"], ([1, 2, 3], [0, 1, 2], [0, 2, 1])
+        taxo = Taxonomy.from_ids(names, names, edges, ["isa", "partof", "isa"], ["w"], ([0], [3]))
+        assert taxo.edges == [("b", "a", "isa"), ("c", "b", "isa"), ("d", "c", "partof")]
+        assert (taxo.depth, taxo.roots) == (2, ["a", "d"])
+        assert shortest_path(taxo, "a", "d") == (3, 1)
+        assert leacock_chodorow(taxo, "a", "c") == leacock_chodorow(taxo, "c", "a") == 1.0
+
     def test_disconnected(self):
         taxo = Taxonomy(
             nodes={"a": "A", "b": "B", "c": "C"},
@@ -348,9 +357,9 @@ class TestMidSizeSearch:
         grown = []  # per search: (end whose side grew, concepts in its new layer)
         next_layer = taxonomy_module._next_layer
 
-        def spy(taxonomy, layer, seen, relation):
-            result = next_layer(taxonomy, layer, seen, relation)
-            grown[-1].append(("c1" if c1 in seen else "c2", len(result)))
+        def spy(links, layer, seen, allowed):
+            result = next_layer(links, layer, seen, allowed)
+            grown[-1].append(("c1" if taxo._ids[c1] in seen else "c2", len(result)))
             return result
 
         monkeypatch.setattr(taxonomy_module, "_next_layer", spy)
