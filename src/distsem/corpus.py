@@ -4,12 +4,12 @@ Tokens are maximal runs of letters and digits; everything else is stripped.
 Boundary markers (the module constant ``BOUNDARY``) are interleaved into token
 streams between documents or sentences, and windows never cross them.
 
-Counting is streaming: each document's tokens become one array of word ids,
-the arrays are copied into bounded numpy chunks, and the pairs of each chunk
-are aggregated as sorted (target id, feature id) key arrays, so memory scales
-with the observed vocabulary and pair inventory rather than corpus length.  A
-flat token stream is taken in bounded batches the same way.  Counts over
-disjoint document shards can be merged additively with :func:`merge_counts`.
+Counting is streaming: a batch of documents' tokens becomes one array of word
+ids, the arrays are copied into bounded numpy chunks, and the pairs of each
+chunk are aggregated as sorted (target id, feature id) key arrays, so memory
+scales with the observed vocabulary and pair inventory rather than corpus
+length.  A flat token stream is taken in bounded batches the same way.  Counts
+over disjoint document shards can be merged additively with :func:`merge_counts`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ Feature = Union[str, tuple[str, str]]
 
 _TOKEN_OR_STOP = re.compile(r"[^\W_]+|[.!?]", re.UNICODE)
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+
+#: Each byte of ASCII text as :func:`tokenize` reads it: a letter or digit
+#: stays, any other byte becomes a space; and the same with ``A``-``Z`` folded.
+_WORD_BYTES = bytes(c if chr(c).isalnum() and c < 128 else 32 for c in range(256))
+_FOLDED_WORD_BYTES = _WORD_BYTES.lower()
 
 _KEY_BITS = 32
 _KEY_MASK = (1 << _KEY_BITS) - 1
@@ -96,11 +101,16 @@ def tokenize(text: str, config: CorpusConfig = CorpusConfig()) -> list:
 
     Returns a list of strings with ``BOUNDARY`` markers between sentences when
     ``respect_boundaries`` is ``sentence``.  A single document never starts or
-    ends with a marker.  Each token is lowercased on its own: lowercasing can
-    give a letter a mark that is not a word character (``İ`` gives ``i`` and
-    U+0307), so the text is never lowercased before it is split.
+    ends with a marker.  Outside ``sentence`` mode an ASCII document is read
+    in one pass over its bytes, through ``_WORD_BYTES``.  Other text is
+    scanned with a regex, and each token lowercased on its own: lowercasing
+    can give a letter a mark that is not a word character (``İ`` gives ``i``
+    and U+0307), so such text is never lowercased before it is split.
     """
     if config.respect_boundaries is not Boundaries.SENTENCE:
+        if text.isascii():
+            table = _FOLDED_WORD_BYTES if config.lowercase else _WORD_BYTES
+            return text.encode().translate(table).decode().split()
         tokens = _TOKEN.findall(text)
         return list(map(str.lower, tokens)) if config.lowercase else tokens
     tokens: list = []
@@ -525,8 +535,8 @@ def _token_pieces(tokens: Iterable, index: _FirstSeenIds, config: CorpusConfig) 
 
     ``index`` gives a new word the next id.  A token stream is taken in
     batches of ``_TOKEN_BATCH``, and a boundary marker starts a new segment.
-    :class:`_Documents` give a piece per document that holds a token; a file,
-    and a document except in ``none`` mode, starts a new segment.
+    :class:`_Documents` are numbered a batch of :func:`_document_batches` at a
+    time; a file, and a document except in ``none`` mode, starts a new segment.
     """
     segment = 0
     if not isinstance(tokens, _Documents):
@@ -535,14 +545,39 @@ def _token_pieces(tokens: Iterable, index: _FirstSeenIds, config: CorpusConfig) 
             ids, segs, segment = _ids_and_segments(batch, index, segment)
             yield ids, segs
         return
+    step = int(config.respect_boundaries is not Boundaries.NONE)
     for documents in tokens.files:
-        for doc in documents:
-            if doc_tokens := tokenize(doc, config):
-                ids, segs, segment = _ids_and_segments(doc_tokens, index, segment)
-                yield ids, segs
-                if config.respect_boundaries is not Boundaries.NONE:
-                    segment += 1
+        for batch, lengths in _document_batches(documents, config):
+            if config.respect_boundaries is Boundaries.SENTENCE:  # markers within documents
+                ids, segs, segment = _ids_and_segments(batch, index, segment)
+            else:
+                ids = index.ids(batch)
+                segs = segment + step * np.repeat(np.arange(len(lengths)), lengths)
+                segment += step * (len(lengths) - 1)
+            yield ids, segs
+            segment += step
         segment += 1
+
+
+def _document_batches(documents: Iterable[str], config: CorpusConfig) -> Iterator[tuple]:
+    """Batches of the tokens of ``documents``, each tokenized on its own, with each one's token count.
+
+    A batch ends with the document that brings it to ``_TOKEN_BATCH`` tokens;
+    in ``sentence`` mode a marker goes between the documents of a batch.
+    """
+    marks = config.respect_boundaries is Boundaries.SENTENCE
+    batch, lengths = [], []
+    for doc in documents:
+        if doc_tokens := tokenize(doc, config):
+            if marks and batch:
+                batch.append(BOUNDARY)
+            batch += doc_tokens
+            lengths.append(len(doc_tokens))
+            if len(batch) >= _TOKEN_BATCH:
+                yield batch, lengths
+                batch, lengths = [], []
+    if batch:
+        yield batch, lengths
 
 
 def _ids_and_segments(tokens: list, index: _FirstSeenIds, segment: int) -> tuple:

@@ -88,7 +88,8 @@ class Taxonomy:
         self._relations, self._relation = list(distinct), _lookup(distinct, relations)[relation]
         self.hypernym_relation = hypernym_relation
         # each word's senses, once each
-        owner, concept = np.divmod(_distinct(np.multiply(senses[0], n) + senses[1]), max(n, 1))
+        owner, concept = (np.asarray(ids, dtype=np.int64) for ids in senses)
+        owner, concept = np.divmod(_distinct(owner * n + concept), max(n, 1))
         self._sense_ptr, self._senses = _csr(owner, concept, len(words))
         hyper = np.array([label == hypernym_relation for label in distinct], dtype=bool)[self._relation]
         child, parent = self._child[hyper], self._parent[hyper]

@@ -48,11 +48,9 @@ def toy_counts(toy_documents, toy_config):
 @pytest.fixture(scope="session")
 def toy_segments(toy_documents, toy_config):
     """Tokenized documents for brute-force oracles (document boundaries)."""
-    import re
+    from oracles import word_tokens
 
-    return [
-        [t.lower() for t in re.findall(r"[^\W_]+", doc)] for doc in toy_documents
-    ]
+    return [word_tokens(doc) for doc in toy_documents]
 
 
 @pytest.fixture(scope="session")

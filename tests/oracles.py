@@ -6,11 +6,31 @@ that results can be checked against the package without sharing code paths.
 
 import heapq
 import math
+import re
 from collections import Counter
 
 
 # ---------------------------------------------------------------------------
 # counting
+
+
+def word_tokens(text, lowercase=True, sentences=False):
+    """Runs of word characters other than "_", each lowercased on its own.
+
+    With ``sentences``, a ``None`` goes between two tokens that a ``.``,
+    ``!`` or ``?`` stands between.
+    """
+    tokens = []
+    stopped = False
+    for piece in re.findall(r"[^\W_]+|[.!?]", text):
+        if piece in (".", "!", "?"):
+            stopped = sentences
+        else:
+            if stopped and tokens:
+                tokens.append(None)
+            stopped = False
+            tokens.append(piece.lower() if lowercase else piece)
+    return tokens
 
 
 def window_pairs(segments, radius):

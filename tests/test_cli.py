@@ -1,3 +1,4 @@
+import random
 import shutil
 import subprocess
 import sys
@@ -5,7 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from distsem import load_wccm
+from distsem import (
+    CorpusConfig,
+    bootstrap_wccm,
+    count_cooccurrences,
+    counts_equal,
+    load_counts,
+    load_thesaurus,
+    load_wccm,
+    tokenize_documents,
+)
+from distsem import corpus as corpus_module
 from distsem.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -481,6 +492,41 @@ class TestConceptCommands:
         assert (base.total_pairs, boot.total_pairs) == (6, 4)
         by_line = pipeline([lines], "lines", "--window", "2", "--docs", "line")
         assert [sorted(m.items()) for m in by_line] == [sorted(base.items()), sorted(boot.items())]
+
+    @pytest.mark.parametrize("boundaries", ["document", "sentence", "none"])
+    @pytest.mark.parametrize("docs", ["line", "file"])
+    def test_mixed_corpus_counts_as_its_token_stream(self, tmp_path, docs, boundaries):
+        # ASCII and non-ASCII lines, blank and whitespace-only ones, in three token batches
+        words = ["jam", "Bread", "guitar", "cat", "İstanbul", "Straße", "ÉTÉ", "x_1", "song."]
+        rng = random.Random(5)
+        lines = [" ".join(rng.choices(words[: rng.choice([4, 9])], k=rng.randint(1, 15)))
+                 for _ in range(1500)]
+        for at, blank in zip(rng.sample(range(1500), 60), ["", " ", "\t", "\x0b\x1c", "\r"] * 12):
+            lines[at] = blank
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text("\n".join(lines), encoding="utf-8")
+        thesaurus = tmp_path / "thesaurus.tsv"
+        thesaurus.write_text("music\tMusic\tjam guitar song\nfood\tFood\tjam bread i\u0307stanbul\n"
+                             "place\tPlace\ti\u0307stanbul straße été\n", encoding="utf-8")
+        documents = [line for line in lines if line.strip()]
+        if docs == "file":
+            documents = ["\n".join(lines)]
+        config = CorpusConfig(window_radius=3, respect_boundaries=boundaries)
+        tokens = list(tokenize_documents(documents, config))
+        assert len(tokens) > 2 * corpus_module._TOKEN_BATCH
+
+        flags = ["--corpus", corpus, "--docs", docs, "--window", "3", "--boundaries", boundaries]
+        counts, base, boot = (tmp_path / n for n in ("counts.tsv", "base.tsv", "boot.tsv"))
+        for args in (
+            ["count", *flags, "--out", counts],
+            ["wccm-build", "--counts", counts, "--thesaurus", thesaurus, "--out", base],
+            ["wccm-bootstrap", *flags, "--base", base, "--thesaurus", thesaurus, "--out", boot],
+        ):
+            code, _, err = run_cli(args)
+            assert code == 0, err
+        assert counts_equal(load_counts(counts), count_cooccurrences(tokens, config))
+        want = bootstrap_wccm(tokens, load_wccm(base), load_thesaurus(thesaurus), config)
+        assert counts_equal(load_wccm(boot).matrix, want.matrix)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import random
+import string
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -37,12 +38,23 @@ from distsem.errors import (
     UnknownRelationError,
 )
 
-from oracles import triple_pairs, window_pairs
+from oracles import triple_pairs, window_pairs, word_tokens
 from test_cli import run_cli
 
 
 def pairs_of(counts):
     return {(t, f): n for t, f, n in counts.items()}
+
+
+#: ASCII text: "_", stops, a NUL byte, the characters ``str.split`` takes for
+#: whitespace, letters and digits, and any other ASCII character.
+TEXT_ASCII = st.one_of(
+    st.sampled_from("_.!?\x00 \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"),
+    st.sampled_from(string.ascii_letters + string.digits),
+    st.characters(max_codepoint=127),
+)
+#: Non-ASCII letters (one lowercases to two characters) and a no-break space.
+TEXT_OTHER = st.sampled_from("İßÉ\u00a0")
 
 
 class TestTokenize:
@@ -78,6 +90,18 @@ class TestTokenize:
         assert tokenize("İstanbul. Straße", CorpusConfig(respect_boundaries="sentence")) == [
             "i\u0307stanbul", BOUNDARY, "straße"
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.one_of(st.text(TEXT_ASCII), st.text(st.one_of(TEXT_ASCII, TEXT_OTHER))),
+        boundaries=st.sampled_from(list(Boundaries)),
+        lowercase=st.booleans(),
+    )
+    def test_matches_the_reference(self, text, boundaries, lowercase):
+        # an all-ASCII document is read by a byte table, any other by the regex
+        config = CorpusConfig(lowercase=lowercase, respect_boundaries=boundaries)
+        want = word_tokens(text, lowercase, sentences=boundaries is Boundaries.SENTENCE)
+        assert tokenize(text, config) == want
 
     def test_document_stream_markers(self):
         cfg = CorpusConfig()

@@ -114,6 +114,11 @@ class TestStructure:
         with pytest.raises(ValidationError):
             Taxonomy(nodes={"a": "A"}, edges=[("a", "b", "isa")])
 
+    def test_from_ids_with_no_senses(self):
+        # empty Python lists, as the edge columns may be too
+        taxo = Taxonomy.from_ids(["a", "b"], ["A", "B"], ([1], [0], [0]), ["isa"], [], ([], []))
+        assert (taxo.edges, taxo.word_map, taxo.roots) == ([("b", "a", "isa")], {}, ["a"])
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.taxo"
         path.write_text("NODE\ta\tA\nJUNK\tline\n")
