@@ -222,7 +222,7 @@ def line_records(
 
 
 def data_runs(path) -> Iterator[tuple[int, str]]:
-    """(number of the first line, text) of each run of data lines of a record file; see :func:`_runs`."""
+    """(number of its first line, text) of each data run of a file, for :func:`_split_records`."""
     return ((first, run) for first, run, notes in _runs(_file_pieces(path), str(path)) if not notes)
 
 
@@ -849,7 +849,7 @@ def read_tagged_tsv(
     named in ``converters`` are converted with the function given there, and
     a ``ValueError`` or :class:`ConfigurationError` from it ends in
     :class:`ParseError` at the header.
-    Columns are converted with their type, a key of ``_DTYPES``: ``str``
+    Columns are converted with their type (see :func:`_column`): ``str``
     keeps the text, the others give a numpy array.
 
     A data line must have one tab-separated field per column; a value its
@@ -858,7 +858,7 @@ def read_tagged_tsv(
     rules of :func:`_runs`: a second ``#tag`` header is refused, and each run
     of other ``#`` lines goes to ``on_note`` as (number of its first line,
     its text).  The file is read once, in :func:`_file_pieces`, and each
-    run checked at once (see :func:`_split_lines`); the error raised is the
+    run split at once (see :func:`_split_records`); the error raised is the
     first bad line's.
     """
     runs = _runs(_file_pieces(path), str(path))
@@ -883,11 +883,13 @@ def read_tagged_tsv(
     except (ValueError, ConfigurationError):
         raise ParseError(str(path), header_line, "bad corpus settings") from None
 
+    shapes, expect = [(None, tuple(columns.items()))], "expected " + "<TAB>".join(columns)
+
     def blocks() -> Iterator[tuple[np.ndarray, list]]:
         # the notes after the header in its run, then the runs after that
         for first, text, notes in chain([(header_line + 1, rest, True)] if rest else [], runs):
             if not notes:
-                yield _split_lines(path, text, first, columns, bad_value)
+                yield _split_records(path, first, text, shapes, expect, bad_value)[0]
                 continue
             again = header.search(text)
             cut = len(text) + 1 if again is None else again.start()  # the notes before it
@@ -900,79 +902,80 @@ def read_tagged_tsv(
     return fields, config, blocks()
 
 
-def _split_lines(
-    path, text: str, first: int, columns: Mapping[str, Callable], bad_value: str, expect: str = ""
-) -> tuple[np.ndarray, list]:
-    """Line numbers and columns of the lines of ``text``, numbered from ``first``.
+def _split_records(
+    path, first: int, text: str, shapes: list[tuple], expect: str, bad_value="bad {} {!r}", check=None
+) -> list[tuple]:
+    """Line numbers and columns of the records of each of ``shapes`` in ``text``, from line ``first``.
 
-    The tabs and line ends are found in the UTF-8 bytes of ``text`` at once,
-    and so are the values of an integer column whose fields are all 1 to 18
-    ASCII digits.  If a line has the wrong field count, or a value is
-    refused, the lines are checked again one at a time, as the column types
-    read them, and the first bad one ends in :class:`ParseError` with
-    ``expect`` ("expected" and the column names if empty) or ``bad_value``.
+    A shape is a record's tag (its first field; None for a file's one
+    untagged shape) and a (name, column type) pair per field after it.  The
+    tabs, line ends, tags and integer columns of 1 to 18 ASCII digits a field
+    are read from the UTF-8 bytes of ``text`` at once.  A ``#`` line of no
+    shape's tag is a note and skipped.  If another line fits no shape, or a
+    type refuses a value, the lines are walked one at a time, and the first
+    bad one ends in :class:`ParseError` with ``expect``, formatted with the
+    line, or ``bad_value``, formatted with the column's name and the value.
+    The walk gives ``check`` (line number, fields) of each line that passes.
     """
-    k = len(columns)
     raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     ends = np.append(np.flatnonzero((raw == 9) | (raw == 10)), raw.size)  # of each field
-    breaks = raw[ends[:-1]] == 10
-    # each line has k fields: a line end after every k-th field and nowhere else
-    if ends.size % k == 0 and breaks[k - 1 :: k].all() and breaks.sum() == ends.size // k - 1:
+    starts, breaks = np.append(0, ends[:-1] + 1), raw[ends[:-1]] == 10
+    if shapes[0][0] is None:  # one untagged shape: a line end after every k-th field only
+        k = len(shapes[0][1])
+        fits = ends.size % k == 0 and breaks[k - 1 :: k].all() and breaks.sum() == ends.size // k - 1
+        picks = [slice(i, None, k) for i in range(k)]
+        found = [(np.arange(first, first + ends.size // k), shapes[0][1], picks)]
+    else:
+        heads = np.append(0, np.flatnonzero(breaks) + 1)  # each line's first field
+        firsts, widths = starts[heads], np.diff(heads, append=ends.size)
+        sizes, notes, found = ends[heads] - firsts, raw[firsts] == 35, []
+        for tag, columns in shapes:
+            code = tag.encode("utf-8")
+            lines = np.flatnonzero(sizes == len(code))
+            for i, byte in enumerate(code):  # the lines whose first field is the tag
+                lines = lines[raw[firsts[lines] + i] == byte]
+            notes[lines] = False  # a "#" line is a note only if of no shape's tag
+            lines = lines[widths[lines] == 1 + len(columns)]
+            at = heads[lines] + 1  # each record's first field after the tag
+            if lines.size and lines[-1] - lines[0] == lines.size - 1:  # one stretch of lines
+                picks = [slice(at[0] + i, at[-1] + i + 1, 1 + len(columns)) for i in range(len(columns))]
+            else:
+                picks = [at + i for i in range(len(columns))]
+            found.append((first + lines, columns, picks))
+        fits = sum(numbers.size for numbers, _, _ in found) + notes.sum() == heads.size
+    if fits:
         cells = text.replace("\n", "\t").split("\t")
-        starts = np.append(0, ends[:-1] + 1)
         try:
-            split = [
-                _column(kind, cells[i::k], raw, starts[i::k], ends[i::k])
-                for i, kind in enumerate(columns.values())
+            return [
+                (numbers, [_column(kind, cells, p, raw, starts, ends) for (_, kind), p in zip(columns, picks)])
+                for numbers, columns, picks in found
             ]
-            return np.arange(first, first + ends.size // k), split
         except (ValueError, OverflowError):
             pass
+    tagged = dict(shapes)
     for number, line in enumerate(text.split("\n"), first):  # name the first bad line
-        values = line.split("\t")
-        if len(values) != k:
-            raise ParseError(str(path), number, expect or "expected " + "<TAB>".join(columns))
-        for name, kind, value in zip(columns, columns.values(), values):
+        fields = line.split("\t")
+        columns = tagged.get(None, tagged.get(fields[0]))
+        if columns is None and line[:1] == "#":  # a note
+            continue
+        if columns is None or len(fields) != len(columns) + (None not in tagged):
+            raise ParseError(str(path), number, expect.format(line))
+        for (name, kind), value in zip(columns, fields[len(fields) - len(columns) :]):
             try:
-                np.array(kind(value), dtype=_DTYPES[kind])
+                np.array(kind(value), dtype=_DTYPES.get(kind, object))
             except (ValueError, OverflowError):
                 raise ParseError(str(path), number, bad_value.format(name, value)) from None
+        if check:
+            check(number, fields)
     raise AssertionError(f"{path}: no bad line among lines {first} on")
 
 
-def _record_columns(text: str, shapes: Iterable[tuple[str, int]]) -> Optional[list[tuple]]:
-    """Where the records of each shape lie in the lines of ``text``, and their fields as columns.
-
-    A shape is a record's tag, its first field, and its field count.  Per
-    shape, in order: the offsets of its lines among the lines of ``text``,
-    and one list per field after the tag.  None if a line is of no shape.
-    The tabs and line ends are found in the UTF-8 bytes of ``text`` at once,
-    and so are the tags.
-    """
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.append(np.flatnonzero((raw == 9) | (raw == 10)), raw.size)  # of each field
-    heads = np.append(0, np.flatnonzero(raw[ends[:-1]] == 10) + 1)  # each line's first field
-    starts = np.append(0, ends[heads[1:] - 1] + 1)  # and its first byte
-    widths = np.diff(np.append(heads, ends.size))
-    cells = text.replace("\n", "\t").split("\t")
-    found = []
-    for tag, width in shapes:
-        code = np.frombuffer(tag.encode("utf-8"), dtype=np.uint8)
-        lines = np.flatnonzero((widths == width) & (ends[heads] - starts == code.size))
-        lines = lines[(raw[starts[lines, None] + np.arange(code.size)] == code).all(axis=1)]
-        at = heads[lines]
-        if lines.size and lines[-1] - lines[0] == lines.size - 1:  # one stretch of lines
-            fields = [cells[at[0] + i : at[-1] + width : width] for i in range(1, width)]
-        else:
-            fields = [list(map(cells.__getitem__, (at + i).tolist())) for i in range(1, width)]
-        found.append((lines, fields))
-    return found if sum(lines.size for lines, _ in found) == heads.size else None
-
-
-def _column(kind: Callable, values: list[str], raw: np.ndarray, starts, ends):
-    """``values``, the fields ``raw[starts:ends]``, converted with ``kind``."""
-    if kind is str:
-        return values
+def _column(kind: Callable, cells: list[str], pick, raw: np.ndarray, starts, ends):
+    """The fields ``cells[pick]``, bytes ``starts[pick]`` to ``ends[pick]`` of ``raw``, as ``kind``."""
+    values = cells[pick] if isinstance(pick, slice) else list(map(cells.__getitem__, pick.tolist()))
+    if kind is str or kind is _name and (ends[pick] - starts[pick]).min(initial=1) > 0:
+        return values  # text, and names none of which is empty
+    starts, ends = starts[pick], ends[pick]
     widths = ends - starts
     if kind is not float and widths.min(initial=1) > 0 and widths.max(initial=1) <= 18:
         places = np.arange(widths.max(initial=1), 0, -1)[:, None]
@@ -980,7 +983,7 @@ def _column(kind: Callable, values: list[str], raw: np.ndarray, starts, ends):
         digits[places > widths] = 0  # bytes before a field read as leading zeros
         if (digits <= 9).all():
             return 10 ** (places[:, 0] - 1) @ digits
-    return np.fromiter(map(kind, values), dtype=_DTYPES[kind], count=len(values))
+    return np.fromiter(map(kind, values), dtype=_DTYPES.get(kind, object), count=len(values))
 
 
 def _sort_ranks(names: list, key: Optional[Callable] = None) -> tuple[np.ndarray, list]:
@@ -1037,13 +1040,8 @@ def _build_counts(
     """
     targets, features, rows, cols, data, lines = cells
     keys = (rows << _KEY_BITS) | cols
-    if not (keys[1:] > keys[:-1]).all():
-        order = np.argsort(keys, kind="stable")
-        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if repeats.size:
-            at = repeats.min()
-            earlier = lines[np.flatnonzero(keys == keys[at])[0]]
-            raise ParseError(str(path), int(lines[at]), f"repeats the cell of line {earlier}")
+    if not (keys[1:] > keys[:-1]).all() and not np.diff(np.sort(keys)).all():  # a key twice
+        _refuse_repeat(path, lines.tolist(), keys.tolist(), "cell")
     if parse is not None:
         features = [parse(f) for f in features]
     data = data.astype(np.int64, copy=False)
@@ -1051,6 +1049,14 @@ def _build_counts(
         return CooccurrenceCounts.from_ids(targets, features, rows, cols, data, **meta)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+
+
+def _refuse_repeat(path, numbers: Iterable[int], keys: Iterable, what: str) -> None:
+    """Raise :class:`ParseError` at the first line of ``numbers`` whose key comes a second time."""
+    seen: dict = {}
+    for number, key in zip(numbers, keys):
+        if seen.setdefault(key, number) != number:
+            raise ParseError(str(path), number, f"repeats the {what} of line {seen[key]}")
 
 
 def _counts_fields(counts: CooccurrenceCounts) -> dict:
@@ -1103,39 +1109,42 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _name(text: str) -> str:
+    """A name's text; an empty one is a ``ValueError``."""
+    if not text:
+        raise ValueError(text)
+    return text
+
+
 def _feature_kind(text: str) -> str:
     if text not in ("word", "relation"):
         raise ValueError(text)
     return text
 
 
-#: The numpy type of each column type's values; a unigram or word count may have any size.
-_DTYPES = {str: object, int: np.int64, float: np.float64, _count: object, _integer: object}
+#: The numpy type of a column type's values; others, unigram and word counts too, are objects.
+_DTYPES = {int: np.int64, float: np.float64}
 
-_UNIGRAM_COLUMNS = {"#unigram": str, "word": str, "count": _count}
+#: The notes of a counts file that are read, unigram lines, and what a bad one is refused as.
+_UNIGRAM = ([("#unigram", (("word", str), ("count", _count)))], "malformed unigram line")
 
 
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`.
 
-    The cells must add up to the header's ``total_pairs``, so a file that was
-    cut short is refused; a cell given twice is refused too, and so is a
-    negative count or, with ``feature_kind=relation``, a feature that is not
-    ``relation:word``, once every line has been read.
+    After the first bad line, cell or ``#unigram`` line, a unigram word given
+    twice, a negative count, with ``feature_kind=relation`` a feature that is
+    not ``relation:word``, and a cell given twice are refused in that order,
+    each at its (second) line, once every line has been read.  The cells must
+    add up to the header's ``total_pairs``, so a file cut short is refused.
     """
-    unigram: dict[str, int] = {}
+    unigram, unigram_lines, unigram_words = {}, [np.empty(0, dtype=np.int64)], []
 
     def note(first: int, text: str) -> None:
-        if text.startswith("#unigram\t") and text.count("\n#unigram\t") == text.count("\n"):
-            runs = [(first, text)]  # unigram lines only, read as columns
-        else:
-            lines = enumerate(text.split("\n"), first)
-            runs = [(n, line) for n, line in lines if line.split("\t", 1)[0] == "#unigram"]
-        for number, run in runs:
-            _, (_, words, counts) = _split_lines(
-                path, run, number, _UNIGRAM_COLUMNS, "bad {} {!r}", "malformed unigram line"
-            )
-            unigram.update(zip(words, counts.tolist()))
+        [(numbers, (words, counts))] = _split_records(path, first, text, *_UNIGRAM)
+        unigram.update(zip(words, counts.tolist()))
+        unigram_lines.append(numbers)
+        unigram_words.extend(words)
 
     fields, config, blocks = read_tagged_tsv(
         path,
@@ -1145,6 +1154,8 @@ def load_counts(path) -> CooccurrenceCounts:
         on_note=note,
     )
     cells = _collect_cells(blocks, target=0, feature=1)
+    if len(unigram) < len(unigram_words):
+        _refuse_repeat(path, np.concatenate(unigram_lines).tolist(), unigram_words, "unigram")
     _, features, _, cols, data, lines = cells
     negative = np.flatnonzero(data < 0)
     if negative.size:

@@ -71,8 +71,8 @@ class WordChoiceProblem:
 def load_benchmark(path, name: Optional[str] = None) -> BenchmarkSet:
     """Read ``word1,word2,score,scale_min,scale_max`` CSV rows under that header.
 
-    The scale columns must be constant across the file and every score must
-    fall inside them.
+    The scale columns must be constant across the file and finite, and every
+    score must fall inside them.
     """
     pairs: list[tuple[str, str, float]] = []
     scale: Optional[tuple[float, float]] = None
@@ -96,6 +96,8 @@ def load_benchmark(path, name: Optional[str] = None) -> BenchmarkSet:
             raise ParseError(str(path), line_number, "scale changes mid-file")
         if not lo <= value <= hi:
             raise ParseError(str(path), line_number, f"score {value} outside scale [{lo}, {hi}]")
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # a score inside is finite too
+            raise ParseError(str(path), line_number, "non-finite score or scale")
         pairs.append((parts[0], parts[1], value))
     if not pairs or scale is None:
         raise ValidationError(f"{path}: benchmark file has no pairs")

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from typing import Optional
 
 import numpy as np
@@ -25,8 +25,9 @@ import numpy as np
 from .assoc import check_log_base
 from .corpus import (
     _integer,
-    _record_columns,
-    _split_lines,
+    _name,
+    _refuse_repeat,
+    _split_records,
     data_runs,
     read_tagged_tsv,
     write_tagged_tsv,
@@ -216,40 +217,47 @@ def _numbered(keys) -> dict[str, int]:
     return dict(zip(dict.fromkeys(keys), count()))
 
 
-#: Each record of a taxonomy file, as (tag, field count) -> field that may not be empty -> message.
-_RECORDS = {
-    ("NODE", 3): {1: "empty concept name"},
-    ("EDGE", 4): {1: "empty concept name", 2: "empty concept name", 3: "empty relation"},
-    ("WORD", 3): {1: "empty word", 2: "empty concept name"},
-}
+#: The records of a taxonomy file, as shapes of :func:`~distsem.corpus._split_records`.
+_RECORDS = [
+    ("NODE", (("concept name", _name), ("label", str))),
+    ("EDGE", (("concept name", _name), ("concept name", _name), ("relation", _name))),
+    ("WORD", (("word", _name), ("concept name", _name))),
+]
+#: What a line of no record's shape, and a record with an empty name, are refused as.
+_MESSAGES = ("unrecognized record {!r}", "empty {}")
 
 
 def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     """Read ``NODE``, ``EDGE``, and ``WORD`` tab-separated record lines.
 
-    The lines follow the rules of :func:`~distsem.corpus._runs`, read in
-    pieces by :func:`~distsem.corpus.data_runs`.  Each run of data lines is
-    taken apart as columns and checked as a whole; a run with a bad line is
-    walked again one line at a time, so the first bad line, or line of bytes
-    that are not UTF-8, ends in :class:`ParseError`.  Then the first edge,
-    and then the first ``WORD`` line, naming a concept that no ``NODE`` line
-    declares ends in :class:`ParseError` at its line.  The taxonomy is built
-    from id arrays (:meth:`Taxonomy.from_ids`); its name views are built on
-    first use.
+    The lines follow the rules of :func:`~distsem.corpus._runs`, and each run
+    of them is split as the shapes ``_RECORDS``
+    (:func:`~distsem.corpus._split_records`).  The first line of no shape,
+    with an empty name, naming a node again or of bytes that are not UTF-8,
+    then the first edge, and then the first ``WORD`` line, naming a concept
+    that no ``NODE`` line declares, ends in :class:`ParseError` at its line.
+    The taxonomy is built from id arrays (:meth:`Taxonomy.from_ids`); its
+    name views are built on first use.
     """
     index: dict[str, int] = {}  # node name -> id, in NODE line order
     lines = [[np.empty(0, dtype=np.int64)] for _ in _RECORDS]  # each record kind's line numbers
-    fields = [[[] for _ in range(width - 1)] for _, width in _RECORDS]  # and fields after the tag
+    fields = [[[] for _ in columns] for _, columns in _RECORDS]  # and fields after the tag
+
+    def new_node(number: int, parts: list[str]) -> None:  # number a NODE line's node, once
+        if parts[0] == "NODE":
+            if parts[1] in index:
+                raise ParseError(str(path), number, f"duplicate node {parts[1]!r}")
+            index[parts[1]] = len(index)
+
     for first, text in data_runs(path):
-        known, found = len(index), _record_columns(text, _RECORDS)
-        names = found[0][1][0] if found else []
-        index.update(zip(names, count(known)))
-        if found is None or len(index) < known + len(names) or not all(
-            all(columns[f - 1]) for (_, columns), checks in zip(found, _RECORDS.values()) for f in checks
-        ):
-            _first_bad_record(path, first, text, set(islice(index, known)))
-        for kind, (at, columns) in enumerate(found):
-            lines[kind].append(first + at)
+        found = _split_records(path, first, text, _RECORDS, *_MESSAGES, new_node)
+        (numbers, (names, _)), *_ = found
+        if len(set(names)) < len(names) or not index.keys().isdisjoint(names):
+            for number, name in zip(numbers.tolist(), names):  # the first node named again
+                new_node(number, ["NODE", name])
+        index.update(zip(names, count(len(index))))
+        for kind, (numbers, columns) in enumerate(found):
+            lines[kind].append(numbers)
             for column, values in zip(fields[kind], columns):
                 column += values
     if not index:
@@ -286,24 +294,6 @@ def _id_columns(index: dict[str, int], labels, edges, senses, refuse) -> tuple:
 
 def _invalid(kind: int, at: int, message: str):
     raise ValidationError(message)
-
-
-def _first_bad_record(path, first: int, text: str, seen: set[str]):
-    """Raise the :class:`ParseError` of the first bad line of ``text``, lines
-    numbered from ``first``; ``seen`` holds the nodes of the lines before."""
-    for number, line in enumerate(text.split("\n"), first):
-        parts = line.split("\t")
-        checks = _RECORDS.get((parts[0], len(parts)))
-        if checks is None:
-            raise ParseError(str(path), number, f"unrecognized record {line!r}")
-        for field, message in checks.items():
-            if not parts[field]:
-                raise ParseError(str(path), number, message)
-        if parts[0] == "NODE":
-            if parts[1] in seen:
-                raise ParseError(str(path), number, f"duplicate node {parts[1]!r}")
-            seen.add(parts[1])
-    raise AssertionError(f"{path}: no bad line among lines {first} on")
 
 
 def _layered_search(
@@ -618,30 +608,25 @@ def load_ic_table(path) -> ICTable:
         )
         raise ParseError(str(path), int(numbers[at]), rule)
     if len(prob) < numbers.size:
-        first: dict[str, int] = {}
-        for number, concept in zip(numbers.tolist(), chain.from_iterable(part[3] for part in parts)):
-            if first.setdefault(concept, number) != number:
-                raise ParseError(str(path), number, f"repeats the concept of line {first[concept]}")
+        _refuse_repeat(path, numbers.tolist(), chain.from_iterable(part[3] for part in parts), "concept")
     return ICTable(prob=prob, ic=ic, log_base=log_base)
 
 
-#: The columns of a word frequency table.
-_FREQUENCY_COLUMNS = {"word": str, "count": _integer}
+#: The one shape of a word frequency table's lines, and what a line of another is refused as.
+_FREQUENCIES = ([(None, (("word", str), ("count", _integer)))], "expected word<TAB>count")
 
 
 def load_word_frequencies(path) -> dict[str, int]:
     """Read a ``word<TAB>count`` frequency table; the counts of a repeated word add up.
 
     The lines follow the rules of :func:`~distsem.corpus._runs` and are read
-    as columns (:func:`~distsem.corpus._split_lines`).  The first line that
+    as columns (:func:`~distsem.corpus._split_records`).  The first line that
     is not two fields or whose count ``int`` refuses, and then the first
     negative count, ends in :class:`ParseError` at its line.
     """
     words, counts, negative = [], [], None
     for first, text in data_runs(path):
-        numbers, (run_words, run_counts) = _split_lines(
-            path, text, first, _FREQUENCY_COLUMNS, "bad {} {!r}"
-        )
+        [(numbers, (run_words, run_counts))] = _split_records(path, first, text, *_FREQUENCIES)
         if negative is None and (below := np.flatnonzero(run_counts < 0)).size:
             at = below[0]
             negative = ParseError(str(path), int(numbers[at]), f"negative count {run_counts[at]}")

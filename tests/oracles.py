@@ -507,8 +507,9 @@ def ic_by_word(nodes, parents, word_map, freqs, log_base=2.0):
 # tagged TSV files, read one line at a time
 #
 # The loaders' rules line by line: the first bad line is reported; once every
-# line parses, a negative count or a WCCM value that is not a non-negative
-# integer is refused, and then a cell given a second time.
+# line parses, a unigram word given a second time, then a negative count or a
+# WCCM value that is not a non-negative integer is refused, and then a cell
+# given a second time.
 
 
 class Refused(Exception):
@@ -546,12 +547,17 @@ def _first_repeat(path, keyed_lines, what="cell"):
 
 
 def counts_file(path):
-    """({(target, feature text): count} without zero cells, unigrams) of a counts file."""
-    cells, unigrams = [], {}
+    """({(target, feature text): count} without zero cells, unigrams) of a counts file.
+
+    After the first bad line, the first repeated unigram word is refused, then
+    the first negative count, then the first repeated cell.
+    """
+    cells, unigrams, unigram_lines = [], {}, []
     for number, parts in _tagged_body(path, "counts"):
         if parts[0] == "#unigram":
             if len(parts) != 3:
                 raise _parse_error(path, number, "malformed unigram line")
+            unigram_lines.append((number, parts[1]))
             try:
                 unigrams[parts[1]] = int(parts[2])
             except ValueError:
@@ -569,6 +575,7 @@ def counts_file(path):
         if n is None or not -(2**63) <= n < 2**63:
             raise _parse_error(path, number, f"bad count {parts[2]!r}")
         cells.append((number, (parts[0], parts[1]), n))
+    _first_repeat(path, unigram_lines, "unigram")
     for number, _, n in cells:
         if n < 0:
             raise _parse_error(path, number, f"negative count {n}")

@@ -242,6 +242,14 @@ class TestRepeatedCells:
         assert (code, out) == (2, ""), err
         assert f"{path}:3: repeats the cell of line 2" in err
 
+    def test_unigram(self, tmp_path):
+        """A unigram word given twice used to load with its last count."""
+        path = tmp_path / "counts.tsv"
+        path.write_text("#counts\ttotal_tokens=11\n#unigram\ta\t2\n#unigram\ta\t9\na\tb\t1\n")
+        code, out, err = run_cli(["profile", "--counts", path, "--target", "a"])
+        assert (code, out) == (2, ""), err
+        assert f"{path}:3: repeats the unigram of line 2" in err
+
     def test_relation_counts(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text(

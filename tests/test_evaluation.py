@@ -15,6 +15,7 @@ from distsem import (
     load_word_choice,
     pearson,
     rank_pairs,
+    save_counts,
     solve_word_choice,
     spearman,
     word_pair_scorer,
@@ -27,6 +28,8 @@ from distsem.errors import (
     UndefinedAssociationError,
     ValidationError,
 )
+
+from test_cli import run_cli
 
 
 def textbook_pearson(xs, ys):
@@ -83,6 +86,21 @@ class TestLoadBenchmark:
         with pytest.raises(ParseError) as err:
             load_benchmark(path)
         assert err.value.line_number == 2
+
+    def test_infinite_score_and_scale_refused(self, tmp_path, toy_counts):
+        """An infinite score inside an infinite scale used to give eval a nan correlation."""
+        counts = tmp_path / "counts.tsv"
+        save_counts(toy_counts, counts)
+        path = tmp_path / "pairs.csv"
+        path.write_text(
+            "word1,word2,score,scale_min,scale_max\n"
+            "guitar,piano,inf,-inf,inf\nbread,cheese,3.5,-inf,inf\n"
+        )
+        code, out, err = run_cli(
+            ["eval", "--counts", counts, "--benchmark", path, "--measure", "cos"]
+        )
+        assert (code, out) == (2, ""), err
+        assert f"{path}:2: non-finite score or scale" in err
 
 
 class TestRankPairs:

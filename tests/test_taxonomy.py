@@ -856,6 +856,15 @@ class TestLoaderAgainstOracle:
             assert loaded[0] == "ParseError"
             assert int(loaded[1].removeprefix(f"{path}:").split(":")[0]) >= at + 1
 
+    @pytest.mark.parametrize("defect", ["JUNK\tx", "WORD\tw", "EDGE\ta\t\tisa", "NODE\ta\tThird"])
+    def test_node_named_again_before_another_defect(self, tmp_path, defect):
+        """In a run that holds a bad line, a node named again earlier is still named first."""
+        lines = ["NODE\tb\tB", "NODE\ta\tA", "EDGE\ta\tb\tisa", "NODE\ta\tAgain", defect]
+        path = write_lines(tmp_path, lines)
+        loaded = outcome(load_taxonomy, path)
+        assert loaded == outcome(oracles.taxonomy_file, path)
+        assert loaded == ("ParseError", f"{path}:4: duplicate node 'a'")
+
     def test_no_nodes(self, tmp_path):
         for lines in (["#manifest\ttool=test", "", "WORD\tw\tzz"], ["#note", ""], []):
             path = write_lines(tmp_path, lines)
