@@ -17,7 +17,7 @@ data.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Union
@@ -28,7 +28,6 @@ from .assoc import SoAKind
 from .corpus import (
     _KEY_BITS,
     _KEY_MASK,
-    _NO_EVENTS,
     CooccurrenceCounts,
     CorpusConfig,
     _build_counts,
@@ -332,14 +331,7 @@ def bootstrap_wccm(
     reference = base
     for _ in range(iterations):
         pmi = _positive_pmi(reference.matrix, fan.categories, words, log_base)
-        tally = _NO_EVENTS
-        for ids, segs, carried, last in chunks:
-            lo = max(carried - radius, 0)
-            hi = ids.size if last else ids.size - radius
-            chosen = _choose(ids, segs, lo, hi, fan, pmi, radius)
-            pairs = _window_pairs(chosen, ids, segs, 0, radius)
-            tally = _tally(tally, ((rows[rows >= 0], cols[rows >= 0]) for rows, cols in pairs))
-        keys, counts = tally
+        keys, counts = _tally(_chosen_events(chunks, fan, pmi, radius))
         matrix = CooccurrenceCounts.from_ids(
             fan.categories, list(words), keys >> _KEY_BITS, keys & _KEY_MASK, counts
         )
@@ -351,6 +343,22 @@ def bootstrap_wccm(
             source_fingerprint=base.source_fingerprint,
         )
     return reference
+
+
+def _chosen_events(chunks: Iterable, fan: _SenseFan, pmi, radius: int) -> Iterator[np.ndarray]:
+    """(category id, word id) keys of the events of each occurrence's chosen category, by chunk.
+
+    ``chunks`` come from :func:`~distsem.corpus._id_chunks`, with ``2 * radius``
+    positions carried.
+    """
+    for ids, segs, carried, last in chunks:
+        lo = max(carried - radius, 0)
+        hi = ids.size if last else ids.size - radius
+        chosen = _choose(ids, segs, lo, hi, fan, pmi, radius)
+        for left, right, same in _window_pairs(segs, 0, radius):
+            for rows, cols in ((chosen[left], ids[right]), (chosen[right], ids[left])):
+                kept = same & (rows >= 0)
+                yield (rows[kept] << _KEY_BITS) | cols[kept]
 
 
 def _positive_pmi(

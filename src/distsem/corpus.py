@@ -5,8 +5,9 @@ Boundary markers (the module constant ``BOUNDARY``) are interleaved into token
 streams between documents or sentences, and windows never cross them.
 
 Counting is streaming: a batch of documents' tokens becomes one array of word
-ids, the arrays are copied into bounded numpy chunks, and the pairs of each
-chunk are aggregated as sorted (target id, feature id) key arrays, so memory
+ids, the arrays are copied into bounded numpy chunks, and each window pair
+of a chunk is tallied once, in bounded batches, as a sorted (smaller id,
+larger id) key array that is mirrored into both cells at the end, so memory
 scales with the observed vocabulary and pair inventory rather than corpus
 length.  A flat token stream is taken in bounded batches the same way.  Counts
 over disjoint document shards can be merged additively with :func:`merge_counts`.
@@ -63,6 +64,9 @@ _BLOCK_LINES = 1 << 12
 
 #: Characters a data file reader takes from a file at a time.
 _BLOCK_CHARS = 1 << 15
+
+#: The text of a count: ASCII digits, after a minus sign if negative.
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
 
 #: A line after the first of a piece of text that may be blank or a ``#`` line.
 _LINE_MARK = re.compile(r"\n[#\s]")
@@ -401,11 +405,13 @@ class CooccurrenceCounts:
         stored = data != 0
         keys, data = keys[stored], data[stored]
         row_ids, rows = _renumber(keys >> _KEY_BITS, len(targets))
+        indptr = _indptr_from_sorted_rows(rows, row_ids.size)
         col_ids, cols = _renumber(keys & _KEY_MASK, len(features))
+        del keys, rows  # the constructor's own arrays need the room
         return cls(
             [targets[i] for i in row_ids.tolist()],
             [features[i] for i in col_ids.tolist()],
-            _indptr_from_sorted_rows(rows, row_ids.size),
+            indptr,
             cols,
             data,
             **meta,
@@ -630,11 +636,12 @@ def _id_chunks(
     yield ids[:pos], segs[:pos], kept, True
 
 
-def _window_pairs(rows, cols, segs: np.ndarray, start: int, radius: int) -> Iterator[tuple]:
-    """(row, column) event arrays of the positions 1 to ``radius`` apart in one segment.
+def _window_pairs(segs: np.ndarray, start: int, radius: int) -> Iterator[tuple]:
+    """The positions 1 to ``radius`` apart in one segment, an offset at a time.
 
-    A pair (i, j) whose later position is at or after ``start`` gives the
-    events (rows[i], cols[j]) and (rows[j], cols[i]).
+    Each offset gives (left, right, same): two slices whose positions lie
+    that offset apart, and a mask of the aligned pairs within one segment.
+    Only pairs whose later position is at or after ``start`` are given.
     """
     end = segs.size
     for offset in range(1, min(radius, end - 1) + 1):
@@ -642,23 +649,52 @@ def _window_pairs(rows, cols, segs: np.ndarray, start: int, radius: int) -> Iter
         if end - offset <= lo:
             continue
         left, right = slice(lo, end - offset), slice(lo + offset, end)
-        same = segs[left] == segs[right]
-        yield rows[left][same], cols[right][same]
-        yield rows[right][same], cols[left][same]
+        yield left, right, segs[left] == segs[right]
 
 
-_NO_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+#: Event keys held before they are folded into the tally, while the tally holds fewer cells.
+_PENDING_EVENTS = 1 << 17
 
 
-def _tally(tally: tuple[np.ndarray, np.ndarray], events: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    """Add (row, column) event arrays to a tally of sorted cell keys and their counts."""
-    keys = [(rows << _KEY_BITS) | cols for rows, cols in events]
-    if not keys:
+def _tally(events: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted cell keys and their counts, from arrays of event keys.
+
+    Events wait until there are as many as ``_PENDING_EVENTS`` or as the
+    tally has cells, whichever is more; then one sort folds them in.
+    """
+    tally = (np.empty(0, dtype=np.int64),) * 2
+    pending, held = [], 0
+    for batch in events:
+        pending.append(batch)
+        held += batch.size
+        if held >= max(_PENDING_EVENTS, tally[0].size):
+            tally = _fold(tally, pending)
+            pending, held = [], 0
+    return _fold(tally, pending)
+
+
+def _fold(tally: tuple[np.ndarray, np.ndarray], pending: list) -> tuple[np.ndarray, np.ndarray]:
+    """Add arrays of event keys to a tally of sorted cell keys and their counts."""
+    if not pending:
         return tally
-    uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
+    uniq, counts = np.unique(np.concatenate(pending), return_counts=True)
     # two sorted runs, which mergesort merges in one pass
     return _sum_by_key(
         np.concatenate([tally[0], uniq]), np.concatenate([tally[1], counts]), kind="mergesort"
+    )
+
+
+def _mirror(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, count) arrays of both cells of each (smaller id, larger id) pair key.
+
+    A word paired with itself has one cell, which gets both directions' count.
+    """
+    low, high = keys >> _KEY_BITS, keys & _KEY_MASK
+    apart = low != high
+    return (
+        np.concatenate([low, high[apart]]),
+        np.concatenate([high, low[apart]]),
+        np.concatenate([np.where(apart, counts, 2 * counts), counts[apart]]),
     )
 
 
@@ -677,29 +713,40 @@ def count_cooccurrences(
     The stream is taken in bounded batches, each made one array of word ids,
     and counted in chunks of up to ``chunk_size`` positions.  The command
     line passes a corpus whose documents are tokenized one at a time
-    straight into id arrays instead.
+    straight into id arrays instead.  Counts are symmetric, so each window
+    pair is tallied once, under its (smaller id, larger id) key, and the
+    tally is mirrored into both cells at the end.  Pending pair keys are
+    folded into the tally once they are as many as its cells (or
+    ``_PENDING_EVENTS``, if that is more), so memory follows the pair
+    inventory, not the chunk size times the window.
     """
     radius = config.window_radius
     index = _FirstSeenIds()
-    tally = _NO_EVENTS
     unigrams = np.empty(0, dtype=np.int64)
     total_tokens = 0
-    pieces = _token_pieces(tokens, index, config)
-    for ids, segs, carried, _ in _id_chunks(pieces, radius, chunk_size):
-        total_tokens += ids.size - carried
-        grown = np.bincount(ids[carried:], minlength=len(index))
-        grown[: unigrams.size] += unigrams
-        unigrams = grown
-        # pairs within the carried positions were counted with the chunk before
-        tally = _tally(tally, _window_pairs(ids, ids, segs, carried, radius))
 
+    def pair_keys() -> Iterator[np.ndarray]:
+        nonlocal unigrams, total_tokens
+        pieces = _token_pieces(tokens, index, config)
+        for ids, segs, carried, _ in _id_chunks(pieces, radius, chunk_size):
+            total_tokens += ids.size - carried
+            grown = np.bincount(ids[carried:], minlength=len(index))
+            grown[: unigrams.size] += unigrams
+            unigrams = grown
+            # pairs within the carried positions were counted with the chunk before
+            for left, right, same in _window_pairs(segs, carried, radius):
+                keys = np.minimum(ids[left], ids[right])
+                keys <<= _KEY_BITS
+                keys |= np.maximum(ids[left], ids[right])
+                yield keys[same]
+
+    rows, cols, counts = _mirror(*_tally(pair_keys()))
     words = list(index)
-    keys, counts = tally
     return CooccurrenceCounts.from_ids(
         words,
         words,
-        keys >> _KEY_BITS,
-        keys & _KEY_MASK,
+        rows,
+        cols,
         counts,
         unigram_counts=dict(zip(words, unigrams.tolist())),
         total_tokens=total_tokens,
@@ -1098,15 +1145,22 @@ def _cell_lines(counts: CooccurrenceCounts) -> Iterator[str]:
 
 def _count(text: str) -> int:
     """A count's text as a non-negative integer; other text is a ``ValueError``."""
-    n = int(text)
+    n = _integer(text)
     if n < 0:
         raise ValueError(text)
     return n
 
 
 def _integer(text: str) -> int:
-    """A count's text as an integer of any size and sign."""
+    """A count's text, ASCII ``-?[0-9]+``, as an integer of any size; other text is a ``ValueError``."""
+    if _INTEGER_TEXT.fullmatch(text) is None:
+        raise ValueError(text)
     return int(text)
+
+
+def _cell_count(text: str) -> int:
+    """A cell's count, read as :func:`_integer` reads it, into an int64 column."""
+    return _integer(text)
 
 
 def _name(text: str) -> str:
@@ -1123,7 +1177,7 @@ def _feature_kind(text: str) -> str:
 
 
 #: The numpy type of a column type's values; others, unigram and word counts too, are objects.
-_DTYPES = {int: np.int64, float: np.float64}
+_DTYPES = {_cell_count: np.int64, float: np.float64}
 
 #: The notes of a counts file that are read, unigram lines, and what a bad one is refused as.
 _UNIGRAM = ([("#unigram", (("word", str), ("count", _count)))], "malformed unigram line")
@@ -1149,7 +1203,7 @@ def load_counts(path) -> CooccurrenceCounts:
     fields, config, blocks = read_tagged_tsv(
         path,
         "counts",
-        {"target": str, "feature": str, "count": int},
+        {"target": str, "feature": str, "count": _cell_count},
         {"total_tokens": _count, "feature_kind": _feature_kind},
         on_note=note,
     )

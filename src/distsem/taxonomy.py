@@ -621,8 +621,8 @@ def load_word_frequencies(path) -> dict[str, int]:
 
     The lines follow the rules of :func:`~distsem.corpus._runs` and are read
     as columns (:func:`~distsem.corpus._split_records`).  The first line that
-    is not two fields or whose count ``int`` refuses, and then the first
-    negative count, ends in :class:`ParseError` at its line.
+    is not two fields or whose count is not ASCII ``-?[0-9]+``, and then the
+    first negative count, ends in :class:`ParseError` at its line.
     """
     words, counts, negative = [], [], None
     for first, text in data_runs(path):

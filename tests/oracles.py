@@ -546,6 +546,11 @@ def _first_repeat(path, keyed_lines, what="cell"):
         first[key] = number
 
 
+def _integer(text):
+    """The integer a count's text spells, if it is ASCII ``-?[0-9]+``, else None."""
+    return int(text) if re.fullmatch("-?[0-9]+", text) else None
+
+
 def counts_file(path):
     """({(target, feature text): count} without zero cells, unigrams) of a counts file.
 
@@ -558,20 +563,14 @@ def counts_file(path):
             if len(parts) != 3:
                 raise _parse_error(path, number, "malformed unigram line")
             unigram_lines.append((number, parts[1]))
-            try:
-                unigrams[parts[1]] = int(parts[2])
-            except ValueError:
-                unigrams[parts[1]] = -1
-            if unigrams[parts[1]] < 0:
+            unigrams[parts[1]] = _integer(parts[2])
+            if unigrams[parts[1]] is None or unigrams[parts[1]] < 0:
                 raise _parse_error(path, number, f"bad count {parts[2]!r}")
         if parts[0].startswith("#"):
             continue
         if len(parts) != 3:
             raise _parse_error(path, number, "expected target<TAB>feature<TAB>count")
-        try:
-            n = int(parts[2])
-        except ValueError:
-            n = None
+        n = _integer(parts[2])
         if n is None or not -(2**63) <= n < 2**63:
             raise _parse_error(path, number, f"bad count {parts[2]!r}")
         cells.append((number, (parts[0], parts[1]), n))
@@ -719,10 +718,9 @@ def frequency_file(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise _parse_error(path, number, "expected word<TAB>count")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise _parse_error(path, number, f"bad count {parts[1]!r}") from None
+        n = _integer(parts[1])
+        if n is None:
+            raise _parse_error(path, number, f"bad count {parts[1]!r}")
         if n < 0 and negative is None:
             negative = _parse_error(path, number, f"negative count {n}")
         freqs[parts[0]] = freqs.get(parts[0], 0) + n

@@ -692,3 +692,24 @@ def test_cli_count_memory_follows_the_pairs_not_the_file(tmp_path, monkeypatch):
     peak_small = traced_peak(100_000)
     peak_large = traced_peak(400_000)
     assert peak_large < 2.0 * peak_small
+
+
+def test_count_memory_follows_the_pairs_not_the_chunk(tmp_path):
+    """Window pairs are tallied once, and pending ones folded in bounded batches.
+
+    The 200,000-token topic corpus has 139 word types, so its 19,321 cells take
+    little room; holding all of a chunk's two-way events at once took 52.6 MiB.
+    """
+    from distsem import corpus
+
+    path = tmp_path / "topic.txt"
+    write_topic_corpus(path, 200_000)
+    documents = corpus._Documents([corpus._document_lines(path)])
+    tracemalloc.start()
+    try:
+        counts = count_cooccurrences(documents, CorpusConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts.targets) == 139 and counts.nnz() == 139**2
+    assert peak < 24 * 2**20, f"count peaked at {peak / 2**20:.1f} MiB"

@@ -263,6 +263,74 @@ class TestCounting:
         assert toy_counts.total_tokens == sum(want.values())
 
 
+def oracle_segments(files, mode):
+    """The windows' segments of ``files``, lists of documents, by :func:`word_tokens`."""
+    segments = []
+    for docs in files:
+        tokens = [word_tokens(doc, sentences=mode == "sentence") for doc in docs]
+        if mode == "none":  # a file is one segment
+            segments.append([t for doc in tokens for t in doc])
+            continue
+        for doc in tokens:
+            segment = []
+            for token in [*doc, None]:
+                if token is None:
+                    segments.append(segment)
+                    segment = []
+                else:
+                    segment.append(token)
+    return segments
+
+
+class TestMirroredTally:
+    """Each window pair is tallied once and mirrored into both cells at the end."""
+
+    @pytest.mark.parametrize("text, radius", [("a a a", 1), ("a a a", 2), ("a a a", 5),
+                                              ("a b a a", 2), ("b a a b a", 3)])
+    def test_word_next_to_itself(self, text, radius):
+        counts = count_cooccurrences(text.split(), CorpusConfig(window_radius=radius))
+        assert pairs_of(counts) == dict(window_pairs([text.split()], radius))
+
+    @pytest.mark.parametrize("mode", list(Boundaries))
+    def test_segments_shorter_than_the_radius(self, mode):
+        files = [["a b", "c", "a. b c!", "d a"], ["b", "a a. a"]]
+        config = CorpusConfig(window_radius=7, respect_boundaries=mode)
+        counts = count_cooccurrences(corpus._Documents(files), config)
+        assert pairs_of(counts) == dict(window_pairs(oracle_segments(files, mode.value), 7))
+
+    @pytest.mark.parametrize("radius", [1, 2, 5])
+    @pytest.mark.parametrize("pending", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("mode", list(Boundaries))
+    def test_carried_chunk_edge(self, radius, pending, mode):
+        rng = random.Random(radius * 31 + pending)
+        files = [[" ".join(rng.choice("abcdef.") for _ in range(rng.randint(0, 25)))
+                  for _ in range(12)] for _ in range(2)]
+        config = CorpusConfig(window_radius=radius, respect_boundaries=mode)
+        want = dict(window_pairs(oracle_segments(files, mode.value), radius))
+        flat = [t for docs in files for t in [*tokenize_documents(docs, config), BOUNDARY]]
+        with mock.patch.object(corpus, "_PENDING_EVENTS", pending):
+            for tokens in (corpus._Documents(files), flat):
+                counts = count_cooccurrences(tokens, config, chunk_size=2 * radius + 2)
+                assert pairs_of(counts) == want
+
+    @pytest.mark.parametrize("docs", ["file", "line"])
+    @pytest.mark.parametrize("mode", list(Boundaries))
+    def test_through_the_cli(self, tmp_path, docs, mode):
+        rng = random.Random(5)
+        files = []
+        for k in range(2):
+            lines = [" ".join(rng.choice(["a", "b", "c", "a.", "b!"]) for _ in range(rng.randint(0, 9)))
+                     for _ in range(30)]
+            (tmp_path / f"c{k}.txt").write_text("\n".join(lines) + "\n")
+            files.append(lines if docs == "line" else ["\n".join(lines) + "\n"])
+        out = tmp_path / "counts.tsv"
+        code, _, err = run_cli(["count", "--corpus", tmp_path / "c0.txt", tmp_path / "c1.txt",
+                                "--docs", docs, "--boundaries", mode.value, "--window", "3",
+                                "--out", out])
+        assert code == 0, err
+        assert pairs_of(load_counts(out)) == dict(window_pairs(oracle_segments(files, mode.value), 3))
+
+
 class TestShardMerge:
     def test_two_shards_equal_concatenation(self, toy_documents, toy_config):
         half = len(toy_documents) // 2

@@ -42,6 +42,7 @@ from distsem.corpus import _BLOCK_CHARS, _BLOCK_LINES, counts_equal, ingest_trip
 from distsem.errors import ConfigurationError, ParseError, ValidationError, ZeroCreditWarning
 from distsem.taxonomy import load_word_frequencies
 
+import oracles
 from test_cli import SRC, run_cli
 from test_counts_store import outcome
 
@@ -753,6 +754,53 @@ class TestCountsValues:
         assert load_counts(path).feature_kind == kind
 
 
+class TestCountText:
+    """A count is ASCII ``-?[0-9]+``; ``int`` used to read ``1_0``, ``+3``, `` 7`` and ``٣``
+    as 10, 3, 7 and 3, a text no writer makes."""
+
+    TEXTS = ["1_0", "+3", " 7", "7 ", "٣", "--1"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_cell(self, tmp_path, text):
+        # a bad line comes before the negative cell after it
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#counts\ttotal_tokens=4\na\tb\t2\na\tc\t{text}\nb\ta\t-1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_counts(path)
+        assert str(err.value) == f"{path}:3: bad count {text!r}"
+        assert outcome(oracles.counts_file, path) == ("ParseError", str(err.value))
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_unigram(self, tmp_path, text):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#counts\ttotal_tokens=4\n#unigram\ta\t{text}\na\tb\t2\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_counts(path)
+        assert str(err.value) == f"{path}:2: bad count {text!r}"
+        assert outcome(oracles.counts_file, path) == ("ParseError", str(err.value))
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_total_tokens(self, tmp_path, text):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#counts\ttotal_tokens={text}\na\tb\t2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^.*:1: bad total_tokens"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_frequency(self, tmp_path, text):
+        path = tmp_path / "freqs.tsv"
+        path.write_text(f"w\t-3\nx\t{text}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_word_frequencies(path)
+        assert str(err.value) == f"{path}:2: bad count {text!r}"
+        assert outcome(oracles.frequency_file, path) == ("ParseError", str(err.value))
+
+    def test_signed_ascii_digits_still_read(self, tmp_path):
+        path = tmp_path / "freqs.tsv"
+        path.write_text("w\t007\nx\t-0\ny\t" + "9" * 25 + "\n")
+        assert load_word_frequencies(path) == {"w": 7, "x": 0, "y": int("9" * 25)}
+
+
 TAGGED_FILES = {
     "counts": (load_counts, "#counts\ttotal_tokens=4", "a\tb\t2", "#counts\ttotal_tokens=9"),
     "wccm": (load_wccm, "#wccm\tkind=base", "w\tc\t2.0", "#wccm\tkind=bootstrapped"),
@@ -1096,7 +1144,7 @@ class TestNegativeFrequency:
 
     def test_refused_at_its_line(self, tmp_path, fixtures_dir):
         path = tmp_path / "freqs.tsv"
-        path.write_text("w\t5\nw\t-3\nx\t 7\n")
+        path.write_text("w\t5\nw\t-3\nx\t7\n")
         with pytest.raises(ParseError) as err:
             load_word_frequencies(path)
         assert str(err.value) == f"{path}:2: negative count -3"
@@ -1116,7 +1164,7 @@ class TestNegativeFrequency:
 
     def test_repeated_words_add_up(self, tmp_path):
         path = tmp_path / "freqs.tsv"
-        path.write_text("w\t5\n# note\nw\t3\nx\t 7\n\nbig\t1" + "0" * 30 + "\n")
+        path.write_text("w\t5\n# note\nw\t3\nx\t7\n\nbig\t1" + "0" * 30 + "\n")
         assert load_word_frequencies(path) == {"w": 8, "x": 7, "big": 10**30}
 
 
