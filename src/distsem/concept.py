@@ -522,14 +522,18 @@ def save_wccm(wccm: WCCM, path, extra_header: list[str] = ()) -> None:
     write_tagged_tsv(path, "wccm", fields, body, extra_header)
 
 
+#: The one shape of a matrix file's lines after its header, and what a line of another is refused as.
+_CELLS = [
+    (None, (("word", str), ("category", str), ("count", float)), "expected word<TAB>category<TAB>count")
+]
+
+
 def load_wccm(path) -> WCCM:
     """Read a matrix written by :func:`save_wccm`.
 
     Cells must be non-negative integers, each given once.
     """
-    fields, config, blocks = read_tagged_tsv(
-        path, "wccm", {"word": str, "category": str, "count": float}
-    )
+    fields, config, blocks = read_tagged_tsv(path, "wccm", _CELLS)
     cells = _collect_cells(blocks, target=1, feature=0)
     categories, words, rows, cols, values, _ = cells
     _refuse_bad_events(

@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -67,12 +67,6 @@ _BLOCK_CHARS = 1 << 15
 
 #: The text of a count: ASCII digits, after a minus sign if negative.
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
-
-#: A line after the first of a piece of text that may be blank or a ``#`` line.
-_LINE_MARK = re.compile(r"\n[#\s]")
-
-#: The bytes such a line may start with: ``#``, ASCII whitespace and any non-ASCII byte.
-_MARK_HEADS = np.array([c == "#" or c.isspace() or c > "\x7f" for c in map(chr, range(256))])
 
 
 class Boundaries(str, Enum):
@@ -203,31 +197,33 @@ def line_records(
     sep: str = "\t",
     on_note: Optional[Callable[[int, list[str]], None]] = None,
 ) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields split on ``sep``) of each data line in ``lines``; see :func:`_runs`.
+    """(line number, fields split on ``sep``) of each data line in ``lines``, read a line at a time.
 
-    ``lines`` are pieces of text, each one or more whole lines.  A ``#``
-    line goes to ``on_note`` as (line number, fields split on ``sep``).
-    With ``expect``, the field names joined by ``<TAB>`` or ``sep``, a line
-    with another field count ends in :class:`ParseError` ("expected ..." and
-    the field names) from ``source``.
+    ``lines`` are pieces of text, each of whole lines, split at ``\\n`` only
+    and numbered from 1; a byte that is not UTF-8 is refused (:func:`_utf8`).
+    Blank lines (of only whitespace) and ``#manifest`` lines are skipped, and
+    another ``#`` line goes to ``on_note`` as (line number, fields).  With
+    ``expect``, the field names joined by ``<TAB>`` or ``sep``, a line with
+    another field count ends in :class:`ParseError` ("expected ..." and the
+    field names) from ``source``.
     """
     width = None if expect is None else len(expect.replace("<TAB>", "\t").split(sep))
-    for first, run, note in _runs(lines, source):
-        if note and on_note is None:
-            continue
-        for number, line in enumerate(run.split("\n"), first):
+    first = 1
+    for text in lines:
+        _utf8(text, source, first)
+        rows = text.removesuffix("\n").split("\n")
+        for number, line in enumerate(rows, first):
+            if not line.strip():
+                continue
             fields = line.split(sep)
-            if note:
-                on_note(number, fields)
+            if line[0] == "#":
+                if on_note is not None and line.partition("\t")[0] != "#manifest":
+                    on_note(number, fields)
             elif width is not None and len(fields) != width:
                 raise ParseError(source, number, "expected " + expect)
             else:
                 yield number, fields
-
-
-def data_runs(path) -> Iterator[tuple[int, str]]:
-    """(number of its first line, text) of each data run of a file, for :func:`_split_records`."""
-    return ((first, run) for first, run, notes in _runs(_file_pieces(path), str(path)) if not notes)
+        first += len(rows)
 
 
 def _file_pieces(path) -> Iterator[str]:
@@ -235,7 +231,8 @@ def _file_pieces(path) -> Iterator[str]:
 
     The file is opened once, in text mode.  A byte that is not UTF-8 stays in
     the text as a lone surrogate, and a piece ends before the line holding
-    the first one, so :func:`_runs` refuses that line after every line before it.
+    the first one, so that line is refused (see :func:`_utf8`) after every
+    line before it.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         rest = ""
@@ -251,55 +248,16 @@ def _file_pieces(path) -> Iterator[str]:
             yield rest
 
 
-def _runs(pieces: Iterable[str], source: str) -> Iterator[tuple[int, str, bool]]:
-    """(number of the first line, text, notes?) of each run of lines in ``pieces``.
+def _utf8(text: str, source, first: int) -> bytes:
+    """``text``, lines from line ``first``, encoded to UTF-8.
 
-    The line rules of every data file: each piece of text holds whole lines,
-    split at ``\\n`` only and numbered from 1.  A line that holds a lone
-    surrogate (a byte that is not UTF-8, see :func:`_file_pieces`) ends in
-    :class:`ParseError` from ``source``.  Blank lines (of only whitespace)
-    are skipped, and so is a ``#`` line whose first tab-separated field is
-    ``#manifest``.  A run is the longest stretch of a piece's other lines
-    that are all ``#`` lines (notes) or all data lines, joined by ``\\n``.
-    A piece of data lines only (the first byte of each line shows it, or
-    ``_LINE_MARK`` where a byte is not ASCII) or of notes only is one run as
-    it stands.
+    A line that holds a lone surrogate (a byte that is not UTF-8, see
+    :func:`_file_pieces`) ends in :class:`ParseError` from ``source``.
     """
-    first = 1
-    for text in pieces:
-        body = text.removesuffix("\n")
-        try:
-            count, unmarked = _line_heads(body)
-        except UnicodeEncodeError as exc:
-            raise ParseError(source, first + body.count("\n", 0, exc.start), "invalid UTF-8") from None
-        if unmarked or (
-            text and text[0] != "#" and not text[0].isspace() and not _LINE_MARK.search(text)
-        ):
-            yield first, body, False
-        elif body[:1] == "#" and body.count("\n#") == body.count("\n") and "#manifest" not in body:
-            yield first, body, True
-        else:
-            lines = body.split("\n")
-            # per line: True for a note, False for a data line, None for one skipped
-            kinds = [
-                line[:1] == "#" and (line.partition("\t")[0] != "#manifest" or None)
-                if line.strip() else None
-                for line in lines
-            ]
-            start = 0
-            for kind, group in groupby(kinds):
-                end = start + len(list(group))
-                if kind is not None:
-                    yield first + start, "\n".join(lines[start:end]), kind
-                start = end
-        first += count
-
-
-def _line_heads(body: str) -> tuple[int, bool]:
-    """The number of lines of ``body``, and whether none starts with one of ``_MARK_HEADS``."""
-    raw = np.frombuffer((body + "\n").encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(raw == 10)
-    return ends.size, not _MARK_HEADS[raw[np.append(0, ends[:-1] + 1)]].any()
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(str(source), first + text.count("\n", 0, exc.start), "invalid UTF-8") from None
 
 
 def inverse_relation(relation: str) -> str:
@@ -353,8 +311,11 @@ class CooccurrenceCounts:
         self.total_tokens = total_tokens
         self.config = config
         self.feature_kind = feature_kind
-        self._target_totals = _bincount_int(self.coo()[0], data, len(targets))
-        self._feature_totals = _bincount_int(indices, data, len(features))
+        self._target_totals = np.zeros(len(targets), dtype=np.int64)
+        filled = np.flatnonzero(np.diff(indptr))  # rows with a cell; each sum is exact in int64
+        if filled.size:
+            self._target_totals[filled] = np.add.reduceat(data, indptr[filled])
+        self._feature_totals = np.bincount(indices, weights=data, minlength=len(features)).astype(np.int64)
         self.total_pairs = int(data.sum()) if data.size else 0
 
     @classmethod
@@ -480,12 +441,6 @@ class CooccurrenceCounts:
 
     def nnz(self) -> int:
         return int(self._data.size)
-
-
-def _bincount_int(ids: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    if ids.size == 0:
-        return np.zeros(size, dtype=np.int64)
-    return np.bincount(ids, weights=weights, minlength=size).astype(np.int64)
 
 
 def _indptr_from_sorted_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -883,42 +838,46 @@ def _corpus_config(fields: Mapping[str, str]) -> Optional[CorpusConfig]:
 def read_tagged_tsv(
     path,
     tag: str,
-    columns: Mapping[str, Callable[[str], object]],
+    shapes: list[tuple],
     converters: Mapping[str, Callable[[str], object]] = {},
     bad_value: str = "bad {} {!r}",
-    on_note: Optional[Callable[[int, str], None]] = None,
-) -> tuple[dict, Optional[CorpusConfig], Iterator[tuple[np.ndarray, list]]]:
+) -> tuple[dict, Optional[CorpusConfig], Iterator[list[tuple]]]:
     """Read a file written by :func:`write_tagged_tsv`.
 
     Returns the header's fields, the corpus settings they record (``None``
-    if they record none) and the data lines after the header in blocks of
-    (line numbers, one value list per entry of ``columns``).  Header fields
-    named in ``converters`` are converted with the function given there, and
-    a ``ValueError`` or :class:`ConfigurationError` from it ends in
-    :class:`ParseError` at the header.
-    Columns are converted with their type (see :func:`_column`): ``str``
-    keeps the text, the others give a numpy array.
+    if they record none) and, for each piece of the file after the header,
+    the records of ``shapes`` in it, as :func:`_split_records` splits them
+    with ``bad_value``.  Header fields named in ``converters`` are converted
+    with the function given there, and a ``ValueError`` or
+    :class:`ConfigurationError` from it ends in :class:`ParseError` at the
+    header.
 
-    A data line must have one tab-separated field per column; a value its
-    column's type refuses ends in :class:`ParseError` with ``bad_value``,
-    formatted with the column's name and the value.  The lines follow the
-    rules of :func:`_runs`: a second ``#tag`` header is refused, and each run
-    of other ``#`` lines goes to ``on_note`` as (number of its first line,
-    its text).  The file is read once, in :func:`_file_pieces`, and each
-    run split at once (see :func:`_split_records`); the error raised is the
+    Only blank and ``#`` lines may come before the header: a data line there
+    ends in :class:`ValidationError` (a missing header), and a line of a
+    shape's tag in :class:`ParseError`.  A second ``#tag`` header is refused.
+    The file is read once, in :func:`_file_pieces`; the error raised is the
     first bad line's.
     """
-    runs = _runs(_file_pieces(path), str(path))
-    header = re.compile(f"^#{re.escape(tag)}(?:\t|$)", re.MULTILINE)
-    found = None
-    for first, text, notes in runs:  # up to the header, or to the first data line
-        if not notes or (found := header.search(text)):
+    header = re.compile(f"^#{re.escape(tag)}(?:\t.*)?$", re.MULTILINE)
+    tags, missing = {shape[0] for shape in shapes}, f"{path}: missing #{tag} header"
+    pieces, first = _file_pieces(path), 1
+    for text in pieces:  # up to the header line, a line at a time
+        found = header.search(text)
+        head = text if found is None else text[: found.end()]
+        for number, line in enumerate(head.split("\n"), first):
+            _utf8(line, path, number)
+            name = line.partition("\t")[0]
+            if name in tags:
+                raise ParseError(str(path), number, f"{name[1:]} line before the #{tag} header")
+            if line.strip() and line[0] != "#":  # a data line
+                raise ValidationError(missing)
+        if found is not None:
             break
-    if found is None:
-        raise ValidationError(f"{path}: missing #{tag} header")
-    header_line = first + text.count("\n", 0, found.start())
-    line, _, rest = text[found.start() :].partition("\n")
-    fields = dict(part.partition("=")[::2] for part in line.split("\t")[1:])
+        first += text.count("\n")
+    else:
+        raise ValidationError(missing)
+    header_line, rest = first + head.count("\n"), text[found.end() + 1 :]
+    fields = dict(part.partition("=")[::2] for part in found.group().split("\t")[1:])
     for key, convert in converters.items():
         if key in fields:
             try:
@@ -930,82 +889,92 @@ def read_tagged_tsv(
     except (ValueError, ConfigurationError):
         raise ParseError(str(path), header_line, "bad corpus settings") from None
 
-    shapes, expect = [(None, tuple(columns.items()))], "expected " + "<TAB>".join(columns)
-
-    def blocks() -> Iterator[tuple[np.ndarray, list]]:
-        # the notes after the header in its run, then the runs after that
-        for first, text, notes in chain([(header_line + 1, rest, True)] if rest else [], runs):
-            if not notes:
-                yield _split_records(path, first, text, shapes, expect, bad_value)[0]
-                continue
-            again = header.search(text)
-            cut = len(text) + 1 if again is None else again.start()  # the notes before it
-            if cut and on_note is not None:
-                on_note(first, text[: cut - 1])
-            if again is not None:
-                number = first + text.count("\n", 0, cut)
-                raise ParseError(str(path), number, f"repeats the header of line {header_line}")
+    def blocks() -> Iterator[list[tuple]]:
+        first = header_line + 1
+        for text in chain([rest], pieces):
+            again = f"#{tag}" in text and header.search(text)
+            body = text[: again.start()] if again else text  # the lines before a second header
+            found, first = _split_records(path, first, body, shapes, bad_value)
+            yield found
+            if again:
+                raise ParseError(str(path), first, f"repeats the header of line {header_line}")
 
     return fields, config, blocks()
 
 
 def _split_records(
-    path, first: int, text: str, shapes: list[tuple], expect: str, bad_value="bad {} {!r}", check=None
-) -> list[tuple]:
-    """Line numbers and columns of the records of each of ``shapes`` in ``text``, from line ``first``.
+    path, first: int, text: str, shapes: list[tuple], bad_value="bad {} {!r}", check=None
+) -> tuple[list[tuple], int]:
+    """Line numbers and columns of each of ``shapes``' records in ``text``, and the next line's number.
 
-    A shape is a record's tag (its first field; None for a file's one
-    untagged shape) and a (name, column type) pair per field after it.  The
-    tabs, line ends, tags and integer columns of 1 to 18 ASCII digits a field
-    are read from the UTF-8 bytes of ``text`` at once.  A ``#`` line of no
-    shape's tag is a note and skipped.  If another line fits no shape, or a
-    type refuses a value, the lines are walked one at a time, and the first
-    bad one ends in :class:`ParseError` with ``expect``, formatted with the
+    ``text`` holds whole lines from line ``first``, split at ``\\n`` only.  A
+    shape is a record's tag (its first field; None, for a first untagged
+    shape, and then the other tags start with ``#``), a (name, column type)
+    pair per field after it, and what a line of that tag and another field
+    count is refused as.  Blank lines and ``#`` lines of no shape's tag are
+    skipped.  ``text`` is encoded once (:func:`_utf8`), and its tabs, line
+    ends, tags and integer columns of 1 to 18 ASCII digits a field are read
+    from the bytes at once; where each line starts with a plain data byte,
+    one comparison checks the untagged field count.  If a line fits no shape
+    or a type refuses a value, a walk a line at a time gives ``check`` (line
+    number, fields) of each line that passes and refuses the first bad one
+    with its shape's message (the first shape's if none), formatted with the
     line, or ``bad_value``, formatted with the column's name and the value.
-    The walk gives ``check`` (line number, fields) of each line that passes.
     """
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.append(np.flatnonzero((raw == 9) | (raw == 10)), raw.size)  # of each field
-    starts, breaks = np.append(0, ends[:-1] + 1), raw[ends[:-1]] == 10
-    if shapes[0][0] is None:  # one untagged shape: a line end after every k-th field only
-        k = len(shapes[0][1])
-        fits = ends.size % k == 0 and breaks[k - 1 :: k].all() and breaks.sum() == ends.size // k - 1
-        picks = [slice(i, None, k) for i in range(k)]
-        found = [(np.arange(first, first + ends.size // k), shapes[0][1], picks)]
+    data = _utf8(text, path, first)
+    whole = data.endswith(b"\n")
+    raw = np.frombuffer(data if whole else data + b"\n", dtype=np.uint8)  # every line ends in \n
+    ends = np.flatnonzero((raw == 9) | (raw == 10))  # of each field
+    starts, breaks = np.append(0, ends[:-1] + 1), raw[ends] == 10
+    k, untagged = len(shapes[0][1]), shapes[0][0] is None
+    heads = np.arange(0, ends.size, k)  # each line's first field, if every line has k fields
+    lead = raw[starts[heads]]
+    if (
+        untagged and ends.size % k == 0 and breaks[k - 1 :: k].all() and breaks.sum() == heads.size
+        and ((lead > 32) & (lead < 127) & (lead != 35)).all()  # each line starts with a data byte
+    ):
+        chosen, fits = [np.arange(heads.size)] + [heads[:0]] * (len(shapes) - 1), True
     else:
-        heads = np.append(0, np.flatnonzero(breaks) + 1)  # each line's first field
+        heads = np.append(0, np.flatnonzero(breaks[:-1]) + 1)
         firsts, widths = starts[heads], np.diff(heads, append=ends.size)
-        sizes, notes, found = ends[heads] - firsts, raw[firsts] == 35, []
-        for tag, columns in shapes:
-            code = tag.encode("utf-8")
-            lines = np.flatnonzero(sizes == len(code))
-            for i, byte in enumerate(code):  # the lines whose first field is the tag
-                lines = lines[raw[firsts[lines] + i] == byte]
-            notes[lines] = False  # a "#" line is a note only if of no shape's tag
-            lines = lines[widths[lines] == 1 + len(columns)]
-            at = heads[lines] + 1  # each record's first field after the tag
-            if lines.size and lines[-1] - lines[0] == lines.size - 1:  # one stretch of lines
-                picks = [slice(at[0] + i, at[-1] + i + 1, 1 + len(columns)) for i in range(len(columns))]
-            else:
-                picks = [at + i for i in range(len(columns))]
-            found.append((first + lines, columns, picks))
-        fits = sum(numbers.size for numbers, _, _ in found) + notes.sum() == heads.size
+        lead, kinds = raw[firsts], np.full(heads.size, -1)  # each line's shape, -1 for none
+        for i, (tag, _, _) in enumerate(shapes[untagged:], untagged):  # lines whose first field is a tag
+            code = np.frombuffer(tag.encode("utf-8"), dtype=np.uint8)
+            lines = np.flatnonzero((lead == code[0]) & (ends[heads] - firsts == code.size))
+            kinds[lines[(raw[firsts[lines, None] + np.arange(code.size)] == code).all(1)]] = i
+        loose = (kinds < 0) & (lead != 35)  # lines of no tag that are not notes
+        spaced = loose & ((lead <= 32) | (lead > 127))  # of them, those that may be blank
+        if spaced.any():
+            spaced &= ~np.logical_or.reduceat((raw > 32) & (raw < 127), firsts)
+            for i in np.flatnonzero(spaced).tolist():
+                loose[i] = bool(data[firsts[i] : ends[heads[i] + widths[i] - 1]].decode().strip())
+        kinds[loose] = 0 if untagged else len(shapes)  # an untagged record, or a line of no shape
+        chosen = [
+            np.flatnonzero((kinds == i) & (widths == len(columns) + (tag is not None)))
+            for i, (tag, columns, _) in enumerate(shapes)
+        ]
+        fits = sum(lines.size for lines in chosen) == (kinds >= 0).sum()
     if fits:
-        cells = text.replace("\n", "\t").split("\t")
+        cells, found = text.replace("\n", "\t").split("\t"), []
         try:
-            return [
-                (numbers, [_column(kind, cells, p, raw, starts, ends) for (_, kind), p in zip(columns, picks)])
-                for numbers, columns, picks in found
-            ]
+            for (tag, columns, _), lines in zip(shapes, chosen):
+                width, at = len(columns) + (tag is not None), heads[lines] + (tag is not None)
+                stretch = lines.size and lines[-1] - lines[0] == lines.size - 1  # one stretch of lines
+                picks = [slice(at[0] + j, at[-1] + j + 1, width) if stretch else at + j
+                         for j in range(len(columns))]
+                found.append((first + lines, [_column(kind, cells, p, raw, starts, ends)
+                                              for (_, kind), p in zip(columns, picks)]))
+            return found, first + heads.size - (not whole)
         except (ValueError, OverflowError):
             pass
-    tagged = dict(shapes)
+    tagged = {shape[0]: shape for shape in shapes}
     for number, line in enumerate(text.split("\n"), first):  # name the first bad line
         fields = line.split("\t")
-        columns = tagged.get(None, tagged.get(fields[0]))
-        if columns is None and line[:1] == "#":  # a note
-            continue
-        if columns is None or len(fields) != len(columns) + (None not in tagged):
+        shape = tagged.get(fields[0], tagged.get(None))
+        if (shape is None or shape[0] is None) and (line[:1] == "#" or not line.strip()):
+            continue  # a note or a blank line
+        tag, columns, expect = shape or shapes[0]
+        if shape is None or len(fields) != len(columns) + (tag is not None):
             raise ParseError(str(path), number, expect.format(line))
         for (name, kind), value in zip(columns, fields[len(fields) - len(columns) :]):
             try:
@@ -1024,7 +993,7 @@ def _column(kind: Callable, cells: list[str], pick, raw: np.ndarray, starts, end
         return values  # text, and names none of which is empty
     starts, ends = starts[pick], ends[pick]
     widths = ends - starts
-    if kind is not float and widths.min(initial=1) > 0 and widths.max(initial=1) <= 18:
+    if kind is not float and widths.size and widths.min() > 0 and widths.max() <= 18:
         places = np.arange(widths.max(initial=1), 0, -1)[:, None]
         digits = raw[np.maximum(ends - places, 0)] - np.uint8(ord("0"))  # below "0" wraps above 9
         digits[places > widths] = 0  # bytes before a field read as leading zeros
@@ -1059,14 +1028,14 @@ class _FirstSeenIds(dict):
 
 
 def _collect_cells(blocks: Iterable[tuple[np.ndarray, list]], target: int, feature: int):
-    """Cells of :func:`read_tagged_tsv` blocks whose third column holds the values.
+    """Cells of the first shape of :func:`read_tagged_tsv` blocks, whose third column holds the values.
 
     Returns (targets, features, target ids, feature ids, values, line
     numbers): targets and features sorted by their text, and ids into them.
     """
     targets, features = _FirstSeenIds(), _FirstSeenIds()
     parts: list[tuple] = [(np.empty(0, np.int64),) * 4]
-    for numbers, columns in blocks:
+    for (numbers, columns), *_ in blocks:
         rows, cols = targets.ids(columns[target]), features.ids(columns[feature])
         parts.append((rows, cols, columns[2], numbers))
     rows, cols, values, lines = (np.concatenate(p) for p in zip(*parts))
@@ -1179,35 +1148,38 @@ def _feature_kind(text: str) -> str:
 #: The numpy type of a column type's values; others, unigram and word counts too, are objects.
 _DTYPES = {_cell_count: np.int64, float: np.float64}
 
-#: The notes of a counts file that are read, unigram lines, and what a bad one is refused as.
-_UNIGRAM = ([("#unigram", (("word", str), ("count", _count)))], "malformed unigram line")
+#: The lines of a counts file after its header: cells and unigram lines.
+_COUNTS = [
+    (None, (("target", str), ("feature", str), ("count", _cell_count)),
+     "expected target<TAB>feature<TAB>count"),
+    ("#unigram", (("word", str), ("count", _count)), "malformed unigram line"),
+]
 
 
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`.
 
-    After the first bad line, cell or ``#unigram`` line, a unigram word given
-    twice, a negative count, with ``feature_kind=relation`` a feature that is
-    not ``relation:word``, and a cell given twice are refused in that order,
+    A ``#unigram`` line before the header is refused at its line.  After the
+    first bad line, cell or ``#unigram`` line, a unigram word given twice, a
+    negative count, with ``feature_kind=relation`` a feature that is not
+    ``relation:word``, and a cell given twice are refused in that order,
     each at its (second) line, once every line has been read.  The cells must
     add up to the header's ``total_pairs``, so a file cut short is refused.
     """
+    fields, config, blocks = read_tagged_tsv(
+        path, "counts", _COUNTS, {"total_tokens": _count, "feature_kind": _feature_kind}
+    )
     unigram, unigram_lines, unigram_words = {}, [np.empty(0, dtype=np.int64)], []
 
-    def note(first: int, text: str) -> None:
-        [(numbers, (words, counts))] = _split_records(path, first, text, *_UNIGRAM)
-        unigram.update(zip(words, counts.tolist()))
-        unigram_lines.append(numbers)
-        unigram_words.extend(words)
+    def cell_blocks() -> Iterator[list[tuple]]:  # each piece's records, its unigram lines taken aside
+        for found in blocks:
+            numbers, (words, counts) = found[1]
+            unigram.update(zip(words, counts.tolist()))
+            unigram_lines.append(numbers)
+            unigram_words.extend(words)
+            yield found
 
-    fields, config, blocks = read_tagged_tsv(
-        path,
-        "counts",
-        {"target": str, "feature": str, "count": _cell_count},
-        {"total_tokens": _count, "feature_kind": _feature_kind},
-        on_note=note,
-    )
-    cells = _collect_cells(blocks, target=0, feature=1)
+    cells = _collect_cells(cell_blocks(), target=0, feature=1)
     if len(unigram) < len(unigram_words):
         _refuse_repeat(path, np.concatenate(unigram_lines).tolist(), unigram_words, "unigram")
     _, features, _, cols, data, lines = cells

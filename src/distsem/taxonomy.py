@@ -27,8 +27,8 @@ from .corpus import (
     _integer,
     _name,
     _refuse_repeat,
+    _file_pieces,
     _split_records,
-    data_runs,
     read_tagged_tsv,
     write_tagged_tsv,
 )
@@ -219,19 +219,17 @@ def _numbered(keys) -> dict[str, int]:
 
 #: The records of a taxonomy file, as shapes of :func:`~distsem.corpus._split_records`.
 _RECORDS = [
-    ("NODE", (("concept name", _name), ("label", str))),
-    ("EDGE", (("concept name", _name), ("concept name", _name), ("relation", _name))),
-    ("WORD", (("word", _name), ("concept name", _name))),
+    ("NODE", (("concept name", _name), ("label", str)), "unrecognized record {!r}"),
+    ("EDGE", (("concept name", _name), ("concept name", _name), ("relation", _name)),
+     "unrecognized record {!r}"),
+    ("WORD", (("word", _name), ("concept name", _name)), "unrecognized record {!r}"),
 ]
-#: What a line of no record's shape, and a record with an empty name, are refused as.
-_MESSAGES = ("unrecognized record {!r}", "empty {}")
 
 
 def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     """Read ``NODE``, ``EDGE``, and ``WORD`` tab-separated record lines.
 
-    The lines follow the rules of :func:`~distsem.corpus._runs`, and each run
-    of them is split as the shapes ``_RECORDS``
+    Each piece of the file is split as the shapes ``_RECORDS``
     (:func:`~distsem.corpus._split_records`).  The first line of no shape,
     with an empty name, naming a node again or of bytes that are not UTF-8,
     then the first edge, and then the first ``WORD`` line, naming a concept
@@ -241,7 +239,7 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     """
     index: dict[str, int] = {}  # node name -> id, in NODE line order
     lines = [[np.empty(0, dtype=np.int64)] for _ in _RECORDS]  # each record kind's line numbers
-    fields = [[[] for _ in columns] for _, columns in _RECORDS]  # and fields after the tag
+    fields = [[[] for _ in columns] for _, columns, _ in _RECORDS]  # and fields after the tag
 
     def new_node(number: int, parts: list[str]) -> None:  # number a NODE line's node, once
         if parts[0] == "NODE":
@@ -249,8 +247,9 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
                 raise ParseError(str(path), number, f"duplicate node {parts[1]!r}")
             index[parts[1]] = len(index)
 
-    for first, text in data_runs(path):
-        found = _split_records(path, first, text, _RECORDS, *_MESSAGES, new_node)
+    first = 1
+    for text in _file_pieces(path):
+        found, first = _split_records(path, first, text, _RECORDS, "empty {}", new_node)
         (numbers, (names, _)), *_ = found
         if len(set(names)) < len(names) or not index.keys().isdisjoint(names):
             for number, name in zip(numbers.tolist(), names):  # the first node named again
@@ -583,14 +582,14 @@ def load_ic_table(path) -> ICTable:
     fields, _, blocks = read_tagged_tsv(
         path,
         "ic",
-        {"concept": str, "prob": float, "ic": float},
+        [(None, (("concept", str), ("prob", float), ("ic", float)), "expected concept<TAB>prob<TAB>ic")],
         {"log_base": lambda text: check_log_base(float(text))},
         bad_value="non-numeric prob or ic",
     )
     prob: dict[str, float] = {}
     ic: dict[str, float] = {}
     parts: list[tuple] = []
-    for numbers, (concepts, probs, ics) in blocks:
+    for [(numbers, (concepts, probs, ics))] in blocks:
         parts.append((numbers, probs, ics, concepts))
         prob.update(zip(concepts, probs.tolist()))
         ic.update(zip(concepts, ics.tolist()))
@@ -613,20 +612,20 @@ def load_ic_table(path) -> ICTable:
 
 
 #: The one shape of a word frequency table's lines, and what a line of another is refused as.
-_FREQUENCIES = ([(None, (("word", str), ("count", _integer)))], "expected word<TAB>count")
+_FREQUENCIES = [(None, (("word", str), ("count", _integer)), "expected word<TAB>count")]
 
 
 def load_word_frequencies(path) -> dict[str, int]:
     """Read a ``word<TAB>count`` frequency table; the counts of a repeated word add up.
 
-    The lines follow the rules of :func:`~distsem.corpus._runs` and are read
-    as columns (:func:`~distsem.corpus._split_records`).  The first line that
+    Each piece of the file is read as columns
+    (:func:`~distsem.corpus._split_records`).  The first line that
     is not two fields or whose count is not ASCII ``-?[0-9]+``, and then the
     first negative count, ends in :class:`ParseError` at its line.
     """
-    words, counts, negative = [], [], None
-    for first, text in data_runs(path):
-        [(numbers, (run_words, run_counts))] = _split_records(path, first, text, *_FREQUENCIES)
+    words, counts, negative, first = [], [], None, 1
+    for text in _file_pieces(path):
+        [(numbers, (run_words, run_counts))], first = _split_records(path, first, text, _FREQUENCIES)
         if negative is None and (below := np.flatnonzero(run_counts < 0)).size:
             at = below[0]
             negative = ParseError(str(path), int(numbers[at]), f"negative count {run_counts[at]}")

@@ -520,17 +520,21 @@ def _parse_error(path, number, message):
     return Refused("ParseError", f"{path}:{number}: {message}")
 
 
-def _tagged_body(path, tag):
+def _tagged_body(path, tag, tags=()):
     """(line number, fields) after the ``#tag`` header, without blank and ``#manifest`` lines.
 
-    A second header is refused.
+    A line whose first field is one of ``tags`` before the header, and a
+    second header, are refused.
     """
     header_line = None
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
-            is_header = line.split("\t")[0] == f"#{tag}"
+            first = line.split("\t")[0]
+            is_header = first == f"#{tag}"
             if header_line is None:
+                if first in tags:
+                    raise _parse_error(path, number, f"{first[1:]} line before the #{tag} header")
                 header_line = number if is_header else None
             elif is_header:
                 raise _parse_error(path, number, f"repeats the header of line {header_line}")
@@ -554,11 +558,12 @@ def _integer(text):
 def counts_file(path):
     """({(target, feature text): count} without zero cells, unigrams) of a counts file.
 
-    After the first bad line, the first repeated unigram word is refused, then
-    the first negative count, then the first repeated cell.
+    A unigram line before the header is refused.  After the first bad line,
+    the first repeated unigram word is refused, then the first negative
+    count, then the first repeated cell.
     """
     cells, unigrams, unigram_lines = [], {}, []
-    for number, parts in _tagged_body(path, "counts"):
+    for number, parts in _tagged_body(path, "counts", ["#unigram"]):
         if parts[0] == "#unigram":
             if len(parts) != 3:
                 raise _parse_error(path, number, "malformed unigram line")

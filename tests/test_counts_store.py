@@ -137,6 +137,10 @@ class TestBlockBoundaries:
 
 
 words = st.sampled_from(["a", "b", "é", "ü", "a:b"])
+# lines of only whitespace that str.strip clears but a byte test can miss
+blanks = st.sampled_from(
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0 \t", "\u2028", "\u3000"]
+)
 # counts at the edges of the byte reader: 18 and 19 digits (the last past int64), leading
 # zeros, a digit int() reads that is not ASCII, one it refuses, empty, and a \r after 7
 odd_counts = st.sampled_from(
@@ -154,16 +158,19 @@ count_lines = st.one_of(
          "a\tb", "a\tb\t1\t2", "a\tb\t99999999999999999999", "\t\t1",
          "#counts\ttotal_tokens=1"]
     ),
+    blanks,
 )
 wccm_lines = st.one_of(
     st.builds("{}\t{}\t{}".format, words, words, st.sampled_from(["0.0", "2.0", "3", "-1.0"])),
     st.builds("{}\t{}\t{}".format, words, words, st.sampled_from(["2.5", "nan", "x", "inf"])),
     st.sampled_from(["", " ", "#manifest\tx=1", "#note", "a\tb", "a\tb\t1\t2", "#wccm"]),
+    blanks,
 )
 ic_lines = st.one_of(
     st.builds("{}\t{}\t{}".format, words, st.sampled_from(["0.5", "1e-3", "x", "2.0", "0"]),
               st.sampled_from(["1.0", "2", "y", "nan", "-3"])),
     st.sampled_from(["", " \t", "#manifest\tx=1", "#note", "a\t0.5", "a\t0.5\t1\t2", "#ic"]),
+    blanks,
 )
 
 
@@ -179,10 +186,14 @@ ic_lines = st.one_of(
     st.sampled_from([1, 2, 3, 5, 64]),
     st.sampled_from(["\n", "\r\n"]),
     st.booleans(),
+    # lines before the header: blank, #manifest and notes, and a unigram line, which only
+    # a counts file refuses there
+    st.lists(st.one_of(st.sampled_from(["", " ", "#manifest\tx=1", "#note", "#unigram\tq\t9"]), blanks),
+             max_size=3),
 )
-def test_small_blocks_read_as_one_line_at_a_time(kind_and_lines, block, newline, last_newline):
+def test_small_blocks_read_as_one_line_at_a_time(kind_and_lines, block, newline, last_newline, before):
     kind, lines = kind_and_lines
-    text = newline.join(["#manifest\ttool=test", LOADERS[kind][2], *lines])
+    text = newline.join([*before, "#manifest\ttool=test", LOADERS[kind][2], *lines])
     load, oracle, _ = LOADERS[kind]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.tsv"
@@ -230,6 +241,28 @@ def test_load_memory_follows_the_cells_not_the_file(tmp_path):
     assert loaded.nnz() == rows.size
     # a 3.6 MiB file; streamed, loads have peaked at 24 to 29 MiB, split whole at 76 MiB or more
     assert peak < 36 * 2**20
+
+
+def test_totals_take_no_target_id_per_cell():
+    """The constructor sums each row over its row pointers: it used to expand a target id per cell."""
+    rows, per_row, features = 1200, 800, 2000
+    sizes = np.where(np.arange(rows) % 10 == 3, 0, per_row)  # some rows are empty
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indices = np.tile(np.arange(0, features, 2), rows)[: indptr[-1]]  # sorted within each row
+    data = np.random.default_rng(5).integers(1, 2**40, indices.size)
+    names = [f"w{i:04d}" for i in range(features)]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        counts = CooccurrenceCounts(names[:rows], names, indptr, indices, data)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    expected = [int(data[indptr[i] : indptr[i + 1]].sum()) for i in range(rows)]
+    assert [counts.target_total(name) for name in names[:rows]] == expected
+    # numpy's float64 copy of the counts for the feature totals is 8 bytes a cell; a target
+    # id per cell took 8 more
+    assert peak <= 12 * data.size
 
 
 class TestRepeatedCells:

@@ -833,6 +833,22 @@ class TestTaggedFileLines:
             load(path)
         assert err.value.line_number == (4 if at_end else 3)
 
+    def test_unigram_line_before_the_header_is_refused(self, tmp_path, fixtures_dir):
+        """It used to be skipped as a note, so ``ic-build --counts`` ran on a short unigram table."""
+        path = tmp_path / "counts.tsv"
+        # the first defect in file order: the bad cell after it comes later
+        path.write_text("#manifest\ttool=test\n#unigram\tq\t9\n#counts\ttotal_tokens=9\n"
+                        "#unigram\tdog\t3\ndog\tcat\tx\n", encoding="utf-8")
+        expected = f"{path}:2: unigram line before the #counts header"
+        with pytest.raises(ParseError) as err:
+            load_counts(path)
+        assert str(err.value) == expected
+        assert outcome(oracles.counts_file, path) == ("ParseError", expected)
+        code, out, err = run_cli(["ic-build", "--taxonomy", fixtures_dir / "toy_taxonomy.tsv",
+                                  "--counts", path, "--out", tmp_path / "ic.tsv"])
+        assert (code, out) == (2, ""), err
+        assert expected in err
+
     def test_header_is_read_alone(self, tmp_path):
         """The header scan stops at the header, so a bad header is named before later bad bytes."""
         body = "".join(f"t{i}\tf\t1\n" for i in range(2000))  # past the first decoded chunk

@@ -730,7 +730,9 @@ class TestFrequencyTotal:
 # the taxonomy file loader against a line-by-line oracle
 
 NAMES = ["a", "b", "dog", "é", "日本", "x y", "n0", "ü"]
-NOTES = ["", " ", "\t", "#note", "#manifest\ttool=test", "# NODE\tq\tQ"]
+# lines to skip: blank ones, some only of whitespace that str.strip clears but a byte test can miss
+NOTES = ["", " ", "\t", "#note", "#manifest\ttool=test", "# NODE\tq\tQ", "\x0b", "\x0c", "\x1c", "\x1d",
+         "\x1e", "\x1f", "\x85", "\xa0 \t", "\u2028", "\u3000"]
 
 
 def outcome(load, path):
