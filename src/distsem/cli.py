@@ -3,8 +3,11 @@
 Every emitted file or stream begins with manifest lines recording the tool
 version, the subcommand, the configuration, and a content hash of every
 input, so identical inputs and flags always produce byte-identical output.
-``count --cache-dir`` keeps each counts file it writes, keyed by the file's
-manifest, and copies it to ``--out`` on a re-run instead of counting again.
+Each input is hashed once per command: a counts file by :func:`load_counts`,
+which checks its sidecar against that digest, and the digest goes to the manifest.
+``count --cache-dir`` keeps each counts file it writes, and its binary
+sidecar (see :func:`save_counts`), keyed by the file's manifest, and copies
+both to ``--out`` on a re-run instead of counting again.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input validation
 error.
@@ -14,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Optional
@@ -40,6 +41,9 @@ from .corpus import (
     _document_lines,
     _Documents,
     _file_pieces,
+    _file_sha256,
+    _sidecar,
+    _write_atomically,
     config_fields,
     count_cooccurrences,
     ingest_triples,
@@ -102,21 +106,19 @@ _USAGE_ERRORS = (
 
 
 def _hash_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    """The sha256 of an input that is not a counts file (:func:`load_counts` hashes those)."""
+    return _file_sha256(path)
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def build_manifest(command: str, inputs: list, settings: dict) -> list[str]:
+def build_manifest(command: str, inputs: list, settings: dict, digests: dict = {}) -> list[str]:
+    """Manifest lines; an input's sha256 is taken from ``digests`` (path to digest) if it is there."""
     lines = [f"#manifest\ttool=distsem/{__version__}", f"#manifest\tcommand={command}"]
     for path in inputs:
-        lines.append(f"#manifest\tinput={path}\tsha256={_hash_file(path)}")
+        lines.append(f"#manifest\tinput={path}\tsha256={digests.get(path) or _hash_file(path)}")
     for key in sorted(settings):
         lines.append(f"#manifest\tsetting\t{key}={settings[key]}")
     return lines
@@ -208,14 +210,22 @@ def _entry_bytes(entry: Path) -> bytes:
 
 def _store_entry(entry: Path, data: bytes) -> None:
     """Write ``data`` and its digest line as ``entry``; a write cut short leaves no entry."""
-    fd, temp = tempfile.mkstemp(prefix=entry.name + ".", suffix=".tmp", dir=entry.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.write(_digest_line(data))
-        os.replace(temp, entry)
-    finally:
-        Path(temp).unlink(missing_ok=True)
+    _write_atomically(entry, lambda handle: handle.writelines([data, _digest_line(data)]))
+
+
+def _copy_sidecar(source: Path, dest: Path) -> None:
+    """Copy the sidecar of counts file ``source`` beside counts file ``dest``, where both may have one."""
+    held, copy = _sidecar(source), _sidecar(dest)
+    if held is None or copy is None or not held.exists():
+        return
+    data = held.read_bytes()
+    _write_atomically(copy, lambda handle: handle.write(data), like=dest)
+
+
+def _load_counts(path) -> tuple:
+    """The counts in ``path``, and its sha256 keyed by the path, as :func:`build_manifest` takes it."""
+    counts = load_counts(path)
+    return counts, {path: counts._sha256}
 
 
 #: Flags (by ``dest``) that only window counting reads, and their defaults.
@@ -276,15 +286,17 @@ def cmd_count(args) -> int:
         entry.parent.mkdir(parents=True, exist_ok=True)
         if entry.exists():
             out.write_bytes(_entry_bytes(entry))
+            _copy_sidecar(entry, out)
             return 0
     save_counts(_count_corpus(args), out, extra_header=manifest)
     if entry is not None:
         _store_entry(entry, out.read_bytes())
+        _copy_sidecar(out, entry)
     return 0
 
 
 def cmd_profile(args) -> int:
-    counts = load_counts(args.counts)
+    counts, digests = _load_counts(args.counts)
     profile = build_profile(
         counts,
         args.target,
@@ -301,17 +313,18 @@ def cmd_profile(args) -> int:
             "log_base": _fmt(args.log_base),
             "min_freq": args.min_freq,
         },
+        digests,
     )
     _emit(args, profile_lines(profile, manifest))
     return 0
 
 
 def cmd_distance(args) -> int:
-    counts = load_counts(args.counts)
+    counts, digests = _load_counts(args.counts)
     config = _measure_config(args)
     scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
     value = scorer(args.w1, args.w2)
-    manifest = build_manifest("distance", [args.counts], _measure_settings(args))
+    manifest = build_manifest("distance", [args.counts], _measure_settings(args), digests)
     lines = list(manifest)
     lines.append(f"{args.w1}\t{args.w2}\t{args.measure}\t{_fmt(value)}")
     _emit(args, lines)
@@ -323,20 +336,18 @@ def _make_scorer(args, config: MeasureConfig):
         wccm = load_wccm(args.wccm)
         thesaurus = load_thesaurus(args.thesaurus, _lowercase(wccm.config))
         scorer = concept_pair_scorer(wccm, thesaurus, MeasureId(args.measure), config)
-        inputs = [args.wccm, args.thesaurus]
-    else:
-        counts = load_counts(args.counts)
-        scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
-        inputs = [args.counts]
-    return scorer, inputs
+        return scorer, [args.wccm, args.thesaurus], {}
+    counts, digests = _load_counts(args.counts)
+    scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
+    return scorer, [args.counts], digests
 
 
 def cmd_rank(args) -> int:
     config = _measure_config(args)
-    scorer, inputs = _make_scorer(args, config)
+    scorer, inputs, digests = _make_scorer(args, config)
     benchmark = load_benchmark(args.benchmark)
     result = rank_pairs(benchmark, scorer, orientation(MeasureId(args.measure)))
-    manifest = build_manifest("rank", inputs + [args.benchmark], _measure_settings(args))
+    manifest = build_manifest("rank", inputs + [args.benchmark], _measure_settings(args), digests)
     lines = list(manifest)
     lines.append("rank\tword1\tword2\thuman\tscore")
     for position, (w1, w2, human, value) in enumerate(result.ranked, 1):
@@ -349,13 +360,13 @@ def cmd_rank(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _measure_config(args)
-    scorer, inputs = _make_scorer(args, config)
+    scorer, inputs, digests = _make_scorer(args, config)
     measure = MeasureId(args.measure)
     lines: list[str] = []
     if args.choices:
         problems = load_word_choice(args.choices)
         outcome = solve_word_choice(problems, scorer, orientation(measure))
-        manifest = build_manifest("eval", inputs + [args.choices], _measure_settings(args))
+        manifest = build_manifest("eval", inputs + [args.choices], _measure_settings(args), digests)
         lines += manifest
         lines.append(f"problems\t{outcome.n_problems}")
         lines.append(f"correct\t{outcome.n_correct}")
@@ -364,7 +375,7 @@ def cmd_eval(args) -> int:
     else:
         benchmark = load_benchmark(args.benchmark)
         report = correlate(benchmark, scorer, orientation(measure))
-        manifest = build_manifest("eval", inputs + [args.benchmark], _measure_settings(args))
+        manifest = build_manifest("eval", inputs + [args.benchmark], _measure_settings(args), digests)
         lines += manifest
         lines.append(f"pairs_used\t{report.n_used}")
         lines.append(f"pairs_skipped\t{report.n_skipped}")
@@ -378,11 +389,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_wccm_build(args) -> int:
-    counts = load_counts(args.counts)
+    counts, digests = _load_counts(args.counts)
     thesaurus = load_thesaurus(args.thesaurus, _lowercase(counts.config))
     wccm = build_base_wccm(counts, thesaurus)
-    wccm.source_fingerprint = _hash_file(args.counts)
-    manifest = build_manifest("wccm-build", [args.counts, args.thesaurus], {})
+    wccm.source_fingerprint = digests[args.counts]
+    manifest = build_manifest("wccm-build", [args.counts, args.thesaurus], {}, digests)
     save_wccm(wccm, args.out or "wccm.tsv", extra_header=manifest)
     return 0
 
@@ -423,13 +434,13 @@ def cmd_concept_distance(args) -> int:
 
 
 def cmd_xling_wccm(args) -> int:
-    counts = load_counts(args.counts)
+    counts, digests = _load_counts(args.counts)
     lexicon = load_lexicon(args.lexicon, _lowercase(counts.config))
     thesaurus = load_thesaurus(args.thesaurus, _lowercase(counts.config))
     wccm = build_crosslingual_wccm(counts, lexicon, thesaurus)
-    wccm.source_fingerprint = _hash_file(args.counts)
+    wccm.source_fingerprint = digests[args.counts]
     manifest = build_manifest(
-        "xling-wccm", [args.counts, args.lexicon, args.thesaurus], {}
+        "xling-wccm", [args.counts, args.lexicon, args.thesaurus], {}, digests
     )
     save_wccm(wccm, args.out or "wccm-crosslingual.tsv", extra_header=manifest)
     return 0
@@ -475,15 +486,16 @@ def cmd_taxo_distance(args) -> int:
 
 def cmd_ic_build(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
+    digests = {}
     if args.freqs:
         freqs = load_word_frequencies(args.freqs)
         inputs = [args.taxonomy, args.freqs]
     else:
-        counts = load_counts(args.counts)
+        counts, digests = _load_counts(args.counts)
         freqs = dict(counts.unigram_counts)
         inputs = [args.taxonomy, args.counts]
     table = ic_from_counts(taxonomy, freqs, log_base=args.log_base)
-    manifest = build_manifest("ic-build", inputs, {"log_base": _fmt(args.log_base)})
+    manifest = build_manifest("ic-build", inputs, {"log_base": _fmt(args.log_base)}, digests)
     save_ic_table(table, args.out or "ic.tsv", extra_header=manifest)
     return 0
 

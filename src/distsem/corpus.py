@@ -15,14 +15,21 @@ over disjoint document shards can be merged additively with :func:`merge_counts`
 
 from __future__ import annotations
 
+import hashlib
+import io
 import operator
+import os
 import re
+import stat
+import tempfile
+import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -61,6 +68,9 @@ _TOKEN_BATCH = 1 << 12
 
 #: Lines a tagged-TSV writer joins into one piece.
 _BLOCK_LINES = 1 << 12
+
+#: Pieces a tagged-TSV writer encodes, writes and hashes at a time.
+_WRITE_PIECES = 16
 
 #: Characters a data file reader takes from a file at a time.
 _BLOCK_CHARS = 1 << 15
@@ -288,6 +298,9 @@ class CooccurrenceCounts:
     in the order of a counts file.
     """
 
+    #: The sha256 of the file :func:`load_counts` read these counts from.
+    _sha256: Optional[str] = None
+
     def __init__(
         self,
         targets: list[str],
@@ -315,7 +328,8 @@ class CooccurrenceCounts:
         filled = np.flatnonzero(np.diff(indptr))  # rows with a cell; each sum is exact in int64
         if filled.size:
             self._target_totals[filled] = np.add.reduceat(data, indptr[filled])
-        self._feature_totals = np.bincount(indices, weights=data, minlength=len(features)).astype(np.int64)
+        self._feature_totals = np.zeros(len(features), dtype=np.int64)
+        np.add.at(self._feature_totals, indices, data)  # exact, with no per-cell temporary
         self.total_pairs = int(data.sum()) if data.size else 0
 
     @classmethod
@@ -354,8 +368,7 @@ class CooccurrenceCounts:
                 f"negative count {data[at].item()} for cell "
                 f"({targets[rows[at]]!r}, {features[cols[at]]!r})"
             )
-        # added in two halves, whose int64 sums cannot wrap
-        total = (int((data >> _KEY_BITS).sum()) << _KEY_BITS) + int((data & _KEY_MASK).sum())
+        total = _exact_sum(data)
         if total > 2**53:
             raise ValidationError(
                 f"counts add up to {total}, more than 2**53, which float64 cannot add exactly"
@@ -441,6 +454,11 @@ class CooccurrenceCounts:
 
     def nnz(self) -> int:
         return int(self._data.size)
+
+
+def _exact_sum(data: np.ndarray) -> int:
+    """The sum of non-negative int64 counts, added in two halves whose int64 sums cannot wrap."""
+    return (int((data >> _KEY_BITS).sum()) << _KEY_BITS) + int((data & _KEY_MASK).sum())
 
 
 def _indptr_from_sorted_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -727,6 +745,8 @@ def ingest_triples(
         head, relation, dependent = parts
         if not head or not relation or not dependent:
             raise ParseError(source, line_number, "empty field in triple")
+        if dependent[0] == "#":  # its counts row would read back as a note
+            raise ParseError(source, line_number, f"dependent {dependent!r} starts with '#'")
         for field in (head, relation, dependent):
             if ":" in field:
                 raise ParseError(source, line_number, f"field {field!r} contains ':'")
@@ -805,16 +825,24 @@ def config_fields(config: Optional[CorpusConfig]) -> dict:
 
 def write_tagged_tsv(
     path, tag: str, fields: dict, body: Iterable[str], extra_header: list[str] = ()
-) -> None:
+) -> str:
     """Write ``extra_header`` lines, one ``#tag<TAB>key=value...`` line, then ``body``.
 
     Each piece of the body is one or more lines with their line ends.
+    Returns the sha256 of the bytes written, taken as they go out.  Pieces
+    are encoded ``_WRITE_PIECES`` at a time, so a body of single lines costs
+    no more to write and hash than a text write.
     """
-    with open(path, "w", encoding="utf-8") as out:
-        for line in extra_header:
-            out.write(line + "\n")
-        out.write(f"#{tag}\t" + "\t".join(f"{k}={v}" for k, v in fields.items()) + "\n")
-        out.writelines(body)
+    head = "".join(line + "\n" for line in extra_header)
+    head += f"#{tag}\t" + "\t".join(f"{k}={v}" for k, v in fields.items()) + "\n"
+    pieces = chain([head], body)
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        while text := "".join(islice(pieces, _WRITE_PIECES)):
+            data = text.encode("utf-8")
+            out.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _corpus_config(fields: Mapping[str, str]) -> Optional[CorpusConfig]:
@@ -1008,12 +1036,16 @@ def _sort_ranks(names: list, key: Optional[Callable] = None) -> tuple[np.ndarray
     Names already strictly increasing keep their places, with no sort.
     """
     sort_keys = names if key is None else list(map(key, names))
-    if all(map(operator.lt, sort_keys, islice(sort_keys, 1, None))):
+    if _increasing(sort_keys):
         return np.arange(len(names), dtype=np.int64), names
     order = sorted(range(len(names)), key=sort_keys.__getitem__)
     ranks = np.empty(len(names), dtype=np.int64)
     ranks[order] = np.arange(len(names), dtype=np.int64)
     return ranks, [names[i] for i in order]
+
+
+def _increasing(keys: list) -> bool:
+    return all(map(operator.lt, keys, islice(keys, 1, None)))
 
 
 class _FirstSeenIds(dict):
@@ -1084,24 +1116,122 @@ def _counts_fields(counts: CooccurrenceCounts) -> dict:
     }
 
 
+#: The format of a counts file's binary sidecar; a sidecar of another is ignored.
+_SIDECAR_VERSION = 1
+
+#: The text members of a sidecar, each as UTF-8 bytes; names are joined by ``\\n``.
+_TEXTS = ("sha256", "fields", "targets", "features", "unigram_words")
+
+
 def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) -> None:
-    """Write counts as a sorted TSV with a totals header and unigram lines."""
-    unigrams = counts.unigram_counts
-    body = chain(
-        (f"#unigram\t{word}\t{unigrams[word]}\n" for word in sorted(unigrams)),
-        _cell_lines(counts),
-    )
-    write_tagged_tsv(path, "counts", _counts_fields(counts), body, extra_header)
+    """Write counts as a sorted TSV with a totals header and unigram lines, and its binary sidecar.
+
+    A name the TSV would not read back as written is refused first
+    (:class:`ValidationError`): an empty one, one holding a tab, ``\\n`` or
+    ``\\r``, a target starting with ``#`` and, with ``feature_kind=relation``,
+    a feature that is not ``relation:word``.  A TSV written to a regular file
+    gets its sidecar ``<path>.npz`` (written through a temporary file): the
+    sha256 of the TSV bytes as written, the header fields, the names, the
+    unigram table and the CSR arrays (each in its narrowest integer type),
+    which :func:`load_counts` reads in place of the TSV.  Counts not as
+    :meth:`CooccurrenceCounts.from_ids` leaves them (every loader and counter
+    does) get none, as the TSV would not read back as they are.
+    """
+    rendered = list(map(render_feature, counts.features))
+    words = sorted(counts.unigram_counts)
+    names = [
+        _joined_names(path, "target", counts.targets, lambda name: name[0] == "#"),
+        _joined_names(path, "feature", rendered,
+                      (lambda name: ":" not in name) if counts.feature_kind == "relation" else None),
+        _joined_names(path, "unigram word", words),
+    ]
+    fields = _counts_fields(counts)
+    unigrams = (f"#unigram\t{w}\t{counts.unigram_counts[w]}\n" for w in words)
+    digest = write_tagged_tsv(path, "counts", fields, chain(unigrams, _cell_lines(counts, rendered)),
+                              extra_header)
+    sidecar = _sidecar(path)
+    arrays = {"indptr": counts._indptr, "indices": counts._indices, "data": counts._data}
+    if sidecar is not None and _csr_problem(counts.targets, rendered, **arrays) is None:
+        arrays = {key: a.astype(np.min_scalar_type(a.max(initial=0))) for key, a in arrays.items()}
+        texts = [digest, "\t".join(f"{k}={v}" for k, v in fields.items()), *names]
+        arrays |= {key: np.frombuffer(t.encode("utf-8"), np.uint8) for key, t in zip(_TEXTS, texts)}
+        unigram_counts = np.array([counts.unigram_counts[w] for w in words], dtype=np.int64)
+        _write_atomically(sidecar, lambda out: np.savez(
+            out, version=_SIDECAR_VERSION, unigrams=unigram_counts, **arrays
+        ), like=path)
 
 
-def _cell_lines(counts: CooccurrenceCounts) -> Iterator[str]:
+def _joined_names(path, what: str, names: list[str], refuse: Optional[Callable] = None) -> str:
+    """``names`` joined by ``\\n``.
+
+    A name that is empty, holds ``\\t\\n\\r`` or meets ``refuse`` is a :class:`ValidationError`.
+    """
+    text = "\n".join(names)
+    if names and ("\t" in text or "\r" in text or "\n\n" in f"\n{text}\n"
+                  or text.count("\n") >= len(names) or refuse and any(map(refuse, names))):
+        name = next(n for n in names if not n or {"\t", "\n", "\r"} & set(n) or refuse and refuse(n))
+        raise ValidationError(f"{path}: the {what} {name!r} would not read back from a counts file")
+    return text
+
+
+def _sidecar(path) -> Optional[Path]:
+    """The sidecar of counts file ``path``; None if ``path`` is not a regular file (a symlink is not)."""
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:
+        return None
+    return Path(f"{path}.npz") if regular else None
+
+
+def _write_atomically(path: Path, write: Callable, like=None) -> None:
+    """Call ``write`` with a binary file that becomes ``path``; a write cut short leaves none.
+
+    With ``like``, the file takes that file's permissions, so whoever reads
+    one reads both (else it is its owner's alone, as mkstemp makes it).
+    """
+    fd, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        if like is not None:
+            os.fchmod(fd, stat.S_IMODE(os.stat(like).st_mode))
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+        os.replace(temp, path)
+    finally:
+        Path(temp).unlink(missing_ok=True)
+
+
+def _csr_problem(targets: list, features: list, indptr, indices, data) -> Optional[str]:
+    """What keeps CSR arrays and names from being as :meth:`CooccurrenceCounts.from_ids` leaves them.
+
+    ``features`` are rendered.  None if nothing does; each check is O(cells + names).
+    """
+    if any(a.dtype != np.int64 or a.ndim != 1 for a in (indptr, indices, data)):
+        return "arrays that are not int64 vectors"
+    if (indptr.size != len(targets) + 1 or indptr[0] != 0 or indptr[-1] != data.size
+            or indices.size != data.size or (np.diff(indptr) <= 0).any()):
+        return "indptr does not run from 0 to the number of cells, or a row has no cell"
+    if data.size and (indices.min() < 0 or indices.max() >= len(features)):
+        return "a feature index out of range"
+    steps = np.diff(indices)
+    steps[indptr[1:-1] - 1] = 1  # from a row's last cell to the next row's first
+    if (steps <= 0).any() or not np.bincount(indices, minlength=len(features)).all():
+        return "cells not strictly increasing within a row, or a feature without cells"
+    if (data <= 0).any() or _exact_sum(data) > 2**53:
+        return "a count that is not positive, or counts past 2**53"
+    if not (_increasing(targets) and _increasing(features)):
+        return "names not strictly sorted"
+    return None
+
+
+def _cell_lines(counts: CooccurrenceCounts, rendered: list[str]) -> Iterator[str]:
     """``target<TAB>feature<TAB>count`` lines in row order, so sorted by target, then feature.
 
-    Each piece holds up to ``_BLOCK_LINES`` lines.
+    ``rendered`` are the rendered features.  Each piece holds up to
+    ``_BLOCK_LINES`` lines.
     """
     rows, cols, data = counts.coo()
     targets = np.array([t + "\t" for t in counts.targets], dtype=object)
-    features = np.array([render_feature(f) + "\t" for f in counts.features], dtype=object)
+    features = np.array([f + "\t" for f in rendered], dtype=object)
     for lo in range(0, data.size, _BLOCK_LINES):
         hi = min(lo + _BLOCK_LINES, data.size)
         pieces = [""] * (4 * (hi - lo))
@@ -1157,7 +1287,78 @@ _COUNTS = [
 
 
 def load_counts(path) -> CooccurrenceCounts:
-    """Read counts written by :func:`save_counts`.
+    """Read counts written by :func:`save_counts`, from its sidecar where that is valid.
+
+    The sidecar of a regular file is read in place of the TSV if it is of
+    this format version and records the sha256 of the TSV's bytes; one of
+    another version or digest (a stale one) is ignored, and the TSV parsed
+    (:func:`_parse_counts`).  A sidecar that is cut short or has a flipped bit
+    (each zip member's CRC-32 is checked), or whose arrays are not as
+    :meth:`CooccurrenceCounts.from_ids` leaves them, ends in
+    :class:`ValidationError` naming it; one that cannot be opened is none.
+    The file's sha256 is kept as ``_sha256``, so it need not be hashed again.
+    """
+    sidecar = _sidecar(path)
+    digest = _file_sha256(path) if sidecar is not None else None
+    counts = _read_sidecar(sidecar, digest) if digest else None
+    if counts is None:
+        counts = _parse_counts(path)
+    counts._sha256 = digest or _file_sha256(path)  # a file that is not regular, once it is read
+    return counts
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_sidecar(sidecar: Path, digest: str) -> Optional[CooccurrenceCounts]:
+    """The counts a sidecar holds; None if there is none this user can open, or it is stale.
+
+    A stale sidecar is one of another version or one that records another digest.
+    """
+    try:
+        handle = open(sidecar, "rb")
+    except OSError:
+        return None
+    try:
+        with handle, zipfile.ZipFile(handle) as held:  # each read checks the member's CRC-32
+
+            def member(key: str) -> np.ndarray:
+                return np.lib.format.read_array(io.BytesIO(held.read(key + ".npy")), allow_pickle=False)
+
+            if member("version").tolist() != _SIDECAR_VERSION:
+                return None
+            if bytes(member("sha256")) != digest.encode():
+                return None  # stale: the TSV was written again or edited since
+            indptr, indices, data, unigrams = map(member, ["indptr", "indices", "data", "unigrams"])
+            fields, *names = (bytes(member(key)).decode("utf-8") for key in _TEXTS[1:])
+        indptr, indices, data = (  # each stored in its narrowest integer type
+            a.astype(np.int64, copy=False) if a.dtype.kind in "iu" else a for a in (indptr, indices, data)
+        )
+        targets, features, words = (text.split("\n") if text else [] for text in names)
+        fields = dict(part.partition("=")[::2] for part in fields.split("\t"))
+        meta = {"total_tokens": _count(fields["total_tokens"]), "config": _corpus_config(fields),
+                "feature_kind": _feature_kind(fields["feature_kind"])}
+        problem = _csr_problem(targets, features, indptr, indices, data)
+        if problem is None and (unigrams.dtype != np.int64 or unigrams.shape != (len(words),)
+                                or (unigrams < 0).any() or not _increasing(words)):
+            problem = "a unigram table that does not match its words"
+    except Exception as exc:  # a fault of any kind in the zip, its arrays or its text: never read it
+        problem = f"{type(exc).__name__}: {exc}"
+    if problem is not None:
+        raise ValidationError(f"{sidecar}: damaged counts sidecar ({problem})")
+    if meta["feature_kind"] == "relation":
+        features = list(map(parse_feature, features))
+    unigram_counts = dict(zip(words, unigrams.tolist()))
+    return CooccurrenceCounts(targets, features, indptr, indices, data, unigram_counts, **meta)
+
+
+def _parse_counts(path) -> CooccurrenceCounts:
+    """Parse a counts TSV written by :func:`save_counts`.
 
     A ``#unigram`` line before the header is refused at its line.  After the
     first bad line, cell or ``#unigram`` line, a unigram word given twice, a

@@ -1,5 +1,9 @@
 """Counts storage: the block reader of tagged TSV files, repeated cells and the count cache."""
 
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from hashlib import sha256
@@ -16,6 +20,7 @@ import oracles
 from distsem import (
     CooccurrenceCounts,
     CorpusConfig,
+    counts_equal,
     load_counts,
     load_ic_table,
     load_wccm,
@@ -24,7 +29,7 @@ from distsem import (
 from distsem import corpus
 from distsem.concept import WCCM
 from distsem.corpus import render_feature
-from distsem.errors import DistSemError
+from distsem.errors import DistSemError, ValidationError
 from distsem.taxonomy import ICTable
 
 from test_cli import run_cli
@@ -244,7 +249,10 @@ def test_load_memory_follows_the_cells_not_the_file(tmp_path):
 
 
 def test_totals_take_no_target_id_per_cell():
-    """The constructor sums each row over its row pointers: it used to expand a target id per cell."""
+    """The constructor sums each row over its row pointers and each feature in place.
+
+    It used to expand a target id per cell, and then to copy the counts to float64.
+    """
     rows, per_row, features = 1200, 800, 2000
     sizes = np.where(np.arange(rows) % 10 == 3, 0, per_row)  # some rows are empty
     indptr = np.concatenate([[0], np.cumsum(sizes)])
@@ -260,9 +268,9 @@ def test_totals_take_no_target_id_per_cell():
         tracemalloc.stop()
     expected = [int(data[indptr[i] : indptr[i + 1]].sum()) for i in range(rows)]
     assert [counts.target_total(name) for name in names[:rows]] == expected
-    # numpy's float64 copy of the counts for the feature totals is 8 bytes a cell; a target
-    # id per cell took 8 more
-    assert peak <= 12 * data.size
+    # what is left is the name indexes and one total per target and feature; a float64 copy
+    # of the counts for the feature totals took 8 bytes a cell, and a target id per cell 8 more
+    assert peak <= data.size // 2
 
 
 class TestRepeatedCells:
@@ -343,7 +351,7 @@ def test_cache_entry_round_trip(docs, config, docs_mode):
         text.write_text("".join(" ".join(doc) + "\n" for doc in docs), encoding="utf-8")
         args = ["count", "--corpus", text, "--docs", docs_mode, *corpus_flags(config)]
         plain, cold, warm = count_three_ways(args, tmp)
-        (entry,) = (tmp / "cache").iterdir()
+        (entry,) = (tmp / "cache").glob("*.tsv")
         assert entry.read_bytes().startswith(plain)
         assert load_counts(tmp / "plain.tsv").config == config
     assert plain == cold == warm
@@ -361,6 +369,10 @@ def test_warm_run_equals_uncached(flags, shards, tmp_path, two_shards):
     args = ["count", "--corpus", *two_shards[:shards], *flags]
     plain, cold, warm = count_three_ways(args, tmp_path)
     assert plain == cold == warm
+    # the cold run stores its sidecar beside the entry, and the warm run copies it
+    (entry,) = (tmp_path / "cache").glob("*.tsv")
+    sidecars = [sidecar_of(path).read_bytes() for path in tmp_path.glob("*.tsv")]
+    assert len(sidecars) == 3 and set(sidecars) == {sidecar_of(entry).read_bytes()}
 
 
 @pytest.fixture()
@@ -397,7 +409,7 @@ class TestCountCache:
         args += ["--cache-dir", tmp_path / "cache"]
         code, _, err = run_cli(args + ["--out", tmp_path / "cold.tsv"])
         assert code == 0, err
-        (entry,) = (tmp_path / "cache").iterdir()
+        (entry,) = (tmp_path / "cache").glob("*.tsv")
         assert entry.name.startswith("counts-v3-") and entry.suffix == ".tsv"
         assert (tmp_path / "cold.tsv").read_bytes() == plain.read_bytes()
         return args, entry, plain.read_bytes()
@@ -416,21 +428,49 @@ class TestCountCache:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_each_input_is_hashed_once(self, tmp_path, two_shards, shards):
+        """By the manifest, or for a counts input by the load that checked its sidecar."""
         corpus_files = two_shards[:shards]
         args = ["count", "--corpus", *corpus_files, "--cache-dir", tmp_path / "cache"]
         hashed = []
-        real_hash = distsem.cli._hash_file
 
-        def counted_hash(path):
-            hashed.append(str(path))
-            return real_hash(path)
+        def counted(hash_file):
+            def counted_hash(path):
+                hashed.append(str(path))
+                return hash_file(path)
 
-        with mock.patch.object(distsem.cli, "_hash_file", counted_hash):
-            for run in ("cold", "warm"):
-                hashed.clear()
-                code, _, err = run_cli(args + ["--out", tmp_path / f"{run}.tsv"])
-                assert code == 0, err
-                assert hashed == list(map(str, corpus_files)), run
+            return counted_hash
+
+        def run(args) -> list[str]:
+            hashed.clear()
+            code, _, err = run_cli(args)
+            assert code == 0, err
+            return sorted(hashed)
+
+        with mock.patch.object(distsem.cli, "_hash_file", counted(distsem.cli._hash_file)), \
+                mock.patch.object(corpus, "_file_sha256", counted(corpus._file_sha256)):
+            for name in ("cold", "warm"):
+                assert run(args + ["--out", tmp_path / f"{name}.tsv"]) == list(map(str, corpus_files))
+            counts = tmp_path / "warm.tsv"
+            for sidecar in (True, False):
+                if not sidecar:
+                    sidecar_of(counts).unlink()
+                for flags, options in QUERIES.values():
+                    if options != ["--triples"]:
+                        inputs = [counts] + [flag for flag in flags if isinstance(flag, Path)]
+                        hashed_paths = run([*flags, "--counts", counts, "--out", tmp_path / "query.out"])
+                        assert hashed_paths == sorted(map(str, inputs)), flags[0]
+
+    def test_warm_runs_to_the_cold_out_leave_one_copy_and_no_temporary(self, cached, tmp_path):
+        args, entry, _ = cached
+        out = tmp_path / "cold.tsv"
+        out.chmod(0o640)  # a warm run rewrites the file in place, keeping its permissions
+        for _ in range(2):
+            code, _, err = run_cli(args + ["--out", out])
+            assert code == 0, err
+        copy, kept = sidecar_of(out), sidecar_of(entry)
+        assert copy.read_bytes() == kept.read_bytes() and not copy.samefile(kept)
+        assert copy.stat().st_mode == out.stat().st_mode
+        assert [p.name for d in (tmp_path, entry.parent) for p in d.iterdir() if ".tmp" in p.name] == []
 
     def test_other_version_is_a_miss(self, cached, tmp_path, monkeypatch):
         args, entry, plain = cached
@@ -440,7 +480,7 @@ class TestCountCache:
         other = (tmp_path / "other.tsv").read_bytes()
         assert b"tool=distsem/0.0-other\n" in other
         assert other.replace(b"0.0-other", distsem.__version__.encode()) == plain
-        assert len(list(entry.parent.iterdir())) == 2 and entry.read_bytes().startswith(plain)
+        assert len(list(entry.parent.glob("*.tsv"))) == 2 and entry.read_bytes().startswith(plain)
 
     def rerun_fails(self, args, entry, tmp_path):
         code, out, err = run_cli(args + ["--out", tmp_path / "again.tsv"])
@@ -522,3 +562,288 @@ class TestCountCache:
 
     def test_old_npz_entry_is_ignored(self, cached, tmp_path):
         self.recount_leaves(cached, tmp_path, "counts-v2-{}.npz")
+
+
+# ---------------------------------------------------------------------------
+# the binary sidecar of a counts file
+
+
+def sidecar_of(path: Path) -> Path:
+    return path.with_name(path.name + ".npz")
+
+
+def count_to(out: Path, corpus_file: Path, *flags) -> Path:
+    code, _, err = run_cli(["count", "--corpus", corpus_file, *flags, "--out", out])
+    assert code == 0, err
+    return out
+
+
+@pytest.fixture()
+def window_counts(tmp_path, toy_corpus_path):
+    """A counts file of the toy corpus, with its sidecar."""
+    return count_to(tmp_path / "counts.tsv", toy_corpus_path, "--docs", "line", "--window", "3")
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: Each query of a counts file: its flags, and the options of the count it reads.
+QUERIES = {
+    "profile": (["profile", "--target", "cat", "--soa", "pmi"], ["--window", "3"]),
+    "distance": (["distance", "--w1", "cat", "--w2", "dog", "--measure", "lin"], ["--window", "2"]),
+    "rank": (["rank", "--benchmark", FIXTURES / "toy_benchmark.csv", "--measure", "jsd"], []),
+    "eval": (["eval", "--choices", FIXTURES / "toy_choices.tsv"], ["--window", "3"]),
+    "eval-benchmark": (["eval", "--benchmark", FIXTURES / "toy_benchmark.csv", "--measure", "kld_avg"],
+                       []),
+    "wccm-build": (["wccm-build", "--thesaurus", FIXTURES / "toy_thesaurus.tsv"], []),
+    "ic-build": (["ic-build", "--taxonomy", FIXTURES / "toy_taxonomy.tsv"], ["--window", "4"]),
+    "relation-profile": (["profile", "--target", "eat", "--soa", "pmi"], ["--triples"]),
+    "relation-distance": (["distance", "--w1", "apple", "--w2", "bread", "--measure", "cos"],
+                          ["--triples"]),
+}
+
+
+def query_counts(name: str, tmp_path: Path) -> Path:
+    """The counts file that query ``name`` reads, written by the CLI with its sidecar."""
+    options = QUERIES[name][1]
+    if options == ["--triples"]:
+        return count_to(tmp_path / "counts.tsv", FIXTURES / "toy.triples", *options)
+    return count_to(tmp_path / "counts.tsv", FIXTURES / "toy.txt", "--docs", "line", *options)
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_outputs_are_the_same_with_the_sidecar_stale_and_deleted(name, tmp_path):
+    counts = query_counts(name, tmp_path)
+    other = count_to(tmp_path / "other.tsv", FIXTURES / "toy.txt", "--window", "1")
+    outputs = []
+    for state in ("sidecar", "stale", "deleted"):
+        if state == "stale":  # the sidecar of other counts: it records another file's digest
+            sidecar_of(counts).write_bytes(sidecar_of(other).read_bytes())
+        elif state == "deleted":
+            sidecar_of(counts).unlink()
+        out = tmp_path / f"{state}.out"
+        with mock.patch.object(corpus, "_parse_counts", wraps=corpus._parse_counts) as parse:
+            code, _, err = run_cli([*QUERIES[name][0], "--counts", counts, "--out", out])
+        assert code == 0, err
+        assert parse.called == (state != "sidecar"), state
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_sidecar_that_cannot_be_opened_is_none(window_counts):
+    sidecar_of(window_counts).unlink()
+    sidecar_of(window_counts).mkdir()  # opening it fails, as for a sidecar the reader may not read
+    with mock.patch.object(corpus, "_parse_counts", wraps=corpus._parse_counts) as parse:
+        loaded = load_counts(window_counts)
+    assert parse.called and loaded.nnz() > 0
+    assert loaded._sha256 == sha256(window_counts.read_bytes()).hexdigest()
+
+
+def test_a_valid_sidecar_is_read_without_the_tsv(tmp_path, toy_counts):
+    path = tmp_path / "counts.tsv"
+    save_counts(toy_counts, path)
+    with mock.patch.object(corpus, "read_tagged_tsv", side_effect=AssertionError("the TSV was parsed")):
+        loaded = load_counts(path)
+    assert counts_equal(loaded, toy_counts)
+    assert (loaded.config, loaded.feature_kind) == (toy_counts.config, toy_counts.feature_kind)
+    assert loaded._sha256 == sha256(path.read_bytes()).hexdigest()
+    # mkstemp makes the sidecar for its owner alone; it takes the TSV's permissions instead
+    assert sidecar_of(path).stat().st_mode == path.stat().st_mode
+
+
+def test_another_version_is_ignored(window_counts):
+    sidecar = sidecar_of(window_counts)
+    with np.load(sidecar) as held:
+        members = dict(held)
+    np.savez(sidecar, **{**members, "version": corpus._SIDECAR_VERSION + 1})
+    with mock.patch.object(corpus, "_parse_counts", wraps=corpus._parse_counts) as parse:
+        loaded = load_counts(window_counts)
+    assert parse.called and counts_equal(loaded, corpus._parse_counts(window_counts))
+
+
+def refused(counts: Path, sidecar: Path) -> str:
+    code, out, err = run_cli(["profile", "--counts", counts, "--target", "cat"])
+    assert (code, out) == (2, ""), err
+    assert f"{sidecar}: damaged counts sidecar" in err
+    return err
+
+
+@pytest.mark.parametrize("keep", [0, 1, 30, 0.5, -1])
+def test_truncated_sidecar(window_counts, keep):
+    sidecar = sidecar_of(window_counts)
+    data = sidecar.read_bytes()
+    sidecar.write_bytes(data[: int(keep * len(data)) if isinstance(keep, float) else keep])
+    refused(window_counts, sidecar)
+
+
+def flip_offsets(data: bytes) -> list[int]:
+    """Offsets in each array member of a sidecar: the first digit of its shape and its middle.
+
+    A smaller shape makes numpy read less than the whole member, which the
+    CRC-32 of a zip member only catches when the member is read to its end.
+    """
+    offsets = []
+    for start in (m.start() for m in re.finditer(rb"\x93NUMPY", data)):
+        shape = data.index(b"'shape': (", start) + len(b"'shape': (")
+        end = data.index(b"PK", shape)
+        offsets += [shape, (shape + end) // 2] if data[shape : shape + 1] != b")" else [start + 20]
+    return offsets
+
+
+def test_flipped_sidecar(window_counts):
+    sidecar = sidecar_of(window_counts)
+    data = sidecar.read_bytes()
+    offsets = flip_offsets(data)
+    assert len(offsets) == 2 * 9 + 1  # the version's shape is ()
+    for at in offsets + [0, len(data) - 5]:  # and the zip's first and last records
+        sidecar.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :])
+        refused(window_counts, sidecar)
+
+
+def swapped(a: np.ndarray, i: int = 0) -> np.ndarray:
+    a[i], a[i + 1] = a[i + 1].copy(), a[i].copy()
+    return a
+
+
+def text(value: str) -> np.ndarray:
+    return np.frombuffer(value.encode(), dtype=np.uint8)
+
+
+def names_swapped(joined: np.ndarray) -> np.ndarray:
+    names = bytes(joined).decode().split("\n")
+    return text("\n".join([names[1], names[0], *names[2:]]))
+
+
+@pytest.mark.parametrize(
+    "key, change, problem",
+    [
+        ("indptr", lambda a: a + 1, "indptr does not run from 0"),
+        ("indptr", lambda a: a[:-1], "indptr does not run from 0"),
+        ("data", lambda a: a[:-1], "indptr does not run from 0"),
+        ("indptr", lambda a: np.concatenate([a[:2], a[1:]]), "indptr does not run from 0"),
+        ("indices", lambda a: np.where(a == a.max(), a.max() + 1, a), "index out of range"),
+        ("indices", lambda a: a.astype(np.int64) - (a == 0), "index out of range"),
+        ("indices", lambda a: swapped(a), "not strictly increasing within a row"),
+        ("indices", lambda a: np.concatenate([a[:1], a[:-1]]), "not strictly increasing"),
+        ("data", lambda a: np.concatenate([[0], a[1:]]), "not positive"),
+        ("data", lambda a: -a.astype(np.int64), "not positive"),
+        ("data", lambda a: np.full(a.shape, 2**50), "past 2**53"),
+        ("targets", names_swapped, "not strictly sorted"),
+        ("features", names_swapped, "not strictly sorted"),
+        ("targets", lambda a: a[: len(a) // 2], "indptr does not run from 0"),
+        ("indptr", lambda a: a.astype(np.float32), "not int64 vectors"),
+        ("data", lambda a: a.astype(float), "not int64 vectors"),
+        ("unigrams", lambda a: a[1:], "unigram table"),
+        ("unigrams", lambda a: -a, "unigram table"),
+        ("unigram_words", names_swapped, "unigram table"),
+        ("fields", lambda a: text(bytes(a).decode().replace("total_tokens=", "total_tokens=x")),
+         "ValueError"),
+        ("fields", lambda a: text(bytes(a).decode().replace("window=3", "window=0")),
+         "ConfigurationError"),
+        ("fields", lambda a: text("total_pairs=1"), "KeyError"),
+        ("targets", lambda a: np.append(a, 255).astype(np.uint8), "UnicodeDecodeError"),
+    ],
+)
+def test_structurally_invalid_sidecar(window_counts, key, change, problem):
+    """A well-formed zip whose arrays are not counts is refused, not read."""
+    sidecar = sidecar_of(window_counts)
+    with np.load(sidecar) as held:
+        members = dict(held)
+    np.savez(sidecar, **{**members, key: change(members[key].copy())})
+    assert problem in refused(window_counts, sidecar)
+
+
+@pytest.mark.parametrize("missing", ["indices", "features", "sha256"])
+def test_sidecar_without_a_member(window_counts, missing):
+    sidecar = sidecar_of(window_counts)
+    with np.load(sidecar) as held:
+        members = {key: value for key, value in held.items() if key != missing}
+    np.savez(sidecar, **members)
+    assert "KeyError" in refused(window_counts, sidecar)
+
+
+@pytest.mark.parametrize(
+    "content", [b"garbage", b"", b"\x93NUMPY\x01\x00", b"PK\x05\x06" + bytes(18)]
+)
+def test_garbage_sidecar(window_counts, content):
+    sidecar_of(window_counts).write_bytes(content)
+    refused(window_counts, sidecar_of(window_counts))
+
+
+# names a counts file might not read back: tabs, line ends, '#', ':' and the whitespace that
+# str.splitlines or str.strip take as line ends or blanks
+odd_names = st.one_of(
+    st.text(st.sampled_from(["a", "b", "#", ":", " ", "é", "\x85", "\u2028", "\x0c", "^"]), min_size=1,
+            max_size=3),
+    st.text(st.sampled_from(["a", "#", ":", "\t", "\n", "\r", " ", "\x85"]), max_size=3),
+)
+
+
+def unreadable(name: str, target: bool = False, relation: bool = False) -> bool:
+    return (not name or any(c in name for c in "\t\n\r") or (target and name[0] == "#")
+            or (relation and ":" not in name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans(),
+    # counts of every width the sidecar may store them in, from uint8 to uint64
+    st.dictionaries(st.tuples(odd_names, odd_names, odd_names), st.integers(0, 2**40), max_size=6),
+    st.dictionaries(odd_names, st.integers(0, 2**40), max_size=4),
+    st.sampled_from([None, CorpusConfig(window_radius=2, lowercase=False, respect_boundaries="none")]),
+)
+def test_sidecar_reads_back_as_the_tsv(relation, cells, unigrams, config):
+    """Either save_counts refuses a name, or the sidecar, the TSV and the counts saved agree."""
+    if relation:  # relation labels and words hold no ':', as the triples reader requires
+        pairs = {(t, (r.replace(":", ""), w.replace(":", ""))): n for (t, r, w), n in cells.items()}
+    else:
+        pairs = {(t, r + w): n for (t, r, w), n in cells.items()}
+    counts = CooccurrenceCounts.from_pairs(
+        pairs, unigram_counts=unigrams, total_tokens=7, config=config,
+        feature_kind="relation" if relation else "word",
+    )
+    bad = (any(unreadable(t, target=True) for t in counts.targets)
+           or any(unreadable(render_feature(f), relation=relation) for f in counts.features)
+           or any(map(unreadable, unigrams)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.tsv"
+        try:
+            save_counts(counts, path)
+        except ValidationError:
+            assert bad and not path.exists()
+            return
+        assert not bad and sidecar_of(path).exists()
+        from_sidecar, from_tsv = load_counts(path), corpus._parse_counts(path)
+    for loaded in (from_sidecar, from_tsv):
+        assert counts_equal(loaded, counts)
+        assert (loaded.feature_kind, loaded.config) == (counts.feature_kind, counts.config)
+        assert [render_feature(f) for f in loaded.features] == list(counts.feature_keys)
+
+
+def test_count_to_stdout_writes_no_sidecar(toy_corpus_path, tmp_path):
+    def beside_stdout():
+        try:
+            return os.stat("/dev/stdout.npz").st_mtime_ns
+        except FileNotFoundError:
+            return None
+
+    before = beside_stdout()
+    proc = subprocess.run(
+        [sys.executable, "-m", "distsem", "count", "--corpus", str(toy_corpus_path),
+         "--out", "/dev/stdout"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={"PYTHONPATH": str(Path(corpus.__file__).parent.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("#manifest\t") and "\n#counts\t" in proc.stdout
+    assert beside_stdout() == before and list(tmp_path.iterdir()) == []
+    assert corpus._sidecar("/dev/stdout") is None
+
+
+def test_a_symlinked_counts_file_has_no_sidecar(tmp_path, toy_counts):
+    target = tmp_path / "real.tsv"
+    target.touch()
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    save_counts(toy_counts, link)
+    assert not sidecar_of(link).exists() and not sidecar_of(target).exists()
+    assert counts_equal(load_counts(link), toy_counts)

@@ -1360,3 +1360,38 @@ class TestEmptyNames:
         )
         assert code == 2 and f"lexicon.tsv:2: empty {side} word" in stderr
         assert not out.exists()
+
+
+class TestNamesThatDoNotReadBack:
+    """Counts whose names a counts file cannot hold are refused before anything is written."""
+
+    def test_triple_dependent_starting_with_hash(self, tmp_path):
+        # exited 0; the '#y' row then read back as a note, and every load of the file failed
+        # with "cells add up to 3 pairs, the header says total_pairs=4"
+        triples, out = tmp_path / "in.triples", tmp_path / "counts.tsv"
+        triples.write_text("a\tnsubj\tb\na\tnsubj\t#y\n")
+        with pytest.raises(ParseError, match="dependent '#y' starts with '#'") as err:
+            ingest_triples(triples.read_text().splitlines(keepends=True), source=str(triples))
+        assert err.value.line_number == 2
+        code, _, stderr = run_cli(["count", "--triples", "--corpus", triples, "--out", out])
+        assert code == 2 and f"{triples}:2: dependent '#y'" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pairs, unigrams, kind, what", [
+        ({("#x", "f"): 1}, {}, "word", "target '#x'"),
+        ({("", "f"): 1}, {}, "word", "target ''"),
+        ({("a\tb", "f"): 1}, {}, "word", "target 'a\\tb'"),
+        ({("t", "f\nx"): 1}, {}, "word", "feature 'f\\nx'"),
+        ({("t", ""): 1}, {}, "word", "feature ''"),
+        ({("t", "f"): 1}, {"w\r": 2}, "word", "unigram word 'w\\r'"),
+        ({("t", "f"): 1}, {"": 2}, "word", "unigram word ''"),
+        ({("t", "f"): 1}, {}, "relation", "feature 'f'"),
+        ({("t", ("obj", "x\ty")): 1}, {}, "relation", "feature 'obj:x\\ty'"),
+    ])
+    def test_save_counts(self, tmp_path, pairs, unigrams, kind, what):
+        counts = CooccurrenceCounts.from_pairs(pairs, unigram_counts=unigrams, feature_kind=kind)
+        path = tmp_path / "counts.tsv"
+        with pytest.raises(ValidationError, match="would not read back") as err:
+            save_counts(counts, path)
+        assert str(err.value).startswith(f"{path}: the {what} ")
+        assert list(tmp_path.iterdir()) == []
