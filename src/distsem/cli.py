@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from typing import Optional
@@ -106,7 +108,7 @@ _USAGE_ERRORS = (
 
 
 def _hash_file(path) -> str:
-    """The sha256 of an input that is not a counts file (:func:`load_counts` hashes those)."""
+    """The sha256 of an input that no load hashes (:func:`load_counts` and :func:`load_ic_table` do)."""
     return _file_sha256(path)
 
 
@@ -208,11 +210,6 @@ def _entry_bytes(entry: Path) -> bytes:
     return body
 
 
-def _store_entry(entry: Path, data: bytes) -> None:
-    """Write ``data`` and its digest line as ``entry``; a write cut short leaves no entry."""
-    _write_atomically(entry, lambda handle: handle.writelines([data, _digest_line(data)]))
-
-
 def _copy_sidecar(source: Path, dest: Path) -> None:
     """Copy the sidecar of counts file ``source`` beside counts file ``dest``, where both may have one."""
     held, copy = _sidecar(source), _sidecar(dest)
@@ -279,19 +276,27 @@ def cmd_count(args) -> int:
     settings["triples"] = str(args.triples).lower()
     manifest = build_manifest("count", args.corpus, settings)
     out = Path(args.out or "counts.tsv")
-    entry = None
-    if args.cache_dir:  # the entry is the output file, keyed by everything that shapes it
-        key = hashlib.sha256("\n".join(manifest).encode("utf-8")).hexdigest()
-        entry = Path(args.cache_dir) / f"counts-v3-{key}.tsv"
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        if entry.exists():
-            out.write_bytes(_entry_bytes(entry))
-            _copy_sidecar(entry, out)
-            return 0
-    save_counts(_count_corpus(args), out, extra_header=manifest)
-    if entry is not None:
-        _store_entry(entry, out.read_bytes())
-        _copy_sidecar(out, entry)
+    if not args.cache_dir:
+        save_counts(_count_corpus(args), out, extra_header=manifest)
+        return 0
+    # the entry is the output file, keyed by everything that shapes it
+    key = hashlib.sha256("\n".join(manifest).encode("utf-8")).hexdigest()
+    entry = Path(args.cache_dir) / f"counts-v3-{key}.tsv"
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    if entry.exists():
+        data = _entry_bytes(entry)
+    else:  # counted into the cache and read back from there, as --out may be a pipe
+        with tempfile.TemporaryDirectory(dir=entry.parent) as made:
+            counts = Path(made) / entry.name
+            save_counts(_count_corpus(args), counts, extra_header=manifest)
+            data = counts.read_bytes()
+            with open(counts, "ab") as handle:
+                handle.write(_digest_line(data))
+            if Path(f"{counts}.npz").exists():  # moved first, so that an entry never lacks its sidecar
+                os.replace(f"{counts}.npz", f"{entry}.npz")
+            os.replace(counts, entry)
+    out.write_bytes(data)
+    _copy_sidecar(entry, out)
     return 0
 
 
@@ -465,11 +470,12 @@ _TAXO_MEASURES = {
 
 def cmd_taxo_distance(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
-    ic = None
+    ic, digests = None, {}
     inputs = [args.taxonomy]
     if args.ic:
         ic = load_ic_table(args.ic)
         inputs.append(args.ic)
+        digests[args.ic] = ic._sha256
     value, extra = _TAXO_MEASURES[args.taxo_measure][1](taxonomy, ic, args)
     settings = {
         "taxo_measure": args.taxo_measure,
@@ -477,7 +483,7 @@ def cmd_taxo_distance(args) -> int:
         "hs_c": _fmt(args.hs_c),
         "hs_k": _fmt(args.hs_k),
     }
-    manifest = build_manifest("taxo-distance", inputs, settings)
+    manifest = build_manifest("taxo-distance", inputs, settings, digests)
     lines = list(manifest)
     lines.append(f"{args.c1}\t{args.c2}\t{args.taxo_measure}\t{_fmt(value)}{extra}")
     _emit(args, lines)

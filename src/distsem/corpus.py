@@ -1116,11 +1116,11 @@ def _counts_fields(counts: CooccurrenceCounts) -> dict:
     }
 
 
-#: The format of a counts file's binary sidecar; a sidecar of another is ignored.
+#: The format of a binary sidecar; a sidecar of another is ignored.
 _SIDECAR_VERSION = 1
 
-#: The text members of a sidecar, each as UTF-8 bytes; names are joined by ``\\n``.
-_TEXTS = ("sha256", "fields", "targets", "features", "unigram_words")
+#: The text members of a counts sidecar; names are joined by ``\\n``.
+_TEXTS = ("fields", "targets", "features", "unigram_words")
 
 
 def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) -> None:
@@ -1128,59 +1128,79 @@ def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) 
 
     A name the TSV would not read back as written is refused first
     (:class:`ValidationError`): an empty one, one holding a tab, ``\\n`` or
-    ``\\r``, a target starting with ``#`` and, with ``feature_kind=relation``,
-    a feature that is not ``relation:word``.  A TSV written to a regular file
-    gets its sidecar ``<path>.npz`` (written through a temporary file): the
-    sha256 of the TSV bytes as written, the header fields, the names, the
-    unigram table and the CSR arrays (each in its narrowest integer type),
-    which :func:`load_counts` reads in place of the TSV.  Counts not as
-    :meth:`CooccurrenceCounts.from_ids` leaves them (every loader and counter
-    does) get none, as the TSV would not read back as they are.
+    ``\\r``, a target starting with ``#``, with ``feature_kind=relation`` a
+    feature that is not ``relation:word``, and two features that render
+    alike.  The sidecar (:func:`_write_sidecar`) holds the header fields, the
+    names, the unigram table and the CSR arrays (each in its narrowest
+    integer type), which :func:`load_counts` reads in place of the TSV.
+    Counts not as :meth:`CooccurrenceCounts.from_ids` leaves them (every
+    loader and counter does) get none, as the TSV would not read back as
+    they are.
     """
     rendered = list(map(render_feature, counts.features))
     words = sorted(counts.unigram_counts)
     names = [
-        _joined_names(path, "target", counts.targets, lambda name: name[0] == "#"),
+        _joined_names(path, "target", counts.targets, starts_line=True),
         _joined_names(path, "feature", rendered,
-                      (lambda name: ":" not in name) if counts.feature_kind == "relation" else None),
+                      refuse=(lambda name: ":" not in name) if counts.feature_kind == "relation" else None),
         _joined_names(path, "unigram word", words),
     ]
+    if len(set(rendered)) < len(rendered):  # relation features such as ('a:b', 'c') and ('a', 'b:c')
+        twice = next(name for name, n in Counter(rendered).items() if n > 1)
+        raise ValidationError(f"{path}: the feature {twice!r} would not read back as written "
+                              "(two features render as it)")
     fields = _counts_fields(counts)
     unigrams = (f"#unigram\t{w}\t{counts.unigram_counts[w]}\n" for w in words)
     digest = write_tagged_tsv(path, "counts", fields, chain(unigrams, _cell_lines(counts, rendered)),
                               extra_header)
-    sidecar = _sidecar(path)
     arrays = {"indptr": counts._indptr, "indices": counts._indices, "data": counts._data}
-    if sidecar is not None and _csr_problem(counts.targets, rendered, **arrays) is None:
+    if _csr_problem(counts.targets, rendered, **arrays) is None:
         arrays = {key: a.astype(np.min_scalar_type(a.max(initial=0))) for key, a in arrays.items()}
-        texts = [digest, "\t".join(f"{k}={v}" for k, v in fields.items()), *names]
-        arrays |= {key: np.frombuffer(t.encode("utf-8"), np.uint8) for key, t in zip(_TEXTS, texts)}
+        texts = ["\t".join(f"{k}={v}" for k, v in fields.items()), *names]
         unigram_counts = np.array([counts.unigram_counts[w] for w in words], dtype=np.int64)
-        _write_atomically(sidecar, lambda out: np.savez(
-            out, version=_SIDECAR_VERSION, unigrams=unigram_counts, **arrays
-        ), like=path)
+        _write_sidecar(path, digest, {"unigrams": unigram_counts, **arrays, **dict(zip(_TEXTS, texts))})
 
 
-def _joined_names(path, what: str, names: list[str], refuse: Optional[Callable] = None) -> str:
+def _joined_names(
+    path, what: str, names: list[str], starts_line: bool = False, refuse: Optional[Callable] = None
+) -> str:
     """``names`` joined by ``\\n``.
 
-    A name that is empty, holds ``\\t\\n\\r`` or meets ``refuse`` is a :class:`ValidationError`.
+    A name that is empty, holds ``\\t\\n\\r``, starts with ``#`` where it
+    ``starts_line`` (the line would read as a note) or meets ``refuse`` is a
+    :class:`ValidationError`.
     """
     text = "\n".join(names)
-    if names and ("\t" in text or "\r" in text or "\n\n" in f"\n{text}\n"
-                  or text.count("\n") >= len(names) or refuse and any(map(refuse, names))):
-        name = next(n for n in names if not n or {"\t", "\n", "\r"} & set(n) or refuse and refuse(n))
-        raise ValidationError(f"{path}: the {what} {name!r} would not read back from a counts file")
+    if names and ("\t" in text or "\r" in text or "\n\n" in f"\n{text}\n" or text.count("\n") >= len(names)
+                  or starts_line and "\n#" in f"\n{text}" or refuse and any(map(refuse, names))):
+        name = next(n for n in names if not n or {"\t", "\n", "\r"} & set(n) or starts_line and n[0] == "#"
+                    or refuse and refuse(n))
+        raise ValidationError(f"{path}: the {what} {name!r} would not read back as written")
     return text
 
 
 def _sidecar(path) -> Optional[Path]:
-    """The sidecar of counts file ``path``; None if ``path`` is not a regular file (a symlink is not)."""
+    """The sidecar of ``path``; None if ``path`` is not a regular file (a symlink is not)."""
     try:
         regular = stat.S_ISREG(os.lstat(path).st_mode)
     except OSError:
         return None
     return Path(f"{path}.npz") if regular else None
+
+
+def _write_sidecar(path, digest: str, members: dict) -> None:
+    """Write ``<path>.npz`` beside the file ``path`` just written, if that is a regular file.
+
+    The sidecar is an uncompressed numpy zip of the format version, the
+    sha256 ``digest`` of the bytes written to ``path`` and ``members``:
+    arrays, and text held as its UTF-8 bytes.  It is written through a
+    temporary file and takes the permissions of ``path``.
+    """
+    sidecar = _sidecar(path)
+    if sidecar is not None:
+        arrays = {key: np.frombuffer(value.encode("utf-8"), np.uint8) if isinstance(value, str) else value
+                  for key, value in {"sha256": digest, **members}.items()}
+        _write_atomically(sidecar, lambda out: np.savez(out, version=_SIDECAR_VERSION, **arrays), like=path)
 
 
 def _write_atomically(path: Path, write: Callable, like=None) -> None:
@@ -1198,6 +1218,60 @@ def _write_atomically(path: Path, write: Callable, like=None) -> None:
         os.replace(temp, path)
     finally:
         Path(temp).unlink(missing_ok=True)
+
+
+def _load_verified(path, what: str, build: Callable, parse: Callable):
+    """What the file ``path`` holds, from its sidecar where that is valid, else ``parse(path)``.
+
+    A regular file's sidecar is read if it is of this format version and
+    records the sha256 of the file's bytes; one of another version or digest
+    (a stale one), or that cannot be opened, is ignored.  ``build`` takes its
+    members (arrays by name) and returns what they hold, or a string naming
+    why that is not what ``parse`` would give.  A sidecar cut short, with a
+    flipped bit (each zip member's CRC-32 is checked) or that ``build``
+    refuses or fails on ends in :class:`ValidationError` naming it.  The
+    file's sha256 is kept as ``_sha256``, so it need not be hashed again.
+    """
+    sidecar = _sidecar(path)
+    digest = _file_sha256(path) if sidecar is not None else None
+    loaded = _read_sidecar(sidecar, digest, what, build) if digest else None
+    if loaded is None:
+        loaded = parse(path)
+    loaded._sha256 = digest or _file_sha256(path)  # a file that is not regular, once it is read
+    return loaded
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_sidecar(sidecar: Path, digest: str, what: str, build: Callable):
+    """``build`` of a sidecar's members; None if there is none this user can open, or it is stale."""
+    try:
+        handle = open(sidecar, "rb")
+    except OSError:
+        return None
+    try:
+        with handle, zipfile.ZipFile(handle) as held:  # each read checks the member's CRC-32
+
+            def member(name: str) -> np.ndarray:
+                return np.lib.format.read_array(io.BytesIO(held.read(name)), allow_pickle=False)
+
+            if member("version.npy").tolist() != _SIDECAR_VERSION:
+                return None
+            if bytes(member("sha256.npy")) != digest.encode():
+                return None  # stale: the file was written again or edited since
+            members = {name.removesuffix(".npy"): member(name) for name in held.namelist()}
+        loaded = build(members)
+    except Exception as exc:  # a fault of any kind in the zip, its arrays or its text: never read it
+        loaded = f"{type(exc).__name__}: {exc}"
+    if isinstance(loaded, str):
+        raise ValidationError(f"{sidecar}: damaged {what} sidecar ({loaded})")
+    return loaded
 
 
 def _csr_problem(targets: list, features: list, indptr, indices, data) -> Optional[str]:
@@ -1289,68 +1363,32 @@ _COUNTS = [
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`, from its sidecar where that is valid.
 
-    The sidecar of a regular file is read in place of the TSV if it is of
-    this format version and records the sha256 of the TSV's bytes; one of
-    another version or digest (a stale one) is ignored, and the TSV parsed
-    (:func:`_parse_counts`).  A sidecar that is cut short or has a flipped bit
-    (each zip member's CRC-32 is checked), or whose arrays are not as
-    :meth:`CooccurrenceCounts.from_ids` leaves them, ends in
-    :class:`ValidationError` naming it; one that cannot be opened is none.
-    The file's sha256 is kept as ``_sha256``, so it need not be hashed again.
+    The sidecar is read as :func:`_load_verified` says, and refused if its
+    arrays are not as :meth:`CooccurrenceCounts.from_ids` leaves them;
+    otherwise the TSV is parsed (:func:`_parse_counts`).  The file's sha256
+    is kept as ``_sha256``.
     """
-    sidecar = _sidecar(path)
-    digest = _file_sha256(path) if sidecar is not None else None
-    counts = _read_sidecar(sidecar, digest) if digest else None
-    if counts is None:
-        counts = _parse_counts(path)
-    counts._sha256 = digest or _file_sha256(path)  # a file that is not regular, once it is read
-    return counts
+    return _load_verified(path, "counts", _counts_from_sidecar, _parse_counts)
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _read_sidecar(sidecar: Path, digest: str) -> Optional[CooccurrenceCounts]:
-    """The counts a sidecar holds; None if there is none this user can open, or it is stale.
-
-    A stale sidecar is one of another version or one that records another digest.
-    """
-    try:
-        handle = open(sidecar, "rb")
-    except OSError:
-        return None
-    try:
-        with handle, zipfile.ZipFile(handle) as held:  # each read checks the member's CRC-32
-
-            def member(key: str) -> np.ndarray:
-                return np.lib.format.read_array(io.BytesIO(held.read(key + ".npy")), allow_pickle=False)
-
-            if member("version").tolist() != _SIDECAR_VERSION:
-                return None
-            if bytes(member("sha256")) != digest.encode():
-                return None  # stale: the TSV was written again or edited since
-            indptr, indices, data, unigrams = map(member, ["indptr", "indices", "data", "unigrams"])
-            fields, *names = (bytes(member(key)).decode("utf-8") for key in _TEXTS[1:])
-        indptr, indices, data = (  # each stored in its narrowest integer type
-            a.astype(np.int64, copy=False) if a.dtype.kind in "iu" else a for a in (indptr, indices, data)
-        )
-        targets, features, words = (text.split("\n") if text else [] for text in names)
-        fields = dict(part.partition("=")[::2] for part in fields.split("\t"))
-        meta = {"total_tokens": _count(fields["total_tokens"]), "config": _corpus_config(fields),
-                "feature_kind": _feature_kind(fields["feature_kind"])}
-        problem = _csr_problem(targets, features, indptr, indices, data)
-        if problem is None and (unigrams.dtype != np.int64 or unigrams.shape != (len(words),)
-                                or (unigrams < 0).any() or not _increasing(words)):
-            problem = "a unigram table that does not match its words"
-    except Exception as exc:  # a fault of any kind in the zip, its arrays or its text: never read it
-        problem = f"{type(exc).__name__}: {exc}"
+def _counts_from_sidecar(members: dict) -> Union[CooccurrenceCounts, str]:
+    """The counts a sidecar's members hold, or what keeps them from being counts."""
+    indptr, indices, data = (  # each stored in its narrowest integer type
+        a.astype(np.int64, copy=False) if a.dtype.kind in "iu" else a
+        for a in (members["indptr"], members["indices"], members["data"])
+    )
+    fields, *names = (bytes(members[key]).decode("utf-8") for key in _TEXTS)
+    targets, features, words = (text.split("\n") if text else [] for text in names)
+    fields = dict(part.partition("=")[::2] for part in fields.split("\t"))
+    meta = {"total_tokens": _count(fields["total_tokens"]), "config": _corpus_config(fields),
+            "feature_kind": _feature_kind(fields["feature_kind"])}
+    unigrams = members["unigrams"]
+    problem = _csr_problem(targets, features, indptr, indices, data)
+    if problem is None and (unigrams.dtype != np.int64 or unigrams.shape != (len(words),)
+                            or (unigrams < 0).any() or not _increasing(words)):
+        problem = "a unigram table that does not match its words"
     if problem is not None:
-        raise ValidationError(f"{sidecar}: damaged counts sidecar ({problem})")
+        return problem
     if meta["feature_kind"] == "relation":
         features = list(map(parse_feature, features))
     unigram_counts = dict(zip(words, unigrams.tolist()))

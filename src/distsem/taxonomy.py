@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from typing import Optional
@@ -24,11 +24,15 @@ import numpy as np
 
 from .assoc import check_log_base
 from .corpus import (
+    _increasing,
     _integer,
+    _joined_names,
+    _load_verified,
     _name,
     _refuse_repeat,
     _file_pieces,
     _split_records,
+    _write_sidecar,
     read_tagged_tsv,
     write_tagged_tsv,
 )
@@ -68,7 +72,7 @@ class Taxonomy:
 
     @classmethod
     def from_ids(cls, names, labels, edges, relations, words, senses, hypernym_relation="isa"):
-        """A taxonomy of the concepts ``names``, with their ``labels``, from id arrays.
+        """A taxonomy of the distinct concepts ``names``, with their ``labels``, from id arrays.
 
         ``edges`` holds each edge's child, parent and relation ids, a relation
         id indexing ``relations``; ``senses`` holds (word id, concept id)
@@ -78,20 +82,23 @@ class Taxonomy:
         name views are built on first use.
         """
         taxonomy = cls.__new__(cls)
-        taxonomy._build(names, labels, edges, relations, words, senses, hypernym_relation)
+        ids, word_ids = _numbered(names), _numbered(words)
+        taxonomy._build(ids, labels, edges, relations, word_ids, senses, hypernym_relation)
         return taxonomy
 
-    def _build(self, names, labels, edges, relations, words, senses, hypernym_relation) -> None:
-        n = len(names)
-        self._names, self._labels, self._words = names, labels, words
-        self._child, self._parent, relation = (np.asarray(ids, dtype=np.int64) for ids in edges)
+    def _build(self, ids, labels, edges, relations, word_ids, senses, hypernym_relation) -> None:
+        """As :meth:`from_ids`, with the concepts and words as name -> id dicts."""
+        n = len(ids)
+        self._ids, self._word_ids = ids, word_ids
+        self._names, self._labels = list(ids), labels
+        self._child, self._parent, relation = (np.asarray(column, dtype=np.int64) for column in edges)
         distinct = _numbered(relations)  # a label given twice gets one id
         self._relations, self._relation = list(distinct), _lookup(distinct, relations)[relation]
         self.hypernym_relation = hypernym_relation
         # each word's senses, once each
-        owner, concept = (np.asarray(ids, dtype=np.int64) for ids in senses)
+        owner, concept = (np.asarray(column, dtype=np.int64) for column in senses)
         owner, concept = np.divmod(_distinct(owner * n + concept), max(n, 1))
-        self._sense_ptr, self._senses = _csr(owner, concept, len(words))
+        self._sense_ptr, self._senses = _csr(owner, concept, len(word_ids))
         hyper = np.array([label == hypernym_relation for label in distinct], dtype=bool)[self._relation]
         child, parent = self._child[hyper], self._parent[hyper]
         # each concept's hypernyms in edge order, and its hyponyms
@@ -118,15 +125,7 @@ class Taxonomy:
     def word_map(self) -> dict[str, frozenset]:
         """Word -> the names of its senses."""
         ptr, senses = self._sense_ptr.tolist(), list(map(self._names.__getitem__, self._senses.tolist()))
-        return {word: frozenset(senses[ptr[i] : ptr[i + 1]]) for i, word in enumerate(self._words)}
-
-    @cached_property
-    def _ids(self) -> dict[str, int]:
-        return _numbered(self._names)
-
-    @cached_property
-    def _word_ids(self) -> dict[str, int]:
-        return _numbered(self._words)
+        return {word: frozenset(senses[ptr[i] : ptr[i + 1]]) for i, word in enumerate(self._word_ids)}
 
     @cached_property
     def _links(self) -> tuple[list[int], list[int], list[int]]:
@@ -234,8 +233,8 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     with an empty name, naming a node again or of bytes that are not UTF-8,
     then the first edge, and then the first ``WORD`` line, naming a concept
     that no ``NODE`` line declares, ends in :class:`ParseError` at its line.
-    The taxonomy is built from id arrays (:meth:`Taxonomy.from_ids`); its
-    name views are built on first use.
+    The taxonomy is built from id arrays, as :meth:`Taxonomy.from_ids`
+    builds one; its name views are built on first use.
     """
     index: dict[str, int] = {}  # node name -> id, in NODE line order
     lines = [[np.empty(0, dtype=np.int64)] for _ in _RECORDS]  # each record kind's line numbers
@@ -266,18 +265,21 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
         raise ParseError(str(path), int(np.concatenate(lines[kind])[at]), message)
 
     labels, edges, senses = fields[0][1], fields[1], fields[2]
-    return Taxonomy.from_ids(*_id_columns(index, labels, edges, senses, refuse), hypernym_relation)
+    taxonomy = Taxonomy.__new__(Taxonomy)
+    taxonomy._build(*_id_columns(index, labels, edges, senses, refuse), hypernym_relation)
+    return taxonomy
 
 
 def _id_columns(index: dict[str, int], labels, edges, senses, refuse) -> tuple:
-    """The concept names, labels and id arrays :meth:`Taxonomy.from_ids` takes, from names.
+    """The arguments of :meth:`Taxonomy._build`, from names.
 
     ``index`` numbers the concepts; ``edges`` holds the child, parent and
     relation of each edge, and ``senses`` the word and concept of each
     (word, sense) pair.  Words and relations are numbered in first-seen
-    order.  The first edge, and then the first pair, naming a concept not in
-    ``index`` goes to ``refuse(kind, position, message)``, with kind 1 for
-    an edge and 2 for a pair.
+    order, and the concepts and words are returned as name -> id dicts.  The
+    first edge, and then the first pair, naming a concept not in ``index``
+    goes to ``refuse(kind, position, message)``, with kind 1 for an edge and
+    2 for a pair.
     """
     (children, parents, relations), (words, concepts) = edges, senses
     child, parent, sense = (_lookup(index, column) for column in (children, parents, concepts))
@@ -288,7 +290,7 @@ def _id_columns(index: dict[str, int], labels, edges, senses, refuse) -> tuple:
     relation_ids, word_ids = _numbered(relations), _numbered(words)
     edge_ids = (child, parent, _lookup(relation_ids, relations))
     sense_ids = (_lookup(word_ids, words), sense)
-    return list(index), labels, edge_ids, list(relation_ids), list(word_ids), sense_ids
+    return index, labels, edge_ids, list(relation_ids), word_ids, sense_ids
 
 
 def _invalid(kind: int, at: int, message: str):
@@ -418,6 +420,8 @@ class ICTable:
     prob: dict[str, float]
     ic: dict[str, float]
     log_base: float = 2.0
+    #: The sha256 of the file :func:`load_ic_table` read this table from.
+    _sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def ic_of(self, concept: str) -> float:
         if concept not in self.ic:
@@ -563,15 +567,75 @@ def lin_taxonomy(taxonomy: Taxonomy, c1: str, c2: str, ic: ICTable) -> float:
 
 
 def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
-    body = (
-        f"{concept}\t{repr(table.prob[concept])}\t{repr(table.ic[concept])}\n"
-        for concept in sorted(table.prob)
-    )
-    write_tagged_tsv(path, "ic", {"log_base": repr(table.log_base)}, body, extra_header)
+    """Write ``table`` as an ``#ic`` TSV of its concepts in sorted order, and its binary sidecar.
+
+    A concept name that is empty, holds a tab, ``\\n`` or ``\\r`` or starts
+    with ``#`` is refused first (:class:`ValidationError`).  Both files are
+    written from the values as float64, so a numpy float reads back too.  The
+    sidecar holds the concepts, ``prob``, ``ic`` and ``log_base``; a table the
+    reader would refuse (:func:`_ic_problem`) gets none.
+    """
+    concepts = sorted(table.prob)
+    names = _joined_names(path, "concept", concepts, starts_line=True)
+    probs, ics = (np.fromiter(map(values.__getitem__, concepts), np.float64, len(concepts))
+                  for values in (table.prob, table.ic))
+    log_base = np.float64(table.log_base)
+    body = (f"{c}\t{p!r}\t{i!r}\n" for c, p, i in zip(concepts, probs.tolist(), ics.tolist()))
+    digest = write_tagged_tsv(path, "ic", {"log_base": repr(log_base.item())}, body, extra_header)
+    if _ic_problem(concepts, names, probs, ics, log_base) is None:
+        _write_sidecar(path, digest, {"concepts": names, "prob": probs, "ic": ics, "log_base": log_base})
 
 
 def load_ic_table(path) -> ICTable:
-    """Read a table written by :func:`save_ic_table`.
+    """Read a table written by :func:`save_ic_table`, from its sidecar where that is valid.
+
+    The sidecar is read as :func:`~distsem.corpus._load_verified` says, and
+    refused if it holds a table the TSV could not (:func:`_ic_problem`);
+    otherwise the TSV is parsed (:func:`_parse_ic_table`).  The file's
+    sha256 is kept as ``_sha256``.
+    """
+    return _load_verified(path, "information-content", _ic_from_sidecar, _parse_ic_table)
+
+
+def _ic_from_sidecar(members: dict):
+    """The table a sidecar's members hold, or what keeps them from being one."""
+    text = bytes(members["concepts"]).decode("utf-8")
+    names, probs, ics, log_base = text.split("\n"), members["prob"], members["ic"], members["log_base"]
+    problem = _ic_problem(names, text, probs, ics, log_base)
+    if problem is not None:
+        return problem
+    return ICTable(dict(zip(names, probs.tolist())), dict(zip(names, ics.tolist())), log_base.item())
+
+
+def _ic_problem(names: list, text: str, probs, ics, log_base) -> Optional[str]:
+    """What keeps a table from reading back from its file as it is; None if nothing does.
+
+    ``names`` are its concepts and ``text`` the same joined by ``\\n``;
+    ``probs``, ``ics`` and ``log_base`` hold its values as float64 arrays.
+    """
+    if {a.dtype for a in (probs, ics, log_base)} != {np.dtype(np.float64)} or log_base.shape != () \
+            or not probs.shape == ics.shape == (len(names),):
+        return "values that are not float64, one of each per concept"
+    if "\t" in text or "\r" in text or "\n\n" in f"\n{text}\n" or "\n#" in f"\n{text}":
+        return "no concept, or a concept name that would not read back"  # an empty text: no concept
+    base = log_base.item()
+    if not (0.0 < base < math.inf and base != 1.0):
+        return f"log base {base!r}"
+    if _out_of_range(probs, ics, base).any():
+        return "a prob outside (0, 1], or an ic not finite or of the wrong sign"
+    if not _increasing(names):
+        return "concepts not strictly sorted"
+    return None
+
+
+def _out_of_range(probs: np.ndarray, ics: np.ndarray, log_base: float) -> np.ndarray:
+    """Where a prob is outside (0, 1], or an ic is not finite or not of the sign ``log_base`` gives."""
+    sign = 1.0 if log_base > 1.0 else -1.0
+    return ~((probs > 0.0) & (probs <= 1.0) & np.isfinite(ics) & (ics * sign >= 0.0))
+
+
+def _parse_ic_table(path) -> ICTable:
+    """Parse an ``#ic`` TSV written by :func:`save_ic_table`.
 
     Each concept comes once, with a ``prob`` in (0, 1] and a finite ``ic``
     of the sign its log base gives: at least 0 (the root's value) for a base
@@ -597,13 +661,12 @@ def load_ic_table(path) -> ICTable:
         raise ValidationError(f"{path}: empty information-content table")
     log_base = fields.get("log_base", 2.0)
     numbers, probs, ics = (np.concatenate(column) for column in list(zip(*parts))[:3])
-    sign = 1.0 if log_base > 1.0 else -1.0
-    bad = ~((probs > 0.0) & (probs <= 1.0) & np.isfinite(ics) & (ics * sign >= 0.0))
+    bad = _out_of_range(probs, ics, log_base)
     if bad.any():
         at = np.flatnonzero(bad)[0]
         p, value = probs[at].item(), ics[at].item()
         rule = f"prob {p!r} is outside (0, 1]" if not 0.0 < p <= 1.0 else (
-            f"ic {value!r} must be finite and {'>=' if sign > 0 else '<='} 0"
+            f"ic {value!r} must be finite and {'>=' if log_base > 1.0 else '<='} 0"
         )
         raise ParseError(str(path), int(numbers[at]), rule)
     if len(prob) < numbers.size:

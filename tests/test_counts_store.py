@@ -459,6 +459,16 @@ class TestCountCache:
                         inputs = [counts] + [flag for flag in flags if isinstance(flag, Path)]
                         hashed_paths = run([*flags, "--counts", counts, "--out", tmp_path / "query.out"])
                         assert hashed_paths == sorted(map(str, inputs)), flags[0]
+            taxonomy, ic = FIXTURES / "toy_taxonomy.tsv", tmp_path / "ic.tsv"
+            assert run(["ic-build", "--taxonomy", taxonomy, "--counts", counts, "--out", ic]) == sorted(
+                map(str, [taxonomy, counts])
+            )
+            for sidecar in (True, False):  # the IC table is hashed by its load, with its sidecar or not
+                if not sidecar:
+                    sidecar_of(ic).unlink()
+                for measure in ("res", "jc", "lin"):
+                    assert run(["taxo-distance", "--taxonomy", taxonomy, "--ic", ic, "--taxo-measure", measure,
+                                "--c1", "dog", "--c2", "cat"]) == sorted(map(str, [taxonomy, ic]))
 
     def test_warm_runs_to_the_cold_out_leave_one_copy_and_no_temporary(self, cached, tmp_path):
         args, entry, _ = cached
@@ -819,13 +829,15 @@ def test_sidecar_reads_back_as_the_tsv(relation, cells, unigrams, config):
         assert [render_feature(f) for f in loaded.features] == list(counts.feature_keys)
 
 
-def test_count_to_stdout_writes_no_sidecar(toy_corpus_path, tmp_path):
-    def beside_stdout():
-        try:
-            return os.stat("/dev/stdout.npz").st_mtime_ns
-        except FileNotFoundError:
-            return None
+def beside_stdout():
+    """When a file beside ``/dev/stdout`` was last changed, or None if there is none."""
+    try:
+        return os.stat("/dev/stdout.npz").st_mtime_ns
+    except FileNotFoundError:
+        return None
 
+
+def test_count_to_stdout_writes_no_sidecar(toy_corpus_path, tmp_path):
     before = beside_stdout()
     proc = subprocess.run(
         [sys.executable, "-m", "distsem", "count", "--corpus", str(toy_corpus_path),
@@ -837,6 +849,29 @@ def test_count_to_stdout_writes_no_sidecar(toy_corpus_path, tmp_path):
     assert proc.stdout.startswith("#manifest\t") and "\n#counts\t" in proc.stdout
     assert beside_stdout() == before and list(tmp_path.iterdir()) == []
     assert corpus._sidecar("/dev/stdout") is None
+
+
+def test_cached_count_to_a_pipe_writes_the_counts(toy_corpus_path, tmp_path):
+    """A cold and a warm cached run to ``/dev/stdout`` on a pipe give the uncached counts.
+
+    The cold run read ``--out`` back to store the cache entry; on a pipe that
+    read took the counts itself and then waited for an end that never came.
+    """
+    plain = count_to(tmp_path / "plain.tsv", toy_corpus_path).read_bytes()
+    for run in ("cold", "warm"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "distsem", "count", "--corpus", str(toy_corpus_path),
+             "--cache-dir", str(tmp_path / "cache"), "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, timeout=60,
+            env={"PYTHONPATH": str(Path(corpus.__file__).parent.parent), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == plain, run
+    (entry,) = (tmp_path / "cache").glob("*.tsv")
+    assert entry.read_bytes() == plain + distsem.cli._digest_line(plain)
+    assert sidecar_of(entry).exists() and sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        entry.name, sidecar_of(entry).name
+    ]
 
 
 def test_a_symlinked_counts_file_has_no_sidecar(tmp_path, toy_counts):

@@ -1387,6 +1387,8 @@ class TestNamesThatDoNotReadBack:
         ({("t", "f"): 1}, {"": 2}, "word", "unigram word ''"),
         ({("t", "f"): 1}, {}, "relation", "feature 'f'"),
         ({("t", ("obj", "x\ty")): 1}, {}, "relation", "feature 'obj:x\\ty'"),
+        # both render as 'a:b:c'; the file was written, and every load of it failed on the cell
+        ({("t", ("a:b", "c")): 1, ("t", ("a", "b:c")): 2}, {}, "relation", "feature 'a:b:c'"),
     ])
     def test_save_counts(self, tmp_path, pairs, unigrams, kind, what):
         counts = CooccurrenceCounts.from_pairs(pairs, unigram_counts=unigrams, feature_kind=kind)
