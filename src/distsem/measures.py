@@ -169,7 +169,7 @@ def score(
                 "syntactic variant needs relation-constrained profiles"
             )
         v1, v2 = _syntactic_only(dp1), _syntactic_only(dp2)
-    p, q = _align(dp1.keys, v1, dp2.keys, v2)
+    p, q = _align(dp1, v1, dp2, v2)
     return float(_MEASURES[measure].kernel(p[None], q[None], config)[0])
 
 
@@ -204,7 +204,7 @@ def _check_pair(dp1: DistributionalProfile, dp2: DistributionalProfile, require:
         raise IncompatibleProfilesError(
             f"measure needs {require.value} profiles, got {dp1.soa.value}"
         )
-    if dp1.features and dp2.features:
+    if dp1.values.size and dp2.values.size:
         if dp1.relation_constrained != dp2.relation_constrained:
             raise IncompatibleProfilesError(
                 "cannot compare a relation-free profile with a relation-constrained one"
@@ -212,9 +212,15 @@ def _check_pair(dp1: DistributionalProfile, dp2: DistributionalProfile, require:
 
 
 def _align(
-    k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray
+    dp1: DistributionalProfile, v1: np.ndarray, dp2: DistributionalProfile, v2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two profiles' values zero-filled over the union of their sorted feature keys."""
+    """Two profiles' values zero-filled over the union of their features, in feature order.
+
+    Profiles of one counts object are aligned on their column ids, which
+    ascend in feature order as their keys do; any other pair on its keys.
+    """
+    same = dp1.counts is not None and dp1.counts is dp2.counts
+    k1, k2 = (dp1.columns, dp2.columns) if same else (dp1.keys, dp2.keys)
     pos = np.searchsorted(k1, k2)
     shared = pos < k1.size
     shared[shared] = k1[pos[shared]] == k2[shared]
@@ -488,7 +494,7 @@ def crm_precision_recall(
     """
     kind, penalty = CrmKind(kind), CrmPenalty(penalty)
     _check_pair(dp1, dp2, required_soa(MeasureId.CRM, MeasureConfig(crm_kind=kind)))
-    p, q = _align(dp1.keys, dp1.values, dp2.keys, dp2.values)
+    p, q = _align(dp1, dp1.values, dp2, dp2.values)
     precision, recall = _crm_pr(p[None], q[None], kind, penalty)
     return float(precision[0]), float(recall[0])
 

@@ -7,7 +7,7 @@ profiles are proper distributions over the target's observed features.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
 
@@ -31,33 +31,38 @@ class DistributionalProfile:
     Features are held once, in ascending order of their rendered form (the
     order of profile files): ``features`` lists them, ``keys`` holds their
     rendered forms as a numpy string array, and ``values`` their strengths as
-    float64.  ``entries`` is a read-only feature-to-value mapping.
+    float64.  ``entries`` is a read-only feature-to-value mapping.  A profile
+    built from counts holds ``counts`` and its features' column ids there
+    (``columns``, ascending); its ``features``, ``keys`` and ``entries`` are
+    built on first use, and two profiles of one counts object are aligned on
+    their column ids.
     """
+
+    counts: CooccurrenceCounts | None = None
+    columns: np.ndarray | None = None
 
     def __init__(self, target: str, soa: SoAKind, entries: Mapping = MappingProxyType({})):
         features = list(entries)
         keys = np.array([render_feature(f) for f in features], dtype=str)
-        self._init(target, soa, features, keys, list(entries.values()))
-
-    @classmethod
-    def from_arrays(
-        cls, target: str, soa: SoAKind, features: Sequence, keys: np.ndarray, values
-    ) -> "DistributionalProfile":
-        """A profile from parallel features, rendered features and values, in any order."""
-        profile = cls.__new__(cls)
-        profile._init(target, soa, features, keys, values)
-        return profile
-
-    def _init(self, target, soa, features, keys, values) -> None:
         order = np.argsort(keys, kind="stable")
         self.target = target
         self.soa = SoAKind(soa)
         self.keys = keys[order]
         self.features = [features[i] for i in order.tolist()]
-        self.values = np.asarray(values, dtype=np.float64)[order]
+        self.values = np.asarray(list(entries.values()), dtype=np.float64)[order]
+
+    @cached_property
+    def features(self) -> list:
+        return [self.counts.features[c] for c in self.columns.tolist()]
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return np.array([render_feature(f) for f in self.features], dtype=str)
 
     @cached_property
     def relation_constrained(self) -> bool:
+        if self.counts is not None:
+            return self.counts.feature_kind == "relation"
         return any(isinstance(f, tuple) for f in self.features)
 
     @cached_property
@@ -67,7 +72,7 @@ class DistributionalProfile:
     def __repr__(self) -> str:
         return (
             f"DistributionalProfile(target={self.target!r}, soa={self.soa.value!r}, "
-            f"features={len(self.features)})"
+            f"features={self.values.size})"
         )
 
     def validate(self) -> None:
@@ -104,7 +109,8 @@ def build_profile(
     kept features; ``min_feature_count`` below 1 ends in
     :class:`ConfigurationError`.  Statistics that are undefined for a cell
     propagate unless ``undefined_value`` supplies a substitute; zero-valued
-    results are not stored.
+    results are not stored.  The profile holds ``counts`` and the column ids
+    of its features, and builds its feature list only on first use.
     """
     kind = SoAKind(kind)
     if min_feature_count < 1:
@@ -127,11 +133,10 @@ def build_profile(
     stored = np.flatnonzero(values != 0.0)
     if not stored.size:
         raise EmptyProfileError(f"profile for {target!r} is empty")
-    cols = cols[stored]
-    features = [counts.features[c] for c in cols.tolist()]
-    return DistributionalProfile.from_arrays(
-        target, kind, features, counts.feature_keys[cols], values[stored]
-    )
+    profile = DistributionalProfile.__new__(DistributionalProfile)
+    profile.target, profile.soa, profile.values = target, kind, values[stored]
+    profile.counts, profile.columns = counts, cols[stored]
+    return profile
 
 
 def cell_strengths(counts: CooccurrenceCounts, kind: SoAKind, log_base: float = 2.0) -> np.ndarray:

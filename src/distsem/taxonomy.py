@@ -473,7 +473,8 @@ def ic_from_counts(
             stacklevel=2,
         )
     log_norm = math.log(log_base)
-    ic = {node: -math.log(p) / log_norm for node, p in prob.items()}
+    # adding 0.0 turns the -0.0 of a probability of 1 into 0.0 and leaves the rest
+    ic = {node: -math.log(p) / log_norm + 0.0 for node, p in prob.items()}
     ic[root] = 0.0
     return ICTable(prob=prob, ic=ic, log_base=log_base)
 

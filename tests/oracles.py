@@ -484,7 +484,7 @@ def ic_by_word(nodes, parents, word_map, freqs, log_base=2.0):
     Each occurrence of a word credits once every concept in the union of its
     senses' closures; words in sorted order, each credit added in turn.  A
     concept with no credit gets half of one occurrence's share, and the root
-    an information content of 0.
+    an information content of 0; no concept gets -0.0.
     """
     (root,) = [node for node in nodes if not parents[node]]
     credit = {node: 0.0 for node in nodes}
@@ -498,7 +498,7 @@ def ic_by_word(nodes, parents, word_map, freqs, log_base=2.0):
             credit[node] += freqs[word]
     floor = 1.0 / (2.0 * credit[root])
     prob = {node: credit[node] / credit[root] if credit[node] > 0 else floor for node in nodes}
-    ic = {node: -math.log(p) / math.log(log_base) for node, p in prob.items()}
+    ic = {node: -math.log(p) / math.log(log_base) + 0.0 for node, p in prob.items()}  # never -0.0
     ic[root] = 0.0
     return prob, ic, sorted(node for node in nodes if credit[node] == 0)
 

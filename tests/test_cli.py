@@ -591,6 +591,25 @@ class TestTaxonomyCommands:
         line = [l for l in out.splitlines() if not l.startswith("#")][0]
         assert float(line.split("\t")[3]) > 0
 
+    def test_certain_concept_ic_is_positive_zero(self, workdir, tmp_path):
+        """Every toy counts word credits the animal subtree, whose IC then prints as 0.0."""
+        ic = tmp_path / "ic.tsv"
+        counts = tmp_path / "counts.tsv"
+        (tmp_path / "animals.txt").write_text("dog cat puppy\ncat dog\n")
+        code, _, err = run_cli(["count", "--corpus", tmp_path / "animals.txt", "--out", counts])
+        assert code == 0, err
+        code, _, err = run_cli(
+            ["ic-build", "--taxonomy", workdir / "taxo.tsv", "--counts", counts, "--out", ic]
+        )
+        assert code == 0, err
+        assert "animal\t1.0\t0.0" in ic.read_text().splitlines()
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", workdir / "taxo.tsv", "--c1", "dog", "--c2", "cat",
+             "--taxo-measure", "res", "--ic", ic]
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1] == "dog\tcat\tres\t0.0"
+
     def test_ic_requires_source(self, workdir):
         code, _, err = run_cli(
             ["taxo-distance", "--taxonomy", workdir / "taxo.tsv", "--c1", "dog",

@@ -1,5 +1,8 @@
+import contextlib
 import math
 import random
+import warnings
+from unittest import mock
 
 import pytest
 
@@ -12,13 +15,21 @@ from distsem import (
     Orientation,
     SoAKind,
     WeightScheme,
+    build_profile,
+    count_cooccurrences,
     crm_combine,
     crm_precision_recall,
+    evaluation,
+    ingest_triples,
     orientation,
+    required_soa,
     score,
+    tokenize_documents,
 )
 from distsem.errors import (
+    DistSemError,
     EmptyIntersectionWarning,
+    EmptyProfileError,
     IncompatibleProfilesError,
     UndefinedMeasureError,
 )
@@ -468,3 +479,116 @@ class TestDispatchAndTraits:
                 assert score(measure, base1, base2) == pytest.approx(
                     score(measure, big1, big2), abs=1e-12
                 )
+
+
+def _outcome(measure, dp1, dp2, config):
+    """A score's float.hex, or the type of the error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyIntersectionWarning)
+        try:
+            return score(measure, dp1, dp2, config).hex()
+        except DistSemError as exc:
+            return type(exc)
+
+
+def _rebuilt(profile):
+    """The same profile through the key path, its entries given in reverse order."""
+    return DistributionalProfile(profile.target, profile.soa, dict(reversed(profile.entries.items())))
+
+
+# the first four settings for every measure, the six retrieval settings for crm only
+CONFIGS = [
+    MeasureConfig(),
+    MeasureConfig(log_base=0.5),
+    MeasureConfig(weight_scheme=WeightScheme.AVG),
+    MeasureConfig(weight_scheme=WeightScheme.MAX),
+    *(MeasureConfig(crm_kind=k, crm_penalty=p) for k in CrmKind for p in CrmPenalty),
+]
+
+
+class TestCountsProfiles:
+    """Profiles built from counts score as the same profiles built from entries, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, toy_counts, toy_documents, toy_config, fixtures_dir):
+        # fewer documents, so that the same features get other column ids
+        fewer = count_cooccurrences(tokenize_documents(toy_documents[3:], toy_config), toy_config)
+        triples = ingest_triples((fixtures_dir / "toy.triples").read_text().splitlines())
+        return {"window": toy_counts, "fewer": fewer, "relation": triples}
+
+    @staticmethod
+    def profiles(counts, kind, min_feature_count):
+        built = []
+        for target in random.Random(26).sample(counts.targets, 8):
+            try:
+                built.append(build_profile(counts, target, kind, min_feature_count=min_feature_count))
+            except EmptyProfileError:
+                pass
+        return built
+
+    @staticmethod
+    def assert_same_scores(left, right, kind):
+        pairs = [(dp1, dp2, _rebuilt(dp1), _rebuilt(dp2)) for dp1 in left for dp2 in right]
+        checked = 0
+        for measure in MeasureId:
+            for config in CONFIGS if measure is MeasureId.CRM else CONFIGS[:4]:
+                if required_soa(measure, config) is not kind:
+                    continue
+                for dp1, dp2, keyed1, keyed2 in pairs:
+                    want = _outcome(measure, keyed1, keyed2, config)
+                    assert _outcome(measure, dp1, dp2, config) == want, (measure, config)
+                    assert _outcome(measure, dp1, keyed2, config) == want
+                    assert _outcome(measure, keyed1, dp2, config) == want
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("min_feature_count", [1, 3])
+    @pytest.mark.parametrize("kind", [SoAKind.CP, SoAKind.PMI])
+    @pytest.mark.parametrize("source", ["window", "relation"])
+    def test_same_counts(self, sources, source, kind, min_feature_count):
+        built = self.profiles(sources[source], kind, min_feature_count)
+        assert len(built) > 2
+        self.assert_same_scores(built, built, kind)
+
+    @pytest.mark.parametrize("kind", [SoAKind.CP, SoAKind.PMI])
+    def test_two_counts_objects(self, sources, kind):
+        left = self.profiles(sources["window"], kind, 1)
+        right = self.profiles(sources["fewer"], kind, 1)
+        assert sources["window"].features != sources["fewer"].features
+        self.assert_same_scores(left, right, kind)
+
+    def test_hindle_scores_relation_profiles(self, sources):
+        built = self.profiles(sources["relation"], SoAKind.PMI, 1)
+        values = [_outcome(MeasureId.HINDLE, dp1, dp2, MeasureConfig()) for dp1 in built for dp2 in built]
+        assert any(isinstance(value, str) for value in values)
+
+    def test_relation_constrained_follows_feature_kind(self, sources):
+        for name, counts in sources.items():
+            for profile in self.profiles(counts, SoAKind.CP, 1):
+                assert profile.relation_constrained == (name == "relation")
+                assert profile.relation_constrained == _rebuilt(profile).relation_constrained
+
+    @pytest.mark.parametrize("measure", sorted(set(MeasureId) - {MeasureId.HINDLE}))
+    def test_scoring_builds_no_feature_lists(self, toy_documents, toy_config, fixtures_dir, measure):
+        """Word pairs are scored on column ids: no rendered keys and no feature lists are built."""
+        window = count_cooccurrences(tokenize_documents(toy_documents, toy_config), toy_config)
+        triples = ingest_triples((fixtures_dir / "toy.triples").read_text().splitlines())
+        for counts, words in [(window, ["band", "guitar", "piano", "jam"]),
+                              (triples, ["guitar", "piano", "song", "apple"])]:
+            built = []
+
+            def recording(*args, **kwargs):
+                built.append(build_profile(*args, **kwargs))
+                return built[-1]
+
+            with mock.patch.object(evaluation, "build_profile", recording):
+                scorer = evaluation.word_pair_scorer(counts, measure)
+                for w1 in words:
+                    for w2 in words:
+                        with contextlib.suppress(DistSemError), warnings.catch_warnings():
+                            warnings.simplefilter("ignore", EmptyIntersectionWarning)
+                            scorer(w1, w2)
+            assert len(built) == len(words)
+            assert "feature_keys" not in vars(counts)
+            for profile in built:
+                assert not {"features", "keys", "entries"} & vars(profile).keys(), profile

@@ -472,6 +472,19 @@ class TestInformationContent:
         assert table.ic["a"] == 0.0
         assert 0.0 < table.prob["b"] < 1.0
 
+    @pytest.mark.parametrize("log_base", [2.0, 10.0, 0.5])
+    def test_certain_concept_has_positive_zero_ic(self, log_base):
+        """A non-root concept of probability 1 gets 0.0, never -0.0."""
+        taxo = Taxonomy(
+            nodes={"r": "R", "a": "A", "b": "B", "c": "C"},
+            edges=[("a", "r", "isa"), ("b", "a", "isa"), ("c", "a", "isa")],
+            word_map={"x": frozenset({"b"}), "y": frozenset({"c"})},
+        )
+        table = ic_from_counts(taxo, {"x": 3, "y": 1}, log_base)
+        assert table.prob["a"] == 1.0
+        assert table.ic["a"].hex() == table.ic["r"].hex() == (0.0).hex()
+        assert resnik(taxo, "b", "c", table).hex() == (0.0).hex()
+
     def test_no_mapped_occurrences(self, toy_taxonomy):
         with pytest.raises(ConfigurationError):
             ic_from_counts(toy_taxonomy, {"unmapped": 5})
