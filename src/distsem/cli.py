@@ -3,11 +3,13 @@
 Every emitted file or stream begins with manifest lines recording the tool
 version, the subcommand, the configuration, and a content hash of every
 input, so identical inputs and flags always produce byte-identical output.
-Each input is hashed once per command: a counts file by :func:`load_counts`,
-which checks its sidecar against that digest, and the digest goes to the manifest.
-``count --cache-dir`` keeps each counts file it writes, and its binary
-sidecar (see :func:`save_counts`), keyed by the file's manifest, and copies
-both to ``--out`` on a re-run instead of counting again.
+Each input is read once per command, through one reader that hashes the
+bytes it reads (see :func:`~distsem.corpus._blocks`), and the manifest is
+built after the inputs are read, from those digests; so a pipe is hashed as
+it is read.  ``count --cache-dir`` keeps each counts file it writes, and its
+binary sidecar (see :func:`save_counts`), keyed by the file's manifest, and
+copies both to ``--out`` on a re-run instead of counting again; a corpus that
+is not a regular file is counted without the cache, as it cannot be read twice.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input validation
 error.
@@ -41,9 +43,11 @@ from .corpus import (
     Boundaries,
     CorpusConfig,
     _document_lines,
+    _DIGESTS,
     _Documents,
+    _digest_of,
     _file_pieces,
-    _file_sha256,
+    _recording,
     _sidecar,
     _write_atomically,
     config_fields,
@@ -108,19 +112,24 @@ _USAGE_ERRORS = (
 
 
 def _hash_file(path) -> str:
-    """The sha256 of an input that no load hashes (:func:`load_counts` and :func:`load_ic_table` do)."""
-    return _file_sha256(path)
+    """The sha256 of a ``count --cache-dir`` corpus file, read before it is counted, to key the entry."""
+    return _digest_of(path)
+
+
+def _digest(path) -> str:
+    """The sha256 of input ``path``, recorded as the command read it."""
+    return _DIGESTS.get()[str(path)]
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def build_manifest(command: str, inputs: list, settings: dict, digests: dict = {}) -> list[str]:
-    """Manifest lines; an input's sha256 is taken from ``digests`` (path to digest) if it is there."""
+def build_manifest(command: str, inputs: list, settings: dict) -> list[str]:
+    """Manifest lines, once ``inputs`` are read: each input's sha256 is the one taken as it was read."""
     lines = [f"#manifest\ttool=distsem/{__version__}", f"#manifest\tcommand={command}"]
     for path in inputs:
-        lines.append(f"#manifest\tinput={path}\tsha256={digests.get(path) or _hash_file(path)}")
+        lines.append(f"#manifest\tinput={path}\tsha256={_digest(path)}")
     for key in sorted(settings):
         lines.append(f"#manifest\tsetting\t{key}={settings[key]}")
     return lines
@@ -219,12 +228,6 @@ def _copy_sidecar(source: Path, dest: Path) -> None:
     _write_atomically(copy, lambda handle: handle.write(data), like=dest)
 
 
-def _load_counts(path) -> tuple:
-    """The counts in ``path``, and its sha256 keyed by the path, as :func:`build_manifest` takes it."""
-    counts = load_counts(path)
-    return counts, {path: counts._sha256}
-
-
 #: Flags (by ``dest``) that only window counting reads, and their defaults.
 _WINDOW_DEFAULTS = {"window": 5, "boundaries": "document", "no_lowercase": False, "docs": "file"}
 #: The Hirst-St-Onge constants of ``taxo-distance`` and their defaults.
@@ -274,11 +277,14 @@ def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_count(args) -> int:
     settings = _corpus_settings(args)
     settings["triples"] = str(args.triples).lower()
-    manifest = build_manifest("count", args.corpus, settings)
     out = Path(args.out or "counts.tsv")
-    if not args.cache_dir:
-        save_counts(_count_corpus(args), out, extra_header=manifest)
+    if not args.cache_dir or not all(map(os.path.isfile, args.corpus)):  # a pipe is read once
+        counts = _count_corpus(args)
+        save_counts(counts, out, extra_header=build_manifest("count", args.corpus, settings))
         return 0
+    for path in args.corpus:  # hashed first, as the manifest keys the entry
+        _hash_file(path)
+    manifest = build_manifest("count", args.corpus, settings)
     # the entry is the output file, keyed by everything that shapes it
     key = hashlib.sha256("\n".join(manifest).encode("utf-8")).hexdigest()
     entry = Path(args.cache_dir) / f"counts-v3-{key}.tsv"
@@ -301,36 +307,22 @@ def cmd_count(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    counts, digests = _load_counts(args.counts)
+    counts = load_counts(args.counts)
     profile = build_profile(
-        counts,
-        args.target,
-        SoAKind(args.soa),
-        log_base=args.log_base,
-        min_feature_count=args.min_freq,
+        counts, args.target, SoAKind(args.soa), log_base=args.log_base, min_feature_count=args.min_freq
     )
-    manifest = build_manifest(
-        "profile",
-        [args.counts],
-        {
-            "target": args.target,
-            "soa": args.soa,
-            "log_base": _fmt(args.log_base),
-            "min_freq": args.min_freq,
-        },
-        digests,
-    )
-    _emit(args, profile_lines(profile, manifest))
+    settings = {"target": args.target, "soa": args.soa, "log_base": _fmt(args.log_base),
+                "min_freq": args.min_freq}
+    _emit(args, profile_lines(profile, build_manifest("profile", [args.counts], settings)))
     return 0
 
 
 def cmd_distance(args) -> int:
-    counts, digests = _load_counts(args.counts)
+    counts = load_counts(args.counts)
     config = _measure_config(args)
     scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
     value = scorer(args.w1, args.w2)
-    manifest = build_manifest("distance", [args.counts], _measure_settings(args), digests)
-    lines = list(manifest)
+    lines = build_manifest("distance", [args.counts], _measure_settings(args))
     lines.append(f"{args.w1}\t{args.w2}\t{args.measure}\t{_fmt(value)}")
     _emit(args, lines)
     return 0
@@ -341,19 +333,18 @@ def _make_scorer(args, config: MeasureConfig):
         wccm = load_wccm(args.wccm)
         thesaurus = load_thesaurus(args.thesaurus, _lowercase(wccm.config))
         scorer = concept_pair_scorer(wccm, thesaurus, MeasureId(args.measure), config)
-        return scorer, [args.wccm, args.thesaurus], {}
-    counts, digests = _load_counts(args.counts)
+        return scorer, [args.wccm, args.thesaurus]
+    counts = load_counts(args.counts)
     scorer = word_pair_scorer(counts, MeasureId(args.measure), config, args.min_freq)
-    return scorer, [args.counts], digests
+    return scorer, [args.counts]
 
 
 def cmd_rank(args) -> int:
     config = _measure_config(args)
-    scorer, inputs, digests = _make_scorer(args, config)
+    scorer, inputs = _make_scorer(args, config)
     benchmark = load_benchmark(args.benchmark)
     result = rank_pairs(benchmark, scorer, orientation(MeasureId(args.measure)))
-    manifest = build_manifest("rank", inputs + [args.benchmark], _measure_settings(args), digests)
-    lines = list(manifest)
+    lines = build_manifest("rank", inputs + [args.benchmark], _measure_settings(args))
     lines.append("rank\tword1\tword2\thuman\tscore")
     for position, (w1, w2, human, value) in enumerate(result.ranked, 1):
         lines.append(f"{position}\t{w1}\t{w2}\t{_fmt(human)}\t{_fmt(value)}")
@@ -365,40 +356,29 @@ def cmd_rank(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _measure_config(args)
-    scorer, inputs, digests = _make_scorer(args, config)
+    scorer, inputs = _make_scorer(args, config)
     measure = MeasureId(args.measure)
-    lines: list[str] = []
     if args.choices:
-        problems = load_word_choice(args.choices)
-        outcome = solve_word_choice(problems, scorer, orientation(measure))
-        manifest = build_manifest("eval", inputs + [args.choices], _measure_settings(args), digests)
-        lines += manifest
-        lines.append(f"problems\t{outcome.n_problems}")
-        lines.append(f"correct\t{outcome.n_correct}")
-        lines.append(f"accuracy\t{_fmt(outcome.accuracy)}")
-        lines.append(f"flagged\t{len(outcome.flagged)}")
+        outcome = solve_word_choice(load_word_choice(args.choices), scorer, orientation(measure))
+        rows = {"problems": outcome.n_problems, "correct": outcome.n_correct,
+                "accuracy": _fmt(outcome.accuracy), "flagged": len(outcome.flagged)}
     else:
-        benchmark = load_benchmark(args.benchmark)
-        report = correlate(benchmark, scorer, orientation(measure))
-        manifest = build_manifest("eval", inputs + [args.benchmark], _measure_settings(args), digests)
-        lines += manifest
-        lines.append(f"pairs_used\t{report.n_used}")
-        lines.append(f"pairs_skipped\t{report.n_skipped}")
-        lines.append(f"orientation\t{report.orientation.value}")
-        lines.append(f"pearson_raw\t{_fmt(report.pearson_raw)}")
-        lines.append(f"pearson_abs\t{_fmt(report.pearson_abs)}")
-        lines.append(f"spearman_raw\t{_fmt(report.spearman_raw)}")
-        lines.append(f"spearman_abs\t{_fmt(report.spearman_abs)}")
-    _emit(args, lines)
+        report = correlate(load_benchmark(args.benchmark), scorer, orientation(measure))
+        rows = {"pairs_used": report.n_used, "pairs_skipped": report.n_skipped,
+                "orientation": report.orientation.value}
+        for name in ("pearson_raw", "pearson_abs", "spearman_raw", "spearman_abs"):
+            rows[name] = _fmt(getattr(report, name))
+    lines = build_manifest("eval", inputs + [args.choices or args.benchmark], _measure_settings(args))
+    _emit(args, lines + [f"{name}\t{value}" for name, value in rows.items()])
     return 0
 
 
 def cmd_wccm_build(args) -> int:
-    counts, digests = _load_counts(args.counts)
+    counts = load_counts(args.counts)
     thesaurus = load_thesaurus(args.thesaurus, _lowercase(counts.config))
     wccm = build_base_wccm(counts, thesaurus)
-    wccm.source_fingerprint = digests[args.counts]
-    manifest = build_manifest("wccm-build", [args.counts, args.thesaurus], {}, digests)
+    wccm.source_fingerprint = _digest(args.counts)
+    manifest = build_manifest("wccm-build", [args.counts, args.thesaurus], {})
     save_wccm(wccm, args.out or "wccm.tsv", extra_header=manifest)
     return 0
 
@@ -416,9 +396,7 @@ def cmd_wccm_bootstrap(args) -> int:
     wccm = bootstrap_wccm(
         documents, base, senses, config, log_base=args.log_base, iterations=args.iterations
     )
-    inputs = args.corpus + [args.base, args.thesaurus]
-    if args.lexicon:
-        inputs.append(args.lexicon)
+    inputs = args.corpus + [args.base, args.thesaurus] + ([args.lexicon] if args.lexicon else [])
     settings = _corpus_settings(args)
     settings["iterations"] = args.iterations
     settings["log_base"] = _fmt(args.log_base)
@@ -431,22 +409,19 @@ def cmd_concept_distance(args) -> int:
     wccm = load_wccm(args.wccm)
     config = _measure_config(args)
     value = concept_distance(wccm, args.c1, args.c2, MeasureId(args.measure), config)
-    manifest = build_manifest("concept-distance", [args.wccm], _measure_settings(args))
-    lines = list(manifest)
+    lines = build_manifest("concept-distance", [args.wccm], _measure_settings(args))
     lines.append(f"{args.c1}\t{args.c2}\t{args.measure}\t{_fmt(value)}")
     _emit(args, lines)
     return 0
 
 
 def cmd_xling_wccm(args) -> int:
-    counts, digests = _load_counts(args.counts)
+    counts = load_counts(args.counts)
     lexicon = load_lexicon(args.lexicon, _lowercase(counts.config))
     thesaurus = load_thesaurus(args.thesaurus, _lowercase(counts.config))
     wccm = build_crosslingual_wccm(counts, lexicon, thesaurus)
-    wccm.source_fingerprint = digests[args.counts]
-    manifest = build_manifest(
-        "xling-wccm", [args.counts, args.lexicon, args.thesaurus], {}, digests
-    )
+    wccm.source_fingerprint = _digest(args.counts)
+    manifest = build_manifest("xling-wccm", [args.counts, args.lexicon, args.thesaurus], {})
     save_wccm(wccm, args.out or "wccm-crosslingual.tsv", extra_header=manifest)
     return 0
 
@@ -470,21 +445,11 @@ _TAXO_MEASURES = {
 
 def cmd_taxo_distance(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
-    ic, digests = None, {}
-    inputs = [args.taxonomy]
-    if args.ic:
-        ic = load_ic_table(args.ic)
-        inputs.append(args.ic)
-        digests[args.ic] = ic._sha256
+    ic = load_ic_table(args.ic) if args.ic else None
     value, extra = _TAXO_MEASURES[args.taxo_measure][1](taxonomy, ic, args)
-    settings = {
-        "taxo_measure": args.taxo_measure,
-        "log_base": _fmt(args.log_base),
-        "hs_c": _fmt(args.hs_c),
-        "hs_k": _fmt(args.hs_k),
-    }
-    manifest = build_manifest("taxo-distance", inputs, settings, digests)
-    lines = list(manifest)
+    settings = {"taxo_measure": args.taxo_measure, "log_base": _fmt(args.log_base),
+                "hs_c": _fmt(args.hs_c), "hs_k": _fmt(args.hs_k)}
+    lines = build_manifest("taxo-distance", [args.taxonomy] + ([args.ic] if args.ic else []), settings)
     lines.append(f"{args.c1}\t{args.c2}\t{args.taxo_measure}\t{_fmt(value)}{extra}")
     _emit(args, lines)
     return 0
@@ -492,16 +457,14 @@ def cmd_taxo_distance(args) -> int:
 
 def cmd_ic_build(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
-    digests = {}
     if args.freqs:
         freqs = load_word_frequencies(args.freqs)
         inputs = [args.taxonomy, args.freqs]
     else:
-        counts, digests = _load_counts(args.counts)
-        freqs = dict(counts.unigram_counts)
+        freqs = dict(load_counts(args.counts).unigram_counts)
         inputs = [args.taxonomy, args.counts]
     table = ic_from_counts(taxonomy, freqs, log_base=args.log_base)
-    manifest = build_manifest("ic-build", inputs, {"log_base": _fmt(args.log_base)}, digests)
+    manifest = build_manifest("ic-build", inputs, {"log_base": _fmt(args.log_base)})
     save_ic_table(table, args.out or "ic.tsv", extra_header=manifest)
     return 0
 
@@ -673,7 +636,7 @@ def _validate_combinations(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _recording():
         warnings.showwarning = _warning_printer(warnings.showwarning)
         try:
             _validate_combinations(args)

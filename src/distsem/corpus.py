@@ -11,6 +11,9 @@ larger id) key array that is mirrored into both cells at the end, so memory
 scales with the observed vocabulary and pair inventory rather than corpus
 length.  A flat token stream is taken in bounded batches the same way.  Counts
 over disjoint document shards can be merged additively with :func:`merge_counts`.
+
+Every input file is read once, in blocks, through :func:`_blocks`, which
+hashes the bytes it hands on; within :func:`_recording` each digest is kept.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import tempfile
 import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -72,8 +77,11 @@ _BLOCK_LINES = 1 << 12
 #: Pieces a tagged-TSV writer encodes, writes and hashes at a time.
 _WRITE_PIECES = 16
 
-#: Characters a data file reader takes from a file at a time.
-_BLOCK_CHARS = 1 << 15
+#: Bytes :func:`_blocks` takes from a file at a time.
+_BLOCK_BYTES = 1 << 15
+
+#: The sha256 of each input file read to its end, by path, within :func:`_recording`; None outside.
+_DIGESTS: ContextVar[Optional[dict]] = ContextVar("_DIGESTS", default=None)
 
 #: The text of a count: ASCII digits, after a minus sign if negative.
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
@@ -154,6 +162,49 @@ def tokenize_documents(
         emitted_any = True
 
 
+@contextmanager
+def _recording() -> Iterator[dict]:
+    """A record of the sha256 of each input file read to its end within it, by path (``str(path)``)."""
+    token = _DIGESTS.set({})
+    try:
+        yield _DIGESTS.get()
+    finally:
+        _DIGESTS.reset(token)
+
+
+def _blocks(path, digest=None) -> Iterator[bytes]:
+    """The bytes of ``path`` in pieces of whole lines, of about ``_BLOCK_BYTES``: how every input is read.
+
+    A piece ends at a ``\\n`` (the last one at the end of the file), so no
+    character, and no ``\\r\\n``, is split between two pieces.  The bytes go
+    into ``digest`` (a new sha256 if None) as they are read; at the end of the
+    file the hex digest goes into the open record of :func:`_recording`, if
+    any, under ``str(path)``.
+    """
+    digest = hashlib.sha256() if digest is None else digest
+    held = []
+    with open(path, "rb") as handle:
+        while block := handle.read(_BLOCK_BYTES):
+            digest.update(block)
+            cut = block.rfind(b"\n") + 1
+            held.append(block[:cut] if cut else block)
+            if cut:
+                yield b"".join(held)
+                held = [block[cut:]]
+    if (record := _DIGESTS.get()) is not None:
+        record[str(path)] = digest.hexdigest()
+    if rest := b"".join(held):
+        yield rest
+
+
+def _digest_of(path) -> str:
+    """The sha256 of the file ``path``, read to its end through :func:`_blocks`."""
+    digest = hashlib.sha256()
+    for _ in _blocks(path, digest):
+        pass
+    return digest.hexdigest()
+
+
 def read_documents(path, one_doc_per_line: bool = False) -> list[str]:
     """Read a UTF-8 corpus file as a list of documents.
 
@@ -163,31 +214,30 @@ def read_documents(path, one_doc_per_line: bool = False) -> list[str]:
     """
     if one_doc_per_line:
         return list(_document_lines(path))
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusDecodeError(str(path), exc.start) from None
+    text = "".join(_corpus_pieces(path))
     return [text] if text.strip() else []
 
 
 def _document_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 corpus file that hold more than whitespace, read one at a time.
+    """The lines of a UTF-8 corpus file that hold more than whitespace, read a piece at a time.
 
-    Lines end at ``\\n`` only.  Invalid bytes raise :class:`CorpusDecodeError`
-    carrying their byte offset in the file.
+    Lines end at ``\\n`` only.
     """
-    with open(path, "rb") as handle:
-        offset = 0
-        for raw in handle:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusDecodeError(str(path), offset + exc.start) from None
-            offset += len(raw)
-            if line.strip():
-                yield line.removesuffix("\n")
+    for text in _corpus_pieces(path):
+        yield from (line for line in text.split("\n") if line.strip())
+
+
+def _corpus_pieces(path) -> Iterator[str]:
+    """The pieces of a UTF-8 corpus file (:func:`_blocks`), decoded; invalid bytes raise
+    :class:`CorpusDecodeError` carrying their byte offset in the file."""
+    offset = 0
+    for data in _blocks(path):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusDecodeError(str(path), offset + exc.start) from None
+        offset += len(data)
+        yield text
 
 
 def read_records(
@@ -237,25 +287,20 @@ def line_records(
 
 
 def _file_pieces(path) -> Iterator[str]:
-    """The text of a data file in pieces of about ``_BLOCK_CHARS`` characters, each of whole lines.
+    """The text of a data file in pieces of whole lines (:func:`_blocks`).
 
-    The file is opened once, in text mode.  A byte that is not UTF-8 stays in
-    the text as a lone surrogate, and a piece ends before the line holding
-    the first one, so that line is refused (see :func:`_utf8`) after every
-    line before it.
+    Bytes decode as a text-mode read decodes them: as UTF-8, with ``\\r\\n``
+    and ``\\r`` made ``\\n``.  A byte that is not UTF-8 stays in the text as
+    a lone surrogate, and a piece ends before the line holding the first one,
+    so that line is refused (see :func:`_utf8`) after every line before it.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        rest = ""
-        while block := handle.read(_BLOCK_CHARS):
-            text = rest + block
-            cut = text.rfind("\n") + 1
-            if not text.isascii() and (bad := re.search("[\udc80-\udcff]", text)):
-                cut = text.rfind("\n", 0, bad.start()) + 1 or cut
-            if cut:
-                yield text[:cut]
-            rest = text[cut:]
-        if rest:
-            yield rest
+    for data in _blocks(path):
+        text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
+        bad = None if text.isascii() else re.search("[\udc80-\udcff]", text)
+        if bad and (cut := text.rfind("\n", 0, bad.start()) + 1):
+            yield text[:cut]
+            text = text[cut:]
+        yield text
 
 
 def _utf8(text: str, source, first: int) -> bytes:
@@ -297,9 +342,6 @@ class CooccurrenceCounts:
     features by rendered form, so rows, and the cells within each row, come
     in the order of a counts file.
     """
-
-    #: The sha256 of the file :func:`load_counts` read these counts from.
-    _sha256: Optional[str] = None
 
     def __init__(
         self,
@@ -1229,24 +1271,16 @@ def _load_verified(path, what: str, build: Callable, parse: Callable):
     members (arrays by name) and returns what they hold, or a string naming
     why that is not what ``parse`` would give.  A sidecar cut short, with a
     flipped bit (each zip member's CRC-32 is checked) or that ``build``
-    refuses or fails on ends in :class:`ValidationError` naming it.  The
-    file's sha256 is kept as ``_sha256``, so it need not be hashed again.
+    refuses or fails on ends in :class:`ValidationError` naming it.  Only a
+    file whose sidecar exists is hashed before it is parsed, so a file is
+    read once unless its sidecar is ignored.
     """
     sidecar = _sidecar(path)
-    digest = _file_sha256(path) if sidecar is not None else None
-    loaded = _read_sidecar(sidecar, digest, what, build) if digest else None
-    if loaded is None:
-        loaded = parse(path)
-    loaded._sha256 = digest or _file_sha256(path)  # a file that is not regular, once it is read
-    return loaded
-
-
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    if sidecar is not None and sidecar.exists():
+        loaded = _read_sidecar(sidecar, _digest_of(path), what, build)
+        if loaded is not None:
+            return loaded
+    return parse(path)
 
 
 def _read_sidecar(sidecar: Path, digest: str, what: str, build: Callable):
@@ -1365,8 +1399,7 @@ def load_counts(path) -> CooccurrenceCounts:
 
     The sidecar is read as :func:`_load_verified` says, and refused if its
     arrays are not as :meth:`CooccurrenceCounts.from_ids` leaves them;
-    otherwise the TSV is parsed (:func:`_parse_counts`).  The file's sha256
-    is kept as ``_sha256``.
+    otherwise the TSV is parsed (:func:`_parse_counts`).
     """
     return _load_verified(path, "counts", _counts_from_sidecar, _parse_counts)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from typing import Optional
@@ -412,7 +412,8 @@ def leacock_chodorow(
     depth = taxonomy.depth
     if depth < 1:
         raise ConfigurationError("taxonomy depth must be at least 1")
-    return -math.log(length / (2.0 * depth)) / math.log(log_base)
+    # adding 0.0 turns the -0.0 of a path twice the depth into 0.0, as in ic_from_counts
+    return -math.log(length / (2.0 * depth)) / math.log(log_base) + 0.0
 
 
 @dataclass
@@ -420,8 +421,6 @@ class ICTable:
     prob: dict[str, float]
     ic: dict[str, float]
     log_base: float = 2.0
-    #: The sha256 of the file :func:`load_ic_table` read this table from.
-    _sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def ic_of(self, concept: str) -> float:
         if concept not in self.ic:
@@ -592,8 +591,7 @@ def load_ic_table(path) -> ICTable:
 
     The sidecar is read as :func:`~distsem.corpus._load_verified` says, and
     refused if it holds a table the TSV could not (:func:`_ic_problem`);
-    otherwise the TSV is parsed (:func:`_parse_ic_table`).  The file's
-    sha256 is kept as ``_sha256``.
+    otherwise the TSV is parsed (:func:`_parse_ic_table`).
     """
     return _load_verified(path, "information-content", _ic_from_sidecar, _parse_ic_table)
 

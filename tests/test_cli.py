@@ -610,6 +610,15 @@ class TestTaxonomyCommands:
         assert code == 0, err
         assert out.splitlines()[-1] == "dog\tcat\tres\t0.0"
 
+    def test_lc_of_a_path_twice_the_depth_is_positive_zero(self, tmp_path):
+        taxonomy = tmp_path / "taxo.tsv"
+        taxonomy.write_text("NODE\tr\tR\nNODE\ta\tA\nNODE\tb\tB\nEDGE\ta\tr\tisa\nEDGE\tb\tr\tisa\n")
+        code, out, err = run_cli(
+            ["taxo-distance", "--taxonomy", taxonomy, "--taxo-measure", "lc", "--c1", "a", "--c2", "b"]
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1] == "a\tb\tlc\t0.0"
+
     def test_ic_requires_source(self, workdir):
         code, _, err = run_cli(
             ["taxo-distance", "--taxonomy", workdir / "taxo.tsv", "--c1", "dog",

@@ -541,7 +541,7 @@ def test_tagged_and_record_files_follow_one_rule_set(body, newline, last_newline
         plain.write_bytes(text.encode("utf-8"))
 
         def read_tagged(note):  # a tagged file's notes are skipped, not handed on
-            with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+            with mock.patch.object(corpus, "_BLOCK_BYTES", block):
                 blocks = read_tagged_tsv(tagged, "counts", shapes)[2]
                 return [(int(n), list(f)) for [(nums, cols)] in blocks for n, *f in zip(nums, *cols)]
 

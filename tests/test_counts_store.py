@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 from unittest import mock
@@ -33,6 +34,7 @@ from distsem.errors import DistSemError, ValidationError
 from distsem.taxonomy import ICTable
 
 from test_cli import run_cli
+from test_input_reads import CASES, NAMES, write_inputs
 
 BLOCK = corpus._BLOCK_LINES
 
@@ -125,7 +127,7 @@ class TestBlockBoundaries:
         path.write_text(LOADERS["counts"][2] + "\n" + "\n".join(body) + "\n", encoding="utf-8")
         expected = outcome(oracles.counts_file, path)
         assert outcome(load_counts, path) == expected
-        with mock.patch.object(corpus, "_BLOCK_CHARS", chars):
+        with mock.patch.object(corpus, "_BLOCK_BYTES", chars):
             assert outcome(load_counts, path) == expected
         if bad:
             assert expected[0] == "ParseError" and f"{path}:42: " in expected[1]
@@ -203,7 +205,7 @@ def test_small_blocks_read_as_one_line_at_a_time(kind_and_lines, block, newline,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.tsv"
         path.write_bytes((text + newline * last_newline).encode("utf-8"))
-        with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+        with mock.patch.object(corpus, "_BLOCK_BYTES", block):
             assert outcome(load, path) == outcome(oracle, path)
 
 
@@ -217,7 +219,7 @@ def test_whole_pieces_read_as_one_line_at_a_time(inserts):
     for at, line in sorted(inserts, key=lambda insert: -insert[0]):
         body.insert(at, line)
     text = "\n".join(["#manifest\ttool=test", LOADERS["counts"][2], *body]) + "\n"
-    assert len(text) > 2 * corpus._BLOCK_CHARS
+    assert len(text) > 2 * corpus._BLOCK_BYTES
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.tsv"
         path.write_bytes(text.encode("utf-8"))
@@ -427,48 +429,77 @@ class TestCountCache:
         assert entry.read_bytes() == plain + b"#sha256\t%s\n" % sha256(plain).hexdigest().encode()
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_each_input_is_hashed_once(self, tmp_path, two_shards, shards):
-        """By the manifest, or for a counts input by the load that checked its sidecar."""
+    def test_each_input_is_hashed_once(self, tmp_path, two_shards, shards, fifo):
+        """Each input of every subcommand, a file or a pipe, is opened once, by the reader that hashes it.
+
+        The two exceptions: a cold ``count --cache-dir`` reads each regular
+        corpus file once more, to key the entry, and a stale sidecar is
+        ignored, so its counts or IC file is parsed after it was hashed.
+        """
         corpus_files = two_shards[:shards]
         args = ["count", "--corpus", *corpus_files, "--cache-dir", tmp_path / "cache"]
-        hashed = []
+        opened, blocks = Counter(), corpus._blocks
 
-        def counted(hash_file):
-            def counted_hash(path):
-                hashed.append(str(path))
-                return hash_file(path)
+        def counted_blocks(path, *rest):
+            opened[str(path)] += 1
+            return blocks(path, *rest)
 
-            return counted_hash
-
-        def run(args) -> list[str]:
-            hashed.clear()
-            code, _, err = run_cli(args)
+        def run(args, out=tmp_path / "run.out") -> dict:
+            opened.clear()
+            code, _, err = run_cli(args + ["--out", out])
             assert code == 0, err
-            return sorted(hashed)
+            return dict(opened)
 
-        with mock.patch.object(distsem.cli, "_hash_file", counted(distsem.cli._hash_file)), \
-                mock.patch.object(corpus, "_file_sha256", counted(corpus._file_sha256)):
-            for name in ("cold", "warm"):
-                assert run(args + ["--out", tmp_path / f"{name}.tsv"]) == list(map(str, corpus_files))
-            counts = tmp_path / "warm.tsv"
-            for sidecar in (True, False):
-                if not sidecar:
+        def each(paths, times=1) -> dict:
+            return {str(p): times for p in paths}
+
+        def piped(args) -> list:
+            return [fifo(a.read_bytes()) if isinstance(a, Path) else a for a in args]
+
+        inputs = write_inputs(tmp_path / "inputs")
+        other_counts = count_to(tmp_path / "other.tsv", two_shards[1])
+        taxonomy = FIXTURES / "toy_taxonomy.tsv"
+        with mock.patch.object(corpus, "_blocks", counted_blocks):
+            assert run(args) == each(corpus_files, 2)  # cold: the key, then the count
+            assert run(args) == each(corpus_files)  # warm
+            pipes = piped(corpus_files)
+            assert run(["count", "--corpus", *pipes, "--cache-dir", tmp_path / "cache"]) == each(pipes)
+            counts = count_to(tmp_path / "counts.tsv", corpus_files[0])
+            for state in ("sidecar", "deleted", "stale", "piped"):
+                if state == "deleted":
                     sidecar_of(counts).unlink()
+                elif state == "stale":  # another file's sidecar
+                    sidecar_of(counts).write_bytes(sidecar_of(other_counts).read_bytes())
                 for flags, options in QUERIES.values():
                     if options != ["--triples"]:
-                        inputs = [counts] + [flag for flag in flags if isinstance(flag, Path)]
-                        hashed_paths = run([*flags, "--counts", counts, "--out", tmp_path / "query.out"])
-                        assert hashed_paths == sorted(map(str, inputs)), flags[0]
-            taxonomy, ic = FIXTURES / "toy_taxonomy.tsv", tmp_path / "ic.tsv"
-            assert run(["ic-build", "--taxonomy", taxonomy, "--counts", counts, "--out", ic]) == sorted(
-                map(str, [taxonomy, counts])
-            )
-            for sidecar in (True, False):  # the IC table is hashed by its load, with its sidecar or not
-                if not sidecar:
+                        given = [*flags, "--counts", counts]
+                        if state == "piped":
+                            given = piped(given)
+                        found = run(given)
+                        paths = [a for a in given if isinstance(a, Path)]
+                        stale = each([counts], 2) if state == "stale" else {}
+                        assert found == each(paths) | stale, (state, flags)
+            ic = tmp_path / "ic.tsv"
+            counts = inputs / "counts.tsv"
+            assert run(["ic-build", "--taxonomy", taxonomy, "--counts", counts], ic) == each([taxonomy, counts])
+            for state in ("sidecar", "deleted", "stale", "piped"):
+                if state == "deleted":
                     sidecar_of(ic).unlink()
+                elif state == "stale":
+                    sidecar_of(ic).write_bytes(sidecar_of(inputs / "ic.tsv").read_bytes())
                 for measure in ("res", "jc", "lin"):
-                    assert run(["taxo-distance", "--taxonomy", taxonomy, "--ic", ic, "--taxo-measure", measure,
-                                "--c1", "dog", "--c2", "cat"]) == sorted(map(str, [taxonomy, ic]))
+                    given = ["taxo-distance", "--taxonomy", taxonomy, "--ic", ic, "--taxo-measure", measure,
+                             "--c1", "dog", "--c2", "cat"]
+                    if state == "piped":
+                        given = piped(given)
+                    paths = [a for a in given if isinstance(a, Path)]
+                    stale = each([ic], 2) if state == "stale" else {}
+                    assert run(given) == each(paths) | stale, (state, measure)
+            for case, case_args in CASES.items():
+                given = [inputs / a if a in NAMES else a for a in case_args]
+                assert run(given) == each(a for a in given if isinstance(a, Path)), case
+                given = piped(given)
+                assert run(given) == each(a for a in given if isinstance(a, Path)), case
 
     def test_warm_runs_to_the_cold_out_leave_one_copy_and_no_temporary(self, cached, tmp_path):
         args, entry, _ = cached
@@ -642,20 +673,22 @@ def test_outputs_are_the_same_with_the_sidecar_stale_and_deleted(name, tmp_path)
 def test_a_sidecar_that_cannot_be_opened_is_none(window_counts):
     sidecar_of(window_counts).unlink()
     sidecar_of(window_counts).mkdir()  # opening it fails, as for a sidecar the reader may not read
-    with mock.patch.object(corpus, "_parse_counts", wraps=corpus._parse_counts) as parse:
+    with mock.patch.object(corpus, "_parse_counts", wraps=corpus._parse_counts) as parse, \
+            corpus._recording() as record:
         loaded = load_counts(window_counts)
     assert parse.called and loaded.nnz() > 0
-    assert loaded._sha256 == sha256(window_counts.read_bytes()).hexdigest()
+    assert record == {str(window_counts): sha256(window_counts.read_bytes()).hexdigest()}
 
 
 def test_a_valid_sidecar_is_read_without_the_tsv(tmp_path, toy_counts):
     path = tmp_path / "counts.tsv"
     save_counts(toy_counts, path)
-    with mock.patch.object(corpus, "read_tagged_tsv", side_effect=AssertionError("the TSV was parsed")):
+    with mock.patch.object(corpus, "read_tagged_tsv", side_effect=AssertionError("the TSV was parsed")), \
+            corpus._recording() as record:
         loaded = load_counts(path)
     assert counts_equal(loaded, toy_counts)
     assert (loaded.config, loaded.feature_kind) == (toy_counts.config, toy_counts.feature_kind)
-    assert loaded._sha256 == sha256(path.read_bytes()).hexdigest()
+    assert record == {str(path): sha256(path.read_bytes()).hexdigest()}
     # mkstemp makes the sidecar for its owner alone; it takes the TSV's permissions instead
     assert sidecar_of(path).stat().st_mode == path.stat().st_mode
 

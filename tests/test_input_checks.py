@@ -38,7 +38,7 @@ from distsem import (
 import distsem.cli
 from distsem import corpus
 from distsem.cli import main
-from distsem.corpus import _BLOCK_CHARS, _BLOCK_LINES, counts_equal, ingest_triples
+from distsem.corpus import _BLOCK_BYTES, _BLOCK_LINES, counts_equal, ingest_triples
 from distsem.errors import ConfigurationError, ParseError, ValidationError, ZeroCreditWarning
 from distsem.taxonomy import load_word_frequencies
 
@@ -177,7 +177,7 @@ class TestInvalidUtf8:
         load, source = readers[reader]
         bad = tmp_path / f"bad-{source.name}"
         number = _two_defects(source, bad, bytes_first)
-        with mock.patch.object(corpus, "_BLOCK_CHARS", block or _BLOCK_CHARS):
+        with mock.patch.object(corpus, "_BLOCK_BYTES", block or _BLOCK_BYTES):
             with pytest.raises(ParseError) as err:
                 load(bad)
         assert err.value.line_number == number
@@ -221,7 +221,7 @@ class TestInvalidUtf8:
     def test_triples_defect_order_through_cli(self, fixtures_dir, tmp_path, bytes_first, block):
         bad = tmp_path / "bad.triples"
         number = _two_defects(fixtures_dir / "toy.triples", bad, bytes_first)
-        with mock.patch.object(corpus, "_BLOCK_CHARS", block or _BLOCK_CHARS):
+        with mock.patch.object(corpus, "_BLOCK_BYTES", block or _BLOCK_BYTES):
             code, out, err = run_cli(
                 ["count", "--corpus", bad, "--triples", "--out", tmp_path / "c.tsv"]
             )
@@ -234,7 +234,7 @@ class TestInvalidUtf8:
         lines = (triples + ["", "#note\tx", "  "]) * 3000
         path = tmp_path / "many.triples"
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        assert path.stat().st_size > 3 * _BLOCK_CHARS
+        assert path.stat().st_size > 3 * _BLOCK_BYTES
         code, _, err = run_cli(["count", "--corpus", path, "--triples", "--out", tmp_path / "c.tsv"])
         assert code == 0, err
         assert counts_equal(load_counts(tmp_path / "c.tsv"), ingest_triples(lines))
@@ -859,7 +859,7 @@ class TestTaggedFileLines:
         assert err.value.line_number == 1
 
     def test_whitespace_line_in_a_later_block(self, tmp_path):
-        lines = _BLOCK_CHARS // 8  # over eight characters a line, so past the first piece
+        lines = _BLOCK_BYTES // 8  # over eight characters a line, so past the first piece
         body = [f"t{i // 50}\tf{i % 50}\t1" for i in range(lines + 100)]
         body.insert(lines + 50, "  ")
         path = tmp_path / "counts.tsv"
@@ -1276,7 +1276,7 @@ class TestICValues:
         assert code == 2 and "ic.tsv:7: repeats the concept of line 4" in stderr
 
     def test_repeat_in_a_later_block(self, tmp_path):
-        body = [f"c{i}\t0.5\t1.0" for i in range(_BLOCK_CHARS // 8)]  # past the first piece
+        body = [f"c{i}\t0.5\t1.0" for i in range(_BLOCK_BYTES // 8)]  # past the first piece
         path = tmp_path / "ic.tsv"
         path.write_text("#ic\tlog_base=2.0\n" + "\n".join(body + ["c7\t0.5\t1.0"]) + "\n")
         with pytest.raises(ParseError, match="repeats the concept of line 9") as err:

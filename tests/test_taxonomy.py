@@ -420,6 +420,12 @@ class TestLeacockChodorow:
         )
         assert leacock_chodorow(taxo, "l", "l2") == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("log_base", [2.0, 10.0])
+    def test_path_of_twice_the_depth_is_positive_zero(self, log_base):
+        """A path exactly twice the depth gives 0.0, never -0.0, as ``ic_from_counts`` does."""
+        taxo = Taxonomy(nodes={"r": "R", "a": "A", "b": "B"}, edges=[("a", "r", "isa"), ("b", "r", "isa")])
+        assert leacock_chodorow(taxo, "a", "b", log_base).hex() == (0.0).hex()
+
     def test_unit_path_depth_four(self):
         chain = {f"n{i}": f"N{i}" for i in range(5)}
         edges = [(f"n{i+1}", f"n{i}", "isa") for i in range(4)]
@@ -821,19 +827,19 @@ class TestLoaderAgainstOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        taxonomy_lines(), st.sampled_from([1, 7, 64, corpus._BLOCK_CHARS]),
+        taxonomy_lines(), st.sampled_from([1, 7, 64, corpus._BLOCK_BYTES]),
         st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
     )
     def test_well_formed_files(self, lines, block, newline, last_newline):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_lines(tmp, lines, newline, last_newline)
-            with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+            with mock.patch.object(corpus, "_BLOCK_BYTES", block):
                 loaded = outcome(load_taxonomy, path)
             assert loaded == outcome(oracles.taxonomy_file, path)
         assert loaded[0] == "loaded"
 
     @settings(max_examples=200, deadline=None)
-    @given(taxonomy_lines(), st.data(), st.sampled_from([1, 7, 64, corpus._BLOCK_CHARS]))
+    @given(taxonomy_lines(), st.data(), st.sampled_from([1, 7, 64, corpus._BLOCK_BYTES]))
     def test_defects(self, lines, data, block):
         names = [line.split("\t")[1] for line in lines if line.startswith("NODE\t")]
         for _ in range(data.draw(st.integers(1, 2))):
@@ -841,7 +847,7 @@ class TestLoaderAgainstOracle:
             lines.insert(at, data.draw(defects(names)))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_lines(tmp, lines)
-            with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+            with mock.patch.object(corpus, "_BLOCK_BYTES", block):
                 loaded = outcome(load_taxonomy, path)
             assert loaded == outcome(oracles.taxonomy_file, path)
         assert loaded[0] != "loaded"
@@ -861,7 +867,7 @@ class TestLoaderAgainstOracle:
         if defect is not None:
             lines.insert(at, defect)
         path = write_lines(tmp_path, lines)
-        assert path.stat().st_size > 3 * corpus._BLOCK_CHARS
+        assert path.stat().st_size > 3 * corpus._BLOCK_BYTES
         loaded = outcome(load_taxonomy, path)
         assert loaded == outcome(oracles.taxonomy_file, path)
         if defect is None:
@@ -908,11 +914,11 @@ def frequency_outcome(load, path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(frequency_lines, max_size=12), st.sampled_from([1, 7, 64, corpus._BLOCK_CHARS]))
+@given(st.lists(frequency_lines, max_size=12), st.sampled_from([1, 7, 64, corpus._BLOCK_BYTES]))
 def test_frequency_files_read_as_one_line_at_a_time(lines, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_lines(tmp, lines)
-        with mock.patch.object(corpus, "_BLOCK_CHARS", block):
+        with mock.patch.object(corpus, "_BLOCK_BYTES", block):
             loaded = frequency_outcome(load_word_frequencies, path)
         assert loaded == frequency_outcome(oracles.frequency_file, path)
 
