@@ -6,10 +6,10 @@ input, so identical inputs and flags always produce byte-identical output.
 Each input is read once per command, through one reader that hashes the
 bytes it reads (see :func:`~distsem.corpus._blocks`), and the manifest is
 built after the inputs are read, from those digests; so a pipe is hashed as
-it is read.  ``count --cache-dir`` keeps each counts file it writes, and its
-binary sidecar (see :func:`save_counts`), keyed by the file's manifest, and
-copies both to ``--out`` on a re-run instead of counting again; a corpus that
-is not a regular file is counted without the cache, as it cannot be read twice.
+it is read.  ``count --cache-dir`` keeps each counts file it writes and its
+binary sidecar (see :func:`save_counts`), whose sha256 checks the file, keyed
+by its manifest, and copies both to ``--out`` on a re-run instead of counting
+again; a corpus that is not a regular file (read once) is counted uncached.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input validation
 error.
@@ -47,6 +47,7 @@ from .corpus import (
     _Documents,
     _digest_of,
     _file_pieces,
+    _read_sidecar,
     _recording,
     _sidecar,
     _write_atomically,
@@ -206,26 +207,21 @@ def _lowercase(config: Optional[CorpusConfig]) -> bool:
     return config is None or config.lowercase
 
 
-def _digest_line(data: bytes) -> bytes:
-    return b"#sha256\t" + hashlib.sha256(data).hexdigest().encode("ascii") + b"\n"
-
-
 def _entry_bytes(entry: Path) -> bytes:
-    """The ``--out`` bytes a count cache entry holds, checked against its last line."""
+    """The bytes of count cache entry ``entry``, checked against the sha256 its sidecar records."""
     data = entry.read_bytes()
-    body = data[: -len(_digest_line(b""))]
-    if data[len(body) :] != _digest_line(body):
-        raise ValidationError(f"{entry}: damaged counts cache entry (sha256 line does not match)")
-    return body
+    digest = hashlib.sha256(data).hexdigest()
+    if _read_sidecar(Path(f"{entry}.npz"), digest, "counts cache entry", lambda member: data) is None:
+        raise ValidationError(f"{entry}: damaged counts cache entry (its sidecar does not record its sha256)")
+    return data
 
 
-def _copy_sidecar(source: Path, dest: Path) -> None:
-    """Copy the sidecar of counts file ``source`` beside counts file ``dest``, where both may have one."""
-    held, copy = _sidecar(source), _sidecar(dest)
-    if held is None or copy is None or not held.exists():
-        return
-    data = held.read_bytes()
-    _write_atomically(copy, lambda handle: handle.write(data), like=dest)
+def _copy_sidecar(entry: Path, dest: Path) -> None:
+    """Copy the sidecar of count cache entry ``entry`` beside counts file ``dest``, where that may have one."""
+    copy = _sidecar(dest)
+    if copy is not None:
+        data = Path(f"{entry}.npz").read_bytes()
+        _write_atomically(copy, lambda handle: handle.write(data), like=dest)
 
 
 #: Flags (by ``dest``) that only window counting reads, and their defaults.
@@ -287,21 +283,15 @@ def cmd_count(args) -> int:
     manifest = build_manifest("count", args.corpus, settings)
     # the entry is the output file, keyed by everything that shapes it
     key = hashlib.sha256("\n".join(manifest).encode("utf-8")).hexdigest()
-    entry = Path(args.cache_dir) / f"counts-v3-{key}.tsv"
+    entry = Path(args.cache_dir) / f"counts-v4-{key}.tsv"
     entry.parent.mkdir(parents=True, exist_ok=True)
-    if entry.exists():
-        data = _entry_bytes(entry)
-    else:  # counted into the cache and read back from there, as --out may be a pipe
+    if not (entry.exists() and Path(f"{entry}.npz").exists()):  # a miss: counted into the cache
         with tempfile.TemporaryDirectory(dir=entry.parent) as made:
             counts = Path(made) / entry.name
             save_counts(_count_corpus(args), counts, extra_header=manifest)
-            data = counts.read_bytes()
-            with open(counts, "ab") as handle:
-                handle.write(_digest_line(data))
-            if Path(f"{counts}.npz").exists():  # moved first, so that an entry never lacks its sidecar
-                os.replace(f"{counts}.npz", f"{entry}.npz")
+            os.replace(f"{counts}.npz", f"{entry}.npz")  # first, so that an entry never lacks its sidecar
             os.replace(counts, entry)
-    out.write_bytes(data)
+    out.write_bytes(_entry_bytes(entry))  # read from the cache, as --out may be a pipe
     _copy_sidecar(entry, out)
     return 0
 

@@ -13,7 +13,8 @@ length.  A flat token stream is taken in bounded batches the same way.  Counts
 over disjoint document shards can be merged additively with :func:`merge_counts`.
 
 Every input file is read once, in blocks, through :func:`_blocks`, which
-hashes the bytes it hands on; within :func:`_recording` each digest is kept.
+hashes the bytes it hands on within :func:`_recording`, where each digest is
+kept.
 """
 
 from __future__ import annotations
@@ -177,21 +178,24 @@ def _blocks(path, digest=None) -> Iterator[bytes]:
 
     A piece ends at a ``\\n`` (the last one at the end of the file), so no
     character, and no ``\\r\\n``, is split between two pieces.  The bytes go
-    into ``digest`` (a new sha256 if None) as they are read; at the end of the
-    file the hex digest goes into the open record of :func:`_recording`, if
-    any, under ``str(path)``.
+    into ``digest`` as they are read; with no ``digest``, into a new sha256
+    only while a record of :func:`_recording` is open, so a read outside one
+    hashes nothing.  At the end of the file the hex digest goes into that
+    record, if any, under ``str(path)``.
     """
-    digest = hashlib.sha256() if digest is None else digest
+    record = _DIGESTS.get()
+    digest = hashlib.sha256() if digest is None and record is not None else digest
     held = []
     with open(path, "rb") as handle:
         while block := handle.read(_BLOCK_BYTES):
-            digest.update(block)
+            if digest is not None:
+                digest.update(block)
             cut = block.rfind(b"\n") + 1
             held.append(block[:cut] if cut else block)
             if cut:
                 yield b"".join(held)
                 held = [block[cut:]]
-    if (record := _DIGESTS.get()) is not None:
+    if record is not None:
         record[str(path)] = digest.hexdigest()
     if rest := b"".join(held):
         yield rest
@@ -982,49 +986,40 @@ def _split_records(
     shape, and then the other tags start with ``#``), a (name, column type)
     pair per field after it, and what a line of that tag and another field
     count is refused as.  Blank lines and ``#`` lines of no shape's tag are
-    skipped.  ``text`` is encoded once (:func:`_utf8`), and its tabs, line
-    ends, tags and integer columns of 1 to 18 ASCII digits a field are read
-    from the bytes at once; where each line starts with a plain data byte,
-    one comparison checks the untagged field count.  If a line fits no shape
-    or a type refuses a value, a walk a line at a time gives ``check`` (line
-    number, fields) of each line that passes and refuses the first bad one
-    with its shape's message (the first shape's if none), formatted with the
-    line, or ``bad_value``, formatted with the column's name and the value.
+    skipped.  ``text`` is encoded once (:func:`_utf8`); its tabs, line ends,
+    tags, each line's field count and integer columns of 1 to 18 ASCII
+    digits a field are read from the bytes at once, the same way whatever
+    the shapes.  If a line fits no shape or a type refuses a value, a walk a
+    line at a time gives ``check`` (line number, fields) of each line that
+    passes and refuses the first bad one with its shape's message (the first
+    shape's if none), formatted with the line, or ``bad_value``, formatted
+    with the column's name and the value.
     """
     data = _utf8(text, path, first)
     whole = data.endswith(b"\n")
     raw = np.frombuffer(data if whole else data + b"\n", dtype=np.uint8)  # every line ends in \n
     ends = np.flatnonzero((raw == 9) | (raw == 10))  # of each field
     starts, breaks = np.append(0, ends[:-1] + 1), raw[ends] == 10
-    k, untagged = len(shapes[0][1]), shapes[0][0] is None
-    heads = np.arange(0, ends.size, k)  # each line's first field, if every line has k fields
-    lead = raw[starts[heads]]
-    if (
-        untagged and ends.size % k == 0 and breaks[k - 1 :: k].all() and breaks.sum() == heads.size
-        and ((lead > 32) & (lead < 127) & (lead != 35)).all()  # each line starts with a data byte
-    ):
-        chosen, fits = [np.arange(heads.size)] + [heads[:0]] * (len(shapes) - 1), True
-    else:
-        heads = np.append(0, np.flatnonzero(breaks[:-1]) + 1)
-        firsts, widths = starts[heads], np.diff(heads, append=ends.size)
-        lead, kinds = raw[firsts], np.full(heads.size, -1)  # each line's shape, -1 for none
-        for i, (tag, _, _) in enumerate(shapes[untagged:], untagged):  # lines whose first field is a tag
-            code = np.frombuffer(tag.encode("utf-8"), dtype=np.uint8)
-            lines = np.flatnonzero((lead == code[0]) & (ends[heads] - firsts == code.size))
-            kinds[lines[(raw[firsts[lines, None] + np.arange(code.size)] == code).all(1)]] = i
-        loose = (kinds < 0) & (lead != 35)  # lines of no tag that are not notes
-        spaced = loose & ((lead <= 32) | (lead > 127))  # of them, those that may be blank
-        if spaced.any():
-            spaced &= ~np.logical_or.reduceat((raw > 32) & (raw < 127), firsts)
-            for i in np.flatnonzero(spaced).tolist():
-                loose[i] = bool(data[firsts[i] : ends[heads[i] + widths[i] - 1]].decode().strip())
-        kinds[loose] = 0 if untagged else len(shapes)  # an untagged record, or a line of no shape
-        chosen = [
-            np.flatnonzero((kinds == i) & (widths == len(columns) + (tag is not None)))
-            for i, (tag, columns, _) in enumerate(shapes)
-        ]
-        fits = sum(lines.size for lines in chosen) == (kinds >= 0).sum()
-    if fits:
+    untagged = shapes[0][0] is None
+    heads = np.append(0, np.flatnonzero(breaks[:-1]) + 1)  # each line's first field
+    firsts, widths = starts[heads], np.diff(heads, append=ends.size)
+    lead, kinds = raw[firsts], np.full(heads.size, -1)  # each line's shape, -1 for none
+    for i, (tag, _, _) in enumerate(shapes[untagged:], untagged):  # lines whose first field is a tag
+        code = np.frombuffer(tag.encode("utf-8"), dtype=np.uint8)
+        lines = np.flatnonzero((lead == code[0]) & (ends[heads] - firsts == code.size))
+        kinds[lines[(raw[firsts[lines, None] + np.arange(code.size)] == code).all(1)]] = i
+    loose = (kinds < 0) & (lead != 35)  # lines of no tag that are not notes
+    spaced = loose & ((lead <= 32) | (lead > 127))  # of them, those that may be blank
+    if spaced.any():
+        spaced &= ~np.logical_or.reduceat((raw > 32) & (raw < 127), firsts)
+        for i in np.flatnonzero(spaced).tolist():
+            loose[i] = bool(data[firsts[i] : ends[heads[i] + widths[i] - 1]].decode().strip())
+    kinds[loose] = 0 if untagged else len(shapes)  # an untagged record, or a line of no shape
+    chosen = [
+        np.flatnonzero((kinds == i) & (widths == len(columns) + (tag is not None)))
+        for i, (tag, columns, _) in enumerate(shapes)
+    ]
+    if sum(lines.size for lines in chosen) == (kinds >= 0).sum():  # every line fits its shape
         cells, found = text.replace("\n", "\t").split("\t"), []
         try:
             for (tag, columns, _), lines in zip(shapes, chosen):
@@ -1177,7 +1172,8 @@ def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) 
     integer type), which :func:`load_counts` reads in place of the TSV.
     Counts not as :meth:`CooccurrenceCounts.from_ids` leaves them (every
     loader and counter does) get none, as the TSV would not read back as
-    they are.
+    they are, and nor do counts with a unigram count past int64, which only
+    the TSV holds; a sidecar already beside ``path`` is then removed.
     """
     rendered = list(map(render_feature, counts.features))
     words = sorted(counts.unigram_counts)
@@ -1196,11 +1192,16 @@ def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) 
     digest = write_tagged_tsv(path, "counts", fields, chain(unigrams, _cell_lines(counts, rendered)),
                               extra_header)
     arrays = {"indptr": counts._indptr, "indices": counts._indices, "data": counts._data}
-    if _csr_problem(counts.targets, rendered, **arrays) is None:
+    try:
+        unigram_counts = np.array([counts.unigram_counts[w] for w in words], dtype=np.int64)
+    except OverflowError:  # a count past int64, which only the TSV holds
+        unigram_counts = None
+    members = None
+    if unigram_counts is not None and _csr_problem(counts.targets, rendered, **arrays) is None:
         arrays = {key: a.astype(np.min_scalar_type(a.max(initial=0))) for key, a in arrays.items()}
         texts = ["\t".join(f"{k}={v}" for k, v in fields.items()), *names]
-        unigram_counts = np.array([counts.unigram_counts[w] for w in words], dtype=np.int64)
-        _write_sidecar(path, digest, {"unigrams": unigram_counts, **arrays, **dict(zip(_TEXTS, texts))})
+        members = {"unigrams": unigram_counts, **arrays, **dict(zip(_TEXTS, texts))}
+    _write_sidecar(path, digest, members)
 
 
 def _joined_names(
@@ -1230,16 +1231,20 @@ def _sidecar(path) -> Optional[Path]:
     return Path(f"{path}.npz") if regular else None
 
 
-def _write_sidecar(path, digest: str, members: dict) -> None:
+def _write_sidecar(path, digest: str, members: Optional[dict]) -> None:
     """Write ``<path>.npz`` beside the file ``path`` just written, if that is a regular file.
 
     The sidecar is an uncompressed numpy zip of the format version, the
     sha256 ``digest`` of the bytes written to ``path`` and ``members``:
     arrays, and text held as its UTF-8 bytes.  It is written through a
-    temporary file and takes the permissions of ``path``.
+    temporary file and takes the permissions of ``path``.  With ``members``
+    None a sidecar already there is removed, as it records bytes no longer
+    at ``path`` and each load would hash the file for it before parsing it.
     """
     sidecar = _sidecar(path)
-    if sidecar is not None:
+    if sidecar is not None and members is None:
+        sidecar.unlink(missing_ok=True)
+    elif sidecar is not None:
         arrays = {key: np.frombuffer(value.encode("utf-8"), np.uint8) if isinstance(value, str) else value
                   for key, value in {"sha256": digest, **members}.items()}
         _write_atomically(sidecar, lambda out: np.savez(out, version=_SIDECAR_VERSION, **arrays), like=path)
@@ -1267,13 +1272,13 @@ def _load_verified(path, what: str, build: Callable, parse: Callable):
 
     A regular file's sidecar is read if it is of this format version and
     records the sha256 of the file's bytes; one of another version or digest
-    (a stale one), or that cannot be opened, is ignored.  ``build`` takes its
-    members (arrays by name) and returns what they hold, or a string naming
-    why that is not what ``parse`` would give.  A sidecar cut short, with a
-    flipped bit (each zip member's CRC-32 is checked) or that ``build``
-    refuses or fails on ends in :class:`ValidationError` naming it.  Only a
-    file whose sidecar exists is hashed before it is parsed, so a file is
-    read once unless its sidecar is ignored.
+    (a stale one), or that cannot be opened, is ignored.  ``build`` reads its
+    members (:func:`_read_sidecar`) and returns what they hold, or a string
+    naming why that is not what ``parse`` would give.  A sidecar cut short,
+    with a flipped bit (each member read has its CRC-32 checked) or that
+    ``build`` refuses or fails on ends in :class:`ValidationError` naming it.
+    Only a file whose sidecar exists is hashed before it is parsed, so a file
+    is read once unless its sidecar is ignored.
     """
     sidecar = _sidecar(path)
     if sidecar is not None and sidecar.exists():
@@ -1284,23 +1289,23 @@ def _load_verified(path, what: str, build: Callable, parse: Callable):
 
 
 def _read_sidecar(sidecar: Path, digest: str, what: str, build: Callable):
-    """``build`` of a sidecar's members; None if there is none this user can open, or it is stale."""
+    """``build(member)``, ``member(name)`` reading one member whole (so its CRC-32 is checked), of a
+    sidecar recording ``digest``; None if there is none this user can open, or it is stale."""
     try:
         handle = open(sidecar, "rb")
     except OSError:
         return None
     try:
-        with handle, zipfile.ZipFile(handle) as held:  # each read checks the member's CRC-32
+        with handle, zipfile.ZipFile(handle) as held:
 
             def member(name: str) -> np.ndarray:
-                return np.lib.format.read_array(io.BytesIO(held.read(name)), allow_pickle=False)
+                return np.lib.format.read_array(io.BytesIO(held.read(name + ".npy")), allow_pickle=False)
 
-            if member("version.npy").tolist() != _SIDECAR_VERSION:
+            if member("version").tolist() != _SIDECAR_VERSION:
                 return None
-            if bytes(member("sha256.npy")) != digest.encode():
+            if bytes(member("sha256")) != digest.encode():
                 return None  # stale: the file was written again or edited since
-            members = {name.removesuffix(".npy"): member(name) for name in held.namelist()}
-        loaded = build(members)
+            loaded = build(member)
     except Exception as exc:  # a fault of any kind in the zip, its arrays or its text: never read it
         loaded = f"{type(exc).__name__}: {exc}"
     if isinstance(loaded, str):
@@ -1404,18 +1409,18 @@ def load_counts(path) -> CooccurrenceCounts:
     return _load_verified(path, "counts", _counts_from_sidecar, _parse_counts)
 
 
-def _counts_from_sidecar(members: dict) -> Union[CooccurrenceCounts, str]:
-    """The counts a sidecar's members hold, or what keeps them from being counts."""
+def _counts_from_sidecar(member: Callable) -> Union[CooccurrenceCounts, str]:
+    """The counts a sidecar's members (``member(name)``) hold, or what keeps them from being counts."""
     indptr, indices, data = (  # each stored in its narrowest integer type
         a.astype(np.int64, copy=False) if a.dtype.kind in "iu" else a
-        for a in (members["indptr"], members["indices"], members["data"])
+        for a in map(member, ("indptr", "indices", "data"))
     )
-    fields, *names = (bytes(members[key]).decode("utf-8") for key in _TEXTS)
+    fields, *names = (bytes(member(key)).decode("utf-8") for key in _TEXTS)
     targets, features, words = (text.split("\n") if text else [] for text in names)
     fields = dict(part.partition("=")[::2] for part in fields.split("\t"))
     meta = {"total_tokens": _count(fields["total_tokens"]), "config": _corpus_config(fields),
             "feature_kind": _feature_kind(fields["feature_kind"])}
-    unigrams = members["unigrams"]
+    unigrams = member("unigrams")
     problem = _csr_problem(targets, features, indptr, indices, data)
     if problem is None and (unigrams.dtype != np.int64 or unigrams.shape != (len(words),)
                             or (unigrams < 0).any() or not _increasing(words)):

@@ -62,44 +62,36 @@ class Taxonomy:
         self, nodes: dict[str, str], edges: list[tuple[str, str, str]],
         word_map: Optional[dict[str, frozenset]] = None, hypernym_relation: str = "isa",
     ):
-        """From name-keyed views, turned into ids for :meth:`from_ids`; a word
-        with no sense is left out.  An edge end or word sense that is not a
-        node ends in :class:`ValidationError`."""
+        """From name-keyed views, turned into id arrays for :meth:`_build` as in
+        :func:`load_taxonomy`; a word with no sense is left out.  An edge end
+        or word sense that is not a node ends in :class:`ValidationError`."""
         senses = [(word, concept) for word, concepts in (word_map or {}).items() for concept in concepts]
         edge_columns, sense_columns = tuple(zip(*edges)) or ((), (), ()), tuple(zip(*senses)) or ((), ())
         index, labels = _numbered(nodes), list(nodes.values())
         self._build(*_id_columns(index, labels, edge_columns, sense_columns, _invalid), hypernym_relation)
 
-    @classmethod
-    def from_ids(cls, names, labels, edges, relations, words, senses, hypernym_relation="isa"):
-        """A taxonomy of the distinct concepts ``names``, with their ``labels``, from id arrays.
+    def _build(self, ids, labels, edges, relations, word_ids, senses, hypernym_relation) -> None:
+        """Hold the concepts of ``ids`` (name -> id, ids from 0 in order), with their ``labels``.
 
-        ``edges`` holds each edge's child, parent and relation ids, a relation
-        id indexing ``relations``; ``senses`` holds (word id, concept id)
-        pairs, a word id indexing ``words``.  Ids must be in range, each word
-        must have a pair, and a repeated pair counts once.  A cycle of
+        ``edges`` holds each edge's child, parent and relation id arrays, a
+        relation id indexing the distinct labels ``relations``; ``senses``
+        holds (word id, concept id) arrays, a word id indexing ``word_ids``
+        (name -> id, as ``ids``).  Ids must be in range, each word must have
+        a pair, and a repeated pair counts once.  A cycle of
         ``hypernym_relation`` edges ends in :class:`ValidationError`.  The
         name views are built on first use.
         """
-        taxonomy = cls.__new__(cls)
-        ids, word_ids = _numbered(names), _numbered(words)
-        taxonomy._build(ids, labels, edges, relations, word_ids, senses, hypernym_relation)
-        return taxonomy
-
-    def _build(self, ids, labels, edges, relations, word_ids, senses, hypernym_relation) -> None:
-        """As :meth:`from_ids`, with the concepts and words as name -> id dicts."""
         n = len(ids)
         self._ids, self._word_ids = ids, word_ids
         self._names, self._labels = list(ids), labels
-        self._child, self._parent, relation = (np.asarray(column, dtype=np.int64) for column in edges)
-        distinct = _numbered(relations)  # a label given twice gets one id
-        self._relations, self._relation = list(distinct), _lookup(distinct, relations)[relation]
+        self._child, self._parent, self._relation = (np.asarray(column, dtype=np.int64) for column in edges)
+        self._relations = relations
         self.hypernym_relation = hypernym_relation
         # each word's senses, once each
         owner, concept = (np.asarray(column, dtype=np.int64) for column in senses)
         owner, concept = np.divmod(_distinct(owner * n + concept), max(n, 1))
         self._sense_ptr, self._senses = _csr(owner, concept, len(word_ids))
-        hyper = np.array([label == hypernym_relation for label in distinct], dtype=bool)[self._relation]
+        hyper = np.array([label == hypernym_relation for label in relations], dtype=bool)[self._relation]
         child, parent = self._child[hyper], self._parent[hyper]
         # each concept's hypernyms in edge order, and its hyponyms
         self._up_ptr, self._up = _csr(child, parent, n)
@@ -233,8 +225,8 @@ def load_taxonomy(path, hypernym_relation: str = "isa") -> Taxonomy:
     with an empty name, naming a node again or of bytes that are not UTF-8,
     then the first edge, and then the first ``WORD`` line, naming a concept
     that no ``NODE`` line declares, ends in :class:`ParseError` at its line.
-    The taxonomy is built from id arrays, as :meth:`Taxonomy.from_ids`
-    builds one; its name views are built on first use.
+    The taxonomy is built from id arrays (:func:`_id_columns`), as
+    :class:`Taxonomy` builds one; its name views are built on first use.
     """
     index: dict[str, int] = {}  # node name -> id, in NODE line order
     lines = [[np.empty(0, dtype=np.int64)] for _ in _RECORDS]  # each record kind's line numbers
@@ -573,7 +565,8 @@ def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
     with ``#`` is refused first (:class:`ValidationError`).  Both files are
     written from the values as float64, so a numpy float reads back too.  The
     sidecar holds the concepts, ``prob``, ``ic`` and ``log_base``; a table the
-    reader would refuse (:func:`_ic_problem`) gets none.
+    reader would refuse (:func:`_ic_problem`) gets none, and a sidecar
+    already beside ``path`` is then removed.
     """
     concepts = sorted(table.prob)
     names = _joined_names(path, "concept", concepts, starts_line=True)
@@ -582,8 +575,8 @@ def save_ic_table(table: ICTable, path, extra_header: list[str] = ()) -> None:
     log_base = np.float64(table.log_base)
     body = (f"{c}\t{p!r}\t{i!r}\n" for c, p, i in zip(concepts, probs.tolist(), ics.tolist()))
     digest = write_tagged_tsv(path, "ic", {"log_base": repr(log_base.item())}, body, extra_header)
-    if _ic_problem(concepts, names, probs, ics, log_base) is None:
-        _write_sidecar(path, digest, {"concepts": names, "prob": probs, "ic": ics, "log_base": log_base})
+    members = {"concepts": names, "prob": probs, "ic": ics, "log_base": log_base}
+    _write_sidecar(path, digest, members if _ic_problem(concepts, names, probs, ics, log_base) is None else None)
 
 
 def load_ic_table(path) -> ICTable:
@@ -596,10 +589,10 @@ def load_ic_table(path) -> ICTable:
     return _load_verified(path, "information-content", _ic_from_sidecar, _parse_ic_table)
 
 
-def _ic_from_sidecar(members: dict):
-    """The table a sidecar's members hold, or what keeps them from being one."""
-    text = bytes(members["concepts"]).decode("utf-8")
-    names, probs, ics, log_base = text.split("\n"), members["prob"], members["ic"], members["log_base"]
+def _ic_from_sidecar(member):
+    """The table a sidecar's members (``member(name)``) hold, or what keeps them from being one."""
+    text = bytes(member("concepts")).decode("utf-8")
+    names, (probs, ics, log_base) = text.split("\n"), map(member, ("prob", "ic", "log_base"))
     problem = _ic_problem(names, text, probs, ics, log_base)
     if problem is not None:
         return problem

@@ -136,26 +136,30 @@ class TestCount:
                 ]
             )
             assert code == 0, err
-        assert list(cache.glob("counts-v3-*.tsv"))
-        assert first.read_bytes() == second.read_bytes()
+        (entry,) = cache.glob("counts-v4-*.tsv")
+        assert first.read_bytes() == second.read_bytes() == entry.read_bytes()
 
     def test_cut_cache_write_leaves_no_entry(self, workdir, tmp_path, monkeypatch):
-        import distsem.cli
-
-        def cut_before_digest(data):
-            raise OSError("disk full")  # the body is written, its sha256 line is not
+        import os
 
         cache = tmp_path / "cache"
+        replace = os.replace
+
+        def cut_at_the_move(source, dest):
+            if Path(dest).parent == cache:
+                raise OSError("disk full")  # the entry is written, not moved into place
+            replace(source, dest)
+
         args = ["count", "--corpus", workdir / "toy.txt", "--cache-dir", cache]
         with monkeypatch.context() as patch:
-            patch.setattr(distsem.cli, "_digest_line", cut_before_digest)
+            patch.setattr(os, "replace", cut_at_the_move)
             with pytest.raises(OSError):
                 run_cli(args + ["--out", tmp_path / "cut.tsv"])
         assert list(cache.iterdir()) == []
 
         code, _, err = run_cli(args + ["--out", tmp_path / "cached.tsv"])
         assert code == 0, err
-        assert list(cache.glob("counts-v3-*.tsv"))
+        assert list(cache.glob("counts-v4-*.tsv"))
         code, _, err = run_cli(args[:3] + ["--out", tmp_path / "plain.tsv"])
         assert code == 0, err
         assert (tmp_path / "cached.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()

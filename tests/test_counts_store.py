@@ -387,17 +387,30 @@ def two_shards(tmp_path, toy_corpus_path):
 
 
 def edit_lines(data: bytes, change) -> bytes:
-    """The entry ``data`` with ``change`` applied to its body lines; the sha256 line is kept."""
-    *body, digest = data.decode("utf-8").splitlines(keepends=True)
+    """The entry ``data`` with ``change`` applied to its lines."""
+    body = data.decode("utf-8").splitlines(keepends=True)
     header = next(i for i, line in enumerate(body) if line.startswith("#counts"))
     cells = next(i for i, line in enumerate(body) if i > header and line[0] != "#")
-    edited = (change(body, header, cells) + digest).encode("utf-8", "surrogateescape")
+    edited = change(body, header, cells).encode("utf-8", "surrogateescape")
     assert edited != data
     return edited
 
 
 def renamed_target(line: str, name: str) -> str:
     return name + line[line.index("\t") :]
+
+
+def flipped(data: bytes, at: int) -> bytes:
+    """``data`` with one bit of its byte ``at`` flipped."""
+    at %= len(data)
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+def resaved(sidecar: Path, **changes) -> None:
+    """Write ``sidecar`` again with ``changes`` to its members; a member changed to None is left out."""
+    with np.load(sidecar) as held:
+        members = {**dict(held), **changes}
+    np.savez(sidecar, **{key: value for key, value in members.items() if value is not None})
 
 
 class TestCountCache:
@@ -412,7 +425,7 @@ class TestCountCache:
         code, _, err = run_cli(args + ["--out", tmp_path / "cold.tsv"])
         assert code == 0, err
         (entry,) = (tmp_path / "cache").glob("*.tsv")
-        assert entry.name.startswith("counts-v3-") and entry.suffix == ".tsv"
+        assert entry.name.startswith("counts-v4-") and entry.suffix == ".tsv"
         assert (tmp_path / "cold.tsv").read_bytes() == plain.read_bytes()
         return args, entry, plain.read_bytes()
 
@@ -426,7 +439,10 @@ class TestCountCache:
 
     def test_entry_is_the_output_and_its_digest(self, cached):
         _, entry, plain = cached
-        assert entry.read_bytes() == plain + b"#sha256\t%s\n" % sha256(plain).hexdigest().encode()
+        assert entry.read_bytes() == plain
+        with np.load(sidecar_of(entry)) as held:
+            assert bytes(held["sha256"]) == sha256(plain).hexdigest().encode()
+        assert sorted(p.name for p in entry.parent.iterdir()) == [entry.name, sidecar_of(entry).name]
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_each_input_is_hashed_once(self, tmp_path, two_shards, shards, fifo):
@@ -521,7 +537,7 @@ class TestCountCache:
         other = (tmp_path / "other.tsv").read_bytes()
         assert b"tool=distsem/0.0-other\n" in other
         assert other.replace(b"0.0-other", distsem.__version__.encode()) == plain
-        assert len(list(entry.parent.glob("*.tsv"))) == 2 and entry.read_bytes().startswith(plain)
+        assert len(list(entry.parent.glob("*.tsv"))) == 2 and entry.read_bytes() == plain
 
     def rerun_fails(self, args, entry, tmp_path):
         code, out, err = run_cli(args + ["--out", tmp_path / "again.tsv"])
@@ -552,15 +568,20 @@ class TestCountCache:
     @pytest.mark.parametrize(
         "change",
         [
-            lambda data: data[:100] + bytes([data[100] ^ 1]) + data[101:],
-            lambda data: data[: data.rindex(b"#sha256")],
-            lambda data: data[:-2] + (b"0" if data[-2:-1] != b"0" else b"1") + b"\n",
+            lambda entry: entry.write_bytes(flipped(entry.read_bytes(), 100)),
+            lambda entry: resaved(sidecar_of(entry), sha256=None),
+            lambda entry: resaved(sidecar_of(entry), sha256=text(sha256(b"other").hexdigest())),
+            lambda entry: resaved(sidecar_of(entry), version=corpus._SIDECAR_VERSION + 1),
+            lambda entry: sidecar_of(entry).write_bytes(flipped(sidecar_of(entry).read_bytes(), -5)),
+            lambda entry: sidecar_of(entry).write_bytes(b"garbage"),
         ],
-        ids=["flipped-byte", "no-digest", "altered-digest"],
+        ids=["flipped-byte", "no-digest", "altered-digest", "other-version", "flipped-sidecar",
+             "garbage-sidecar"],
     )
     def test_damaged_entry(self, cached, tmp_path, change):
+        """An entry whose sidecar does not record the sha256 of its bytes is refused."""
         args, entry, _ = cached
-        entry.write_bytes(change(entry.read_bytes()))
+        change(entry)
         self.rerun_fails(args, entry, tmp_path)
 
     @pytest.mark.parametrize(
@@ -582,27 +603,46 @@ class TestCountCache:
              "indptr", "shape", "cut-name", "bad-utf8", "unigrams"],
     )
     def test_inconsistent_entry(self, cached, tmp_path, change):
-        """An edited body is refused by the sha256 line, even where the counts would still load."""
+        """An edited body is refused by the sha256 its sidecar records, even where the counts would still load."""
         args, entry, _ = cached
         entry.write_bytes(edit_lines(entry.read_bytes(), change))
         self.rerun_fails(args, entry, tmp_path)
 
     def recount_leaves(self, cached, tmp_path, old_name: str):
-        """A run with only an entry of another name recounts and leaves that entry alone."""
+        """A run with only an entry of another name recounts and leaves that entry, and its sidecar, alone."""
         args, entry, plain = cached
-        key = entry.name[len("counts-v3-") : -len(".tsv")]
+        key = entry.name[len("counts-v4-") : -len(".tsv")]
         old = entry.parent / old_name.format(key)
+        kept = entry.read_bytes(), sidecar_of(entry).read_bytes()
+        sidecar_of(entry).rename(sidecar_of(old))
         entry.rename(old)
         code, _, err = run_cli(args + ["--out", tmp_path / "recount.tsv"])
         assert code == 0, err
         assert (tmp_path / "recount.tsv").read_bytes() == plain
-        assert entry.exists() and old.read_bytes() == plain + distsem.cli._digest_line(plain)
+        assert (entry.read_bytes(), sidecar_of(entry).read_bytes()) == kept
+        assert (old.read_bytes(), sidecar_of(old).read_bytes()) == kept
 
     def test_old_tsv_entry_is_ignored(self, cached, tmp_path):
         self.recount_leaves(cached, tmp_path, "counts-{}.tsv")
 
     def test_old_npz_entry_is_ignored(self, cached, tmp_path):
         self.recount_leaves(cached, tmp_path, "counts-v2-{}.npz")
+
+    def test_v3_entry_is_ignored(self, cached, tmp_path):
+        self.recount_leaves(cached, tmp_path, "counts-v3-{}.tsv")
+
+    @pytest.mark.parametrize("missing", ["sidecar", "entry"])
+    def test_an_entry_missing_a_file_is_counted_again(self, cached, tmp_path, missing):
+        """Deleting an entry's sidecar, or the entry without it, is a miss that writes both files again."""
+        args, entry, plain = cached
+        kept = entry.read_bytes(), sidecar_of(entry).read_bytes()
+        (sidecar_of(entry) if missing == "sidecar" else entry).unlink()
+        with mock.patch.object(distsem.cli, "save_counts", wraps=distsem.cli.save_counts) as save:
+            code, _, err = run_cli(args + ["--out", tmp_path / "recount.tsv"])
+        assert code == 0, err
+        assert save.called and (tmp_path / "recount.tsv").read_bytes() == plain
+        assert (entry.read_bytes(), sidecar_of(entry).read_bytes()) == kept
+        assert sorted(p.name for p in entry.parent.iterdir()) == [entry.name, sidecar_of(entry).name]
 
 
 # ---------------------------------------------------------------------------
@@ -901,10 +941,46 @@ def test_cached_count_to_a_pipe_writes_the_counts(toy_corpus_path, tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == plain, run
     (entry,) = (tmp_path / "cache").glob("*.tsv")
-    assert entry.read_bytes() == plain + distsem.cli._digest_line(plain)
+    assert entry.read_bytes() == plain
     assert sidecar_of(entry).exists() and sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
         entry.name, sidecar_of(entry).name
     ]
+
+
+@pytest.mark.parametrize("sidecar_before", [False, True])
+def test_a_unigram_count_past_int64_is_saved_without_a_sidecar(tmp_path, toy_counts, sidecar_before):
+    """The TSV holds any count; the sidecar's int64 unigram table cannot, so none is written,
+    and one left by an earlier save is removed, so a load reads the file once."""
+    path = tmp_path / "big.tsv"
+    path.write_text("#counts\ttotal_tokens=3\tfeature_kind=word\n#unigram\ta\t99999999999999999999\na\tb\t1\n")
+    counts = load_counts(path)
+    saved = tmp_path / "saved.tsv"
+    if sidecar_before:
+        save_counts(toy_counts, saved)
+        assert sidecar_of(saved).exists()
+    save_counts(counts, saved)
+    assert not sidecar_of(saved).exists()
+    with mock.patch.object(corpus, "_blocks", mock.Mock(wraps=corpus._blocks)) as blocks:
+        loaded = load_counts(saved)
+    assert blocks.call_count == 1
+    assert counts_equal(loaded, counts) and loaded.unigram_counts == {"a": 99999999999999999999}
+
+
+def test_counts_saved_without_a_sidecar_remove_an_earlier_one(tmp_path, toy_counts):
+    """Counts not as from_ids leaves them (here, targets out of order) get no sidecar over an old one."""
+    path = tmp_path / "counts.tsv"
+    save_counts(toy_counts, path)
+    assert sidecar_of(path).exists()
+    rows = np.diff(toy_counts._indptr)[::-1]
+    shuffled = corpus.CooccurrenceCounts(
+        toy_counts.targets[::-1], toy_counts.features, np.append(0, np.cumsum(rows)),
+        np.concatenate([toy_counts.row(t)[0] for t in toy_counts.targets[::-1]]),
+        np.concatenate([toy_counts.row(t)[1] for t in toy_counts.targets[::-1]]),
+        toy_counts.unigram_counts, toy_counts.total_tokens, toy_counts.config, toy_counts.feature_kind,
+    )
+    save_counts(shuffled, path)
+    assert not sidecar_of(path).exists()
+    assert counts_equal(load_counts(path), toy_counts)
 
 
 def test_a_symlinked_counts_file_has_no_sidecar(tmp_path, toy_counts):

@@ -82,6 +82,13 @@ def test_a_valid_sidecar_is_read_without_the_tsv(ic_file):
     assert sidecar_of(ic_file).stat().st_mode == ic_file.stat().st_mode
 
 
+def test_a_table_saved_without_a_sidecar_removes_an_earlier_one(ic_file):
+    """A table the reader would refuse gets no sidecar, and the one of the table saved before goes."""
+    assert sidecar_of(ic_file).exists()
+    save_ic_table(ICTable(prob={"a": 1.5}, ic={"a": 0.0}, log_base=2.0), ic_file)
+    assert not sidecar_of(ic_file).exists()
+
+
 def test_another_version_is_ignored(ic_file):
     sidecar = sidecar_of(ic_file)
     with np.load(sidecar) as held:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from distsem import corpus
+from distsem import corpus, load_taxonomy, load_wccm
 from distsem.errors import CorpusDecodeError
 
 from test_cli import run_cli
@@ -141,6 +141,21 @@ def test_a_bad_byte_is_refused_at_its_offset_whatever_the_block(tmp_path, block,
     with mock.patch.object(corpus, "_BLOCK_BYTES", block), pytest.raises(CorpusDecodeError) as caught:
         corpus.read_documents(path, one_doc_per_line=per_line)
     assert caught.value.byte_offset == len(TEXT) + 1
+
+
+def test_a_load_outside_a_command_hashes_nothing(inputs):
+    """A library load makes no sha256 outside a record; within one, the record holds each file's."""
+    paths = inputs / "taxonomy.tsv", inputs / "base.tsv"
+
+    def load():
+        load_taxonomy(paths[0])
+        load_wccm(paths[1])
+
+    with mock.patch.object(corpus.hashlib, "sha256", side_effect=AssertionError("a sha256 was made")):
+        load()
+    with corpus._recording() as record:
+        load()
+    assert record == {str(path): sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
 def test_a_read_outside_a_command_records_nothing(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from distsem import (
+    CooccurrenceCounts,
     CorpusConfig,
     DistributionalProfile,
     SoAKind,
@@ -66,6 +67,32 @@ class TestBuildProfile:
         assert sum(filtered.entries.values()) == pytest.approx(1.0, abs=1e-9)
         for feature in filtered.entries:
             assert toy_counts.unigram_count(feature) >= 3
+
+    @pytest.mark.parametrize("relation", [False, True])
+    @pytest.mark.parametrize("min_count", [2, 3, 4, 10**20, 10**20 + 1])
+    def test_min_feature_count_keeps_features_by_their_frequency(self, relation, min_count):
+        """A feature is kept where the unigram count of its word, or its own total where
+        that count is 0 or absent, reaches the minimum; counts past int64 compare exactly."""
+        def feature(word):
+            return ("obj", word) if relation else word
+
+        cells = {("t", "a"): 1, ("t", "b"): 2, ("t", "c"): 5, ("t", "d"): 2, ("u", "a"): 3, ("u", "b"): 1}
+        counts = CooccurrenceCounts.from_pairs(
+            {(t, feature(w)): n for (t, w), n in cells.items()},
+            unigram_counts={"a": 10**20, "b": 0, "c": 1},  # "d" has none
+            feature_kind="relation" if relation else "word",
+        )
+
+        def frequency(f):
+            return counts.unigram_counts.get(f[1] if relation else f, 0) or counts.feature_total(f)
+
+        kept = {f for f, _ in counts.row_items("t") if frequency(f) >= min_count}
+        assert kept == {feature(w) for w in {2: "abd", 3: "ab", 4: "a", 10**20: "a"}.get(min_count, "")}
+        if not kept:
+            with pytest.raises(EmptyProfileError):
+                build_profile(counts, "t", SoAKind.CP, min_feature_count=min_count)
+            return
+        assert set(build_profile(counts, "t", SoAKind.CP, min_feature_count=min_count).entries) == kept
 
     def test_filtering_everything_is_an_error(self, toy_counts):
         with pytest.raises(EmptyProfileError):

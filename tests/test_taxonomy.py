@@ -114,10 +114,12 @@ class TestStructure:
         with pytest.raises(ValidationError):
             Taxonomy(nodes={"a": "A"}, edges=[("a", "b", "isa")])
 
-    def test_from_ids_with_no_senses(self):
-        # empty Python lists, as the edge columns may be too
-        taxo = Taxonomy.from_ids(["a", "b"], ["A", "B"], ([1], [0], [0]), ["isa"], [], ([], []))
+    def test_a_taxonomy_with_no_senses(self):
+        # the sense columns are empty, as the edge columns may be too
+        taxo = Taxonomy(nodes={"a": "A", "b": "B"}, edges=[("b", "a", "isa")], word_map={})
         assert (taxo.edges, taxo.word_map, taxo.roots) == ([("b", "a", "isa")], {}, ["a"])
+        taxo = Taxonomy(nodes={"a": "A"}, edges=[])
+        assert (taxo.edges, taxo.word_map, taxo.roots, taxo.depth) == ([], {}, ["a"], 0)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.taxo"
@@ -159,10 +161,10 @@ class TestShortestPath:
         assert shortest_path(taxo, "a", "g") == (4, 1)
 
     def test_a_relation_label_given_twice_is_one_relation(self):
-        # the edges of one chain, their "isa" given under two relation ids
-        names, edges = ["a", "b", "c", "d"], ([1, 2, 3], [0, 1, 2], [0, 2, 1])
-        taxo = Taxonomy.from_ids(names, names, edges, ["isa", "partof", "isa"], ["w"], ([0], [3]))
-        assert taxo.edges == [("b", "a", "isa"), ("c", "b", "isa"), ("d", "c", "partof")]
+        # the edges of one chain, the two "isa" edges apart in edge order
+        edges = [("b", "a", "isa"), ("d", "c", "partof"), ("c", "b", "isa")]
+        taxo = Taxonomy(nodes={n: n for n in "abcd"}, edges=edges, word_map={"w": frozenset({"d"})})
+        assert taxo.edges == edges and taxo._relations == ["isa", "partof"]
         assert (taxo.depth, taxo.roots) == (2, ["a", "d"])
         assert shortest_path(taxo, "a", "d") == (3, 1)
         assert leacock_chodorow(taxo, "a", "c") == leacock_chodorow(taxo, "c", "a") == 1.0
