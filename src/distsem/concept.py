@@ -31,10 +31,13 @@ from .corpus import (
     CooccurrenceCounts,
     CorpusConfig,
     _build_counts,
+    _cell_lines,
     _collect_cells,
     _FirstSeenIds,
     _id_chunks,
-    _indptr_from_sorted_rows,
+    _row_pointers,
+    _rows,
+    _sort_ranks,
     _tally,
     _token_pieces,
     _window_pairs,
@@ -200,14 +203,14 @@ def _refuse_bad_events(values: np.ndarray, source: str, cell) -> None:
 
 
 class _SenseFan:
-    """The categories ``index`` gives each of ``words``, as ids into the sorted ``categories``."""
+    """The categories ``index`` gives each of ``words``, as CSR rows of ids into the sorted ``categories``."""
 
     def __init__(self, index: Mapping[str, frozenset], words: list[str]):
         self.categories = sorted(set().union(*index.values()))
         cat_id = {c: i for i, c in enumerate(self.categories)}
         senses = [sorted(cat_id[c] for c in index.get(w, ())) for w in words]
         self.counts = np.array([len(s) for s in senses], dtype=np.int64)
-        self._first = np.cumsum(self.counts) - self.counts
+        self._ptr = np.append(0, np.cumsum(self.counts))
         self._ids = np.fromiter(chain.from_iterable(senses), dtype=np.int64)
 
     def fan_out(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +218,8 @@ class _SenseFan:
 
         Items ascend, and so do each item's categories.
         """
-        fan = self.counts[words]
-        item = np.repeat(np.arange(words.size), fan)
-        nth = np.arange(item.size) - np.repeat(np.cumsum(fan) - fan, fan)
-        return item, self._ids[self._first[words[item]] + nth]
+        cats, fan = _rows(self._ptr, self._ids, words)
+        return np.repeat(np.arange(words.size), fan), cats
 
 
 def build_base_wccm(
@@ -475,7 +476,7 @@ def concept_distance_matrix(
     values = cell_strengths(wccm.matrix, required_soa(measure, config), config.log_base)
     stored = values != 0.0  # the cells a profile stores
     rows, cols, values = rows[stored], cols[stored], values[stored]
-    indptr = _indptr_from_sorted_rows(rows, len(cats))
+    indptr = _row_pointers(rows, len(cats))
     sizes = np.diff(indptr)
     if not sizes.all():
         raise EmptyProfileError(f"profile for {cats[int(np.argmin(sizes))]!r} is empty")
@@ -508,7 +509,7 @@ def concept_distance_matrix(
 def save_wccm(wccm: WCCM, path, extra_header: list[str] = ()) -> None:
     """Write ``word<TAB>category<TAB>count`` lines under a kind header.
 
-    Counts are written as floats (``3.0``), sorted by word, then category.
+    Counts are written as floats (``3.0``), sorted by word, then category, whatever order the matrix holds.
     """
     fields = {
         "kind": wccm.kind,
@@ -517,8 +518,9 @@ def save_wccm(wccm: WCCM, path, extra_header: list[str] = ()) -> None:
     }
     if wccm.source_fingerprint:
         fields["source"] = wccm.source_fingerprint
-    cells = sorted((word, cat, n) for cat, word, n in wccm.matrix.items())
-    body = (f"{word}\t{cat}\t{float(n)!r}\n" for word, cat, n in cells)
+    rows, cols, data = wccm.matrix.coo()
+    order = np.lexsort((_sort_ranks(wccm.categories())[0][rows], _sort_ranks(wccm.matrix.features)[0][cols]))
+    body = _cell_lines(wccm.matrix.features, wccm.categories(), cols[order], rows[order], data[order], ".0\n")
     write_tagged_tsv(path, "wccm", fields, body, extra_header)
 
 
@@ -534,7 +536,7 @@ def load_wccm(path) -> WCCM:
     Cells must be non-negative integers, each given once.
     """
     fields, config, blocks = read_tagged_tsv(path, "wccm", _CELLS)
-    cells = _collect_cells(blocks, target=1, feature=0)
+    cells, _ = _collect_cells(blocks, target=1, feature=0)
     categories, words, rows, cols, values, _ = cells
     _refuse_bad_events(
         values, str(path), lambda i: (words[cols[i]], categories[rows[i]], float(values[i]))

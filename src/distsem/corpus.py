@@ -425,7 +425,7 @@ class CooccurrenceCounts:
         stored = data != 0
         keys, data = keys[stored], data[stored]
         row_ids, rows = _renumber(keys >> _KEY_BITS, len(targets))
-        indptr = _indptr_from_sorted_rows(rows, row_ids.size)
+        indptr = _row_pointers(rows, row_ids.size)
         col_ids, cols = _renumber(keys & _KEY_MASK, len(features))
         del keys, rows  # the constructor's own arrays need the room
         return cls(
@@ -507,8 +507,20 @@ def _exact_sum(data: np.ndarray) -> int:
     return (int((data >> _KEY_BITS).sum()) << _KEY_BITS) + int((data & _KEY_MASK).sum())
 
 
-def _indptr_from_sorted_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    return np.searchsorted(rows, np.arange(n_rows + 1), side="left").astype(np.int64)
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of the cells of rows ``rows``, ids below ``n`` in any order."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _rows(ptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows`` joined in that order, and each row's length."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    picks = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    picks += np.arange(picks.size)
+    return values[picks], lengths
 
 
 def _sum_by_key(
@@ -1096,21 +1108,26 @@ class _FirstSeenIds(dict):
         return np.fromiter(map(self.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-def _collect_cells(blocks: Iterable[tuple[np.ndarray, list]], target: int, feature: int):
+def _collect_cells(blocks: Iterable[list[tuple]], target: int, feature: int) -> tuple[tuple, list]:
     """Cells of the first shape of :func:`read_tagged_tsv` blocks, whose third column holds the values.
 
     Returns (targets, features, target ids, feature ids, values, line
-    numbers): targets and features sorted by their text, and ids into them.
+    numbers), names sorted and ids into them, and each other shape's (line
+    numbers, columns) joined over the blocks.  Names become ids a block at a time.
     """
     targets, features = _FirstSeenIds(), _FirstSeenIds()
-    parts: list[tuple] = [(np.empty(0, np.int64),) * 4]
-    for (numbers, columns), *_ in blocks:
+    parts, others = [(np.empty(0, np.int64),) * 4], []
+    for (numbers, columns), *rest in blocks:
         rows, cols = targets.ids(columns[target]), features.ids(columns[feature])
         parts.append((rows, cols, columns[2], numbers))
+        others.append(rest)
     rows, cols, values, lines = (np.concatenate(p) for p in zip(*parts))
     target_ranks, targets = _sort_ranks(list(targets))
     feature_ranks, features = _sort_ranks(list(features))
-    return targets, features, target_ranks[rows], feature_ranks[cols], values, lines
+    records = [(np.concatenate(numbers), [np.concatenate(c) if isinstance(c[0], np.ndarray)
+                                          else list(chain.from_iterable(c)) for c in zip(*columns)])
+               for numbers, columns in (zip(*shape) for shape in zip(*others))]
+    return (targets, features, target_ranks[rows], feature_ranks[cols], values, lines), records
 
 
 def _build_counts(
@@ -1189,8 +1206,8 @@ def save_counts(counts: CooccurrenceCounts, path, extra_header: list[str] = ()) 
                               "(two features render as it)")
     fields = _counts_fields(counts)
     unigrams = (f"#unigram\t{w}\t{counts.unigram_counts[w]}\n" for w in words)
-    digest = write_tagged_tsv(path, "counts", fields, chain(unigrams, _cell_lines(counts, rendered)),
-                              extra_header)
+    cells = _cell_lines(counts.targets, rendered, *counts.coo(), "\n")
+    digest = write_tagged_tsv(path, "counts", fields, chain(unigrams, cells), extra_header)
     arrays = {"indptr": counts._indptr, "indices": counts._indices, "data": counts._data}
     try:
         unigram_counts = np.array([counts.unigram_counts[w] for w in words], dtype=np.int64)
@@ -1250,16 +1267,15 @@ def _write_sidecar(path, digest: str, members: Optional[dict]) -> None:
         _write_atomically(sidecar, lambda out: np.savez(out, version=_SIDECAR_VERSION, **arrays), like=path)
 
 
-def _write_atomically(path: Path, write: Callable, like=None) -> None:
+def _write_atomically(path: Path, write: Callable, like) -> None:
     """Call ``write`` with a binary file that becomes ``path``; a write cut short leaves none.
 
-    With ``like``, the file takes that file's permissions, so whoever reads
-    one reads both (else it is its owner's alone, as mkstemp makes it).
+    The file takes the permissions of the file ``like``, so whoever reads
+    one reads both.
     """
     fd, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
-        if like is not None:
-            os.fchmod(fd, stat.S_IMODE(os.stat(like).st_mode))
+        os.fchmod(fd, stat.S_IMODE(os.stat(like).st_mode))
         with os.fdopen(fd, "wb") as handle:
             write(handle)
         os.replace(temp, path)
@@ -1336,22 +1352,21 @@ def _csr_problem(targets: list, features: list, indptr, indices, data) -> Option
     return None
 
 
-def _cell_lines(counts: CooccurrenceCounts, rendered: list[str]) -> Iterator[str]:
-    """``target<TAB>feature<TAB>count`` lines in row order, so sorted by target, then feature.
+def _cell_lines(firsts: list[str], seconds: list[str], rows, cols, data, end: str) -> Iterator[str]:
+    """``first<TAB>second<TAB>count`` lines, one a cell, in the order the cells are given.
 
-    ``rendered`` are the rendered features.  Each piece holds up to
-    ``_BLOCK_LINES`` lines.
+    ``rows`` index the names ``firsts`` and ``cols`` the names ``seconds``;
+    each line ends in ``end``.  Each piece holds up to ``_BLOCK_LINES`` lines.
     """
-    rows, cols, data = counts.coo()
-    targets = np.array([t + "\t" for t in counts.targets], dtype=object)
-    features = np.array([f + "\t" for f in rendered], dtype=object)
+    firsts = np.array([name + "\t" for name in firsts], dtype=object)
+    seconds = np.array([name + "\t" for name in seconds], dtype=object)
     for lo in range(0, data.size, _BLOCK_LINES):
         hi = min(lo + _BLOCK_LINES, data.size)
         pieces = [""] * (4 * (hi - lo))
-        pieces[0::4] = targets[rows[lo:hi]].tolist()
-        pieces[1::4] = features[cols[lo:hi]].tolist()
+        pieces[0::4] = firsts[rows[lo:hi]].tolist()
+        pieces[1::4] = seconds[cols[lo:hi]].tolist()
         pieces[2::4] = map(str, data[lo:hi].tolist())
-        pieces[3::4] = ["\n"] * (hi - lo)
+        pieces[3::4] = [end] * (hi - lo)
         yield "".join(pieces)
 
 
@@ -1402,8 +1417,8 @@ _COUNTS = [
 def load_counts(path) -> CooccurrenceCounts:
     """Read counts written by :func:`save_counts`, from its sidecar where that is valid.
 
-    The sidecar is read as :func:`_load_verified` says, and refused if its
-    arrays are not as :meth:`CooccurrenceCounts.from_ids` leaves them;
+    The sidecar is read as :func:`_load_verified` says, and refused if it does
+    not hold counts as :func:`save_counts` writes them (see :func:`_csr_problem`);
     otherwise the TSV is parsed (:func:`_parse_counts`).
     """
     return _load_verified(path, "counts", _counts_from_sidecar, _parse_counts)
@@ -1425,6 +1440,9 @@ def _counts_from_sidecar(member: Callable) -> Union[CooccurrenceCounts, str]:
     if problem is None and (unigrams.dtype != np.int64 or unigrams.shape != (len(words),)
                             or (unigrams < 0).any() or not _increasing(words)):
         problem = "a unigram table that does not match its words"
+    if problem is None and (fields.get("total_pairs") != str(data.sum())  # exact: _csr_problem bounds it
+                            or meta["feature_kind"] == "relation" and not all(":" in f for f in features)):
+        problem = "cells that do not add up to total_pairs, or a relation feature that is not relation:word"
     if problem is not None:
         return problem
     if meta["feature_kind"] == "relation":
@@ -1446,19 +1464,10 @@ def _parse_counts(path) -> CooccurrenceCounts:
     fields, config, blocks = read_tagged_tsv(
         path, "counts", _COUNTS, {"total_tokens": _count, "feature_kind": _feature_kind}
     )
-    unigram, unigram_lines, unigram_words = {}, [np.empty(0, dtype=np.int64)], []
-
-    def cell_blocks() -> Iterator[list[tuple]]:  # each piece's records, its unigram lines taken aside
-        for found in blocks:
-            numbers, (words, counts) = found[1]
-            unigram.update(zip(words, counts.tolist()))
-            unigram_lines.append(numbers)
-            unigram_words.extend(words)
-            yield found
-
-    cells = _collect_cells(cell_blocks(), target=0, feature=1)
+    cells, [(unigram_lines, (unigram_words, unigram_counts))] = _collect_cells(blocks, target=0, feature=1)
+    unigram = dict(zip(unigram_words, unigram_counts.tolist()))
     if len(unigram) < len(unigram_words):
-        _refuse_repeat(path, np.concatenate(unigram_lines).tolist(), unigram_words, "unigram")
+        _refuse_repeat(path, unigram_lines.tolist(), unigram_words, "unigram")
     _, features, _, cols, data, lines = cells
     negative = np.flatnonzero(data < 0)
     if negative.size:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .assoc import check_log_base
 from .corpus import (
+    _FirstSeenIds,
     _increasing,
     _integer,
     _joined_names,
@@ -31,6 +32,8 @@ from .corpus import (
     _name,
     _refuse_repeat,
     _file_pieces,
+    _row_pointers,
+    _rows,
     _split_records,
     _write_sidecar,
     read_tagged_tsv,
@@ -67,7 +70,7 @@ class Taxonomy:
         or word sense that is not a node ends in :class:`ValidationError`."""
         senses = [(word, concept) for word, concepts in (word_map or {}).items() for concept in concepts]
         edge_columns, sense_columns = tuple(zip(*edges)) or ((), (), ()), tuple(zip(*senses)) or ((), ())
-        index, labels = _numbered(nodes), list(nodes.values())
+        index, labels = dict(zip(nodes, count())), list(nodes.values())
         self._build(*_id_columns(index, labels, edge_columns, sense_columns, _invalid), hypernym_relation)
 
     def _build(self, ids, labels, edges, relations, word_ids, senses, hypernym_relation) -> None:
@@ -76,7 +79,7 @@ class Taxonomy:
         ``edges`` holds each edge's child, parent and relation id arrays, a
         relation id indexing the distinct labels ``relations``; ``senses``
         holds (word id, concept id) arrays, a word id indexing ``word_ids``
-        (name -> id, as ``ids``).  Ids must be in range, each word must have
+        (a plain dict, as ``ids``).  Ids must be in range, each word must have
         a pair, and a repeated pair counts once.  A cycle of
         ``hypernym_relation`` edges ends in :class:`ValidationError`.  The
         name views are built on first use.
@@ -184,28 +187,12 @@ class Taxonomy:
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row pointers and ``cols`` grouped by row, each row's in their given order."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    return ptr, cols[np.argsort(rows, kind="stable")]
-
-
-def _rows(ptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR rows ``rows`` joined in that order, and each row's length."""
-    starts = ptr[rows]
-    lengths = ptr[rows + 1] - starts
-    picks = (starts - lengths.cumsum() + lengths).repeat(lengths)
-    picks += np.arange(picks.size)
-    return values[picks], lengths
+    return _row_pointers(rows, n), cols[np.argsort(rows, kind="stable")]
 
 
 def _lookup(ids: dict[str, int], names) -> np.ndarray:
     """The id of each of ``names``, -1 for a name not in ``ids``."""
     return np.fromiter(map(ids.get, names, repeat(-1)), dtype=np.int64, count=len(names))
-
-
-def _numbered(keys) -> dict[str, int]:
-    """Each distinct key of ``keys`` -> its number, in first-seen order."""
-    return dict(zip(dict.fromkeys(keys), count()))
 
 
 #: The records of a taxonomy file, as shapes of :func:`~distsem.corpus._split_records`.
@@ -268,7 +255,7 @@ def _id_columns(index: dict[str, int], labels, edges, senses, refuse) -> tuple:
     ``index`` numbers the concepts; ``edges`` holds the child, parent and
     relation of each edge, and ``senses`` the word and concept of each
     (word, sense) pair.  Words and relations are numbered in first-seen
-    order, and the concepts and words are returned as name -> id dicts.  The
+    order, and the concepts and words are returned as plain name -> id dicts.  The
     first edge, and then the first pair, naming a concept not in ``index``
     goes to ``refuse(kind, position, message)``, with kind 1 for an edge and
     2 for a pair.
@@ -279,10 +266,9 @@ def _id_columns(index: dict[str, int], labels, edges, senses, refuse) -> tuple:
         refuse(1, bad[0], f"edge {children[bad[0]]!r} -> {parents[bad[0]]!r} uses unknown node")
     if (bad := np.flatnonzero(sense < 0)).size:
         refuse(2, bad[0], f"word {words[bad[0]]!r} maps to unknown concept {concepts[bad[0]]!r}")
-    relation_ids, word_ids = _numbered(relations), _numbered(words)
-    edge_ids = (child, parent, _lookup(relation_ids, relations))
-    sense_ids = (_lookup(word_ids, words), sense)
-    return index, labels, edge_ids, list(relation_ids), word_ids, sense_ids
+    relation_ids, word_ids = _FirstSeenIds(), _FirstSeenIds()
+    edge_ids, sense_ids = (child, parent, relation_ids.ids(relations)), (word_ids.ids(words), sense)
+    return index, labels, edge_ids, list(relation_ids), dict(word_ids), sense_ids
 
 
 def _invalid(kind: int, at: int, message: str):

@@ -823,6 +823,11 @@ def names_swapped(joined: np.ndarray) -> np.ndarray:
         ("fields", lambda a: text(bytes(a).decode().replace("window=3", "window=0")),
          "ConfigurationError"),
         ("fields", lambda a: text("total_pairs=1"), "KeyError"),
+        # each row below changes one member of a sidecar that loads, so its problem is that change
+        ("fields", lambda a: text(bytes(a).decode().replace("total_pairs=", "total_pairs=9")),
+         "do not add up to total_pairs"),
+        ("fields", lambda a: text(bytes(a).decode().replace("feature_kind=word", "feature_kind=relation")),
+         "a relation feature that is not relation:word"),
         ("targets", lambda a: np.append(a, 255).astype(np.uint8), "UnicodeDecodeError"),
     ],
 )

@@ -497,6 +497,20 @@ class TestInformationContent:
         with pytest.raises(ConfigurationError):
             ic_from_counts(toy_taxonomy, {"unmapped": 5})
 
+    @pytest.mark.parametrize("how", ["loaded", "built"])
+    def test_words_the_taxonomy_lacks_are_not_added(self, fixtures_dir, how):
+        taxo = load_taxonomy(fixtures_dir / "toy_taxonomy.tsv")
+        if how == "built":
+            taxo = Taxonomy(taxo.nodes, taxo.edges, taxo.word_map)
+        word_ids = dict(taxo._word_ids)
+        want = {word: frozenset(senses) for word, senses in taxo.word_map.items()}
+        taxo.__dict__.pop("word_map")  # built again from the word ids below
+        ic_from_counts(taxo, {**TOY_FREQS, "unmapped": 5, "zebra": 0})
+        assert taxo._word_ids == word_ids and taxo.word_map == want
+        with pytest.raises(KeyError):
+            taxo._word_ids["unmapped"]  # a plain mapping: a lookup adds nothing
+        assert taxo._word_ids == word_ids
+
     def test_round_trip(self, toy_ic, tmp_path):
         path = tmp_path / "ic.tsv"
         save_ic_table(toy_ic, path)

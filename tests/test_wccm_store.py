@@ -1,8 +1,10 @@
 """The word-by-category matrix kept as transposed co-occurrence counts."""
 
+import numpy as np
 import pytest
 
 from distsem import (
+    CooccurrenceCounts,
     CorpusConfig,
     MeasureId,
     SoAKind,
@@ -143,6 +145,27 @@ class TestWccmFiles:
         path.write_text("w\tc1\t1.0\n#wccm\tkind=base\n")
         with pytest.raises(ValidationError):
             load_wccm(path)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # names held out of order, as no loader leaves them, and a row's cells out of order
+            CooccurrenceCounts(["k", "b", "é"], ["z", "日本", "a", "ä"], np.array([0, 3, 4, 6]),
+                               np.array([2, 0, 3, 1, 1, 0]), np.array([3, 1, 4, 2, 7, 5])),
+            CooccurrenceCounts.from_pairs({("ß", "é"): 2**53}),
+            CooccurrenceCounts.from_pairs({("c", "w"): 1}),
+            CooccurrenceCounts.from_pairs({(c, w): i + 1 for i, (c, w) in enumerate(
+                [("Ω", "a"), ("a", "日本"), ("Z", "a"), ("a", "Z"), ("Ω", "ä"), ("b", "a b")])}),
+        ],
+        ids=["unsorted-names", "2**53", "one-cell", "non-ascii"],
+    )
+    def test_cells_are_sorted_float_lines(self, tmp_path, matrix):
+        path = tmp_path / "m.tsv"
+        save_wccm(WCCM(matrix), path)
+        cells = sorted((word, cat, n) for cat, word, n in matrix.items())
+        want = "".join(f"{word}\t{cat}\t{float(n)!r}\n" for word, cat, n in cells)
+        header = "#wccm\tkind=base\tlanguage_mode=monolingual\n"
+        assert path.read_bytes() == (header + want).encode("utf-8")
 
     def test_manifest_lines_are_skipped(self, tmp_path):
         path = tmp_path / "m.tsv"
